@@ -46,25 +46,24 @@ impl JobRoutes {
         // single-source passes (up*/down*) group the pairs by source switch
         // and run each pass once, so a whole job's table costs O(n) route
         // extractions instead of n independent path searches.
+        //
+        // The pairs come out in rank order with parentless ranks (the
+        // source) left out, so the bulk channel array already is the
+        // rank-order table. `offsets[r]` first counts the pairs before rank
+        // `r`, then maps through the bulk offsets; a rank without a pair
+        // repeats its predecessor's offset.
         let mut pairs = Vec::with_capacity(n.saturating_sub(1));
-        let mut pair_of: Vec<u32> = vec![u32::MAX; n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
         for r in 0..n {
             if let Some(p) = tree.parent(Rank(r as u32)) {
-                pair_of[r] = pairs.len() as u32;
                 pairs.push((binding[p.index()], binding[r]));
             }
+            offsets.push(pairs.len() as u32);
         }
-        let (bulk_off, bulk_dat) = net.bulk_routes(&pairs);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut channels = Vec::with_capacity(bulk_dat.len());
-        offsets.push(0);
-        for &i in pair_of.iter().take(n) {
-            if i != u32::MAX {
-                let i = i as usize;
-                channels
-                    .extend_from_slice(&bulk_dat[bulk_off[i] as usize..bulk_off[i + 1] as usize]);
-            }
-            offsets.push(channels.len() as u32);
+        let (bulk_off, channels) = net.bulk_routes(&pairs);
+        for o in &mut offsets {
+            *o = bulk_off[*o as usize];
         }
         JobRoutes { offsets, channels }
     }

@@ -396,6 +396,15 @@ impl Topology {
         (&adj.link_dat[range.clone()], &adj.link_peer[range])
     }
 
+    /// The CSR arrays behind [`Self::switch_peers`], for passes that keep a
+    /// side table per adjacency slot: switch `s` owns slots
+    /// `offsets[s]..offsets[s + 1]`, and `peers[slot]` is the neighbouring
+    /// switch across that slot's link (insertion order).
+    pub fn switch_peer_slots(&self) -> (&[u32], &[SwitchId]) {
+        let adj = self.adj();
+        (&adj.link_off, &adj.link_peer)
+    }
+
     /// Neighbouring switches of `s` as `(link, neighbour)`, insertion order.
     pub fn switch_neighbors(&self, s: SwitchId) -> Vec<(LinkId, SwitchId)> {
         let (links, peers) = self.switch_peers(s);
