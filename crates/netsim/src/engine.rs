@@ -24,14 +24,14 @@ use std::collections::BinaryHeap;
 /// `seq` is unique per queue, so two entries never compare equal in
 /// practice; the `Eq` impl exists only to satisfy `BinaryHeap`'s bounds.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry<E> {
+struct Entry<E> {
     key: u128,
-    pub(crate) event: E,
+    event: E,
 }
 
 impl<E> Entry<E> {
     #[inline]
-    pub(crate) fn new(at: SimTime, seq: u64, event: E) -> Self {
+    fn new(at: SimTime, seq: u64, event: E) -> Self {
         Entry {
             key: (u128::from(at.key_bits()) << 64) | u128::from(seq),
             event,
@@ -39,15 +39,8 @@ impl<E> Entry<E> {
     }
 
     #[inline]
-    pub(crate) fn at(&self) -> SimTime {
+    fn at(&self) -> SimTime {
         SimTime::from_key_bits((self.key >> 64) as u64)
-    }
-
-    /// The packed `(time, seq)` ordering key — what the sharded executor's
-    /// global-minimum reduction compares.
-    #[inline]
-    pub(crate) fn key(&self) -> u128 {
-        self.key
     }
 }
 

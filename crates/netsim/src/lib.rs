@@ -41,7 +41,6 @@ pub mod observe;
 pub mod packet;
 pub mod routes;
 pub mod scheduler;
-mod shard;
 pub mod sim;
 mod simulation;
 pub mod stream;

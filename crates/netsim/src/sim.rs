@@ -27,7 +27,6 @@
 //! * Each destination's host spends `t_r` after its NI has received the last
 //!   packet; the multicast latency is the latest such completion.
 
-use crate::arq::NiModel;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::workload::{JobPayload, MulticastJob, SimRun, WorkloadConfig};
@@ -176,8 +175,6 @@ pub fn run_multicast_shared<N: Network>(
         WorkloadConfig {
             contention: config.contention,
             timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
             ..WorkloadConfig::default()
         },
     )
@@ -222,8 +219,6 @@ pub fn run_multicast_prerouted<N: Network>(
         WorkloadConfig {
             contention: config.contention,
             timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
             ..WorkloadConfig::default()
         },
     )
@@ -271,8 +266,6 @@ pub fn run_multicast_with_faults<N: Network>(
         WorkloadConfig {
             contention: config.contention,
             timing: config.timing,
-            trace: false,
-            ni: NiModel::default(),
             ..WorkloadConfig::default()
         },
     )

@@ -21,13 +21,13 @@
 use crate::arq::{self, ArqState, Slot};
 use crate::discipline::{conventional::Conventional, fcfs::Fcfs, fpfs::Fpfs, scatter::Scatter};
 use crate::discipline::{record_receive, release_replicated_copy, ForwardingDiscipline};
+use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::event::{Ev, SendItem};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::host::HostModel;
 use crate::observe::{Observer, ObserverHub};
 use crate::routes::JobRoutes;
-use crate::shard::ExecQueue;
 use crate::sim::{MulticastOutcome, NiTiming, NicKind};
 use crate::time::SimTime;
 use crate::transport::{LinkContext, PacketView, SimTransport, Transport, TransportResult};
@@ -75,7 +75,7 @@ pub(crate) struct SimState<'a> {
     /// arrival instant, loss verdict — flows through this trait object; the
     /// default is [`SimTransport`] over the wormhole channel manager.
     pub transport: Box<dyn Transport + 'a>,
-    pub queue: ExecQueue,
+    pub queue: EventQueue<Ev>,
     pub obs: ObserverHub<'a>,
     /// Active fault plan, if any. `None` (including trivial plans, filtered
     /// at construction) follows the exact fault-free code path, so fault-free
@@ -333,7 +333,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                     params,
                     fault,
                 )),
-                queue: ExecQueue::new(&config, jobs, net.num_hosts()),
+                queue: EventQueue::new(),
                 obs: ObserverHub::new(jobs.len(), config.trace, user_observer),
                 fault,
             },

@@ -16,7 +16,7 @@
 //! service starts at `max(free_time, emit_i)` where `free_time` is the
 //! previous frame's completion. Each service is one [`SimRun`] over the
 //! *current* membership tree, so every per-packet mechanism — FPFS
-//! forwarding, wormhole contention, sharding — applies unchanged, and a
+//! forwarding, wormhole contention, ARQ — applies unchanged, and a
 //! one-frame churn-free stream is bit-identical to the equivalent
 //! [`SimRun`] (the differential tests pin this).
 //!
@@ -34,7 +34,7 @@
 //!
 //! Churn is **planned, then executed**: [`churn_plan`] derives every event
 //! (time + member) as a pure function of `churn_seed` before the stream
-//! starts, so the event sequence is byte-identical at any worker or shard
+//! starts, so the event sequence is byte-identical at any worker
 //! count. Events fire when the stream clock passes them (at the next
 //! frame's service start): a present member leaves, an absent one joins,
 //! splicing the tree live via `add_rank`/`remove_rank` while preserving
@@ -112,7 +112,7 @@ pub struct ChurnEvent {
 /// The PRF-deterministic churn plan: `churn_events` toggles of non-source
 /// members, at times uniform over the stream's emission span, in firing
 /// order. A pure function of `(spec, universe)` — byte-identical at any
-/// worker or shard count.
+/// worker count.
 pub fn churn_plan(spec: &StreamSpec, universe: u32) -> Vec<ChurnEvent> {
     let mut rng = ChaCha8Rng::seed_from_u64(spec.churn_seed);
     let span = spec.gap_us * f64::from(spec.frames);
@@ -247,7 +247,7 @@ impl From<SimError> for StreamError {
 ///
 /// ```ignore
 /// let out = StreamRun::new(&net, &binding, 16, 2, &params, spec)
-///     .config(cfg)          // optional: contention / NI / sharding
+///     .config(cfg)          // optional: contention / NI model
 ///     .run()?;
 /// ```
 pub struct StreamRun<'a, N: Network> {
@@ -284,9 +284,7 @@ impl<'a, N: Network> StreamRun<'a, N> {
         }
     }
 
-    /// Per-frame simulator configuration (contention, NI timing/model,
-    /// sharding). Shard settings change wall-clock strategy only: the
-    /// outcome stays byte-identical.
+    /// Per-frame simulator configuration (contention, NI timing/model).
     #[must_use]
     pub fn config(mut self, config: WorkloadConfig) -> Self {
         self.config = config;

@@ -125,18 +125,6 @@ pub struct WorkloadConfig {
     /// Record a [`TraceRecord`] timeline in the outcome (off by default —
     /// traces grow with `jobs × packets × depth`).
     pub trace: bool,
-    /// Event-execution shards. `0` or `1` selects the serial engine (the
-    /// default, and the path every committed golden was pinned under);
-    /// larger values split the future-event list into per-host-block shards
-    /// with windowed boundary exchange. The pop order — and therefore every
-    /// outcome, counter, and trace — is byte-identical at any shard count.
-    pub shards: u16,
-    /// Time-window width (µs) for sharded execution; `0` uses the built-in
-    /// default. Ignored by the serial engine.
-    pub shard_window_us: u32,
-    /// Threads for the per-window pre-drain of sharded execution (`0`/`1` =
-    /// single-threaded). Thread count never affects results.
-    pub shard_threads: u16,
 }
 
 impl Default for WorkloadConfig {
@@ -146,9 +134,6 @@ impl Default for WorkloadConfig {
             timing: NiTiming::Handshake,
             ni: NiModel::default(),
             trace: false,
-            shards: 0,
-            shard_window_us: 0,
-            shard_threads: 0,
         }
     }
 }

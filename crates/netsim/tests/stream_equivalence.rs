@@ -1,18 +1,11 @@
-//! `StreamRun` equivalence batteries.
+//! `StreamRun` equivalence battery.
 //!
-//! Two contracts, mirroring `shard_equivalence.rs`:
-//!
-//! * **Differential** — a stream of exactly one frame, no churn, and
-//!   unbounded buffers is the degenerate case of the streaming driver:
-//!   the single frame's simulator outcome must be **bit-identical** to the
-//!   equivalent [`SimRun`] over the same tree, binding, packet count, and
-//!   configuration. This pins `StreamRun` to every existing golden the
-//!   `SimRun` path is pinned to.
-//! * **Serial vs sharded** — the streaming driver only orchestrates; each
-//!   frame's multicast is a `SimRun`, so the whole [`StreamOutcome`]
-//!   (frame fates, receiver stats, counters) must be byte-identical at any
-//!   shard count, window width, or pre-drain thread count, churn and
-//!   backpressure included.
+//! **Differential** — a stream of exactly one frame, no churn, and
+//! unbounded buffers is the degenerate case of the streaming driver: the
+//! single frame's simulator outcome must be **bit-identical** to the
+//! equivalent [`SimRun`] over the same tree, binding, packet count, and
+//! configuration. This pins `StreamRun` to every existing golden the
+//! `SimRun` path is pinned to.
 
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
@@ -24,15 +17,6 @@ use proptest::prelude::*;
 
 fn params() -> SystemParams {
     SystemParams::paper_1997()
-}
-
-fn config(shards: u16, window_us: u32, threads: u16) -> WorkloadConfig {
-    WorkloadConfig {
-        shards,
-        shard_window_us: window_us,
-        shard_threads: threads,
-        ..WorkloadConfig::default()
-    }
 }
 
 fn stream(
@@ -85,43 +69,5 @@ proptest! {
         prop_assert_eq!(&out.frame_outcomes[0], &direct);
         prop_assert_eq!(out.duration_us, direct.makespan_us.max(0.0));
         prop_assert_eq!(out.events, direct.events);
-    }
-
-    /// Churning, backpressured streams are byte-identical between the
-    /// serial engine and every sharded configuration.
-    #[test]
-    fn sharded_stream_equals_serial(
-        seed in 0u64..30,
-        n in 4u32..32,
-        extra in 0u32..8,
-        k in 1u32..4,
-        churn in 0u32..8,
-        buffer in 0u32..4,
-        wsel in 0usize..4,
-    ) {
-        let window_us = [0u32, 1, 17, 1000][wsel];
-        let net = IrregularNetwork::generate(IrregularConfig::default(), seed);
-        let universe = n + extra;
-        let binding: Vec<HostId> = (0..universe).map(HostId).collect();
-        let spec = StreamSpec {
-            frames: 6,
-            gap_us: 40.0,
-            buffer_frames: buffer,
-            churn_events: churn,
-            churn_seed: seed ^ 0xA5A5,
-            ..StreamSpec::default()
-        };
-        let serial = stream(&net, &binding, n, k, spec, config(0, 0, 0));
-        for shards in [1u16, 2, 8] {
-            for threads in [1u16, 4] {
-                let sharded = stream(&net, &binding, n, k, spec,
-                                     config(shards, window_us, threads));
-                prop_assert_eq!(
-                    &serial, &sharded,
-                    "shards={} window={}us threads={} diverged",
-                    shards, window_us, threads
-                );
-            }
-        }
     }
 }

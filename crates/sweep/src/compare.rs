@@ -8,7 +8,8 @@
 //! run is comparable against a committed full-sizing artifact; per-run
 //! totals (cells, events) are sizing-dependent and deliberately excluded —
 //! except cells/s, which is compared only when the committed and fresh
-//! sweep methodologies match.
+//! sweep methodologies match. Mega points also carry a timing-free outcome
+//! digest, which must match exactly at every shared host count.
 
 use crate::json::Json;
 
@@ -132,6 +133,50 @@ pub fn bench_regressions(committed: &Json, fresh: &Json) -> Vec<RateCheck> {
     checks
 }
 
+/// A `bench_mega` host count whose fresh outcome digest differs from the
+/// committed one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DigestMismatch {
+    /// Host count of the point.
+    pub hosts: u64,
+    /// The committed artifact's digest.
+    pub committed: String,
+    /// The freshly measured digest.
+    pub fresh: String,
+}
+
+/// Every host count present in both `bench_mega` documents whose
+/// timing-free outcome digest differs. The digest is a pure function of
+/// `(hosts, m)`, so any mismatch means the simulated outcome changed.
+pub fn mega_digest_mismatches(committed: &Json, fresh: &Json) -> Vec<DigestMismatch> {
+    let points = |doc: &Json| -> Vec<(u64, String)> {
+        if doc.get("id").and_then(Json::as_str) != Some("bench_mega") {
+            return Vec::new();
+        }
+        doc.get("points")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(|p| {
+                let hosts = p.get("hosts")?.as_f64()? as u64;
+                Some((hosts, p.get("digest")?.as_str()?.to_string()))
+            })
+            .collect()
+    };
+    let committed = points(committed);
+    points(fresh)
+        .into_iter()
+        .filter_map(|(hosts, fresh)| {
+            let (_, want) = committed.iter().find(|(h, _)| *h == hosts)?;
+            (*want != fresh).then(|| DigestMismatch {
+                hosts,
+                committed: want.clone(),
+                fresh,
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,5 +260,52 @@ mod tests {
         assert_eq!(checks.len(), 1, "only the shared host count compares");
         assert_eq!(checks[0].metric, "mega events/s @1024");
         assert!(!checks[0].regressed(0.3));
+    }
+
+    #[test]
+    fn mega_digest_mismatch_is_reported() {
+        let doc = |id: &str, points: &[(u64, &str)]| {
+            Json::obj(vec![
+                ("id", Json::from(id)),
+                (
+                    "points",
+                    Json::Arr(
+                        points
+                            .iter()
+                            .map(|&(h, d)| {
+                                Json::obj(vec![("hosts", Json::from(h)), ("digest", Json::from(d))])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        };
+        let committed = doc(
+            "bench_mega",
+            &[
+                (1024, "903021e6bf40f1ad"),
+                (8192, "a80dbf54512ab704"),
+                (65536, "0123456789abcdef"),
+            ],
+        );
+        let same = doc(
+            "bench_mega",
+            &[(1024, "903021e6bf40f1ad"), (8192, "a80dbf54512ab704")],
+        );
+        assert!(mega_digest_mismatches(&committed, &same).is_empty());
+        let altered = doc(
+            "bench_mega",
+            &[(1024, "903021e6bf40f1ad"), (8192, "a80dbf54512ab705")],
+        );
+        assert_eq!(
+            mega_digest_mismatches(&committed, &altered),
+            vec![DigestMismatch {
+                hosts: 8192,
+                committed: "a80dbf54512ab704".into(),
+                fresh: "a80dbf54512ab705".into(),
+            }]
+        );
+        let other = doc("bench_sim", &[(8192, "a80dbf54512ab705")]);
+        assert!(mega_digest_mismatches(&committed, &other).is_empty());
     }
 }

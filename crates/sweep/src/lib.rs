@@ -52,7 +52,7 @@ pub use bench_sim::{bench_sim, SimBenchReport};
 pub use chaos::{ChaosCell, ChaosReport};
 pub use chaos_arq::{ArqCell, ArqReport};
 pub use chaos_figures::ChaosFigureId;
-pub use compare::{bench_regressions, RateCheck};
+pub use compare::{bench_regressions, mega_digest_mismatches, DigestMismatch, RateCheck};
 pub use config::{SweepBuilder, SweepConfig};
 pub use engine::{LatencyStats, PointSpec, SimEffort, Sweep};
 pub use error::SweepError;

@@ -14,13 +14,12 @@
 //!   against [`MEGA_SETUP_BUDGET_BYTES`] so an accidental all-pairs
 //!   regression fails the benchmark instead of silently eating gigabytes;
 //! * **events/s** — the timed end-to-end run;
-//! * **shard identity** — the same run under shard counts 1 and 4 must be
-//!   byte-identical (every outcome field), and a timing-free digest of the
-//!   outcome is exposed so CI can `cmp` digest files across shard counts.
+//! * **digest** — a timing-free hash of the full outcome, which
+//!   `bench-compare --mega` checks against the committed point.
 //!
 //! Determinism: everything except the wall-clock timings and the host
 //! fields is a pure function of `(hosts, m)`, so digests are comparable
-//! across shard counts, thread counts, and machines.
+//! across runs and machines.
 
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
@@ -86,8 +85,6 @@ pub struct MegaPoint {
     pub sim_seconds: f64,
     /// Events per second of the timed run.
     pub events_per_sec: f64,
-    /// Whether shard counts 1 and 4 reproduced the timed outcome exactly.
-    pub sharded_identical: bool,
     /// Timing-free FNV-1a digest of the full outcome (hex).
     pub digest: String,
 }
@@ -99,8 +96,6 @@ pub struct MegaBenchReport {
     pub quick: bool,
     /// Packets per message.
     pub m: u32,
-    /// Shard count of the timed run (0 = serial engine).
-    pub shards: u16,
     /// Whether a counting global allocator was registered in this process.
     pub alloc_counting: bool,
     /// The setup-memory budget the points were checked against.
@@ -114,12 +109,9 @@ pub struct MegaBenchReport {
 }
 
 impl MegaBenchReport {
-    /// True iff every point reproduced identically under shard counts
-    /// {1, 4} and stayed within the setup-memory budget.
+    /// True iff every point stayed within the setup-memory budget.
     pub fn all_ok(&self) -> bool {
-        self.points
-            .iter()
-            .all(|p| p.sharded_identical && p.within_budget)
+        self.points.iter().all(|p| p.within_budget)
     }
 
     /// The extended optimal-k figure: throughput, setup time, and setup
@@ -176,7 +168,6 @@ impl MegaBenchReport {
                     ("makespan_us", Json::from(p.makespan_us)),
                     ("sim_seconds", Json::from(p.sim_seconds)),
                     ("events_per_sec", Json::from(p.events_per_sec)),
-                    ("sharded_identical", Json::from(p.sharded_identical)),
                     ("digest", Json::from(p.digest.as_str())),
                 ])
             })
@@ -188,7 +179,6 @@ impl MegaBenchReport {
                 Json::obj(vec![
                     ("quick", Json::from(self.quick)),
                     ("m", Json::from(u64::from(self.m))),
-                    ("shards", Json::from(u64::from(self.shards))),
                     ("alloc_counting", Json::from(self.alloc_counting)),
                     ("budget_bytes", Json::from(self.budget_bytes)),
                     ("host_nproc", Json::from(self.host_nproc)),
@@ -199,38 +189,12 @@ impl MegaBenchReport {
             ("figure", self.figure().to_json()),
         ])
     }
-
-    /// The timing-free companion document: only fields that are pure
-    /// functions of `(hosts, m)`, so two invocations at different shard or
-    /// thread counts produce byte-identical digest files (CI `cmp`s them).
-    pub fn digest_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::from("bench_mega_digest")),
-            ("m", Json::from(u64::from(self.m))),
-            (
-                "points",
-                Json::Arr(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("hosts", Json::from(u64::from(p.hosts))),
-                                ("events", Json::from(p.events)),
-                                ("makespan_us", Json::from(p.makespan_us)),
-                                ("digest", Json::from(p.digest.as_str())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// Timing-free FNV-1a digest over every deterministic outcome field:
 /// makespan, per-rank completion times, per-host buffers, and the
-/// aggregate counters. Any divergence between two engine configurations —
-/// one reordered event, one different float — changes it.
+/// aggregate counters. Any divergence between two runs — one reordered
+/// event, one different float — changes it.
 fn outcome_digest(wl: &WorkloadOutcome) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut put = |x: u64| {
@@ -265,9 +229,9 @@ fn outcome_digest(wl: &WorkloadOutcome) -> u64 {
     h
 }
 
-/// Measures one host count: setup (timed, peak-tracked), the end-to-end
-/// run at the configured shard count, and the shard-identity cross-check.
-fn bench_point(hosts: u32, m: u32, shards: u16, threads: u16) -> MegaPoint {
+/// Measures one host count: setup (timed, peak-tracked), then the timed
+/// end-to-end run.
+fn bench_point(hosts: u32, m: u32) -> MegaPoint {
     let counting = CountingAlloc::enabled();
     let base = CountingAlloc::reset_peak();
     let t_setup = Instant::now();
@@ -286,30 +250,12 @@ fn bench_point(hosts: u32, m: u32, shards: u16, threads: u16) -> MegaPoint {
 
     let params = SystemParams::paper_1997();
     let jobs = [MulticastJob::fpfs(Arc::clone(&tree), binding, m)];
-    let run = |shards: u16, threads: u16| {
-        SimRun::new(
-            &net,
-            &jobs,
-            &params,
-            WorkloadConfig {
-                shards,
-                shard_threads: threads,
-                ..WorkloadConfig::default()
-            },
-        )
+    let t_sim = Instant::now();
+    let outcome = SimRun::new(&net, &jobs, &params, WorkloadConfig::default())
         .routes(vec![Arc::clone(&routes)])
         .run()
-        .expect("mega benchmark is a valid fault-free multicast")
-    };
-
-    let t_sim = Instant::now();
-    let outcome = run(shards, threads);
+        .expect("mega benchmark is a valid fault-free multicast");
     let sim_seconds = t_sim.elapsed().as_secs_f64();
-    // The headline contract: shard counts 1 and 4 reproduce the timed
-    // outcome byte-identically, whatever `shards` the timed run used.
-    let serial = run(1, 1);
-    let sharded = run(4, threads);
-    let sharded_identical = serial == outcome && sharded == outcome;
 
     let k_ary = match fabric {
         FabricConfig::FatTree { k_ary } => k_ary,
@@ -329,7 +275,6 @@ fn bench_point(hosts: u32, m: u32, shards: u16, threads: u16) -> MegaPoint {
         makespan_us: outcome.makespan_us,
         sim_seconds,
         events_per_sec: outcome.events as f64 / sim_seconds,
-        sharded_identical,
         digest: format!("{:016x}", outcome_digest(&outcome)),
     }
 }
@@ -338,20 +283,13 @@ fn bench_point(hosts: u32, m: u32, shards: u16, threads: u16) -> MegaPoint {
 ///
 /// `hosts` overrides the size axis with a single host count; otherwise the
 /// quick sizing measures [`MEGA_QUICK_SIZES`] and the full sizing
-/// [`MEGA_SIZES`]. `shards`/`threads` configure the timed run's engine
-/// (0 = serial); the shard-identity cross-check at counts {1, 4} runs
-/// regardless.
+/// [`MEGA_SIZES`].
 ///
 /// # Errors
 ///
 /// [`SweepError::NotEnoughHosts`] if a host override asks for fewer than
 /// two hosts.
-pub fn bench_mega(
-    quick: bool,
-    hosts: Option<u32>,
-    shards: u16,
-    threads: u16,
-) -> Result<MegaBenchReport, SweepError> {
+pub fn bench_mega(quick: bool, hosts: Option<u32>) -> Result<MegaBenchReport, SweepError> {
     if let Some(h) = hosts {
         if h < 2 {
             return Err(SweepError::NotEnoughHosts { hosts: h });
@@ -362,14 +300,10 @@ pub fn bench_mega(
         None if quick => MEGA_QUICK_SIZES.to_vec(),
         None => MEGA_SIZES.to_vec(),
     };
-    let points = sizes
-        .into_iter()
-        .map(|n| bench_point(n, MEGA_M, shards, threads))
-        .collect();
+    let points = sizes.into_iter().map(|n| bench_point(n, MEGA_M)).collect();
     Ok(MegaBenchReport {
         quick,
         m: MEGA_M,
-        shards,
         alloc_counting: CountingAlloc::enabled(),
         budget_bytes: MEGA_SETUP_BUDGET_BYTES,
         points,
@@ -386,30 +320,28 @@ mod tests {
 
     #[test]
     fn small_mega_point_is_deterministic_and_identical() {
-        let report = bench_mega(true, Some(128), 0, 0).unwrap();
+        let report = bench_mega(true, Some(128)).unwrap();
         assert_eq!(report.points.len(), 1);
         let p = &report.points[0];
         assert_eq!(p.hosts, 128);
         assert_eq!(p.fat_tree_k, 8, "128 hosts fit the k=8 fat-tree");
-        assert!(p.sharded_identical, "shard counts 1/4 must reproduce");
         assert!(p.within_budget);
         assert!(p.events > 0 && p.makespan_us > 0.0);
         // The digest is a pure function of (hosts, m): a second invocation
         // reproduces it bit-for-bit.
-        let again = bench_mega(true, Some(128), 2, 2).unwrap();
+        let again = bench_mega(true, Some(128)).unwrap();
         assert_eq!(p.digest, again.points[0].digest);
         assert_eq!(p.events, again.points[0].events);
         assert_eq!(p.makespan_us, again.points[0].makespan_us);
-        assert_eq!(report.digest_json(), again.digest_json());
     }
 
     #[test]
     fn report_json_shape() {
-        let report = bench_mega(true, Some(64), 0, 0).unwrap();
+        let report = bench_mega(true, Some(64)).unwrap();
         let json = report.to_json();
         assert_eq!(json.get("id").and_then(Json::as_str), Some("bench_mega"));
         let meta = json.get("meta").unwrap();
-        for key in ["quick", "m", "shards", "alloc_counting", "budget_bytes"] {
+        for key in ["quick", "m", "alloc_counting", "budget_bytes"] {
             assert!(meta.get(key).is_some(), "meta missing {key}");
         }
         let points = json.get("points").and_then(Json::as_arr).unwrap();
@@ -422,7 +354,6 @@ mod tests {
             "events",
             "makespan_us",
             "events_per_sec",
-            "sharded_identical",
             "digest",
         ] {
             assert!(points[0].get(key).is_some(), "point missing {key}");
@@ -440,7 +371,7 @@ mod tests {
     #[test]
     fn tiny_override_is_rejected() {
         assert_eq!(
-            bench_mega(true, Some(1), 0, 0).unwrap_err(),
+            bench_mega(true, Some(1)).unwrap_err(),
             SweepError::NotEnoughHosts { hosts: 1 }
         );
     }

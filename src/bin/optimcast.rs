@@ -12,9 +12,7 @@
 //!                    [--crash-at US] [--live-repair] [--fault-seed N]
 //!                    [--window W] [--send-units S] [--deadline US]
 //! optimcast bench-sweep [--threads N] [--smoke] [--out PATH]
-//! optimcast bench-sim [--quick] [--out PATH]
-//!                     [--mega [--hosts N] [--shards S] [--shard-threads T]
-//!                      [--digest PATH] [--plots DIR]]
+//! optimcast bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--plots DIR]]
 //! optimcast bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]
 //!                     [--threshold F] [--threads N]
 //! optimcast chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]
@@ -37,7 +35,9 @@ use optimcast::netsim::{
     WorkloadOutcome,
 };
 use optimcast::prelude::*;
-use optimcast::sweep::{bench_mega, bench_regressions, bench_sim, bench_sweep};
+use optimcast::sweep::{
+    bench_mega, bench_regressions, bench_sim, bench_sweep, mega_digest_mismatches,
+};
 use optimcast::topology::ordering::{cco, poc};
 use optimcast::transport_udp::{
     loopback_demo, run_sink, run_source, UdpTransport, WirePlan, DEFAULT_MTU, HEADER_LEN,
@@ -57,29 +57,63 @@ fn main() {
         return;
     }
     let cmd = args.remove(0);
-    let (flags, positional) = parse_flags(args);
-    match cmd.as_str() {
-        "topo" => cmd_topo(&flags),
-        "route" => cmd_route(&flags, &positional),
-        "tree" => cmd_tree(&flags),
-        "optimal" => cmd_optimal(&flags),
-        "table" => cmd_table(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "bench-sweep" => cmd_bench_sweep(&flags),
-        "bench-sim" => cmd_bench_sim(&flags),
-        "bench-compare" => cmd_bench_compare(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "jobs" => cmd_jobs(&flags),
-        "stream" => cmd_stream(&flags),
-        "wire" => cmd_wire(&flags),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command '{other}'");
-            usage();
-            std::process::exit(2);
-        }
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        usage();
+        return;
     }
+    let Some(&(_, accepted, run)) = COMMANDS.iter().find(|(name, _, _)| *name == cmd) else {
+        eprintln!("unknown command '{cmd}'");
+        usage();
+        std::process::exit(2);
+    };
+    let (flags, positional) = parse_flags(&cmd, accepted, args);
+    run(&flags, &positional);
 }
+
+/// A subcommand: its name, every flag it accepts (space-separated; any
+/// other `--name` exits 2), and its handler over flags and positional args.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&HashMap<String, String>, &[String]),
+);
+
+const COMMANDS: &[Command] = &[
+    ("topo", "switches ports hosts seed dot", cmd_topo),
+    ("route", "switches ports hosts seed", cmd_route),
+    ("tree", "n k m render dot diagram", cmd_tree),
+    ("optimal", "n m", cmd_optimal),
+    ("table", "max-n max-m", cmd_table),
+    (
+        "simulate",
+        "switches ports hosts seed dests m nic ordering ideal trace json drop-rate \
+         corrupt-rate crashes crash-at live-repair fault-seed window send-units deadline",
+        cmd_simulate,
+    ),
+    ("bench-sweep", "threads smoke out", cmd_bench_sweep),
+    ("bench-sim", "quick out mega hosts plots", cmd_bench_sim),
+    (
+        "bench-compare",
+        "sim sweep mega threshold threads",
+        cmd_bench_compare,
+    ),
+    (
+        "chaos",
+        "quick seed threads dests m live-repair crash-at out arq window send-units plots",
+        cmd_chaos,
+    ),
+    ("jobs", "quick seed threads m json out plots", cmd_jobs),
+    (
+        "stream",
+        "quick seed threads dests frame-bytes mtu frames out plots",
+        cmd_stream,
+    ),
+    (
+        "wire",
+        "role n k m rank port-base payload mtu timeout-ms",
+        cmd_wire,
+    ),
+];
 
 fn usage() {
     eprintln!(
@@ -96,8 +130,7 @@ fn usage() {
          \u{20}           [--crash-at US] [--live-repair] [--fault-seed N]\n\
          \u{20}           [--window W] [--send-units S] [--deadline US]\n\
          \u{20}  bench-sweep [--threads N] [--smoke] [--out PATH]\n\
-         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--shards S]\n\
-         \u{20}           [--shard-threads T] [--digest PATH] [--plots DIR]]\n\
+         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--plots DIR]]\n\
          \u{20}  bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]\n\
          \u{20}           [--threshold F] [--threads N]\n\
          \u{20}  chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]\n\
@@ -112,12 +145,22 @@ fn usage() {
     );
 }
 
-fn parse_flags(args: Vec<String>) -> (HashMap<String, String>, Vec<String>) {
+/// Splits `args` into `--name [value]` flags and positional arguments,
+/// exiting 2 on a flag `cmd` does not accept.
+fn parse_flags(
+    cmd: &str,
+    accepted: &str,
+    args: Vec<String>,
+) -> (HashMap<String, String>, Vec<String>) {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.split_whitespace().any(|f| f == name) {
+                eprintln!("unknown flag --{name} for {cmd}");
+                std::process::exit(2);
+            }
             let value = match it.peek() {
                 Some(v) if !v.starts_with("--") => it.next().unwrap(),
                 _ => "true".to_string(),
@@ -152,7 +195,7 @@ fn build_net(flags: &HashMap<String, String>) -> IrregularNetwork {
     IrregularNetwork::generate(cfg, get(flags, "seed", 0u64))
 }
 
-fn cmd_topo(flags: &HashMap<String, String>) {
+fn cmd_topo(flags: &HashMap<String, String>, _positional: &[String]) {
     let net = build_net(flags);
     let t = net.topology();
     if flags.contains_key("dot") {
@@ -199,7 +242,7 @@ fn cmd_route(flags: &HashMap<String, String>, positional: &[String]) {
     }
 }
 
-fn cmd_tree(flags: &HashMap<String, String>) {
+fn cmd_tree(flags: &HashMap<String, String>, _positional: &[String]) {
     let n: u32 = get(flags, "n", 16);
     let k = match flags.get("k") {
         Some(v) => v.parse().expect("--k must be a number"),
@@ -233,7 +276,7 @@ fn cmd_tree(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_optimal(flags: &HashMap<String, String>) {
+fn cmd_optimal(flags: &HashMap<String, String>, _positional: &[String]) {
     let n: u64 = get(flags, "n", 64);
     let m: u32 = get(flags, "m", 8);
     let opt = optimal_k(n, m);
@@ -245,7 +288,7 @@ fn cmd_optimal(flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_table(flags: &HashMap<String, String>) {
+fn cmd_table(flags: &HashMap<String, String>, _positional: &[String]) {
     let max_n: u64 = get(flags, "max-n", 64);
     let max_m: u32 = get(flags, "max-m", 16);
     let table = OptimalKTable::build(max_n, max_m);
@@ -267,7 +310,7 @@ fn cmd_table(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) {
+fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
     let net = build_net(flags);
     let dests: u32 = get(flags, "dests", 31);
     let m: u32 = get(flags, "m", 8);
@@ -356,7 +399,6 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
             send_units,
             queue_capacity: None,
         },
-        ..WorkloadConfig::default()
     };
     let wl = if !spec.is_trivial() {
         // The crashed hosts are the deepest in the ordering: the last
@@ -534,7 +576,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) {
     }
 }
 
-fn cmd_bench_sweep(flags: &HashMap<String, String>) {
+fn cmd_bench_sweep(flags: &HashMap<String, String>, _positional: &[String]) {
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -597,7 +639,7 @@ fn cmd_bench_sweep(flags: &HashMap<String, String>) {
 /// churn, `run_multicast` events/sec, allocations-per-event via the
 /// counting global allocator registered above), written as
 /// `BENCH_sim.json`.
-fn cmd_bench_sim(flags: &HashMap<String, String>) {
+fn cmd_bench_sim(flags: &HashMap<String, String>, _positional: &[String]) {
     if flags.contains_key("mega") {
         cmd_bench_mega(flags);
         return;
@@ -643,28 +685,24 @@ fn cmd_bench_sim(flags: &HashMap<String, String>) {
 
 /// The `bench-sim --mega` variant: one end-to-end optimal-k multicast
 /// (m = 16) per fat-tree size, with setup time, setup peak-allocation
-/// bytes, events/s, and a shard-identity cross-check per point. Writes
+/// bytes, events/s, and a timing-free outcome digest per point. Writes
 /// `BENCH_mega.json` plus, on the full sizing, the committed
-/// `results/fig_megascale.json` figure and its plot files; `--digest PATH`
-/// additionally writes a timing-free outcome digest CI can `cmp` across
-/// shard counts.
+/// `results/fig_megascale.json` figure and its plot files.
 fn cmd_bench_mega(flags: &HashMap<String, String>) {
     let quick = flags.contains_key("quick");
     let hosts: Option<u32> = flags
         .contains_key("hosts")
         .then(|| get(flags, "hosts", 0u32));
-    let shards: u16 = get(flags, "shards", 0);
-    let threads: u16 = get(flags, "shard-threads", 0);
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim --mega: {label} sizing...");
-    let report = bench_mega(quick, hosts, shards, threads).unwrap_or_else(|e| {
+    let report = bench_mega(quick, hosts).unwrap_or_else(|e| {
         eprintln!("bench-sim: {e}");
         std::process::exit(1);
     });
     for p in &report.points {
         println!(
             "n={:>6} (k={} fat-tree, {} switches, tree k={}): setup {:.3} s{} | \
-             {:.2} M events/s ({} events, makespan {:.1} us, {:.3} s) | shards 1/4 identical: {}",
+             {:.2} M events/s ({} events, makespan {:.1} us, {:.3} s) | digest {}",
             p.hosts,
             p.fat_tree_k,
             p.switches,
@@ -683,7 +721,7 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
             p.events,
             p.makespan_us,
             p.sim_seconds,
-            p.sharded_identical
+            p.digest
         );
     }
     let default_out = "BENCH_mega.json".to_string();
@@ -693,13 +731,6 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
         std::process::exit(1);
     }
     println!("report written to {out_path}");
-    if let Some(digest_path) = flags.get("digest") {
-        if let Err(e) = std::fs::write(digest_path, report.digest_json().to_string_pretty()) {
-            eprintln!("bench-sim: cannot write {digest_path}: {e}");
-            std::process::exit(1);
-        }
-        println!("digest written to {digest_path}");
-    }
     // The committed figure charts the full size axis; quick smoke runs and
     // single-size overrides must not overwrite it.
     if !quick && hosts.is_none() {
@@ -715,8 +746,7 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
     }
     if !report.all_ok() {
         eprintln!(
-            "bench-sim --mega: FAILED — shard-identity violation or setup memory over \
-             the {} MiB budget",
+            "bench-sim --mega: FAILED — setup memory over the {} MiB budget",
             report.budget_bytes / (1024 * 1024)
         );
         std::process::exit(1);
@@ -727,8 +757,9 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
 /// of each committed bench artifact and fails on a rate regression beyond
 /// `--threshold` (default 0.30). Only sizing-insensitive rates are
 /// compared, so the quick fresh run is a fair check against committed
-/// full-sizing artifacts.
-fn cmd_bench_compare(flags: &HashMap<String, String>) {
+/// full-sizing artifacts. With `--mega`, a fresh point whose outcome digest
+/// differs from the committed point of the same host count also fails.
+fn cmd_bench_compare(flags: &HashMap<String, String>, _positional: &[String]) {
     let threshold: f64 = get(flags, "threshold", 0.30);
     if !(0.0..1.0).contains(&threshold) {
         eprintln!("bench-compare: --threshold must be in [0, 1)");
@@ -809,16 +840,23 @@ fn cmd_bench_compare(flags: &HashMap<String, String>) {
     if let Some(mega_path) = flags.get("mega") {
         let committed_mega = load(mega_path);
         eprintln!("bench-compare: fresh quick bench-sim --mega...");
-        let fresh_mega = bench_mega(true, None, 0, 0).unwrap_or_else(|e| {
+        let fresh_mega = bench_mega(true, None).unwrap_or_else(|e| {
             eprintln!("bench-compare: {e}");
             std::process::exit(1);
         });
-        compare(
-            "bench-mega",
-            mega_path,
-            &committed_mega,
-            fresh_mega.to_json(),
-        );
+        let fresh_mega = fresh_mega.to_json();
+        let mismatches = mega_digest_mismatches(&committed_mega, &fresh_mega);
+        for d in &mismatches {
+            eprintln!(
+                "bench-compare: mega digest @{} changed: committed {} | fresh {}",
+                d.hosts, d.committed, d.fresh
+            );
+        }
+        if !mismatches.is_empty() {
+            eprintln!("bench-compare: FAILED — the simulated mega outcome changed");
+            std::process::exit(1);
+        }
+        compare("bench-mega", mega_path, &committed_mega, fresh_mega);
     }
 
     let mut regressed = false;
@@ -852,7 +890,7 @@ fn cmd_bench_compare(flags: &HashMap<String, String>) {
 /// over the paper's sampling methodology, reported as a table plus the
 /// unified figure JSON. The JSON records no thread count and is
 /// byte-identical for every `--threads` value — CI runs it twice and diffs.
-fn cmd_chaos(flags: &HashMap<String, String>) {
+fn cmd_chaos(flags: &HashMap<String, String>, _positional: &[String]) {
     if flags.contains_key("arq") {
         cmd_chaos_arq(flags);
         return;
@@ -1108,7 +1146,7 @@ fn cmd_chaos_arq(flags: &HashMap<String, String>) {
 /// drop-oldest buffers to a churning group on the optimal k-binomial
 /// tree. The JSON records no thread count and is byte-identical for
 /// every `--threads` value — CI runs it twice and diffs.
-fn cmd_stream(flags: &HashMap<String, String>) {
+fn cmd_stream(flags: &HashMap<String, String>, _positional: &[String]) {
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1207,7 +1245,7 @@ fn cmd_stream(flags: &HashMap<String, String>) {
 /// both FIFO and contention-aware admission on identical sampled job sets.
 /// The JSON records no thread count and is byte-identical for every
 /// `--threads` value — CI runs it twice and diffs.
-fn cmd_jobs(flags: &HashMap<String, String>) {
+fn cmd_jobs(flags: &HashMap<String, String>, _positional: &[String]) {
     let default_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1402,7 +1440,7 @@ fn write_figure_plots(cmd: &str, dir: &str, fig: &optimcast::sweep::Figure) {
 ///   process binds `127.0.0.1:(port-base + rank)` and reconstructs the same
 ///   deterministic plan from `(n, k, m)`, so no coordination channel is
 ///   needed; start the sinks first, then the source.
-fn cmd_wire(flags: &HashMap<String, String>) {
+fn cmd_wire(flags: &HashMap<String, String>, _positional: &[String]) {
     let n: u32 = get(flags, "n", 8);
     let m: u32 = get(flags, "m", 4);
     if n < 2 {

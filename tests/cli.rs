@@ -224,6 +224,39 @@ fn simulate_rejects_invalid_workload_gracefully() {
 }
 
 #[test]
+fn every_subcommand_rejects_unknown_flags() {
+    // One misspelled flag per subcommand, plus a removed `bench-sim` flag:
+    // each must exit 2 with a diagnostic, not run with defaults. Each case
+    // is (args, the flag expected to be rejected).
+    let cases: [(&[&str], &str); 14] = [
+        (&["topo", "--seeds", "3"], "--seeds"),
+        (&["route", "--sed", "1", "0", "1"], "--sed"),
+        (&["tree", "--n", "8", "--kk", "2"], "--kk"),
+        (&["optimal", "--n", "8", "--mm", "2"], "--mm"),
+        (&["table", "--maxn", "8"], "--maxn"),
+        (&["simulate", "--dest", "7"], "--dest"),
+        (&["bench-sweep", "--thread", "2"], "--thread"),
+        (&["bench-sim", "--quik"], "--quik"),
+        (&["bench-compare", "--treshold", "0.3"], "--treshold"),
+        (&["chaos", "--quick", "--live_repair"], "--live_repair"),
+        (&["jobs", "--quick", "--jsn"], "--jsn"),
+        (&["stream", "--quick", "--frame-byte", "64"], "--frame-byte"),
+        (&["wire", "--n", "2", "--rol", "demo"], "--rol"),
+        (&["bench-sim", "--mega", "--shards", "4"], "--shards"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let want = format!("unknown flag {flag} for {}", args[0]);
+        assert!(err.contains(&want), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn table_subcommand() {
     let (out, ok) = optimcast(&["table", "--max-n", "8", "--max-m", "4"]);
     assert!(ok);
