@@ -206,3 +206,63 @@ fn streaming_report_matches_committed_golden() {
         "streaming grid drifted from results/streaming.json"
     );
 }
+
+fn committed_file(name: &str) -> String {
+    let path = format!("{}/results/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+/// The committed ARQ chaos report (`results/chaos_arq.json`) regenerates
+/// byte-identically. This is the grid `optimcast chaos --arq --quick`
+/// writes: the quick methodology, fault seed 1997, stop-and-wait against an
+/// 8-packet window over two send units, run here on 4 workers.
+#[test]
+fn chaos_arq_report_matches_committed_golden() {
+    let sweep = SweepBuilder::quick()
+        .parallelism(4)
+        .fault(FaultPlanSpec {
+            seed: 1997,
+            ..FaultPlanSpec::default()
+        })
+        .build()
+        .unwrap();
+    let report = sweep
+        .chaos_arq(&[0.0, 0.02, 0.05, 0.1], 31, 4, 8, 2)
+        .expect("the committed ARQ grid is valid");
+    assert_eq!(
+        report.to_json().to_string_pretty(),
+        committed_file("chaos_arq"),
+        "ARQ chaos drifted from results/chaos_arq.json"
+    );
+}
+
+/// The committed chaos-axis figures (`results/chaos_{outage,corrupt,
+/// buffer}.json`) regenerate byte-identically from the arguments the
+/// `figures` binary uses: the paper methodology, 31 destinations, 4-packet
+/// messages.
+fn chaos_figure_matches_committed(id: ChaosFigureId) {
+    let sweep = SweepBuilder::paper().parallelism(4).build().unwrap();
+    let figure = sweep
+        .chaos_figure(id, 31, 4)
+        .expect("the committed chaos figure is valid");
+    assert_eq!(
+        figure.to_json().to_string_pretty(),
+        committed_file(id.as_str()),
+        "{id} drifted from results/{id}.json"
+    );
+}
+
+#[test]
+fn chaos_outage_figure_matches_committed_golden() {
+    chaos_figure_matches_committed(ChaosFigureId::Outage);
+}
+
+#[test]
+fn chaos_corrupt_figure_matches_committed_golden() {
+    chaos_figure_matches_committed(ChaosFigureId::Corrupt);
+}
+
+#[test]
+fn chaos_buffer_figure_matches_committed_golden() {
+    chaos_figure_matches_committed(ChaosFigureId::Buffer);
+}
