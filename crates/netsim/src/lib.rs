@@ -59,8 +59,8 @@ pub use scheduler::{
     ScheduledOutcome, ScheduledRun,
 };
 pub use sim::{
-    run_multicast, run_multicast_prerouted, run_multicast_shared, run_multicast_with_faults,
-    ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig,
+    run_multicast, run_multicast_prerouted, run_multicast_shared, ContentionMode, MulticastOutcome,
+    NiTiming, NicKind, RunConfig,
 };
 pub use stream::{
     churn_plan, ChurnEvent, FrameFate, FrameRecord, ReceiverStats, StreamError, StreamOutcome,

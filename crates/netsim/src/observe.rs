@@ -12,6 +12,7 @@ use crate::fault::FaultKind;
 use crate::workload::{TraceKind, TraceRecord};
 use optimcast_core::tree::Rank;
 use optimcast_topology::graph::HostId;
+use std::ops::AddAssign;
 
 /// Receiver of simulation occurrences.
 ///
@@ -426,6 +427,72 @@ pub struct SimCounters {
     pub window_stalls_us: f64,
     /// Destinations written off by an expired per-message deadline.
     pub deadline_writeoffs: u64,
+}
+
+impl AddAssign<&SimCounters> for SimCounters {
+    /// Folds another run's counters in: counts and times add, the two
+    /// high-water marks (`max_send_queue`, `peak_queue_len`) keep the
+    /// larger, and the occupancy histograms add bucket by bucket.
+    fn add_assign(&mut self, rhs: &SimCounters) {
+        // Destructured so a new counter cannot be silently left out.
+        let SimCounters {
+            total_sends,
+            blocked_sends,
+            packets_forwarded,
+            channel_stall_us,
+            recv_unit_waits,
+            recv_unit_wait_us,
+            max_send_queue,
+            buffer_occupancy,
+            events,
+            peak_queue_len,
+            packets_dropped,
+            packets_corrupted,
+            retransmits,
+            deliveries_abandoned,
+            faults_triggered,
+            recovery_wait_us,
+            repairs,
+            reissued_packets,
+            repair_wait_us,
+            resend_requests,
+            nack_ranges_sent,
+            late_acks,
+            duplicate_acks,
+            window_stalls_us,
+            deadline_writeoffs,
+        } = rhs;
+        self.total_sends += total_sends;
+        self.blocked_sends += blocked_sends;
+        self.packets_forwarded += packets_forwarded;
+        self.channel_stall_us += channel_stall_us;
+        self.recv_unit_waits += recv_unit_waits;
+        self.recv_unit_wait_us += recv_unit_wait_us;
+        self.max_send_queue = self.max_send_queue.max(*max_send_queue);
+        if self.buffer_occupancy.len() < buffer_occupancy.len() {
+            self.buffer_occupancy.resize(buffer_occupancy.len(), 0);
+        }
+        for (mine, theirs) in self.buffer_occupancy.iter_mut().zip(buffer_occupancy) {
+            *mine += theirs;
+        }
+        self.events += events;
+        self.peak_queue_len = self.peak_queue_len.max(*peak_queue_len);
+        self.packets_dropped += packets_dropped;
+        self.packets_corrupted += packets_corrupted;
+        self.retransmits += retransmits;
+        self.deliveries_abandoned += deliveries_abandoned;
+        self.faults_triggered += faults_triggered;
+        self.recovery_wait_us += recovery_wait_us;
+        self.repairs += repairs;
+        self.reissued_packets += reissued_packets;
+        self.repair_wait_us += repair_wait_us;
+        self.resend_requests += resend_requests;
+        self.nack_ranges_sent += nack_ranges_sent;
+        self.late_acks += late_acks;
+        self.duplicate_acks += duplicate_acks;
+        self.window_stalls_us += window_stalls_us;
+        self.deadline_writeoffs += deadline_writeoffs;
+    }
 }
 
 /// Fills a [`SimCounters`].
@@ -897,6 +964,50 @@ mod tests {
         assert_eq!(k.duplicate_acks, 1);
         assert!((k.window_stalls_us - 10.0).abs() < 1e-12);
         assert_eq!(k.deadline_writeoffs, 1);
+    }
+
+    #[test]
+    fn counters_add_assign_sums_maxes_and_merges_histograms() {
+        let mut a = SimCounters {
+            total_sends: 3,
+            channel_stall_us: 1.5,
+            max_send_queue: 4,
+            peak_queue_len: 10,
+            buffer_occupancy: vec![0, 2],
+            retransmits: 1,
+            window_stalls_us: 0.5,
+            ..SimCounters::default()
+        };
+        let b = SimCounters {
+            total_sends: 2,
+            channel_stall_us: 2.0,
+            max_send_queue: 2,
+            peak_queue_len: 12,
+            buffer_occupancy: vec![0, 1, 0, 5],
+            retransmits: 4,
+            window_stalls_us: 0.25,
+            deadline_writeoffs: 1,
+            ..SimCounters::default()
+        };
+        a += &b;
+        assert_eq!(a.total_sends, 5);
+        assert_eq!(a.channel_stall_us, 3.5);
+        assert_eq!(a.max_send_queue, 4, "high-water marks take the max");
+        assert_eq!(a.peak_queue_len, 12);
+        assert_eq!(a.buffer_occupancy, vec![0, 3, 0, 5]);
+        assert_eq!(a.retransmits, 5);
+        assert_eq!(a.window_stalls_us, 0.75);
+        assert_eq!(a.deadline_writeoffs, 1);
+        // Folding into the default is the identity, and a shorter
+        // histogram on the right leaves the longer tail intact.
+        let mut sum = SimCounters::default();
+        sum += &a;
+        assert_eq!(sum, a);
+        sum += &SimCounters {
+            buffer_occupancy: vec![0, 1],
+            ..SimCounters::default()
+        };
+        assert_eq!(sum.buffer_occupancy, vec![0, 4, 0, 5]);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //!   packet; the multicast latency is the latest such completion.
 
 use crate::error::SimError;
-use crate::fault::FaultPlan;
 use crate::workload::{JobPayload, MulticastJob, SimRun, WorkloadConfig};
 use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
@@ -228,54 +227,6 @@ pub fn run_multicast_prerouted<N: Network>(
     out.events = wl.events;
     out.peak_queue_len = wl.counters.peak_queue_len;
     Ok(out)
-}
-
-/// As [`run_multicast_shared`], but under a [`FaultPlan`]: the reliability
-/// layer retransmits dropped/corrupted/refused packets (stop-and-wait,
-/// capped exponential backoff) and crashed hosts stay silent. Returns the
-/// outcome *and* the workload counters, which carry the run's drop,
-/// retransmit, and recovery-latency totals.
-///
-/// # Errors
-///
-/// Same contract as [`run_multicast`], plus [`SimError::InvalidFaultPlan`],
-/// [`SimError::FaultsNeedHandshakeTiming`] (a non-trivial plan requires
-/// [`NiTiming::Handshake`]), and [`SimError::DeliveryFailed`] listing every
-/// unreached rank when the plan's losses exceed the retransmission budget.
-pub fn run_multicast_with_faults<N: Network>(
-    net: &N,
-    tree: std::sync::Arc<MulticastTree>,
-    binding: &[HostId],
-    m: u32,
-    params: &SystemParams,
-    config: RunConfig,
-    fault: &FaultPlan,
-) -> Result<(MulticastOutcome, crate::observe::SimCounters), SimError> {
-    let job = MulticastJob {
-        tree,
-        binding: binding.to_vec(),
-        packets: m,
-        start_us: 0.0,
-        nic: config.nic,
-        payload: JobPayload::Replicated,
-    };
-    let wl = SimRun::new(
-        net,
-        std::slice::from_ref(&job),
-        params,
-        WorkloadConfig {
-            contention: config.contention,
-            timing: config.timing,
-            ..WorkloadConfig::default()
-        },
-    )
-    .faults(fault)
-    .run()?;
-    let counters = wl.counters;
-    let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
-    out.events = wl.events;
-    out.peak_queue_len = counters.peak_queue_len;
-    Ok((out, counters))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use optimcast_core::builders::{binomial_tree, kbinomial_tree, linear_tree};
 use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
-use optimcast_core::tree::Rank;
+use optimcast_core::tree::{MulticastTree, Rank};
 use optimcast_netsim::fault::{FaultPlan, HostCrash, LinkFailure};
 use optimcast_netsim::*;
 use optimcast_topology::graph::HostId;
@@ -40,6 +40,26 @@ fn identity(n: u32) -> Vec<HostId> {
     (0..n).map(HostId).collect()
 }
 
+/// One smart-FPFS multicast of `m` packets from rank `r` bound to host `r`,
+/// under `plan`.
+fn run_faulted(
+    net: &IrregularNetwork,
+    tree: Arc<MulticastTree>,
+    m: u32,
+    plan: &FaultPlan,
+) -> Result<WorkloadOutcome, SimError> {
+    let hosts = identity(tree.len() as u32);
+    let job = MulticastJob::fpfs(tree, hosts, m);
+    SimRun::new(
+        net,
+        std::slice::from_ref(&job),
+        &params(),
+        WorkloadConfig::default(),
+    )
+    .faults(plan)
+    .run()
+}
+
 /// Ranks of the subtree rooted at `root` (root included), ascending.
 fn subtree_of(tree: &optimcast_core::tree::MulticastTree, root: Rank) -> Vec<Rank> {
     let mut out = vec![root];
@@ -59,23 +79,13 @@ fn subtree_of(tree: &optimcast_core::tree::MulticastTree, root: Rank) -> Vec<Ran
 fn faulty_64_node_fpfs_reports_exactly_the_lost_subtree() {
     let n = net(21);
     let tree = Arc::new(kbinomial_tree(64, 2));
-    let binding = identity(64);
     let mut plan = FaultPlan::new(0xC0FFEE);
     plan.drop_rate = 0.05;
     plan.crashes.push(HostCrash {
         host: HostId(13),
         at_us: 0.0,
     });
-    let err = run_multicast_with_faults(
-        &n,
-        tree.clone(),
-        &binding,
-        8,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap_err();
+    let err = run_faulted(&n, tree.clone(), 8, &plan).unwrap_err();
     let SimError::DeliveryFailed {
         unreached,
         counters,
@@ -107,16 +117,8 @@ fn drops_alone_are_fully_recovered() {
     let tree = Arc::new(kbinomial_tree(64, 2));
     let mut plan = FaultPlan::new(99);
     plan.drop_rate = 0.08;
-    let (out, counters) = run_multicast_with_faults(
-        &n,
-        tree.clone(),
-        &identity(64),
-        6,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap();
+    let wl = run_faulted(&n, tree.clone(), 6, &plan).unwrap();
+    let (out, counters) = (&wl.jobs[0], &wl.counters);
     for r in 1..64 {
         assert!(out.host_done_us[r] > 0.0, "rank {r} unreached");
     }
@@ -136,16 +138,8 @@ fn corruption_is_nacked_and_recovered() {
     let n = crossbar(16);
     let mut plan = FaultPlan::new(5);
     plan.corrupt_rate = 0.15;
-    let (out, counters) = run_multicast_with_faults(
-        &n,
-        Arc::new(binomial_tree(16)),
-        &identity(16),
-        8,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap();
+    let wl = run_faulted(&n, Arc::new(binomial_tree(16)), 8, &plan).unwrap();
+    let (out, counters) = (&wl.jobs[0], &wl.counters);
     assert!(counters.packets_corrupted > 0);
     assert_eq!(counters.packets_corrupted, counters.packets_dropped);
     assert!(counters.retransmits > 0);
@@ -168,16 +162,8 @@ fn link_outage_window_is_ridden_out() {
         until_us: 200.0,
     });
     plan.max_attempts = 16;
-    let (out, counters) = run_multicast_with_faults(
-        &n,
-        Arc::new(binomial_tree(8)),
-        &identity(8),
-        2,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap();
+    let wl = run_faulted(&n, Arc::new(binomial_tree(8)), 2, &plan).unwrap();
+    let (out, counters) = (&wl.jobs[0], &wl.counters);
     assert!(counters.packets_dropped > 0, "outage never hit the route");
     assert!(counters.faults_triggered > 0);
     assert!(
@@ -195,16 +181,8 @@ fn buffer_exhaustion_stalls_then_recovers() {
     let mut plan = FaultPlan::new(2);
     plan.ni_buffer_capacity = Some(1);
     plan.max_attempts = 32;
-    let (out, counters) = run_multicast_with_faults(
-        &n,
-        Arc::new(linear_tree(6)),
-        &identity(6),
-        4,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap();
+    let wl = run_faulted(&n, Arc::new(linear_tree(6)), 4, &plan).unwrap();
+    let (out, counters) = (&wl.jobs[0], &wl.counters);
     assert!(counters.faults_triggered > 0, "cap of 1 never bound");
     for r in 1..6 {
         assert!(out.host_done_us[r] > 0.0, "rank {r} unreached");
@@ -233,16 +211,7 @@ fn mid_run_intermediate_crash_fails_typed() {
         host: HostId(inner.0),
         at_us: 30.0,
     });
-    let err = run_multicast_with_faults(
-        &n,
-        tree.clone(),
-        &identity(16),
-        8,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    )
-    .unwrap_err();
+    let err = run_faulted(&n, tree.clone(), 8, &plan).unwrap_err();
     let SimError::DeliveryFailed {
         unreached,
         counters,
@@ -275,17 +244,7 @@ fn fault_runs_are_deterministic() {
         host: HostId(30),
         at_us: 15.0,
     });
-    let run = || {
-        run_multicast_with_faults(
-            &n,
-            tree.clone(),
-            &identity(48),
-            5,
-            &params(),
-            RunConfig::default(),
-            &plan,
-        )
-    };
+    let run = || run_faulted(&n, tree.clone(), 5, &plan);
     assert_eq!(run(), run());
 }
 
@@ -295,28 +254,19 @@ fn fault_runs_are_deterministic() {
 fn trivial_plan_is_byte_identical_to_fault_free() {
     let n = net(11);
     let tree = Arc::new(kbinomial_tree(40, 2));
-    let clean = run_multicast_shared(
+    let job = MulticastJob::fpfs(tree.clone(), identity(40), 5);
+    let clean = SimRun::new(
         &n,
-        tree.clone(),
-        &identity(40),
-        5,
+        std::slice::from_ref(&job),
         &params(),
-        RunConfig::default(),
+        WorkloadConfig::default(),
     )
+    .run()
     .unwrap();
-    let (faulted, counters) = run_multicast_with_faults(
-        &n,
-        tree,
-        &identity(40),
-        5,
-        &params(),
-        RunConfig::default(),
-        &FaultPlan::new(0xDEAD_BEEF),
-    )
-    .unwrap();
+    let faulted = run_faulted(&n, tree, 5, &FaultPlan::new(0xDEAD_BEEF)).unwrap();
     assert_eq!(clean, faulted);
-    assert_eq!(counters.packets_dropped, 0);
-    assert_eq!(counters.retransmits, 0);
+    assert_eq!(faulted.counters.packets_dropped, 0);
+    assert_eq!(faulted.counters.retransmits, 0);
 }
 
 /// A traced faulted run records the full reliability story: `Dropped`
@@ -487,33 +437,20 @@ fn bad_plan_and_overlapped_timing_are_rejected() {
     let tree = Arc::new(binomial_tree(4));
     let mut bad = FaultPlan::new(0);
     bad.drop_rate = 1.5;
-    let err = run_multicast_with_faults(
-        &n,
-        tree.clone(),
-        &identity(4),
-        1,
-        &params(),
-        RunConfig::default(),
-        &bad,
-    )
-    .unwrap_err();
+    let err = run_faulted(&n, tree.clone(), 1, &bad).unwrap_err();
     assert!(matches!(err, SimError::InvalidFaultPlan { .. }), "{err}");
 
     let mut lossy = FaultPlan::new(0);
     lossy.drop_rate = 0.1;
-    let err = run_multicast_with_faults(
-        &n,
-        tree,
-        &identity(4),
-        1,
-        &params(),
-        RunConfig {
-            timing: NiTiming::Overlapped,
-            ..RunConfig::default()
-        },
-        &lossy,
-    )
-    .unwrap_err();
+    let job = MulticastJob::fpfs(tree, identity(4), 1);
+    let overlapped = WorkloadConfig {
+        timing: NiTiming::Overlapped,
+        ..WorkloadConfig::default()
+    };
+    let err = SimRun::new(&n, std::slice::from_ref(&job), &params(), overlapped)
+        .faults(&lossy)
+        .run()
+        .unwrap_err();
     assert_eq!(err, SimError::FaultsNeedHandshakeTiming);
 }
 
@@ -525,21 +462,13 @@ fn exhausted_attempts_fail_typed_not_hang() {
     let mut plan = FaultPlan::new(17);
     plan.drop_rate = 0.75;
     plan.max_attempts = 2;
-    let result = run_multicast_with_faults(
-        &n,
-        Arc::new(binomial_tree(8)),
-        &identity(8),
-        4,
-        &params(),
-        RunConfig::default(),
-        &plan,
-    );
+    let result = run_faulted(&n, Arc::new(binomial_tree(8)), 4, &plan);
     // At 75% loss with two attempts, some copy is all but certain to die;
     // whichever way it lands, the run must terminate cleanly.
     match result {
-        Ok((out, _)) => {
+        Ok(out) => {
             for r in 1..8 {
-                assert!(out.host_done_us[r] > 0.0);
+                assert!(out.jobs[0].host_done_us[r] > 0.0);
             }
         }
         Err(SimError::DeliveryFailed {

@@ -30,7 +30,7 @@
 //! byte-identical for every thread count (and deliberately records no
 //! thread count, so reports from different machines diff clean).
 
-use crate::engine::Sweep;
+use crate::engine::{unravel, Sweep};
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
@@ -38,13 +38,12 @@ use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::tree::Rank;
 use optimcast_netsim::fault::{HostCrash, LinkFailure};
 use optimcast_netsim::{
-    run_multicast_with_faults, FaultPlanSpec, MulticastJob, RunConfig, SimError, SimRun,
-    WorkloadConfig,
+    FaultPlanSpec, MulticastJob, SimCounters, SimError, SimRun, WorkloadConfig, WorkloadOutcome,
 };
 use optimcast_rng::{ChaCha8Rng, Rng, SliceRandom};
 use optimcast_topology::graph::{ChannelId, HostId};
 use optimcast_topology::Network;
-use std::sync::Arc;
+use std::ops::AddAssign;
 
 /// Aggregated outcome of one `(drop rate, crash count)` chaos cell over the
 /// full `topologies × dest_sets` sample set.
@@ -245,39 +244,119 @@ fn cell_json(cell: &ChaosCell, live_repair: bool) -> Json {
     Json::obj(fields)
 }
 
-/// Per-topology partial aggregate of one cell; combined across topologies
-/// in index order so reductions are independent of scheduling.
-#[derive(Default)]
-struct TopoAgg {
-    delivered: u32,
-    failed: u32,
-    unreached: u64,
-    latency_sum: f64,
-    packets_dropped: u64,
-    packets_corrupted: u64,
-    retransmits: u64,
-    deliveries_abandoned: u64,
-    recovery_wait_us: f64,
-    reattached: u64,
-    repairs: u64,
-    reissued_packets: u64,
-    repair_wait_us: f64,
-    reached_after_repair: u32,
-    unreachable_crashed: u64,
+impl ChaosCell {
+    /// The cell at `(drop_rate, crashes)` from its folded tally.
+    fn from_tally(drop_rate: f64, crashes: u32, samples: u32, tally: Tally) -> Self {
+        let c = &tally.counters;
+        ChaosCell {
+            drop_rate,
+            crashes,
+            samples,
+            delivered: tally.delivered,
+            failed: tally.failed,
+            unreached: tally.unreached,
+            mean_latency_us: tally.mean_latency_us(),
+            packets_dropped: c.packets_dropped,
+            packets_corrupted: c.packets_corrupted,
+            retransmits: c.retransmits,
+            deliveries_abandoned: c.deliveries_abandoned,
+            recovery_wait_us: c.recovery_wait_us,
+            reattached: tally.reattached,
+            repairs: c.repairs,
+            reissued_packets: c.reissued_packets,
+            repair_wait_us: c.repair_wait_us,
+            reached_after_repair: tally.reached_after_repair,
+            unreachable_crashed: tally.unreachable_crashed,
+        }
+    }
 }
 
-impl TopoAgg {
-    /// Folds one sample's counters in (shared by the delivered and failed
-    /// arms of both crash-handling modes).
-    fn add_counters(&mut self, c: &optimcast_netsim::SimCounters) {
-        self.packets_dropped += c.packets_dropped;
-        self.packets_corrupted += c.packets_corrupted;
-        self.retransmits += c.retransmits;
-        self.deliveries_abandoned += c.deliveries_abandoned;
-        self.recovery_wait_us += c.recovery_wait_us;
-        self.repairs += c.repairs;
-        self.reissued_packets += c.reissued_packets;
-        self.repair_wait_us += c.repair_wait_us;
+/// Where [`Tally::record`] counts the destinations a *delivered* run wrote
+/// off (`WorkloadOutcome::unreached`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WriteOffs {
+    /// Offline repair: not counted (the crashed hosts were never bound).
+    Ignore,
+    /// Live repair: crashed destinations, as `unreachable_crashed`.
+    Crashed,
+    /// Windowed ARQ: deadline write-offs, as `unreached`.
+    Unreached,
+}
+
+/// The fault-grid aggregate: one topology's samples, then (folded with
+/// `+=` in topology order) one whole cell.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) delivered: u32,
+    pub(crate) failed: u32,
+    pub(crate) unreached: u64,
+    pub(crate) latency_sum: f64,
+    pub(crate) reattached: u64,
+    pub(crate) reached_after_repair: u32,
+    pub(crate) unreachable_crashed: u64,
+    pub(crate) counters: SimCounters,
+}
+
+impl Tally {
+    /// Folds one sample's run in: its effort into the engine totals, its
+    /// counters (delivered or not), and its verdict.
+    pub(crate) fn record(
+        &mut self,
+        sweep: &Sweep,
+        run: Result<WorkloadOutcome, SimError>,
+        write_offs: WriteOffs,
+    ) {
+        let counters = match run {
+            Ok(out) => {
+                self.delivered += 1;
+                self.latency_sum += out.jobs[0].latency_us;
+                let written_off = out.unreached.len() as u64;
+                match write_offs {
+                    WriteOffs::Ignore => {}
+                    WriteOffs::Crashed => {
+                        if out.counters.repairs > 0 {
+                            self.reached_after_repair += 1;
+                        }
+                        self.unreachable_crashed += written_off;
+                    }
+                    WriteOffs::Unreached => self.unreached += written_off,
+                }
+                out.counters
+            }
+            Err(SimError::DeliveryFailed {
+                unreached,
+                counters,
+            }) => {
+                self.failed += 1;
+                self.unreached += unreached.len() as u64;
+                *counters
+            }
+            Err(other) => unreachable!("validated fault plan rejected: {other}"),
+        };
+        sweep.record_effort(counters.events, counters.peak_queue_len);
+        self.counters += &counters;
+    }
+
+    /// Mean latency (µs) over delivered samples; `0.0` if none delivered.
+    pub(crate) fn mean_latency_us(&self) -> f64 {
+        if self.delivered > 0 {
+            self.latency_sum / f64::from(self.delivered)
+        } else {
+            0.0
+        }
+    }
+}
+
+impl AddAssign for Tally {
+    fn add_assign(&mut self, rhs: Tally) {
+        self.delivered += rhs.delivered;
+        self.failed += rhs.failed;
+        self.unreached += rhs.unreached;
+        self.latency_sum += rhs.latency_sum;
+        self.reattached += rhs.reattached;
+        self.reached_after_repair += rhs.reached_after_repair;
+        self.unreachable_crashed += rhs.unreachable_crashed;
+        self.counters += &rhs.counters;
     }
 }
 
@@ -324,81 +403,29 @@ impl Sweep {
         m: u32,
     ) -> Result<ChaosReport, SweepError> {
         crate::config::validate_fault_spec(&fault)?;
-        let cfg = *self.config();
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        let hosts = cfg.net().hosts;
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
-        for &d in drop_rates {
-            if !(0.0..1.0).contains(&d) {
-                return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
-            }
-        }
+        self.check_point(m, dests, drop_rates)?;
         for &c in crash_counts {
             if c >= dests {
                 return Err(SweepError::TooManyCrashes { crashes: c, dests });
             }
         }
-        let topologies = cfg.topologies() as usize;
-        let cells = drop_rates.len() * crash_counts.len();
-        let aggs = self.run_cells(cells * topologies, |i| {
-            let cell = i / topologies;
-            let spec = FaultPlanSpec {
-                drop_rate: drop_rates[cell / crash_counts.len()],
-                crashes: crash_counts[cell % crash_counts.len()],
-                ..fault
-            };
-            self.chaos_topology(spec, dests, m, (i % topologies) as u32)
-        });
-        let cells = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
-                let mut out = ChaosCell {
-                    drop_rate: drop_rates[cell / crash_counts.len()],
-                    crashes: crash_counts[cell % crash_counts.len()],
-                    samples: cfg.samples(),
-                    delivered: 0,
-                    failed: 0,
-                    unreached: 0,
-                    mean_latency_us: 0.0,
-                    packets_dropped: 0,
-                    packets_corrupted: 0,
-                    retransmits: 0,
-                    deliveries_abandoned: 0,
-                    recovery_wait_us: 0.0,
-                    reattached: 0,
-                    repairs: 0,
-                    reissued_packets: 0,
-                    repair_wait_us: 0.0,
-                    reached_after_repair: 0,
-                    unreachable_crashed: 0,
+        let cfg = *self.config();
+        let dims = [drop_rates.len(), crash_counts.len()];
+        let cells = self
+            .fold_cells(dims.iter().product(), |cell, t| {
+                let [d, c] = unravel(cell, dims);
+                let spec = FaultPlanSpec {
+                    drop_rate: drop_rates[d],
+                    crashes: crash_counts[c],
+                    ..fault
                 };
-                let mut latency_sum = 0.0;
-                for agg in per_topology {
-                    out.delivered += agg.delivered;
-                    out.failed += agg.failed;
-                    out.unreached += agg.unreached;
-                    latency_sum += agg.latency_sum;
-                    out.packets_dropped += agg.packets_dropped;
-                    out.packets_corrupted += agg.packets_corrupted;
-                    out.retransmits += agg.retransmits;
-                    out.deliveries_abandoned += agg.deliveries_abandoned;
-                    out.recovery_wait_us += agg.recovery_wait_us;
-                    out.reattached += agg.reattached;
-                    out.repairs += agg.repairs;
-                    out.reissued_packets += agg.reissued_packets;
-                    out.repair_wait_us += agg.repair_wait_us;
-                    out.reached_after_repair += agg.reached_after_repair;
-                    out.unreachable_crashed += agg.unreachable_crashed;
-                }
-                if out.delivered > 0 {
-                    out.mean_latency_us = latency_sum / f64::from(out.delivered);
-                }
-                out
+                self.chaos_topology(spec, dests, m, t)
+            })
+            .into_iter()
+            .enumerate()
+            .map(|(cell, tally)| {
+                let [d, c] = unravel(cell, dims);
+                ChaosCell::from_tally(drop_rates[d], crash_counts[c], cfg.samples(), tally)
             })
             .collect();
         Ok(ChaosReport {
@@ -416,10 +443,10 @@ impl Sweep {
 
     /// One cell's samples on topology `t`, evaluated sequentially in
     /// destination-set order (the fixed floating-point order).
-    fn chaos_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> TopoAgg {
+    fn chaos_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> Tally {
         let cfg = *self.config();
         let topo = self.topology(t);
-        let mut agg = TopoAgg::default();
+        let mut tally = Tally::default();
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -473,80 +500,36 @@ impl Sweep {
                 .collect();
             let plan = spec.plan_with_outages(salt, crashes, outages);
 
-            if spec.live_repair {
+            let (job, write_offs) = if spec.live_repair {
                 // Bind the FULL membership: the drawn hosts crash mid-run
                 // and the simulator repairs around them live.
-                let job = MulticastJob::fpfs(tree, chain, m);
-                match SimRun::new(
-                    &topo.net,
-                    std::slice::from_ref(&job),
-                    cfg.params(),
-                    WorkloadConfig::default(),
-                )
-                .faults(&plan)
-                .run()
-                {
-                    Ok(out) => {
-                        let c = &out.counters;
-                        self.record_effort(c.events, c.peak_queue_len);
-                        agg.delivered += 1;
-                        agg.latency_sum += out.jobs[0].latency_us;
-                        agg.add_counters(c);
-                        if c.repairs > 0 {
-                            agg.reached_after_repair += 1;
-                        }
-                        agg.unreachable_crashed += out.unreached.len() as u64;
-                    }
-                    Err(SimError::DeliveryFailed {
-                        unreached,
-                        counters,
-                    }) => {
-                        self.record_effort(counters.events, counters.peak_queue_len);
-                        agg.failed += 1;
-                        agg.unreached += unreached.len() as u64;
-                        agg.add_counters(&counters);
-                    }
-                    Err(other) => unreachable!("validated chaos plan rejected: {other}"),
-                }
+                (MulticastJob::fpfs(tree, chain, m), WriteOffs::Crashed)
             } else {
                 let repair = tree
                     .repair(&failed)
                     .expect("crash sets exclude the source and are in range");
-                agg.reattached += repair.reattached.len() as u64;
+                tally.reattached += repair.reattached.len() as u64;
                 let binding: Vec<HostId> = repair
                     .new_to_old
                     .iter()
                     .map(|&old| chain[old.index()])
                     .collect();
-                match run_multicast_with_faults(
-                    &topo.net,
-                    Arc::new(repair.tree),
-                    &binding,
-                    m,
-                    cfg.params(),
-                    RunConfig::default(),
-                    &plan,
-                ) {
-                    Ok((out, c)) => {
-                        self.record_effort(c.events, c.peak_queue_len);
-                        agg.delivered += 1;
-                        agg.latency_sum += out.latency_us;
-                        agg.add_counters(&c);
-                    }
-                    Err(SimError::DeliveryFailed {
-                        unreached,
-                        counters,
-                    }) => {
-                        self.record_effort(counters.events, counters.peak_queue_len);
-                        agg.failed += 1;
-                        agg.unreached += unreached.len() as u64;
-                        agg.add_counters(&counters);
-                    }
-                    Err(other) => unreachable!("validated chaos plan rejected: {other}"),
-                }
-            }
+                (
+                    MulticastJob::fpfs(repair.tree, binding, m),
+                    WriteOffs::Ignore,
+                )
+            };
+            let run = SimRun::new(
+                &topo.net,
+                std::slice::from_ref(&job),
+                cfg.params(),
+                WorkloadConfig::default(),
+            )
+            .faults(&plan)
+            .run();
+            tally.record(self, run, write_offs);
         }
-        agg
+        tally
     }
 }
 
@@ -554,6 +537,7 @@ impl Sweep {
 mod tests {
     use super::*;
     use crate::config::SweepBuilder;
+    use optimcast_netsim::RunConfig;
 
     fn lossy(seed: u64) -> FaultPlanSpec {
         FaultPlanSpec {

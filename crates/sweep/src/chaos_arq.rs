@@ -24,12 +24,13 @@
 //! floating-point reduction order: the emitted JSON is byte-identical for
 //! every thread count and records no thread count.
 
-use crate::engine::Sweep;
+use crate::chaos::{Tally, WriteOffs};
+use crate::engine::{unravel, Sweep};
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
-use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimError, SimRun, WorkloadConfig};
+use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimRun, WorkloadConfig};
 
 /// Aggregated outcome of one `(mode, drop rate)` ARQ chaos cell over the
 /// full `topologies × dest_sets` sample set.
@@ -215,40 +216,31 @@ fn arq_cell_json(cell: &ArqCell) -> Json {
     ])
 }
 
-/// Per-topology partial aggregate of one cell; combined across topologies
-/// in index order so reductions are independent of scheduling.
-#[derive(Default)]
-struct ArqAgg {
-    delivered: u32,
-    failed: u32,
-    unreached: u64,
-    latency_sum: f64,
-    packets_dropped: u64,
-    retransmits: u64,
-    deliveries_abandoned: u64,
-    recovery_wait_us: f64,
-    resend_requests: u64,
-    nack_ranges_sent: u64,
-    late_acks: u64,
-    duplicate_acks: u64,
-    window_stalls_us: f64,
-    deadline_writeoffs: u64,
-}
-
-impl ArqAgg {
-    /// Folds one sample's counters in (shared by the delivered and failed
-    /// arms).
-    fn add_counters(&mut self, c: &optimcast_netsim::SimCounters) {
-        self.packets_dropped += c.packets_dropped;
-        self.retransmits += c.retransmits;
-        self.deliveries_abandoned += c.deliveries_abandoned;
-        self.recovery_wait_us += c.recovery_wait_us;
-        self.resend_requests += c.resend_requests;
-        self.nack_ranges_sent += c.nack_ranges_sent;
-        self.late_acks += c.late_acks;
-        self.duplicate_acks += c.duplicate_acks;
-        self.window_stalls_us += c.window_stalls_us;
-        self.deadline_writeoffs += c.deadline_writeoffs;
+impl ArqCell {
+    /// The cell at `(windowed, drop_rate)` from its folded tally; its
+    /// recovery latency is filled in once the mode's baseline is known.
+    fn from_tally(drop_rate: f64, windowed: bool, samples: u32, tally: Tally) -> Self {
+        let c = &tally.counters;
+        ArqCell {
+            drop_rate,
+            windowed,
+            samples,
+            delivered: tally.delivered,
+            failed: tally.failed,
+            unreached: tally.unreached,
+            mean_latency_us: tally.mean_latency_us(),
+            recovery_latency_us: 0.0,
+            packets_dropped: c.packets_dropped,
+            retransmits: c.retransmits,
+            deliveries_abandoned: c.deliveries_abandoned,
+            recovery_wait_us: c.recovery_wait_us,
+            resend_requests: c.resend_requests,
+            nack_ranges_sent: c.nack_ranges_sent,
+            late_acks: c.late_acks,
+            duplicate_acks: c.duplicate_acks,
+            window_stalls_us: c.window_stalls_us,
+            deadline_writeoffs: c.deadline_writeoffs,
+        }
     }
 }
 
@@ -279,18 +271,7 @@ impl Sweep {
         let cfg = *self.config();
         let fault = cfg.fault();
         crate::config::validate_fault_spec(&fault)?;
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        let hosts = cfg.net().hosts;
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
-        for &d in drop_rates {
-            if !(0.0..1.0).contains(&d) {
-                return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
-            }
-        }
+        self.check_point(m, dests, drop_rates)?;
         if drop_rates.first() != Some(&0.0) {
             return Err(SweepError::InvalidFaultSpec(
                 "the first drop rate must be the 0.0 recovery baseline",
@@ -316,65 +297,26 @@ impl Sweep {
                 "windowed ARQ bounds queues via NiModel::queue_capacity, not ni_buffer_capacity",
             ));
         }
-        let topologies = cfg.topologies() as usize;
         let drops = drop_rates.len();
-        let aggs = self.run_cells(2 * drops * topologies, |i| {
-            let cell = i / topologies;
-            let windowed = cell / drops == 1;
-            let spec = FaultPlanSpec {
-                drop_rate: drop_rates[cell % drops],
-                crashes: 0,
-                window: if windowed { window } else { 1 },
-                send_units: if windowed { send_units } else { 1 },
-                ..fault
-            };
-            self.arq_topology(spec, dests, m, (i % topologies) as u32)
-        });
-        let mut cells: Vec<ArqCell> = aggs
-            .chunks_exact(topologies)
-            .enumerate()
-            .map(|(cell, per_topology)| {
-                let mut out = ArqCell {
-                    drop_rate: drop_rates[cell % drops],
-                    windowed: cell / drops == 1,
-                    samples: cfg.samples(),
-                    delivered: 0,
-                    failed: 0,
-                    unreached: 0,
-                    mean_latency_us: 0.0,
-                    recovery_latency_us: 0.0,
-                    packets_dropped: 0,
-                    retransmits: 0,
-                    deliveries_abandoned: 0,
-                    recovery_wait_us: 0.0,
-                    resend_requests: 0,
-                    nack_ranges_sent: 0,
-                    late_acks: 0,
-                    duplicate_acks: 0,
-                    window_stalls_us: 0.0,
-                    deadline_writeoffs: 0,
+        let dims = [2, drops];
+        let mut cells: Vec<ArqCell> = self
+            .fold_cells(2 * drops, |cell, t| {
+                let [mode, d] = unravel(cell, dims);
+                let windowed = mode == 1;
+                let spec = FaultPlanSpec {
+                    drop_rate: drop_rates[d],
+                    crashes: 0,
+                    window: if windowed { window } else { 1 },
+                    send_units: if windowed { send_units } else { 1 },
+                    ..fault
                 };
-                let mut latency_sum = 0.0;
-                for agg in per_topology {
-                    out.delivered += agg.delivered;
-                    out.failed += agg.failed;
-                    out.unreached += agg.unreached;
-                    latency_sum += agg.latency_sum;
-                    out.packets_dropped += agg.packets_dropped;
-                    out.retransmits += agg.retransmits;
-                    out.deliveries_abandoned += agg.deliveries_abandoned;
-                    out.recovery_wait_us += agg.recovery_wait_us;
-                    out.resend_requests += agg.resend_requests;
-                    out.nack_ranges_sent += agg.nack_ranges_sent;
-                    out.late_acks += agg.late_acks;
-                    out.duplicate_acks += agg.duplicate_acks;
-                    out.window_stalls_us += agg.window_stalls_us;
-                    out.deadline_writeoffs += agg.deadline_writeoffs;
-                }
-                if out.delivered > 0 {
-                    out.mean_latency_us = latency_sum / f64::from(out.delivered);
-                }
-                out
+                self.arq_topology(spec, dests, m, t)
+            })
+            .into_iter()
+            .enumerate()
+            .map(|(cell, tally)| {
+                let [mode, d] = unravel(cell, dims);
+                ArqCell::from_tally(drop_rates[d], mode == 1, cfg.samples(), tally)
             })
             .collect();
         // Recovery latency: each cell against its own mode's lossless
@@ -405,7 +347,7 @@ impl Sweep {
     /// One ARQ cell's samples on topology `t`, evaluated sequentially in
     /// destination-set order (the fixed floating-point order). The spec
     /// already carries the cell's mode (`window`, `send_units`).
-    fn arq_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> ArqAgg {
+    fn arq_topology(&self, spec: FaultPlanSpec, dests: u32, m: u32, t: u32) -> Tally {
         let cfg = *self.config();
         let topo = self.topology(t);
         let config = WorkloadConfig {
@@ -415,7 +357,7 @@ impl Sweep {
             },
             ..WorkloadConfig::default()
         };
-        let mut agg = ArqAgg::default();
+        let mut tally = Tally::default();
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -423,31 +365,12 @@ impl Sweep {
             let tree = self.tree(TreePolicy::OptimalKBinomial, n, m);
             let plan = spec.plan(salt, Vec::new());
             let job = MulticastJob::fpfs(tree, chain, m);
-            match SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
+            let run = SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
                 .faults(&plan)
-                .run()
-            {
-                Ok(out) => {
-                    let c = &out.counters;
-                    self.record_effort(c.events, c.peak_queue_len);
-                    agg.delivered += 1;
-                    agg.latency_sum += out.jobs[0].latency_us;
-                    agg.unreached += out.unreached.len() as u64;
-                    agg.add_counters(c);
-                }
-                Err(SimError::DeliveryFailed {
-                    unreached,
-                    counters,
-                }) => {
-                    self.record_effort(counters.events, counters.peak_queue_len);
-                    agg.failed += 1;
-                    agg.unreached += unreached.len() as u64;
-                    agg.add_counters(&counters);
-                }
-                Err(other) => unreachable!("validated ARQ chaos plan rejected: {other}"),
-            }
+                .run();
+            tally.record(self, run, WriteOffs::Unreached);
         }
-        agg
+        tally
     }
 }
 

@@ -9,7 +9,8 @@
 //! against the committed `results/*.json`.
 //!
 //! Workers pull cells from a shared atomic counter (self-scheduling chunk
-//! queue) and stamp results into index-addressed slots; only wall time
+//! queue); the calling thread puts their results back in index order and
+//! folds each point as soon as its last topology arrives, so only wall time
 //! depends on the thread count.
 
 use crate::config::SweepConfig;
@@ -18,8 +19,10 @@ use crate::memo::{CacheStats, SweepCache, TopologyEntry};
 use crate::sampling::TreePolicy;
 use optimcast_core::tree::MulticastTree;
 use optimcast_netsim::{run_multicast_prerouted, RunConfig};
+use std::collections::BTreeMap;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Aggregate simulator effort across every cell a [`Sweep`] has evaluated.
 ///
@@ -144,26 +147,14 @@ impl Sweep {
     /// [`SweepError::TooManyDests`] or [`SweepError::ZeroPackets`] if a
     /// point cannot be sampled on the configured network.
     pub fn grid(&self, specs: &[PointSpec]) -> Result<Vec<f64>, SweepError> {
-        let hosts = self.cfg.net().hosts;
         for spec in specs {
-            if spec.m == 0 {
-                return Err(SweepError::ZeroPackets);
-            }
-            if spec.dests >= hosts {
-                return Err(SweepError::TooManyDests {
-                    dests: spec.dests,
-                    hosts,
-                });
-            }
+            self.check_point(spec.m, spec.dests, &[])?;
         }
-        let topologies = self.cfg.topologies() as usize;
-        let means = self.run_cells(specs.len() * topologies, |cell| {
-            let spec = &specs[cell / topologies];
-            self.topology_mean(spec, (cell % topologies) as u32)
-        });
-        Ok(means
-            .chunks_exact(topologies)
-            .map(|per_topology| per_topology.iter().sum::<f64>() / topologies as f64)
+        let topologies = f64::from(self.cfg.topologies());
+        Ok(self
+            .fold_cells(specs.len(), |cell, t| self.topology_mean(&specs[cell], t))
+            .into_iter()
+            .map(|sum| sum / topologies)
             .collect())
     }
 
@@ -202,22 +193,14 @@ impl Sweep {
         m: u32,
         run: RunConfig,
     ) -> Result<LatencyStats, SweepError> {
-        let hosts = self.cfg.net().hosts;
-        if m == 0 {
-            return Err(SweepError::ZeroPackets);
-        }
-        if dests >= hosts {
-            return Err(SweepError::TooManyDests { dests, hosts });
-        }
+        self.check_point(m, dests, &[])?;
         let spec = PointSpec {
             policy,
             dests,
             m,
             run,
         };
-        let per_topology: Vec<Vec<f64>> = self.run_cells(self.cfg.topologies() as usize, |t| {
-            self.topology_samples(&spec, t as u32)
-        });
+        let per_topology = self.map_topologies(|t, _| self.topology_samples(&spec, t));
         let all: Vec<f64> = per_topology.into_iter().flatten().collect();
         let nsamp = all.len() as f64;
         let mean = all.iter().sum::<f64>() / nsamp;
@@ -262,10 +245,13 @@ impl Sweep {
     /// (multi-source multicasts, custom job mixes) without touching the
     /// engine.
     pub fn map_topologies<T: Send>(&self, f: impl Fn(u32, &TopologyEntry) -> T + Sync) -> Vec<T> {
-        self.run_cells(self.cfg.topologies() as usize, |t| {
-            let topo = self.cache.topology(&self.cfg, t as u32);
-            f(t as u32, &topo)
-        })
+        let mut out = Vec::new();
+        self.run_cells(
+            self.cfg.topologies() as usize,
+            |t| f(t as u32, &self.cache.topology(&self.cfg, t as u32)),
+            |_, value| out.push(value),
+        );
+        out
     }
 
     /// The §5.2 inner loop of one cell: the point's `dest_sets` samples on
@@ -314,47 +300,107 @@ impl Sweep {
             .collect()
     }
 
-    /// Evaluates `f(0..n)` on the worker pool and returns the results in
-    /// index order. Workers self-schedule off a shared atomic counter;
-    /// every result lands in its index slot, so ordering (and therefore
-    /// every downstream reduction) is independent of scheduling.
-    pub(crate) fn run_cells<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    /// The checks every sampled grid shares, in this order: a message
+    /// carries at least one packet, the network seats `dests + 1`
+    /// participants, and every swept drop rate lies in `[0, 1)`.
+    pub(crate) fn check_point(
+        &self,
+        m: u32,
+        dests: u32,
+        drop_rates: &[f64],
+    ) -> Result<(), SweepError> {
+        if m == 0 {
+            return Err(SweepError::ZeroPackets);
+        }
+        let hosts = self.cfg.net().hosts;
+        if dests >= hosts {
+            return Err(SweepError::TooManyDests { dests, hosts });
+        }
+        if drop_rates.iter().any(|d| !(0.0..1.0).contains(d)) {
+            return Err(SweepError::InvalidFaultSpec("drop_rate must lie in [0, 1)"));
+        }
+        Ok(())
+    }
+
+    /// The §5.2 reduction of every sweep grid: evaluates `cells ×
+    /// topologies` work items on the worker pool, `per_topology(cell, t)`
+    /// each, and folds every cell's per-topology aggregates with `+=`,
+    /// starting from `A::default()`, in topology-index order. The fold
+    /// order is fixed, so each cell's floating-point sums are identical
+    /// for every worker count.
+    pub(crate) fn fold_cells<A: Default + AddAssign + Send>(
+        &self,
+        cells: usize,
+        per_topology: impl Fn(usize, u32) -> A + Sync,
+    ) -> Vec<A> {
+        let topologies = self.cfg.topologies() as usize;
+        let mut folded = Vec::with_capacity(cells);
+        let mut cell = A::default();
+        self.run_cells(
+            cells * topologies,
+            |i| per_topology(i / topologies, (i % topologies) as u32),
+            |i, part| {
+                cell += part;
+                if i % topologies == topologies - 1 {
+                    folded.push(std::mem::take(&mut cell));
+                }
+            },
+        );
+        folded
+    }
+
+    /// Evaluates `f(0..n)` on the worker pool and hands each result to
+    /// `sink(i, value)` in index order. Workers self-schedule off a shared
+    /// atomic counter; the calling thread puts their results back in index
+    /// order, so `sink` (and every reduction it performs) sees the same
+    /// sequence for every worker count. Only results that finish ahead of
+    /// an earlier index are held back, not all `n`.
+    fn run_cells<T: Send>(
+        &self,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+        mut sink: impl FnMut(usize, T),
+    ) {
         let workers = self.cfg.threads().min(n);
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            (0..n).for_each(|i| sink(i, f(i)));
+            return;
         }
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
+        let (done, results) = mpsc::channel();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            done.push((i, f(i)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, value) in handle.join().expect("sweep worker panicked") {
-                    slots[i] = Some(value);
+            for _ in 0..workers {
+                let (done, next, f) = (done.clone(), &next, &f);
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+                    if i >= n || done.send((i, f(i))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(done);
+            let mut early = BTreeMap::new();
+            let mut due = 0;
+            for (i, value) in results {
+                early.insert(i, value);
+                while let Some(value) = early.remove(&due) {
+                    sink(due, value);
+                    due += 1;
                 }
             }
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell was scheduled exactly once"))
-            .collect()
     }
+}
+
+/// Decodes row-major cell index `cell` over axes of lengths `dims` (the
+/// last axis varies fastest) into one index per axis.
+pub(crate) fn unravel<const N: usize>(mut cell: usize, dims: [usize; N]) -> [usize; N] {
+    let mut index = [0; N];
+    for (axis, &len) in dims.iter().enumerate().rev() {
+        index[axis] = cell % len;
+        cell /= len;
+    }
+    index
 }
 
 #[cfg(test)]
@@ -370,9 +416,43 @@ mod tests {
     fn run_cells_preserves_order() {
         for threads in [1, 2, 8] {
             let sweep = quick(threads);
-            let v = sweep.run_cells(9, |i| i * 10);
-            assert_eq!(v, (0..9).map(|i| i * 10).collect::<Vec<_>>());
+            let mut v = Vec::new();
+            sweep.run_cells(9, |i| i * 10, |i, value| v.push((i, value)));
+            assert_eq!(v, (0..9).map(|i| (i, i * 10)).collect::<Vec<_>>());
         }
+    }
+
+    /// Records the order its parts were folded in.
+    #[derive(Default, Debug, PartialEq)]
+    struct Visits(Vec<(usize, u32)>);
+
+    impl AddAssign for Visits {
+        fn add_assign(&mut self, rhs: Visits) {
+            self.0.extend(rhs.0);
+        }
+    }
+
+    #[test]
+    fn fold_cells_folds_each_cell_in_topology_order() {
+        for threads in [1, 2, 8] {
+            let sweep = quick(threads);
+            let cells = sweep.fold_cells(3, |cell, t| Visits(vec![(cell, t)]));
+            let expected: Vec<Visits> = (0..3)
+                .map(|cell| Visits(vec![(cell, 0), (cell, 1)]))
+                .collect();
+            assert_eq!(cells, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn unravel_is_row_major() {
+        let dims = [2, 3, 4];
+        for cell in 0..24 {
+            let [a, b, c] = unravel(cell, dims);
+            assert_eq!((a * 3 + b) * 4 + c, cell);
+        }
+        assert_eq!(unravel(23, dims), [1, 2, 3]);
+        assert_eq!(unravel(5, [7]), [5]);
     }
 
     #[test]

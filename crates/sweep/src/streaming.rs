@@ -26,7 +26,7 @@
 //! floating-point reduction order: the emitted JSON is byte-identical for
 //! every thread count and records no thread count.
 
-use crate::engine::Sweep;
+use crate::engine::{unravel, Sweep};
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
@@ -34,6 +34,7 @@ use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::latency::smart_latency_us;
 use optimcast_core::schedule::fpfs_schedule;
 use optimcast_netsim::{FrameFate, StreamRun, StreamSpec};
+use std::ops::AddAssign;
 
 /// Seed salt mixed into each sample's churn plan so the membership stream
 /// is independent of the fault and topology streams.
@@ -297,6 +298,48 @@ struct StreamAgg {
     stale_max: f64,
 }
 
+impl AddAssign for StreamAgg {
+    fn add_assign(&mut self, rhs: StreamAgg) {
+        self.emitted += rhs.emitted;
+        self.served += rhs.served;
+        self.dropped += rhs.dropped;
+        self.joins += rhs.joins;
+        self.leaves += rhs.leaves;
+        self.churn_skipped += rhs.churn_skipped;
+        self.goodput_sum += rhs.goodput_sum;
+        self.stale_sum += rhs.stale_sum;
+        self.stale_max = self.stale_max.max(rhs.stale_max);
+    }
+}
+
+impl StreamCell {
+    /// The cell at `(churn, load, buffer)` from its folded aggregate.
+    fn from_agg(
+        churn_events: u32,
+        load: f64,
+        buffer_frames: u32,
+        samples: u32,
+        agg: StreamAgg,
+    ) -> Self {
+        StreamCell {
+            churn_events,
+            load,
+            buffer_frames,
+            samples,
+            emitted: agg.emitted,
+            served: agg.served,
+            dropped: agg.dropped,
+            drop_rate: agg.dropped as f64 / agg.emitted as f64,
+            joins: agg.joins,
+            leaves: agg.leaves,
+            churn_skipped: agg.churn_skipped,
+            mean_goodput_mbps: agg.goodput_sum / f64::from(samples),
+            mean_staleness_us: agg.stale_sum / f64::from(samples),
+            max_staleness_us: agg.stale_max,
+        }
+    }
+}
+
 impl Sweep {
     /// Evaluates the streaming grid: churn rate × offered load × buffer
     /// depth, sampled with the §5.2 methodology on the optimal k-binomial
@@ -312,64 +355,33 @@ impl Sweep {
     pub fn streaming(&self, grid: &StreamGrid) -> Result<StreamReport, SweepError> {
         let cfg = *self.config();
         grid.validate(cfg.net().hosts)?;
-        let topologies = cfg.topologies() as usize;
-        let loads = grid.loads.len();
-        let buffers = grid.buffer_depths.len();
-        let cell_count = grid.churn_levels.len() * loads * buffers;
-
-        let aggs = self.run_cells(cell_count * topologies, |i| {
-            let cell = i / topologies;
-            let b = cell % buffers;
-            let l = (cell / buffers) % loads;
-            let c = cell / (buffers * loads);
-            self.stream_topology(
-                grid,
-                grid.churn_levels[c],
-                grid.loads[l],
-                grid.buffer_depths[b],
-                (i % topologies) as u32,
-            )
-        });
-
-        let cells: Vec<StreamCell> = aggs
-            .chunks_exact(topologies)
+        let dims = [
+            grid.churn_levels.len(),
+            grid.loads.len(),
+            grid.buffer_depths.len(),
+        ];
+        let cells = self
+            .fold_cells(dims.iter().product(), |cell, t| {
+                let [c, l, b] = unravel(cell, dims);
+                self.stream_topology(
+                    grid,
+                    grid.churn_levels[c],
+                    grid.loads[l],
+                    grid.buffer_depths[b],
+                    t,
+                )
+            })
+            .into_iter()
             .enumerate()
-            .map(|(cell, per_topology)| {
-                let b = cell % buffers;
-                let l = (cell / buffers) % loads;
-                let c = cell / (buffers * loads);
-                let mut out = StreamCell {
-                    churn_events: grid.churn_levels[c],
-                    load: grid.loads[l],
-                    buffer_frames: grid.buffer_depths[b],
-                    samples: cfg.samples(),
-                    emitted: 0,
-                    served: 0,
-                    dropped: 0,
-                    drop_rate: 0.0,
-                    joins: 0,
-                    leaves: 0,
-                    churn_skipped: 0,
-                    mean_goodput_mbps: 0.0,
-                    mean_staleness_us: 0.0,
-                    max_staleness_us: 0.0,
-                };
-                let (mut goodput_sum, mut stale_sum) = (0.0, 0.0);
-                for agg in per_topology {
-                    out.emitted += agg.emitted;
-                    out.served += agg.served;
-                    out.dropped += agg.dropped;
-                    out.joins += agg.joins;
-                    out.leaves += agg.leaves;
-                    out.churn_skipped += agg.churn_skipped;
-                    goodput_sum += agg.goodput_sum;
-                    stale_sum += agg.stale_sum;
-                    out.max_staleness_us = out.max_staleness_us.max(agg.stale_max);
-                }
-                out.drop_rate = out.dropped as f64 / out.emitted as f64;
-                out.mean_goodput_mbps = goodput_sum / f64::from(out.samples);
-                out.mean_staleness_us = stale_sum / f64::from(out.samples);
-                out
+            .map(|(cell, agg)| {
+                let [c, l, b] = unravel(cell, dims);
+                StreamCell::from_agg(
+                    grid.churn_levels[c],
+                    grid.loads[l],
+                    grid.buffer_depths[b],
+                    cfg.samples(),
+                    agg,
+                )
             })
             .collect();
 

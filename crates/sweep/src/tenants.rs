@@ -30,7 +30,7 @@
 //! partials in index order, so the emitted JSON is byte-identical for
 //! every thread count.
 
-use crate::engine::Sweep;
+use crate::engine::{unravel, Sweep};
 use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
@@ -40,6 +40,7 @@ use optimcast_netsim::{
     WorkloadConfig,
 };
 use optimcast_rng::{ChaCha8Rng, Rng};
+use std::ops::AddAssign;
 
 /// Per-policy aggregate of one multi-tenant cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,10 +252,28 @@ impl PolicyAgg {
     }
 }
 
+impl AddAssign for PolicyAgg {
+    fn add_assign(&mut self, rhs: PolicyAgg) {
+        self.completions.extend(rhs.completions);
+        self.queue_sum += rhs.queue_sum;
+        self.deferred += rhs.deferred;
+        self.delivered += rhs.delivered;
+        self.events += rhs.events;
+        self.sim_us += rhs.sim_us;
+    }
+}
+
 #[derive(Default)]
 struct TenantTopoAgg {
     fifo: PolicyAgg,
     shaped: PolicyAgg,
+}
+
+impl AddAssign for TenantTopoAgg {
+    fn add_assign(&mut self, rhs: TenantTopoAgg) {
+        self.fifo += rhs.fifo;
+        self.shaped += rhs.shaped;
+    }
 }
 
 /// Nearest-rank percentile of an already-sorted sample.
@@ -263,37 +282,34 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.max(1) - 1]
 }
 
-fn reduce_policy(per_topology: Vec<&PolicyAgg>) -> TenantPolicyStats {
-    let mut completions = Vec::new();
-    let mut queue_sum = 0.0;
-    let mut deferred = 0;
-    let mut delivered = 0;
-    let mut events = 0;
-    let mut sim_us = 0.0;
-    for agg in per_topology {
-        completions.extend_from_slice(&agg.completions);
-        queue_sum += agg.queue_sum;
-        deferred += agg.deferred;
-        delivered += agg.delivered;
-        events += agg.events;
-        sim_us += agg.sim_us;
-    }
-    let n = completions.len() as f64;
-    let mean_completion_us = completions.iter().sum::<f64>() / n;
-    completions.sort_by(f64::total_cmp);
-    TenantPolicyStats {
-        p50_completion_us: nearest_rank(&completions, 50.0),
-        p99_completion_us: nearest_rank(&completions, 99.0),
-        mean_completion_us,
-        mean_queue_us: queue_sum / n,
-        deferred,
-        delivered,
-        events,
-        events_per_sim_ms: if sim_us > 0.0 {
-            events as f64 / (sim_us / 1000.0)
-        } else {
-            0.0
-        },
+impl TenantPolicyStats {
+    /// One policy's statistics from its folded aggregate.
+    fn from_agg(agg: PolicyAgg) -> Self {
+        let PolicyAgg {
+            mut completions,
+            queue_sum,
+            deferred,
+            delivered,
+            events,
+            sim_us,
+        } = agg;
+        let n = completions.len() as f64;
+        let mean_completion_us = completions.iter().sum::<f64>() / n;
+        completions.sort_by(f64::total_cmp);
+        TenantPolicyStats {
+            p50_completion_us: nearest_rank(&completions, 50.0),
+            p99_completion_us: nearest_rank(&completions, 99.0),
+            mean_completion_us,
+            mean_queue_us: queue_sum / n,
+            deferred,
+            delivered,
+            events,
+            events_per_sim_ms: if sim_us > 0.0 {
+                events as f64 / (sim_us / 1000.0)
+            } else {
+                0.0
+            },
+        }
     }
 }
 
@@ -351,36 +367,23 @@ impl Sweep {
                 return Err(SweepError::TooManyDests { dests: g, hosts });
             }
         }
-        let topologies = cfg.topologies() as usize;
-        let (n_rates, n_groups) = (interarrivals_us.len(), groups.len());
-        let cells = job_counts.len() * n_rates * n_groups;
-        let aggs = self.run_cells(cells * topologies, |i| {
-            let cell = i / topologies;
-            let gi = cell % n_groups;
-            let ri = (cell / n_groups) % n_rates;
-            let ji = cell / (n_groups * n_rates);
-            self.tenant_topology(
-                job_counts[ji],
-                interarrivals_us[ri],
-                groups[gi],
-                m,
-                (i % topologies) as u32,
-            )
-        });
-        let cells = aggs
-            .chunks_exact(topologies)
+        let dims = [job_counts.len(), interarrivals_us.len(), groups.len()];
+        let cells = self
+            .fold_cells(dims.iter().product(), |cell, t| {
+                let [j, r, g] = unravel(cell, dims);
+                self.tenant_topology(job_counts[j], interarrivals_us[r], groups[g], m, t)
+            })
+            .into_iter()
             .enumerate()
-            .map(|(cell, per_topology)| {
-                let gi = cell % n_groups;
-                let ri = (cell / n_groups) % n_rates;
-                let ji = cell / (n_groups * n_rates);
+            .map(|(cell, agg)| {
+                let [j, r, g] = unravel(cell, dims);
                 TenantCell {
-                    jobs: job_counts[ji],
-                    mean_interarrival_us: interarrivals_us[ri],
-                    group: groups[gi],
+                    jobs: job_counts[j],
+                    mean_interarrival_us: interarrivals_us[r],
+                    group: groups[g],
                     samples: cfg.samples(),
-                    fifo: reduce_policy(per_topology.iter().map(|a| &a.fifo).collect()),
-                    shaped: reduce_policy(per_topology.iter().map(|a| &a.shaped).collect()),
+                    fifo: TenantPolicyStats::from_agg(agg.fifo),
+                    shaped: TenantPolicyStats::from_agg(agg.shaped),
                 }
             })
             .collect();

@@ -25,19 +25,25 @@ fn main() {
     // reproducible), and stop-and-wait retransmission recovers all of it.
     let mut plan = FaultPlan::new(0xC0FFEE);
     plan.drop_rate = 0.05;
-    let (out, counters) = run_multicast_with_faults(
-        &net,
-        tree.clone(),
-        &chain,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    )
-    .expect("drops alone are fully recovered");
+    let run = |job: MulticastJob, plan: &FaultPlan| {
+        SimRun::new(
+            &net,
+            std::slice::from_ref(&job),
+            &params,
+            WorkloadConfig::default(),
+        )
+        .faults(plan)
+        .run()
+    };
+    let out = run(MulticastJob::fpfs(tree.clone(), chain.clone(), m), &plan)
+        .expect("drops alone are fully recovered");
+    let counters = &out.counters;
     println!(
         "5% drop: latency {:.1} us | {} drops, {} retransmits, {:.1} us spent waiting on ACKs",
-        out.latency_us, counters.packets_dropped, counters.retransmits, counters.recovery_wait_us
+        out.jobs[0].latency_us,
+        counters.packets_dropped,
+        counters.retransmits,
+        counters.recovery_wait_us
     );
 
     // 2. Crash an intermediate at time zero: its whole subtree is
@@ -46,15 +52,7 @@ fn main() {
         host: HostId(13),
         at_us: 0.0,
     });
-    match run_multicast_with_faults(
-        &net,
-        tree.clone(),
-        &chain,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    ) {
+    match run(MulticastJob::fpfs(tree.clone(), chain.clone(), m), &plan) {
         Err(SimError::DeliveryFailed {
             unreached,
             counters,
@@ -88,18 +86,10 @@ fn main() {
         .map(|&r| chain[r.index()])
         .collect();
     let survivors = binding.len();
-    let (out, counters) = run_multicast_with_faults(
-        &net,
-        Arc::new(repair.tree),
-        &binding,
-        m,
-        &params,
-        RunConfig::default(),
-        &plan,
-    )
-    .expect("every survivor is reachable after repair");
+    let out = run(MulticastJob::fpfs(repair.tree, binding, m), &plan)
+        .expect("every survivor is reachable after repair");
     println!(
         "repaired: latency {:.1} us over {survivors} survivors ({} retransmits)",
-        out.latency_us, counters.retransmits
+        out.jobs[0].latency_us, out.counters.retransmits
     );
 }
