@@ -41,6 +41,25 @@ fn bench_event_queue(c: &mut Criterion) {
             q.schedule_in(1.0, black_box(payload));
         });
     });
+    // Step-cost lattice churn shaped like a traced 65k-host fat-tree run:
+    // ~30k resident events, 45% scheduled at the current instant, the rest
+    // 1-159 quarter-µs ticks ahead (≤ 160 distinct pending times).
+    g.bench_function("churn_lattice_resident30k", |b| {
+        let delay = |i: u64| match i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57 {
+            r if r < 58 => 0.0, // 58/128 ≈ 45%
+            r => 0.25 * (1 + (r * 13 + i) % 159) as f64,
+        };
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..30_000u64 {
+            q.schedule_in(delay(i), i);
+        }
+        let mut i = 30_000u64;
+        b.iter(|| {
+            let (_, payload) = q.pop().expect("population stays resident");
+            i += 1;
+            q.schedule_in(delay(i), black_box(payload));
+        });
+    });
     g.finish();
 }
 

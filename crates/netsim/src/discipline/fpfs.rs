@@ -38,9 +38,7 @@ impl ForwardingDiscipline for Fpfs {
         }
         if !kids.is_empty() {
             st.stage(src_host, jobd.packets);
-            for p in 0..jobd.packets as usize {
-                st.parts[job as usize][0].copies_left[p] = kids.len() as u32;
-            }
+            st.rank_copies(job, Rank::SOURCE).fill(kids.len() as u32);
         }
         st.queue.schedule(
             SimTime::us(jobd.start_us + st.params.t_s),
@@ -57,14 +55,13 @@ impl ForwardingDiscipline for Fpfs {
         packet: u32,
         _dest: Rank,
     ) {
-        let j = job as usize;
         let jobd = st.job(job);
         let kids = jobd.tree.children(at);
         let packets = jobd.packets;
         let v_host = jobd.binding[at.index()];
         let received = record_receive(st, now, job, at);
         if !kids.is_empty() {
-            st.parts[j][at.index()].copies_left[packet as usize] = kids.len() as u32;
+            st.rank_copies(job, at)[packet as usize] = kids.len() as u32;
             st.stage(v_host, 1);
             for &c in kids {
                 st.enqueue_send(

@@ -88,8 +88,7 @@ pub(crate) trait ForwardingDiscipline {
 /// forwarding NI until its *last* copy is out, tracked by the sending
 /// participant's per-packet counter.
 pub(crate) fn release_replicated_copy(st: &mut SimState<'_>, item: SendItem) {
-    let counter =
-        &mut st.parts[item.job as usize][item.from.index()].copies_left[item.packet as usize];
+    let counter = &mut st.rank_copies(item.job, item.from)[item.packet as usize];
     if *counter > 0 {
         *counter -= 1;
         if *counter == 0 {

@@ -4,70 +4,77 @@
 //! time resolve in scheduling order, so a run is a pure function of its
 //! inputs — crucial for reproducing the paper's experiments from seeds.
 //!
-//! Payloads are stored inline in the heap entries: event types are small
-//! `Copy` values, so there is no side table to grow for the life of a run
-//! and no indirection on pop. Ordering compares only `(at, seq)` — the
-//! payload never participates, so `E` needs no `Ord` bound.
+//! The queue is bucketed by timestamp. The model charges fixed per-step
+//! costs (`t_s`, `t_send`, `t_prop`, `t_recv`, `t_r`), so pending events
+//! share a handful of distinct instants — a 65k-host fat-tree run keeps
+//! ~30k events pending over at most ~160 times, and nearly half of all
+//! events are scheduled at the current instant. Each pending timestamp is
+//! one bucket: a FIFO chain of events threaded through one slot slab whose
+//! freed slots are reused. A binary heap orders only the buckets, by the
+//! packed `(time bits, seq of the bucket's first event)` key, and a small
+//! direct-mapped cache finds the open bucket for a time, so scheduling at
+//! an already-pending time is an O(1) append with no heap sift.
+//!
+//! A cache miss (a collision evicted the entry, or the time is new) opens
+//! a fresh bucket even if an older one for the same time is still pending.
+//! That keeps the order: the older bucket can never be appended to again
+//! (its cache line now names the newer one), so every event it holds has a
+//! smaller seq than the newer bucket's first, and the heap key pops it
+//! first. Payloads never participate in ordering, so `E` needs no `Ord`
+//! bound.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A heap entry: the packed ordering key plus the event payload carried
-/// inline.
-///
-/// `key` is `(time bits << 64) | seq`: `SimTime` is non-negative and
-/// non-NaN, so its IEEE bits sort exactly like the value
-/// ([`SimTime::key_bits`]) and the full `(time, insertion seq)` order
-/// collapses into ONE `u128` comparison — the heap's sift loops run a
-/// single branch per level instead of a float compare plus a tie-break.
-/// `seq` is unique per queue, so two entries never compare equal in
-/// practice; the `Eq` impl exists only to satisfy `BinaryHeap`'s bounds.
+/// End of a slot chain, and "no bucket" in the open-bucket cache.
+const NIL: u32 = u32::MAX;
+
+/// log2 of the open-bucket cache size: 256 lines comfortably cover the
+/// ~160 distinct pending times of the largest runs, in 1 KiB inline.
+const CACHE_BITS: u32 = 8;
+
+/// One pending event: the payload and the next slot of its bucket's chain
+/// (or of the free list once the slot is vacated).
+#[derive(Debug)]
+struct Slot<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// All pending events at one time, oldest first; never empty while
+/// pending (the pop that drains a bucket retires it). A free bucket links
+/// the bucket free list through `head`.
 #[derive(Debug, Clone, Copy)]
-struct Entry<E> {
-    key: u128,
-    event: E,
+struct Bucket {
+    bits: u64,
+    head: u32,
+    tail: u32,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn new(at: SimTime, seq: u64, event: E) -> Self {
-        Entry {
-            key: (u128::from(at.key_bits()) << 64) | u128::from(seq),
-            event,
-        }
-    }
-
-    #[inline]
-    fn at(&self) -> SimTime {
-        SimTime::from_key_bits((self.key >> 64) as u64)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+/// The cache line of a time: Fibonacci hashing spreads the lattice of
+/// step-cost sums, whose low mantissa bits are mostly zero.
+#[inline]
+fn cache_line(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_BITS)) as usize
 }
 
 /// A deterministic future-event list.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    slots: Vec<Slot<E>>,
+    free_slot: u32,
+    buckets: Vec<Bucket>,
+    free_bucket: u32,
+    /// Pending buckets keyed by `(time bits << 64) | first seq`: `SimTime`
+    /// is non-negative and non-NaN, so its IEEE bits sort exactly like the
+    /// value ([`SimTime::key_bits`]) and the bucket order is ONE `u128`
+    /// comparison. Keys are unique, so the bucket index never decides.
+    order: BinaryHeap<Reverse<(u128, u32)>>,
+    /// `open[cache_line(bits)]`: the newest pending bucket at `bits`, if
+    /// no other time has claimed the line since it opened.
+    open: [u32; 1 << CACHE_BITS],
+    len: usize,
     now: SimTime,
     seq: u64,
     processed: u64,
@@ -84,7 +91,13 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free_slot: NIL,
+            buckets: Vec::new(),
+            free_bucket: NIL,
+            order: BinaryHeap::new(),
+            open: [NIL; 1 << CACHE_BITS],
+            len: 0,
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
@@ -115,8 +128,25 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry::new(at, seq, event)));
-        self.peak_len = self.peak_len.max(self.heap.len());
+        let slot = self.alloc_slot(event);
+        let bits = at.key_bits();
+        let line = cache_line(bits);
+        let b = self.open[line];
+        if b != NIL && self.buckets[b as usize].bits == bits {
+            let tail = std::mem::replace(&mut self.buckets[b as usize].tail, slot);
+            self.slots[tail as usize].next = slot;
+        } else {
+            let b = self.alloc_bucket(Bucket {
+                bits,
+                head: slot,
+                tail: slot,
+            });
+            self.order
+                .push(Reverse(((u128::from(bits) << 64) | u128::from(seq), b)));
+            self.open[line] = b;
+        }
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Schedules `event` after a delay from now.
@@ -126,27 +156,86 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
-        let at = entry.at();
+        let &Reverse((_, b)) = self.order.peek()?;
+        let bucket = self.buckets[b as usize];
+        let slot = &mut self.slots[bucket.head as usize];
+        let event = slot.event.take().expect("a chained slot holds an event");
+        let next = std::mem::replace(&mut slot.next, self.free_slot);
+        self.free_slot = bucket.head;
+        if next == NIL {
+            self.order.pop();
+            self.retire_bucket(b, bucket.bits);
+        } else {
+            self.buckets[b as usize].head = next;
+        }
+        let at = SimTime::from_key_bits(bucket.bits);
         self.now = at;
+        self.len -= 1;
         self.processed += 1;
-        Some((at, entry.event))
+        Some((at, event))
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Largest number of events simultaneously pending over the queue's life.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
+
+    fn alloc_slot(&mut self, event: E) -> u32 {
+        let slot = Slot {
+            event: Some(event),
+            next: NIL,
+        };
+        if self.free_slot == NIL {
+            let i = index(self.slots.len());
+            self.slots.push(slot);
+            i
+        } else {
+            let i = self.free_slot;
+            self.free_slot = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            i
+        }
+    }
+
+    fn alloc_bucket(&mut self, bucket: Bucket) -> u32 {
+        if self.free_bucket == NIL {
+            let b = index(self.buckets.len());
+            self.buckets.push(bucket);
+            b
+        } else {
+            let b = self.free_bucket;
+            self.free_bucket = self.buckets[b as usize].head;
+            self.buckets[b as usize] = bucket;
+            b
+        }
+    }
+
+    fn retire_bucket(&mut self, b: u32, bits: u64) {
+        let line = cache_line(bits);
+        if self.open[line] == b {
+            self.open[line] = NIL;
+        }
+        self.buckets[b as usize].head = self.free_bucket;
+        self.free_bucket = b;
+    }
+}
+
+/// A slab length as the next slot or bucket index.
+fn index(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("fewer than u32::MAX pending events")
 }
 
 #[cfg(test)]

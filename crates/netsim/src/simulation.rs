@@ -46,9 +46,6 @@ pub(crate) struct PartState {
     pub last_recv: SimTime,
     /// Host completion time, once the full message is in.
     pub host_done: Option<SimTime>,
-    /// Replicated payloads: outstanding copies per packet at this rank's NI
-    /// (the packet leaves the forwarding buffer when its count hits zero).
-    pub copies_left: Vec<u32>,
     /// Conventional NI: index of the child message being prepared.
     pub conv_child: usize,
     /// Conventional NI: packets of the current child message still in
@@ -71,6 +68,11 @@ pub(crate) struct SimState<'a> {
     pub routes: Vec<Arc<JobRoutes>>,
     pub hosts: HostModel,
     pub parts: Vec<Vec<PartState>>,
+    /// Replicated payloads: outstanding copies per packet at each rank's
+    /// NI (the packet leaves the forwarding buffer when its count hits
+    /// zero). One rank-major table per job, `packets` entries per rank;
+    /// reach it through [`SimState::rank_copies`].
+    copies_left: Vec<Vec<u32>>,
     /// The packet-motion backend. Every send decision — channel stall,
     /// arrival instant, loss verdict — flows through this trait object; the
     /// default is [`SimTransport`] over the wormhole channel manager.
@@ -112,6 +114,13 @@ impl<'a> SimState<'a> {
     /// Releases one staged packet.
     pub fn unstage(&mut self, h: HostId) {
         self.hosts.unstage(h);
+    }
+
+    /// `(job, rank)`'s outstanding-copy counters, one per packet.
+    pub fn rank_copies(&mut self, job: u32, r: Rank) -> &mut [u32] {
+        let packets = self.jobs[job as usize].packets as usize;
+        let start = r.index() * packets;
+        &mut self.copies_left[job as usize][start..start + packets]
     }
 
     /// Marks `(job, rank)` complete `t_r` after its last receive; returns
@@ -308,12 +317,15 @@ impl<'a, N: Network> Simulation<'a, N> {
                         received: 0,
                         last_recv: SimTime::ZERO,
                         host_done: None,
-                        copies_left: vec![0; job.packets as usize],
                         conv_child: 0,
                         conv_pending: 0,
                     })
                     .collect()
             })
+            .collect();
+        let copies_left = jobs
+            .iter()
+            .map(|job| vec![0; job.tree.len() * job.packets as usize])
             .collect();
         let engines = jobs.iter().map(engine_for).collect();
         let arq = fault
@@ -327,6 +339,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 routes,
                 hosts: HostModel::new(net.num_hosts() as usize, config.ni),
                 parts,
+                copies_left,
                 transport: Box::new(SimTransport::new(
                     config.contention,
                     net.num_channels() as usize,
@@ -560,9 +573,9 @@ impl<'a, N: Network> Simulation<'a, N> {
                 }
             }
             self.st.stage(src_host, job.packets);
-            for p in 0..job.packets as usize {
-                self.st.parts[j][0].copies_left[p] = kids.len() as u32;
-            }
+            self.st
+                .rank_copies(j as u32, Rank::SOURCE)
+                .fill(kids.len() as u32);
             self.st
                 .queue
                 .schedule(detect + self.st.params.t_s, Ev::TrySend(src_host));
@@ -900,7 +913,7 @@ impl<'a, N: Network> Simulation<'a, N> {
         let kids = ov.tree.children(at);
         let received = record_receive(&mut self.st, now, job, at);
         if !kids.is_empty() {
-            self.st.parts[j][at.index()].copies_left[packet as usize] = kids.len() as u32;
+            self.st.rank_copies(job, at)[packet as usize] = kids.len() as u32;
             self.st.stage(v_host, 1);
             for &c in kids {
                 self.st.enqueue_send(
@@ -1028,9 +1041,7 @@ impl<'a, N: Network> Simulation<'a, N> {
         }
         let src_host = jobd.binding[0];
         self.st.stage(src_host, jobd.packets);
-        for p in 0..jobd.packets as usize {
-            self.st.parts[j as usize][0].copies_left[p] = kids.len() as u32;
-        }
+        self.st.rank_copies(j, Rank::SOURCE).fill(kids.len() as u32);
         let arq = self.arq.as_mut().expect("windowed path");
         for &c in kids {
             let link = arq.link(j, c);
@@ -1353,7 +1364,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 .filter(|&&c| !self.is_rank_excluded(j, c))
                 .count() as u32;
             if live > 0 {
-                self.st.parts[j][at.index()].copies_left[p as usize] = live;
+                self.st.rank_copies(job, at)[p as usize] = live;
                 self.st.stage(v_host, 1);
                 let excluded = &self.excluded;
                 let arq = self.arq.as_mut().expect("windowed path");

@@ -2,10 +2,11 @@
 //! the counting global allocator rather than assumed.
 //!
 //! A fault-free FPFS wormhole run allocates only at setup (host/NI state,
-//! the outcome vectors, amortized event-heap growth) — the per-event loop
-//! itself (pop, handle, schedule) is allocation-free: event payloads live
-//! inline in the heap entries, route lookups slice an interned CSR table,
-//! and dead-sender drains pop in place. Scaling the packet count therefore
+//! the outcome vectors, amortized growth of the event queue's slot slab,
+//! bucket slab and bucket heap) — the per-event loop itself (pop, handle,
+//! schedule) is allocation-free: event payloads live in reused slab slots,
+//! route lookups slice an interned CSR table, and dead-sender drains pop
+//! in place. Scaling the packet count therefore
 //! multiplies the event count while leaving the allocation count nearly
 //! unchanged; this test pins that down numerically.
 //!
@@ -60,8 +61,8 @@ fn steady_state_event_loop_is_allocation_free() {
     );
 
     // The per-event loop allocates nothing: the entire allocation delta of
-    // 16x the events is a handful of amortized buffer growths (event heap
-    // doubling, NI forwarding buffers), not a per-event cost.
+    // 16x the events is a handful of amortized buffer growths (event queue
+    // slab doubling, NI forwarding buffers), not a per-event cost.
     let extra_allocs = large_allocs.saturating_sub(small_allocs);
     assert!(
         extra_allocs <= 64,

@@ -4,9 +4,12 @@
 //! layer, reduction), this harness isolates the two hot loops underneath
 //! it:
 //!
-//! 1. **Event queue** — steady-state schedule/pop churn on the inline-
-//!    payload [`EventQueue`](optimcast_netsim::engine::EventQueue), the
-//!    innermost data structure of every simulation;
+//! 1. **Event queue** — steady-state schedule/pop churn on the
+//!    timestamp-bucketed [`EventQueue`](optimcast_netsim::engine::EventQueue),
+//!    the innermost data structure of every simulation, in two mixes:
+//!    random delays (nearly every pending time distinct, one event per
+//!    bucket) and a step-cost lattice shaped like the traced 65k-host run
+//!    (~30k resident, ~45% zero-delay, ≤ 160 distinct pending times);
 //! 2. **`run_multicast`** — full simulated multicasts on a memoized
 //!    topology with an interned route table, reported as *events per
 //!    second* (the simulator's native unit of work, independent of how
@@ -37,8 +40,10 @@ pub struct SimBenchReport {
     pub quick: bool,
     /// Schedule+pop pairs performed in the queue microbench.
     pub queue_ops: u64,
-    /// Steady-state schedule+pop pairs per second.
+    /// Steady-state schedule+pop pairs per second, random delays.
     pub queue_ops_per_sec: f64,
+    /// Steady-state schedule+pop pairs per second, step-cost lattice.
+    pub lattice_queue_ops_per_sec: f64,
     /// Timed `run_multicast` repetitions.
     pub runs: u32,
     /// Destinations of the benchmarked multicast.
@@ -70,13 +75,15 @@ impl SimBenchReport {
         let chart = Figure {
             id: "bench_sim".into(),
             title: "Simulator core throughput".into(),
-            x_label: "metric (0 = queue Mops/s, 1 = sim Mevents/s)".into(),
+            x_label: "metric (0 = queue Mops/s, 1 = sim Mevents/s, 2 = lattice queue Mops/s)"
+                .into(),
             y_label: "millions per second".into(),
             series: vec![Series {
                 label: "throughput".into(),
                 points: vec![
                     (0.0, self.queue_ops_per_sec / 1e6),
                     (1.0, self.events_per_sec / 1e6),
+                    (2.0, self.lattice_queue_ops_per_sec / 1e6),
                 ],
             }],
         };
@@ -88,6 +95,10 @@ impl SimBenchReport {
                     ("quick", Json::from(self.quick)),
                     ("queue_ops", Json::from(self.queue_ops)),
                     ("queue_ops_per_sec", Json::from(self.queue_ops_per_sec)),
+                    (
+                        "lattice_queue_ops_per_sec",
+                        Json::from(self.lattice_queue_ops_per_sec),
+                    ),
                     ("runs", Json::from(self.runs)),
                     ("dests", Json::from(self.dests)),
                     ("m", Json::from(self.m)),
@@ -113,30 +124,57 @@ impl SimBenchReport {
 }
 
 /// Steady-state event-queue churn: a resident population of `resident`
-/// events, then `ops` pop-one/schedule-one cycles with deterministic
-/// pseudo-random delays (pre-drawn so the timed loop measures the queue,
-/// not the RNG). Returns ops per second.
-fn bench_queue(resident: usize, ops: u64) -> f64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x0005_1EE7);
-    let delays: Vec<f64> = (0..1024)
-        .map(|_| 0.01 + f64::from(rng.next_u32() % 1000) / 100.0)
-        .collect();
+/// events, `resident` untimed warm-up cycles, then `ops` timed
+/// pop-one/schedule-one cycles, all cycling through the pre-drawn `delays`
+/// (so the timed loop measures the queue, not the RNG). Returns ops per
+/// second.
+fn bench_queue(resident: usize, ops: u64, delays: &[f64]) -> f64 {
     let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..resident {
         q.schedule_in(delays[i % delays.len()], i as u64);
     }
-    let start = Instant::now();
     let mut acc = 0u64;
-    for i in 0..ops {
+    let mut cycle = |i: u64| {
         let (_, payload) = q.pop().expect("population stays resident");
         acc = acc.wrapping_add(payload);
         q.schedule_in(delays[(i as usize) % delays.len()], acc);
-    }
+    };
+    (0..resident as u64).for_each(&mut cycle);
+    let start = Instant::now();
+    (0..ops).for_each(&mut cycle);
     let elapsed = start.elapsed().as_secs_f64();
     // Keep the accumulator observable so the loop cannot be elided.
     assert!(acc != u64::MAX, "accumulator sink");
     ops as f64 / elapsed
 }
+
+/// Random delays on a 0.01 µs grid over 10 µs: almost every pending time
+/// is distinct.
+fn random_delays() -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0005_1EE7);
+    (0..1024)
+        .map(|_| 0.01 + f64::from(rng.next_u32() % 1000) / 100.0)
+        .collect()
+}
+
+/// Step-cost lattice delays, the mix of a traced 65k-host fat-tree run:
+/// 45% at the current instant, the rest 1–159 quarter-µs ticks ahead, so
+/// at most 160 distinct times are ever pending.
+fn lattice_delays() -> Vec<f64> {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0005_1EE7);
+    (0..1024)
+        .map(|_| {
+            if rng.bounded_u64(100) < 45 {
+                0.0
+            } else {
+                0.25 * (1 + rng.bounded_u64(159)) as f64
+            }
+        })
+        .collect()
+}
+
+/// Resident events of the lattice queue case (the 65k run peaks at 30,824).
+const LATTICE_RESIDENT: usize = 30_000;
 
 /// Runs the simulator-core benchmark at the quick (CI smoke) or full
 /// sizing and returns the report.
@@ -152,7 +190,8 @@ pub fn bench_sim(quick: bool) -> Result<SimBenchReport, SweepError> {
         (512, 2_000_000, 200, 47, 32)
     };
 
-    let queue_ops_per_sec = bench_queue(queue_resident, queue_ops);
+    let queue_ops_per_sec = bench_queue(queue_resident, queue_ops, &random_delays());
+    let lattice_queue_ops_per_sec = bench_queue(LATTICE_RESIDENT, queue_ops, &lattice_delays());
 
     // One representative cell of the paper methodology: topology 0 of the
     // quick sweep, its first sampled chain, the optimal-k tree, and the
@@ -193,6 +232,7 @@ pub fn bench_sim(quick: bool) -> Result<SimBenchReport, SweepError> {
         quick,
         queue_ops,
         queue_ops_per_sec,
+        lattice_queue_ops_per_sec,
         runs,
         dests,
         m,
@@ -217,6 +257,7 @@ mod tests {
         let report = bench_sim(true).unwrap();
         assert!(report.quick);
         assert!(report.queue_ops_per_sec > 0.0);
+        assert!(report.lattice_queue_ops_per_sec > 0.0);
         assert!(report.events_per_run > 0);
         assert!(report.events_per_sec > 0.0);
         assert!(report.peak_queue_len > 0);
@@ -224,6 +265,7 @@ mod tests {
         let meta = json.get("meta").unwrap();
         for key in [
             "queue_ops_per_sec",
+            "lattice_queue_ops_per_sec",
             "events_per_sec",
             "events_per_run",
             "peak_queue_len",
@@ -239,6 +281,6 @@ mod tests {
         }
         let chart = Figure::from_json(json.get("figure").unwrap()).unwrap();
         assert_eq!(chart.id, "bench_sim");
-        assert_eq!(chart.series[0].points.len(), 2);
+        assert_eq!(chart.series[0].points.len(), 3);
     }
 }

@@ -44,7 +44,8 @@ fn meta_f64(doc: &Json, key: &str) -> Option<f64> {
 /// and its freshly measured counterpart. The two documents must carry the
 /// same `id`; unknown ids yield no checks.
 ///
-/// * `bench_sim` — `queue_ops_per_sec`, `events_per_sec`;
+/// * `bench_sim` — `queue_ops_per_sec`, `lattice_queue_ops_per_sec`,
+///   `events_per_sec`;
 /// * `bench_sweep` — normalized `events_processed / serial_seconds`,
 ///   plus raw `serial_cells_per_sec` when both runs used the same
 ///   `(topologies, dest_sets)` methodology;
@@ -72,6 +73,11 @@ pub fn bench_regressions(committed: &Json, fresh: &Json) -> Vec<RateCheck> {
                 "event-queue ops/s",
                 meta_f64(committed, "queue_ops_per_sec"),
                 meta_f64(fresh, "queue_ops_per_sec"),
+            );
+            push(
+                "lattice event-queue ops/s",
+                meta_f64(committed, "lattice_queue_ops_per_sec"),
+                meta_f64(fresh, "lattice_queue_ops_per_sec"),
             );
             push(
                 "sim events/s",

@@ -652,8 +652,10 @@ fn cmd_bench_sim(flags: &HashMap<String, String>, _positional: &[String]) {
         std::process::exit(1);
     });
     println!(
-        "event queue: {:.2} M schedule+pop pairs/s ({} ops)",
+        "event queue: {:.2} M schedule+pop pairs/s random delays, {:.2} M on the \
+         step-cost lattice ({} ops each)",
         report.queue_ops_per_sec / 1e6,
+        report.lattice_queue_ops_per_sec / 1e6,
         report.queue_ops
     );
     println!(
