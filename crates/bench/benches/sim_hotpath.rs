@@ -6,7 +6,7 @@ mod common;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
-use optimcast::netsim::{run_multicast_prerouted, run_multicast_shared, JobRoutes, RunConfig};
+use optimcast::netsim::JobRoutes;
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use std::sync::Arc;
@@ -70,36 +70,22 @@ fn bench_run_multicast(c: &mut Criterion) {
     let chain = sample_chain(&topo.net, &topo.ordering, cfg.set_seed(0, 0), 31);
     let tree = sweep.tree(TreePolicy::OptimalKBinomial, chain.len() as u32, 8);
     let routes = Arc::new(JobRoutes::build(&topo.net, &tree, &chain));
+    let run = |routes: Option<&Arc<JobRoutes>>| {
+        let job = MulticastJob::fpfs(Arc::clone(&tree), black_box(&chain).clone(), 8);
+        let mut run = SimRun::new(
+            &topo.net,
+            std::slice::from_ref(&job),
+            cfg.params(),
+            WorkloadConfig::default(),
+        );
+        if let Some(r) = routes {
+            run = run.routes(vec![Arc::clone(r)]);
+        }
+        run.run().unwrap().jobs[0].latency_us
+    };
     let mut g = c.benchmark_group("sim/run_multicast_31d_8m");
-    g.bench_function("prerouted", |b| {
-        b.iter(|| {
-            run_multicast_prerouted(
-                &topo.net,
-                Arc::clone(&tree),
-                black_box(&chain),
-                Arc::clone(&routes),
-                8,
-                cfg.params(),
-                RunConfig::default(),
-            )
-            .unwrap()
-            .latency_us
-        })
-    });
-    g.bench_function("routing_inline", |b| {
-        b.iter(|| {
-            run_multicast_shared(
-                &topo.net,
-                Arc::clone(&tree),
-                black_box(&chain),
-                8,
-                cfg.params(),
-                RunConfig::default(),
-            )
-            .unwrap()
-            .latency_us
-        })
-    });
+    g.bench_function("prerouted", |b| b.iter(|| run(Some(&routes))));
+    g.bench_function("routing_inline", |b| b.iter(|| run(None)));
     g.finish();
 }
 

@@ -7,9 +7,9 @@
 //! sender injecting one packet per step becomes a gather *receiver*
 //! accepting one packet per step — so the reversed schedule is feasible on
 //! the same NI model (one send and one receive per NI per step), and gather
-//! completes in exactly the scatter's step count. [`verify`] checks
-//! feasibility mechanically; the tests run it rather than taking the
-//! classic argument on faith.
+//! completes in exactly the scatter's step count.
+//! [`GatherSchedule::verify`] checks feasibility mechanically; the tests
+//! run it rather than taking the classic argument on faith.
 
 use crate::scatter::{scatter_schedule_with_hops, OrderPolicy};
 use optimcast_core::tree::{MulticastTree, Rank};

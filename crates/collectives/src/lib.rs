@@ -6,7 +6,7 @@
 //! operations with such packetization and network interface support"
 //! future work (§7); this crate builds them on the same foundations:
 //!
-//! * [`broadcast`] — multicast to all participants, optimal k-binomial tree,
+//! * [`mod@broadcast`] — multicast to all participants, optimal k-binomial tree,
 //!   with both the analytic model and end-to-end execution on the
 //!   `optimcast-netsim` simulator;
 //! * [`scatter`] — personalized per-destination blocks forwarded down a

@@ -4,7 +4,7 @@
 //!   the source, `t_r` at each destination — and the tree is executed
 //!   entirely by NI coprocessors, so
 //!   `L = t_s + steps · t_step + t_r`
-//!   where `steps` comes from a [`Schedule`](crate::schedule::Schedule)
+//!   where `steps` comes from a [`Schedule`]
 //!   (Theorem 2 gives `steps = t1 + (m-1)·k_T` under FPFS).
 //!
 //! * **Conventional NI** (§2.3): every intermediate host receives the whole

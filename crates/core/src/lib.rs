@@ -23,7 +23,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`coverage`] — the coverage function `N(s, k)` (Lemma 1) and its
+//! * [`mod@coverage`] — the coverage function `N(s, k)` (Lemma 1) and its
 //!   inverse, the minimum step count `t1(n, k)`;
 //! * [`optimal`] — the optimal-`k` solver and the precomputed
 //!   [`optimal::OptimalKTable`] of §4.3.1;

@@ -1,7 +1,7 @@
 //! Windowed selective-repeat ARQ: the NI send-unit model and the
 //! sliding-window reliability state.
 //!
-//! The paper's NI has exactly one send unit per host; PR 3's stop-and-wait
+//! The paper's NI has exactly one send unit per host; the stop-and-wait
 //! reliability layer mirrors that — one outstanding transmission per host,
 //! with the unit held until the receiver's handshake. This module
 //! generalises both sides:
@@ -9,14 +9,14 @@
 //! * [`NiModel`] — `s` send units per host and an optional per-port send
 //!   queue bound, threaded through [`crate::workload::WorkloadConfig`]. The
 //!   default (`s = 1`, unbounded) reproduces the paper model bit-for-bit.
-//! * The selective-repeat state ([`ArqState`]): per-destination send
-//!   windows ([`LinkState`]) with at most `window` unacknowledged packets
+//! * The selective-repeat state (`ArqState`): per-destination send
+//!   windows (`LinkState`) with at most `window` unacknowledged packets
 //!   in flight per tree edge, and out-of-order acceptance buffers
-//!   ([`RecvState`]) whose gap detection emits **coalesced NACK ranges**
+//!   (`RecvState`) whose gap detection emits **coalesced NACK ranges**
 //!   (`[first_missing, last_seen]` runs, not per-packet NACKs).
 //!
 //! The window machinery activates when a [`crate::fault::FaultPlan`] sets
-//! `window > 1`; the event handlers live in [`crate::simulation`]. Every
+//! `window > 1`; the event handlers live in the simulator core. Every
 //! retry decision there is driven by the fault plan's PRF (stream 3 for the
 //! retransmission jitter), so windowed runs stay byte-identical at any
 //! worker count.

@@ -68,6 +68,16 @@ pub enum SimError {
         /// Route tables supplied.
         routes: usize,
     },
+    /// A prerouted run supplied a route table whose rank count differs
+    /// from its job's tree size.
+    RouteTableMismatch {
+        /// Offending job index.
+        job: usize,
+        /// Ranks the table covers.
+        covered: usize,
+        /// Ranks in the job's tree.
+        ranks: usize,
+    },
     /// A fault plan failed validation (probability out of range, zero
     /// attempt budget, negative times).
     InvalidFaultPlan {
@@ -148,6 +158,14 @@ impl std::fmt::Display for SimError {
                     "expected one route table per job ({jobs} job(s), {routes} table(s))"
                 )
             }
+            SimError::RouteTableMismatch {
+                job,
+                covered,
+                ranks,
+            } => write!(
+                f,
+                "job {job}: route table must cover every tree rank ({covered} ranks for {ranks})"
+            ),
             SimError::InvalidFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }
@@ -235,6 +253,14 @@ mod tests {
             (
                 SimError::RouteCountMismatch { jobs: 3, routes: 1 },
                 "one route table per job",
+            ),
+            (
+                SimError::RouteTableMismatch {
+                    job: 1,
+                    covered: 5,
+                    ranks: 8,
+                },
+                "job 1: route table must cover",
             ),
         ];
         for (err, needle) in cases {

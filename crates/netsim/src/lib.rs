@@ -58,10 +58,7 @@ pub use scheduler::{
     AdmissionRequest, ContentionAware, FifoAdmission, InFlight, JobScheduler, JobStats,
     ScheduledOutcome, ScheduledRun,
 };
-pub use sim::{
-    run_multicast, run_multicast_prerouted, run_multicast_shared, ContentionMode, MulticastOutcome,
-    NiTiming, NicKind, RunConfig,
-};
+pub use sim::{run_multicast, ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig};
 pub use stream::{
     churn_plan, ChurnEvent, FrameFate, FrameRecord, ReceiverStats, StreamError, StreamOutcome,
     StreamRun, StreamSpec,

@@ -2,9 +2,9 @@
 //!
 //! The simulator core reports what happens — dispatches, receives,
 //! completions, stalls, queue/buffer occupancy — through the [`Observer`]
-//! trait. The `--trace` timeline ([`TraceCollector`]), the per-job outcome
-//! metrics ([`MetricsCollector`]), and the structured counters
-//! ([`CountersCollector`] → [`SimCounters`]) are three implementations of
+//! trait. The `--trace` timeline (`TraceCollector`), the per-job outcome
+//! metrics (`MetricsCollector`), and the structured counters
+//! (`CountersCollector` → [`SimCounters`]) are three implementations of
 //! that one hook set; none of them can affect simulated timing, which the
 //! trace-neutrality integration test pins down.
 

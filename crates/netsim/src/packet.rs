@@ -5,7 +5,7 @@
 //! broken up into packets of fixed size. … The destination collects the
 //! packets and assembles them into the complete message." The simulator
 //! itself only needs packet *counts*, but the fragmentation/reassembly layer
-//! is implemented for real (zero-copy via [`bytes::Bytes`]) so the NI model
+//! is implemented for real (zero-copy via [`Bytes`]) so the NI model
 //! rests on a working packetization substrate.
 
 use crate::bytes::Bytes;

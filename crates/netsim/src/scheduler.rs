@@ -305,27 +305,11 @@ impl<'a, N: Network> ScheduledRun<'a, N> {
     ///
     /// # Errors
     ///
-    /// Same validation contract as [`SimRun::run`]; additionally
-    /// [`SimError::RouteCountMismatch`] if supplied route tables do not
-    /// cover the jobs one-to-one.
+    /// Same validation contract as [`SimRun::run`], including the checks on
+    /// supplied route tables.
     pub fn run(self) -> Result<ScheduledOutcome, SimError> {
         crate::simulation::validate(self.net, self.jobs)?;
-        let routes = match self.routes {
-            Some(r) => {
-                if r.len() != self.jobs.len() {
-                    return Err(SimError::RouteCountMismatch {
-                        jobs: self.jobs.len(),
-                        routes: r.len(),
-                    });
-                }
-                r
-            }
-            None => self
-                .jobs
-                .iter()
-                .map(|j| Arc::new(JobRoutes::build(self.net, &j.tree, &j.binding)))
-                .collect(),
-        };
+        let routes = crate::simulation::resolve_routes(self.net, self.jobs, self.routes)?;
 
         // Sorted channel footprints, one per job.
         let channels: Vec<Vec<ChannelId>> = routes
@@ -668,26 +652,36 @@ mod tests {
         assert_eq!(out.completion_percentile(0.0), xs[0]);
     }
 
-    /// Route-table mismatch is a typed error, not a panic.
+    /// Route-table mismatches are typed errors, not panics: too few tables,
+    /// and a table built for a smaller tree than its job's.
     #[test]
     fn route_count_mismatch_is_reported() {
         let n = net(8);
         let jobs = [job_at(0..8, 2, 0.0), job_at(8..16, 2, 0.0)];
-        let routes = vec![Arc::new(JobRoutes::build(
-            &n,
-            &jobs[0].tree,
-            &jobs[0].binding,
-        ))];
-        let err = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .routes(routes)
-        .run()
-        .unwrap_err();
-        assert_eq!(err, SimError::RouteCountMismatch { jobs: 2, routes: 1 });
+        let table = |job: &MulticastJob| Arc::new(JobRoutes::build(&n, &job.tree, &job.binding));
+        let run = |routes| {
+            ScheduledRun::new(
+                &n,
+                &jobs,
+                &params(),
+                WorkloadConfig::default(),
+                &FifoAdmission,
+            )
+            .routes(routes)
+            .run()
+            .unwrap_err()
+        };
+        assert_eq!(
+            run(vec![table(&jobs[0])]),
+            SimError::RouteCountMismatch { jobs: 2, routes: 1 }
+        );
+        assert_eq!(
+            run(vec![table(&jobs[0]), table(&job_at(8..13, 2, 0.0))]),
+            SimError::RouteTableMismatch {
+                job: 1,
+                covered: 5,
+                ranks: 8
+            }
+        );
     }
 }

@@ -1,5 +1,7 @@
-//! The multicast simulator: executes one multicast over a routed network
-//! with a chosen NI architecture and contention model.
+//! One multicast over a routed network with a chosen NI architecture and
+//! contention model: its configuration ([`RunConfig`]), its per-job result
+//! ([`MulticastOutcome`]), and [`run_multicast`], the single-job
+//! convenience over [`SimRun`].
 //!
 //! A run takes a [`MulticastTree`] over ranks, a *binding* from ranks to
 //! physical [`HostId`]s (normally produced by
@@ -28,7 +30,7 @@
 //!   packet; the multicast latency is the latest such completion.
 
 use crate::error::SimError;
-use crate::workload::{JobPayload, MulticastJob, SimRun, WorkloadConfig};
+use crate::workload::{MulticastJob, SimRun, WorkloadConfig};
 use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
 use optimcast_core::tree::MulticastTree;
@@ -88,6 +90,18 @@ impl Default for RunConfig {
     }
 }
 
+impl From<RunConfig> for WorkloadConfig {
+    /// The workload-level half of a single-job configuration (the NI kind
+    /// is per job); every other field keeps its default.
+    fn from(config: RunConfig) -> Self {
+        WorkloadConfig {
+            contention: config.contention,
+            timing: config.timing,
+            ..WorkloadConfig::default()
+        }
+    }
+}
+
 /// Results and metrics of one simulated multicast.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MulticastOutcome {
@@ -107,19 +121,17 @@ pub struct MulticastOutcome {
     /// Per-rank maximum number of packets resident in the NI forwarding
     /// buffer (smart NIs only; zeros under the conventional NI).
     pub max_ni_buffer: Vec<u32>,
-    /// Discrete events processed (simulation effort indicator).
-    pub events: u64,
-    /// Largest number of events simultaneously pending in the event queue
-    /// (memory high-water-mark indicator).
-    pub peak_queue_len: usize,
 }
 
 /// Simulates one multicast and returns its outcome.
 ///
 /// `binding[rank]` is the physical host of tree rank `rank`; `binding[0]` is
-/// the source. This is the single-job special case of
-/// [`crate::workload::SimRun`]; all analytic-exactness tests in this
-/// module therefore validate the workload engine too.
+/// the source. This is a one-job [`SimRun`] with no options; all
+/// analytic-exactness tests in this module therefore validate the workload
+/// engine too. Callers that need memoized route tables, fault injection,
+/// an observer, or the run's effort counters (`events`, `counters` of
+/// [`WorkloadOutcome`](crate::workload::WorkloadOutcome)) drive [`SimRun`]
+/// directly.
 ///
 /// # Errors
 ///
@@ -133,100 +145,12 @@ pub fn run_multicast<N: Network>(
     params: &SystemParams,
     config: RunConfig,
 ) -> Result<MulticastOutcome, SimError> {
-    run_multicast_shared(
-        net,
-        std::sync::Arc::new(tree.clone()),
-        binding,
-        m,
-        params,
-        config,
-    )
-}
-
-/// As [`run_multicast`], but taking the tree by shared ownership so callers
-/// holding a memoized `Arc<MulticastTree>` (e.g. a sweep engine running the
-/// same tree over thousands of sampled chains) avoid deep-cloning the arena
-/// on every run.
-///
-/// # Errors
-///
-/// Same contract as [`run_multicast`].
-pub fn run_multicast_shared<N: Network>(
-    net: &N,
-    tree: std::sync::Arc<MulticastTree>,
-    binding: &[HostId],
-    m: u32,
-    params: &SystemParams,
-    config: RunConfig,
-) -> Result<MulticastOutcome, SimError> {
     let job = MulticastJob {
-        tree,
-        binding: binding.to_vec(),
-        packets: m,
-        start_us: 0.0,
         nic: config.nic,
-        payload: JobPayload::Replicated,
+        ..MulticastJob::fpfs(tree.clone(), binding.to_vec(), m)
     };
-    let wl = SimRun::new(
-        net,
-        std::slice::from_ref(&job),
-        params,
-        WorkloadConfig {
-            contention: config.contention,
-            timing: config.timing,
-            ..WorkloadConfig::default()
-        },
-    )
-    .run()?;
-    let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
-    out.events = wl.events;
-    out.peak_queue_len = wl.counters.peak_queue_len;
-    Ok(out)
-}
-
-/// As [`run_multicast_shared`], but with a caller-supplied interned route
-/// table, built once by [`crate::routes::JobRoutes::build`] from the same
-/// `(net, tree, binding)` triple and reused across runs — the sweep engine
-/// memoizes tables per `(topology, chain, tree-shape)` so repeated cells
-/// skip the route computation entirely. The outcome is identical to
-/// [`run_multicast_shared`].
-///
-/// # Errors
-///
-/// Same contract as [`run_multicast`].
-pub fn run_multicast_prerouted<N: Network>(
-    net: &N,
-    tree: std::sync::Arc<MulticastTree>,
-    binding: &[HostId],
-    routes: std::sync::Arc<crate::routes::JobRoutes>,
-    m: u32,
-    params: &SystemParams,
-    config: RunConfig,
-) -> Result<MulticastOutcome, SimError> {
-    let job = MulticastJob {
-        tree,
-        binding: binding.to_vec(),
-        packets: m,
-        start_us: 0.0,
-        nic: config.nic,
-        payload: JobPayload::Replicated,
-    };
-    let wl = SimRun::new(
-        net,
-        std::slice::from_ref(&job),
-        params,
-        WorkloadConfig {
-            contention: config.contention,
-            timing: config.timing,
-            ..WorkloadConfig::default()
-        },
-    )
-    .routes(vec![routes])
-    .run()?;
-    let mut out = wl.jobs.into_iter().next().expect("one job in, one out");
-    out.events = wl.events;
-    out.peak_queue_len = wl.counters.peak_queue_len;
-    Ok(out)
+    let wl = SimRun::new(net, std::slice::from_ref(&job), params, config.into()).run()?;
+    Ok(wl.jobs.into_iter().next().expect("one job in, one out"))
 }
 
 #[cfg(test)]

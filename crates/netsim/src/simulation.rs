@@ -180,6 +180,38 @@ pub(crate) fn validate<N: Network>(net: &N, jobs: &[MulticastJob]) -> Result<(),
     Ok(())
 }
 
+/// A validated workload's route tables: the supplied ones, checked to hold
+/// one table per job covering that job's tree, or fresh tables built by
+/// [`JobRoutes::build`] from each job's `(tree, binding)` on `net`.
+pub(crate) fn resolve_routes<N: Network>(
+    net: &N,
+    jobs: &[MulticastJob],
+    routes: Option<Vec<Arc<JobRoutes>>>,
+) -> Result<Vec<Arc<JobRoutes>>, SimError> {
+    let Some(tables) = routes else {
+        return Ok(jobs
+            .iter()
+            .map(|job| Arc::new(JobRoutes::build(net, &job.tree, &job.binding)))
+            .collect());
+    };
+    if tables.len() != jobs.len() {
+        return Err(SimError::RouteCountMismatch {
+            jobs: jobs.len(),
+            routes: tables.len(),
+        });
+    }
+    for (j, (table, job)) in tables.iter().zip(jobs).enumerate() {
+        if table.len() != job.tree.len() {
+            return Err(SimError::RouteTableMismatch {
+                job: j,
+                covered: table.len(),
+                ranks: job.tree.len(),
+            });
+        }
+    }
+    Ok(tables)
+}
+
 /// Selects the forwarding engine for a job's `(NicKind, JobPayload)`.
 fn engine_for(job: &MulticastJob) -> Box<dyn ForwardingDiscipline> {
     use optimcast_core::schedule::ForwardingDiscipline as Kind;
@@ -232,7 +264,8 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// `routes`, when given, must hold one table per job, each built by
     /// [`JobRoutes::build`] from the job's `(tree, binding)` on `net` —
     /// the sweep engine passes memoized tables here so repeated cells skip
-    /// the route computation. `None` builds the tables from scratch.
+    /// the route computation. `None` builds the tables from scratch (see
+    /// [`resolve_routes`]).
     pub fn new(
         net: &'a N,
         jobs: &'a [MulticastJob],
@@ -289,20 +322,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 }
             }
         }
-        let routes = match routes {
-            Some(tables) => {
-                debug_assert_eq!(tables.len(), jobs.len());
-                debug_assert!(tables
-                    .iter()
-                    .zip(jobs)
-                    .all(|(t, job)| t.len() == job.tree.len()));
-                tables
-            }
-            None => jobs
-                .iter()
-                .map(|job| Arc::new(JobRoutes::build(net, &job.tree, &job.binding)))
-                .collect(),
-        };
+        let routes = resolve_routes(net, jobs, routes)?;
         // Prewarm the trees' packed-children tables: `children()` is on the
         // event loop's hot path, and the lazy pack would otherwise charge
         // its one-time allocation to the zero-alloc steady-state budget.
@@ -1526,8 +1546,6 @@ impl<'a, N: Network> Simulation<'a, N> {
                 blocked_sends: st.obs.metrics.blocked[j],
                 total_sends: st.obs.metrics.sends[j],
                 max_ni_buffer,
-                events: 0,         // aggregate reported at workload level
-                peak_queue_len: 0, // aggregate reported at workload level
             });
         }
         let mut counters = st.obs.counters.counters;

@@ -8,7 +8,7 @@
 //! backends implement it:
 //!
 //! * [`SimTransport`] — the simulator's channel-reservation hot path
-//!   ([`crate::channel::ChannelManager`] wormhole holds plus the
+//!   (the channel manager's wormhole holds plus the
 //!   [`FaultPlan`] transmission verdict), returning *simulated* start and
 //!   arrival instants. The event loop realizes those instants on its event
 //!   queue, so `poll_deliveries` is a no-op: in the simulator, the delivery

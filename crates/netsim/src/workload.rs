@@ -9,15 +9,17 @@
 //! counts, start times, and NI disciplines; the [`SimRun`] builder executes
 //! them on one shared network and reports per-job and aggregate metrics.
 //!
-//! The execution itself lives in [`crate::simulation`], which composes the
-//! per-job forwarding engines ([`crate::discipline`]), the shared NI state
-//! ([`crate::host`]), wormhole channel reservation ([`crate::channel`]), and
-//! the observability hub ([`crate::observe`]). This module owns the public
-//! workload vocabulary and the thin drivers over that core.
+//! The execution itself lives in the private simulator core, which composes
+//! the per-job forwarding engines, the shared NI state, wormhole channel
+//! reservation, and the observability hub ([`crate::observe`]). This module owns the public
+//! workload vocabulary and [`SimRun`], the one driver over that core.
 //!
-//! [`crate::sim::run_multicast`] is the single-job special case of this
-//! executor, so every exactness test of the analytic models also validates
-//! this engine.
+//! [`crate::sim::run_multicast`] is a one-job [`SimRun`] with no options,
+//! so every exactness test of the analytic models also validates this
+//! engine. Per-job results ([`MulticastOutcome`]) carry what belongs to one
+//! job; simulator effort (events processed, event-queue high-water mark) is
+//! a property of the whole run and is reported only here, in
+//! [`WorkloadOutcome::events`] and [`WorkloadOutcome::counters`].
 
 use crate::arq::NiModel;
 use crate::error::SimError;
@@ -261,17 +263,11 @@ pub struct WorkloadOutcome {
 /// Builder for one workload execution — the single entry point to the
 /// simulator.
 ///
-/// Historically this module exported one free function per option
-/// combination (`run_workload`, `_prerouted`, `_with_faults`, `_observed`,
-/// `_faulted_observed`); every new orthogonal option doubled the surface.
-/// `SimRun` replaces all of them: construct with the four mandatory inputs,
-/// chain any subset of [`routes`](SimRun::routes), [`faults`](SimRun::faults)
-/// and [`observer`](SimRun::observer), then [`run`](SimRun::run).
-///
-/// The zero-option path compiles to exactly the old `run_workload` body —
-/// `Simulation::new(net, jobs, params, config, None, None, None)?.run()` —
-/// so the goldens and the zero-alloc guarantee are untouched by
-/// construction.
+/// Construct with the four mandatory inputs, chain any subset of
+/// [`routes`](SimRun::routes), [`faults`](SimRun::faults) and
+/// [`observer`](SimRun::observer), then [`run`](SimRun::run). Each option
+/// is orthogonal to the others, so a new one adds one builder method rather
+/// than a family of entry points.
 ///
 /// ```ignore
 /// let outcome = SimRun::new(&net, &jobs, &params, config)
@@ -353,8 +349,11 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// packets, a binding that does not cover its tree, repeats a host
     /// within one job, names a host outside the network, starts at a
     /// negative time, or pairs a personalized payload with a conventional
-    /// NI. With [`faults`](SimRun::faults), additionally
-    /// [`SimError::InvalidFaultPlan`] for a malformed plan,
+    /// NI. With [`routes`](SimRun::routes), additionally
+    /// [`SimError::RouteCountMismatch`] unless there is one table per job
+    /// and [`SimError::RouteTableMismatch`] for a table whose rank count
+    /// differs from its job's tree. With [`faults`](SimRun::faults),
+    /// additionally [`SimError::InvalidFaultPlan`] for a malformed plan,
     /// [`SimError::FaultsNeedHandshakeTiming`] when a non-trivial plan is
     /// paired with overlapped NI timing, and [`SimError::DeliveryFailed`]
     /// when the plan's losses exceed the retransmission budget.
@@ -392,26 +391,27 @@ mod tests {
         MulticastJob::fpfs(tree, hosts.into_iter().map(HostId).collect(), m)
     }
 
-    /// A single-job workload reproduces run_multicast exactly (they share
-    /// the engine, but the wrapper path must not perturb anything).
+    /// A single-job workload reproduces run_multicast exactly, field for
+    /// field, and supplying the job's interned route table (an irregular
+    /// net under wormhole contention) leaves the whole outcome unchanged.
     #[test]
     fn single_job_equals_run_multicast() {
         let n = net(1);
+        let p = params();
         let tree = kbinomial_tree(32, 2);
         let binding: Vec<HostId> = (0..32).map(HostId).collect();
-        let direct =
-            run_multicast(&n, &tree, &binding, 6, &params(), RunConfig::default()).unwrap();
-        let wl = SimRun::new(
-            &n,
-            &[job(tree, (0..32).collect(), 6)],
-            &params(),
-            WorkloadConfig::default(),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(wl.jobs[0].latency_us, direct.latency_us);
-        assert_eq!(wl.jobs[0].host_done_us, direct.host_done_us);
+        let direct = run_multicast(&n, &tree, &binding, 6, &p, RunConfig::default()).unwrap();
+        let jobs = [job(tree, (0..32).collect(), 6)];
+        let run = || SimRun::new(&n, &jobs, &p, WorkloadConfig::default());
+        let wl = run().run().unwrap();
+        assert_eq!(wl.jobs[0], direct);
         assert_eq!(wl.makespan_us, direct.latency_us);
+        let routes = Arc::new(crate::routes::JobRoutes::build(
+            &n,
+            &jobs[0].tree,
+            &jobs[0].binding,
+        ));
+        assert_eq!(run().routes(vec![routes]).run().unwrap(), wl);
     }
 
     /// Disjoint jobs on disjoint hosts with ideal contention do not affect

@@ -10,6 +10,7 @@ use optimcast_netsim::*;
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use optimcast_topology::Network;
+use std::sync::Arc;
 
 fn net() -> IrregularNetwork {
     IrregularNetwork::generate(IrregularConfig::default(), 7)
@@ -118,6 +119,51 @@ fn duplicate_host() {
         Err(SimError::DuplicateHost {
             job: 0,
             host: HostId(1)
+        })
+    );
+}
+
+/// Runs `jobs` with caller-supplied route tables, one per entry of
+/// `tables`, each built for the given job of `jobs`.
+fn run_prerouted(
+    jobs: &[MulticastJob],
+    tables: &[&MulticastJob],
+) -> Result<WorkloadOutcome, SimError> {
+    let n = net();
+    let routes = tables
+        .iter()
+        .map(|job| Arc::new(JobRoutes::build(&n, &job.tree, &job.binding)))
+        .collect();
+    SimRun::new(
+        &n,
+        jobs,
+        &SystemParams::paper_1997(),
+        WorkloadConfig::default(),
+    )
+    .routes(routes)
+    .run()
+}
+
+#[test]
+fn route_count_mismatch() {
+    let jobs = [fpfs_job(0..8, 2), fpfs_job(8..16, 2)];
+    assert_eq!(
+        run_prerouted(&jobs, &[&jobs[0]]),
+        Err(SimError::RouteCountMismatch { jobs: 2, routes: 1 })
+    );
+}
+
+#[test]
+fn route_table_mismatch() {
+    // The second job's table was built for a 5-rank tree, not its 8 ranks.
+    let jobs = [fpfs_job(0..8, 2), fpfs_job(8..16, 2)];
+    let short = fpfs_job(8..13, 2);
+    assert_eq!(
+        run_prerouted(&jobs, &[&jobs[0], &short]),
+        Err(SimError::RouteTableMismatch {
+            job: 1,
+            covered: 5,
+            ranks: 8
         })
     );
 }

@@ -126,9 +126,16 @@ fn drops_alone_are_fully_recovered() {
     assert!(counters.recovery_wait_us > 0.0);
     assert_eq!(counters.packets_corrupted, 0);
     // Recovery costs time: the run is slower than its fault-free twin.
-    let clean =
-        run_multicast_shared(&n, tree, &identity(64), 6, &params(), RunConfig::default()).unwrap();
-    assert!(out.latency_us > clean.latency_us);
+    let job = MulticastJob::fpfs(tree, identity(64), 6);
+    let clean = SimRun::new(
+        &n,
+        std::slice::from_ref(&job),
+        &params(),
+        WorkloadConfig::default(),
+    )
+    .run()
+    .unwrap();
+    assert!(out.latency_us > clean.jobs[0].latency_us);
 }
 
 /// Corruption traverses the wire, is NACKed at the receiver, and is

@@ -16,7 +16,7 @@
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
 use optimcast_netsim::alloc::CountingAlloc;
-use optimcast_netsim::{run_multicast_prerouted, JobRoutes, MulticastOutcome, RunConfig};
+use optimcast_netsim::{JobRoutes, MulticastJob, SimRun, WorkloadConfig, WorkloadOutcome};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use std::sync::Arc;
@@ -31,17 +31,17 @@ fn steady_state_event_loop_is_allocation_free() {
     let binding: Vec<HostId> = (0..64).map(HostId).collect();
     let routes = Arc::new(JobRoutes::build(&net, &tree, &binding));
     let params = SystemParams::paper_1997();
-    let run = |m: u32| -> (MulticastOutcome, u64) {
+    let run = |m: u32| -> (WorkloadOutcome, u64) {
         let before = CountingAlloc::allocations();
-        let out = run_multicast_prerouted(
+        let job = MulticastJob::fpfs(Arc::clone(&tree), binding.clone(), m);
+        let out = SimRun::new(
             &net,
-            Arc::clone(&tree),
-            &binding,
-            Arc::clone(&routes),
-            m,
+            std::slice::from_ref(&job),
             &params,
-            RunConfig::default(),
+            WorkloadConfig::default(),
         )
+        .routes(vec![Arc::clone(&routes)])
+        .run()
         .expect("valid fault-free run");
         (out, CountingAlloc::allocations() - before)
     };

@@ -11,7 +11,8 @@
 //!    bucket) and a step-cost lattice shaped like the traced 65k-host run
 //!    (~30k resident, ~45% zero-delay, ≤ 160 distinct pending times);
 //! 2. **`run_multicast`** — full simulated multicasts on a memoized
-//!    topology with an interned route table, reported as *events per
+//!    topology, each a one-job `SimRun` with an interned route table built
+//!    exactly as the sweep hot loop builds it, reported as *events per
 //!    second* (the simulator's native unit of work, independent of how
 //!    many events one figure point happens to need).
 //!
@@ -28,7 +29,7 @@ use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_netsim::alloc::CountingAlloc;
 use optimcast_netsim::engine::EventQueue;
-use optimcast_netsim::{run_multicast_prerouted, JobRoutes, RunConfig};
+use optimcast_netsim::{JobRoutes, MulticastJob, SimRun, WorkloadConfig};
 use optimcast_rng::{ChaCha8Rng, Rng};
 use std::sync::Arc;
 use std::time::Instant;
@@ -203,22 +204,22 @@ pub fn bench_sim(quick: bool) -> Result<SimBenchReport, SweepError> {
     let tree = sweep.tree(TreePolicy::OptimalKBinomial, chain.len() as u32, m);
     let routes = Arc::new(JobRoutes::build(&topo.net, &tree, &chain));
     let run_once = || {
-        run_multicast_prerouted(
+        let job = MulticastJob::fpfs(Arc::clone(&tree), chain.clone(), m);
+        SimRun::new(
             &topo.net,
-            Arc::clone(&tree),
-            &chain,
-            Arc::clone(&routes),
-            m,
+            std::slice::from_ref(&job),
             cfg.params(),
-            RunConfig::default(),
+            WorkloadConfig::default(),
         )
+        .routes(vec![Arc::clone(&routes)])
+        .run()
         .expect("benchmark cell is a valid multicast")
     };
 
     // Warm up (first-touch allocations, branch predictors), then time.
     let warm = run_once();
     let events_per_run = warm.events;
-    let peak_queue_len = warm.peak_queue_len;
+    let peak_queue_len = warm.counters.peak_queue_len;
     let allocs_before = CountingAlloc::allocations();
     let start = Instant::now();
     let mut total_events = 0u64;

@@ -18,7 +18,7 @@ use crate::error::SweepError;
 use crate::memo::{CacheStats, SweepCache, TopologyEntry};
 use crate::sampling::TreePolicy;
 use optimcast_core::tree::MulticastTree;
-use optimcast_netsim::{run_multicast_prerouted, RunConfig};
+use optimcast_netsim::{MulticastJob, RunConfig, SimRun};
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -284,18 +284,21 @@ impl Sweep {
                     &tree,
                     &chain,
                 );
-                let out = run_multicast_prerouted(
+                let job = MulticastJob {
+                    nic: spec.run.nic,
+                    ..MulticastJob::fpfs(tree, chain.to_vec(), spec.m)
+                };
+                let wl = SimRun::new(
                     &topo.net,
-                    tree,
-                    &chain,
-                    routes,
-                    spec.m,
+                    std::slice::from_ref(&job),
                     self.cfg.params(),
-                    spec.run,
+                    spec.run.into(),
                 )
+                .routes(vec![routes])
+                .run()
                 .expect("sampled chains form valid bindings");
-                self.record_effort(out.events, out.peak_queue_len);
-                out.latency_us
+                self.record_effort(wl.events, wl.counters.peak_queue_len);
+                wl.jobs[0].latency_us
             })
             .collect()
     }

@@ -10,8 +10,8 @@
 //!   per `(point, topology)` cell.
 //! * **Trees** — the [`MulticastTree`] arena keyed by `(shape, n, k)`.
 //!   One construction per distinct tree instead of one per destination set;
-//!   the `Arc` is threaded through the simulator without cloning the arena
-//!   (see `optimcast_netsim::run_multicast_shared`).
+//!   the `Arc` becomes the job's `MulticastJob::tree`, so the simulator
+//!   runs it without cloning the arena.
 
 use crate::config::SweepConfig;
 use crate::sampling::{sample_chain, TreePolicy};
@@ -43,7 +43,7 @@ enum TreeShape {
     KBinomial(u32),
 }
 
-/// Hit/miss counters of a [`SweepCache`].
+/// Hit/miss counters of a `SweepCache`.
 ///
 /// `hits`/`misses` aggregate the topology, tree, and chain caches;
 /// `route_hits`/`route_misses` count the interned CSR route tables

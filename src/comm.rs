@@ -17,7 +17,7 @@
 //! ```
 
 use crate::core::params::SystemParams;
-use crate::netsim::{run_multicast, MulticastOutcome, RunConfig, WorkloadConfig};
+use crate::netsim::{run_multicast, MulticastOutcome, RunConfig};
 use crate::topology::graph::HostId;
 use crate::topology::irregular::{IrregularConfig, IrregularNetwork};
 use crate::topology::ordering::{cco, Ordering};
@@ -146,12 +146,7 @@ impl<N: Network> Communicator<N> {
             m,
             OrderPolicy::DeepestFirst,
             &self.params,
-            WorkloadConfig {
-                contention: self.config.contention,
-                timing: self.config.timing,
-                trace: false,
-                ..WorkloadConfig::default()
-            },
+            self.config.into(),
         )
     }
 

@@ -81,10 +81,10 @@ pub mod jsonout;
 pub mod prelude {
     pub use optimcast_core::prelude::*;
     pub use optimcast_netsim::{
-        run_multicast, run_multicast_shared, ContentionAware, ContentionMode, FaultKind, FaultPlan,
-        FaultPlanSpec, FifoAdmission, HostCrash, JobScheduler, LinkFailure, MulticastJob,
-        MulticastOutcome, NiTiming, NicKind, RunConfig, ScheduledOutcome, ScheduledRun, SimError,
-        SimRun, WorkloadConfig,
+        run_multicast, ContentionAware, ContentionMode, FaultKind, FaultPlan, FaultPlanSpec,
+        FifoAdmission, HostCrash, JobScheduler, LinkFailure, MulticastJob, MulticastOutcome,
+        NiTiming, NicKind, RunConfig, ScheduledOutcome, ScheduledRun, SimError, SimRun,
+        WorkloadConfig,
     };
     pub use optimcast_sweep::{
         ChaosCell, ChaosFigureId, ChaosReport, Figure, FigureId, Series, StreamCell, StreamGrid,

@@ -348,7 +348,15 @@ fn engine_throughput_sanity() {
     let chain = ordering.arrange(HostId(0), &dests);
     let tree = kbinomial_tree(256, 2);
     let start = std::time::Instant::now();
-    let out = run_multicast(&net, &tree, &chain, 32, &params(), RunConfig::default()).unwrap();
+    let job = MulticastJob::fpfs(tree, chain, 32);
+    let out = SimRun::new(
+        &net,
+        std::slice::from_ref(&job),
+        &params(),
+        WorkloadConfig::default(),
+    )
+    .run()
+    .unwrap();
     let wall = start.elapsed();
     assert!(out.events > 0);
     assert!(
