@@ -6,7 +6,7 @@ mod common;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::core::optimal::{optimal_k, OptimalKTable};
-use optimcast::experiments::{fig12a, fig12b};
+use optimcast::sweep::{fig12a, fig12b};
 
 fn bench_optimal_k(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig12/optimal_k");

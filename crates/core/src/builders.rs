@@ -150,7 +150,7 @@ fn build_segment(tree: &mut MulticastTree, root_idx: u32, hi: u32, s: u32, k: u3
 
 /// Lists the per-root-child segment capacities `N(s-1,k) … N(s-k,k)` used by
 /// the Fig. 11 construction for an `n`-participant, `k`-binomial tree.
-/// Useful for visualising the construction (see the `figures` binary).
+/// Useful for visualising the construction (see `optimcast figures`).
 pub fn segment_capacities(n: u32, k: u32) -> Vec<u128> {
     let s = min_steps(u64::from(n), k.min(MAX_K));
     (1..=k.min(s).max(1))

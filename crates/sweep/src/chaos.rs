@@ -186,14 +186,8 @@ impl ChaosReport {
         if let Some(cap) = self.fault.ni_buffer_capacity {
             meta.push(("ni_buffer_capacity", Json::from(cap)));
         }
-        meta.push((
-            "drop_rates",
-            Json::Arr(self.drop_rates.iter().map(|&d| Json::from(d)).collect()),
-        ));
-        meta.push((
-            "crash_counts",
-            Json::Arr(self.crash_counts.iter().map(|&c| Json::from(c)).collect()),
-        ));
+        meta.push(("drop_rates", Json::from(self.drop_rates.as_slice())));
+        meta.push(("crash_counts", Json::from(self.crash_counts.as_slice())));
         meta.push(("all_reached", Json::from(self.all_reached())));
         Json::obj(vec![
             ("id", Json::from("chaos")),

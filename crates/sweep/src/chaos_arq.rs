@@ -165,10 +165,7 @@ impl ArqReport {
         if let Some(d) = self.fault.deadline_us {
             meta.push(("deadline_us", Json::from(d)));
         }
-        meta.push((
-            "drop_rates",
-            Json::Arr(self.drop_rates.iter().map(|&d| Json::from(d)).collect()),
-        ));
+        meta.push(("drop_rates", Json::from(self.drop_rates.as_slice())));
         meta.push(("all_reached", Json::from(self.all_reached())));
         Json::obj(vec![
             ("id", Json::from("chaos_arq")),

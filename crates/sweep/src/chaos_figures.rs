@@ -36,7 +36,7 @@ pub enum ChaosFigureId {
 }
 
 impl ChaosFigureId {
-    /// Every chaos-axis figure, in the order the `figures` binary prints
+    /// Every chaos-axis figure, in the order `optimcast figures` prints
     /// them.
     pub const ALL: [ChaosFigureId; 3] = [
         ChaosFigureId::Outage,

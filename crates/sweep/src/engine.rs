@@ -218,7 +218,7 @@ impl Sweep {
         })
     }
 
-    /// Sanity bound used by tests and the figures binary: the largest
+    /// Sanity bound used by tests and `optimcast figures`: the largest
     /// improvement factor of the optimal k-binomial tree over the binomial
     /// tree across an m sweep at `dests` destinations.
     ///

@@ -57,7 +57,7 @@ pub enum FigureId {
 }
 
 impl FigureId {
-    /// Every figure, in the order the `figures` binary prints them.
+    /// Every figure, in the order `optimcast figures` prints them.
     pub const ALL: [FigureId; 11] = [
         FigureId::Fig4,
         FigureId::Fig5,

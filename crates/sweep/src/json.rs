@@ -215,6 +215,13 @@ impl From<bool> for Json {
     }
 }
 
+/// An array of scalars, such as a sweep axis in a report's meta block.
+impl<T: Copy + Into<Json>> From<&[T]> for Json {
+    fn from(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(|&x| x.into()).collect())
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -600,6 +607,22 @@ mod tests {
         assert!(s.contains("\"empty\": []"));
         assert!(s.contains("[\n    1.0,\n    null\n  ]"));
         assert!(!s.ends_with('\n'));
+    }
+
+    #[test]
+    fn scalar_slices_convert_element_wise() {
+        assert_eq!(
+            Json::from(&[0.5, 1.0][..]),
+            Json::Arr(vec![Json::Num(0.5), Json::Num(1.0)])
+        );
+        assert_eq!(
+            Json::from(&[2u32, 8][..]),
+            Json::Arr(vec![Json::Int(2), Json::Int(8)])
+        );
+        assert_eq!(
+            Json::from(&["fifo"][..]),
+            Json::Arr(vec![Json::from("fifo")])
+        );
     }
 
     #[test]

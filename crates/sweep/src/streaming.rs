@@ -219,27 +219,12 @@ impl StreamReport {
             ("base_seed", Json::from(self.base_seed)),
             (
                 "churn_levels",
-                Json::Arr(
-                    self.grid
-                        .churn_levels
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
+                Json::from(self.grid.churn_levels.as_slice()),
             ),
-            (
-                "loads",
-                Json::Arr(self.grid.loads.iter().map(|&l| Json::from(l)).collect()),
-            ),
+            ("loads", Json::from(self.grid.loads.as_slice())),
             (
                 "buffer_depths",
-                Json::Arr(
-                    self.grid
-                        .buffer_depths
-                        .iter()
-                        .map(|&b| Json::from(b))
-                        .collect(),
-                ),
+                Json::from(self.grid.buffer_depths.as_slice()),
             ),
         ];
         Json::obj(vec![

@@ -165,27 +165,13 @@ impl TenantReport {
             ("dest_sets", Json::from(self.dest_sets)),
             ("base_seed", Json::from(self.base_seed)),
             ("max_channel_load", Json::from(self.max_channel_load)),
-            (
-                "job_counts",
-                Json::Arr(self.job_counts.iter().map(|&j| Json::from(j)).collect()),
-            ),
+            ("job_counts", Json::from(self.job_counts.as_slice())),
             (
                 "interarrivals_us",
-                Json::Arr(
-                    self.interarrivals_us
-                        .iter()
-                        .map(|&r| Json::from(r))
-                        .collect(),
-                ),
+                Json::from(self.interarrivals_us.as_slice()),
             ),
-            (
-                "groups",
-                Json::Arr(self.groups.iter().map(|&g| Json::from(g)).collect()),
-            ),
-            (
-                "policies",
-                Json::Arr(vec![Json::from("fifo"), Json::from("contention-aware")]),
-            ),
+            ("groups", Json::from(self.groups.as_slice())),
+            ("policies", Json::from(&["fifo", "contention-aware"][..])),
         ];
         Json::obj(vec![
             ("id", Json::from("multi_tenant")),

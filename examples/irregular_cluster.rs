@@ -6,8 +6,8 @@
 //! cargo run --release --example irregular_cluster [DESTS]
 //! ```
 
-use optimcast::experiments::{m_axis, PointSpec};
 use optimcast::prelude::*;
+use optimcast::sweep::{m_axis, PointSpec};
 
 fn main() {
     let dests: u32 = std::env::args()

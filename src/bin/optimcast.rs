@@ -1,48 +1,32 @@
-//! `optimcast` — command-line front end to the library.
+//! `optimcast` — command-line front end to the library. Run it without
+//! arguments (or with `--help`) for the synopsis of every command; the
+//! flags each command accepts are declared once, in `COMMANDS`.
 //!
-//! ```text
-//! optimcast topo     [--switches S] [--ports P] [--hosts H] [--seed N] [--dot]
-//! optimcast route    [--seed N] <FROM> <TO>
-//! optimcast tree     --n N [--k K | --m M] [--render] [--dot] [--diagram]
-//! optimcast optimal  --n N --m M            # Theorem-3 optimal k
-//! optimcast table    --max-n N --max-m M    # the §4.3.1 lookup table
-//! optimcast simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]
-//!                    [--ordering cco|poc|random] [--ideal] [--trace] [--json]
-//!                    [--drop-rate R] [--corrupt-rate R] [--crashes C]
-//!                    [--crash-at US] [--live-repair] [--fault-seed N]
-//!                    [--window W] [--send-units S] [--deadline US]
-//! optimcast bench-sweep [--threads N] [--smoke] [--out PATH]
-//! optimcast bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--plots DIR]]
-//! optimcast bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]
-//!                     [--threshold F] [--threads N]
-//! optimcast chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]
-//!                    [--live-repair] [--crash-at US] [--out PATH]
-//!                    [--arq] [--window W] [--send-units S] [--plots DIR]
-//! optimcast jobs     [--quick] [--seed N] [--threads N] [--m M] [--json]
-//!                    [--out PATH] [--plots DIR]
-//! optimcast stream   [--quick] [--seed N] [--threads N] [--dests D]
-//!                    [--frame-bytes B] [--mtu B] [--frames F]
-//!                    [--out PATH] [--plots DIR]
-//! optimcast wire     [--role demo|source|sink] --n N [--k K] [--m M]
-//!                    [--rank R] [--port-base P] [--payload B] [--mtu M]
-//!                    [--timeout-ms T]
-//! ```
+//! `figures` regenerates the paper's figures as text tables: FIG is one of
+//! fig4 fig5 fig8 buffers fig12a fig12b fig13a fig13b fig14a fig14b
+//! disciplines chaos_outage chaos_corrupt chaos_buffer, or `all` (the
+//! default). `--quick` samples 2 topologies × 3 destination sets instead of
+//! the paper's 10 × 30; `--json`/`--gnuplot` also write `<DIR>/<fig>.json`
+//! or `.dat` + `.gp` per figure. Output is bit-identical for any `--threads`.
+//!
+//! Bad input exits 2, a failed run exits 1; both print one `<cmd>:` line.
 
 use optimcast::core::schedule::ForwardingDiscipline;
-use optimcast::jsonout::{Json, ToJson};
 use optimcast::netsim::{
     JobPayload, MulticastJob, NiModel, SimRun, TraceKind, Transport, WorkloadConfig,
     WorkloadOutcome,
 };
 use optimcast::prelude::*;
 use optimcast::sweep::{
-    bench_mega, bench_regressions, bench_sim, bench_sweep, mega_digest_mismatches,
+    bench_mega, bench_regressions, bench_sim, bench_sweep, mega_digest_mismatches, Json, ToJson,
 };
 use optimcast::topology::ordering::{cco, poc};
 use optimcast::transport_udp::{
     loopback_demo, run_sink, run_source, UdpTransport, WirePlan, DEFAULT_MTU, HEADER_LEN,
 };
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::time::Instant;
 
 /// Every allocation in the CLI is counted so `bench-sim` can report
 /// allocations-per-event; two relaxed atomic adds per allocation are noise
@@ -51,68 +35,76 @@ use std::collections::HashMap;
 static ALLOC: optimcast::netsim::CountingAlloc = optimcast::netsim::CountingAlloc::new();
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = args
+        .split_first()
+        .filter(|(cmd, _)| !matches!(cmd.as_str(), "--help" | "-h" | "help"))
+    else {
         usage();
         return;
-    }
-    let cmd = args.remove(0);
-    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
-        usage();
-        return;
-    }
-    let Some(&(_, accepted, run)) = COMMANDS.iter().find(|(name, _, _)| *name == cmd) else {
-        eprintln!("unknown command '{cmd}'");
-        usage();
-        std::process::exit(2);
     };
-    let (flags, positional) = parse_flags(&cmd, accepted, args);
-    run(&flags, &positional);
+    let result = match COMMANDS.iter().find(|c| c.0 == cmd.as_str()) {
+        Some(&(name, accepted, switches, run)) => Flags::parse(name, accepted, switches, rest)
+            .and_then(|(flags, positional)| run(&flags, &positional))
+            .map_err(|e| (name, e)),
+        None => {
+            usage();
+            Err(("optimcast", bad(format!("unknown command '{cmd}'"))))
+        }
+    };
+    if let Err((name, e)) = result {
+        let (code, msg) = match e {
+            CliError::Usage(msg) => (2, msg),
+            CliError::Failed(msg) => (1, msg),
+        };
+        eprintln!("{name}: {msg}");
+        std::process::exit(code);
+    }
+}
+
+/// Why a command stopped: bad input (exit 2) or a run that failed (exit 1).
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+fn bad(e: impl Display) -> CliError {
+    CliError::Usage(e.to_string())
+}
+
+fn failed(e: impl Display) -> CliError {
+    CliError::Failed(e.to_string())
 }
 
 /// A subcommand: its name, every flag it accepts (space-separated; any
-/// other `--name` exits 2), and its handler over flags and positional args.
+/// other `--name` exits 2), those of them that take no value, and its
+/// handler over flags and positional args.
 type Command = (
     &'static str,
     &'static str,
-    fn(&HashMap<String, String>, &[String]),
+    &'static str,
+    fn(&Flags, &[String]) -> Result<(), CliError>,
 );
 
+#[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    ("topo", "switches ports hosts seed dot", cmd_topo),
-    ("route", "switches ports hosts seed", cmd_route),
-    ("tree", "n k m render dot diagram", cmd_tree),
-    ("optimal", "n m", cmd_optimal),
-    ("table", "max-n max-m", cmd_table),
-    (
-        "simulate",
-        "switches ports hosts seed dests m nic ordering ideal trace json drop-rate \
-         corrupt-rate crashes crash-at live-repair fault-seed window send-units deadline",
-        cmd_simulate,
-    ),
-    ("bench-sweep", "threads smoke out", cmd_bench_sweep),
-    ("bench-sim", "quick out mega hosts plots", cmd_bench_sim),
-    (
-        "bench-compare",
-        "sim sweep mega threshold threads",
-        cmd_bench_compare,
-    ),
-    (
-        "chaos",
-        "quick seed threads dests m live-repair crash-at out arq window send-units plots",
-        cmd_chaos,
-    ),
-    ("jobs", "quick seed threads m json out plots", cmd_jobs),
-    (
-        "stream",
-        "quick seed threads dests frame-bytes mtu frames out plots",
-        cmd_stream,
-    ),
-    (
-        "wire",
-        "role n k m rank port-base payload mtu timeout-ms",
-        cmd_wire,
-    ),
+    ("topo", "switches ports hosts seed dot", "dot", cmd_topo),
+    ("route", "switches ports hosts seed", "", cmd_route),
+    ("tree", "n k m render dot diagram", "render dot diagram", cmd_tree),
+    ("optimal", "n m", "", cmd_optimal),
+    ("table", "max-n max-m", "", cmd_table),
+    ("figures", "quick threads json gnuplot", "quick", cmd_figures),
+    ("simulate", "switches ports hosts seed dests m nic ordering ideal trace json drop-rate \
+                  corrupt-rate crashes crash-at live-repair fault-seed window send-units deadline",
+        "ideal trace json live-repair", cmd_simulate),
+    ("bench-sweep", "threads smoke out", "smoke", cmd_bench_sweep),
+    ("bench-sim", "quick out mega hosts plots", "quick mega", cmd_bench_sim),
+    ("bench-compare", "sim sweep mega threshold threads", "", cmd_bench_compare),
+    ("chaos", "quick seed threads dests m live-repair crash-at out arq window send-units plots",
+        "quick live-repair arq", cmd_chaos),
+    ("jobs", "quick seed threads m json out plots", "quick json", cmd_jobs),
+    ("stream", "quick seed threads dests frame-bytes mtu frames out plots", "quick", cmd_stream),
+    ("wire", "role n k m rank port-base payload mtu timeout-ms", "", cmd_wire),
 ];
 
 fn usage() {
@@ -124,6 +116,9 @@ fn usage() {
          \u{20}  tree     --n N [--k K | --m M] [--render]\n\
          \u{20}  optimal  --n N --m M\n\
          \u{20}  table    [--max-n N] [--max-m M]\n\
+         \u{20}  figures  [--quick] [--threads N] [--json DIR] [--gnuplot DIR] [FIG ...]\n\
+         \u{20}           FIG: fig4 fig5 fig8 buffers fig12a fig12b fig13a fig13b fig14a\n\
+         \u{20}           fig14b disciplines chaos_outage chaos_corrupt chaos_buffer all\n\
          \u{20}  simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]\n\
          \u{20}           [--ordering cco|poc|random] [--ideal] [--trace] [--json]\n\
          \u{20}           [--drop-rate R] [--corrupt-rate R] [--crashes C]\n\
@@ -145,62 +140,95 @@ fn usage() {
     );
 }
 
-/// Splits `args` into `--name [value]` flags and positional arguments,
-/// exiting 2 on a flag `cmd` does not accept.
-fn parse_flags(
-    cmd: &str,
-    accepted: &str,
-    args: Vec<String>,
-) -> (HashMap<String, String>, Vec<String>) {
-    let mut flags = HashMap::new();
-    let mut positional = Vec::new();
-    let mut it = args.into_iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if !accepted.split_whitespace().any(|f| f == name) {
-                eprintln!("unknown flag --{name} for {cmd}");
-                std::process::exit(2);
-            }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap(),
-                _ => "true".to_string(),
+/// A command's `--name [value]` flags; a flag given without a value reads
+/// as `"true"`.
+struct Flags {
+    cmd: &'static str,
+    values: HashMap<String, String>,
+}
+
+impl Flags {
+    /// Splits `args` into flags and positional arguments. A flag takes the
+    /// next argument as its value unless it is one of `switches` or that
+    /// argument is itself a flag.
+    fn parse(
+        cmd: &'static str,
+        accepted: &str,
+        switches: &str,
+        args: &[String],
+    ) -> Result<(Flags, Vec<String>), CliError> {
+        let mut values = HashMap::new();
+        let mut positional = Vec::new();
+        let mut it = args.iter().peekable();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                positional.push(a.clone());
+                continue;
             };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(a);
+            if !accepted.split_whitespace().any(|f| f == name) {
+                return Err(bad(format!("unknown flag --{name} for {cmd}")));
+            }
+            let value = if switches.split_whitespace().any(|f| f == name) {
+                None
+            } else {
+                it.next_if(|v| !v.starts_with("--"))
+            };
+            values.insert(name.to_string(), value.map_or("true", |v| v).to_string());
         }
+        Ok((Flags { cmd, values }, positional))
     }
-    (flags, positional)
+
+    fn has(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    fn str(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// The parsed value of `--name`, if given.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: Display,
+    {
+        self.str(name)
+            .map(|v| v.parse().map_err(|e| bad(format!("--{name}: {e}"))))
+            .transpose()
+    }
+
+    /// The parsed value of `--name`, or `default`.
+    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError>
+    where
+        T::Err: Display,
+    {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    match flags.get(name) {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("--{name}: {e}");
-            std::process::exit(2);
-        }),
-        None => default,
+/// Rejects a value below `min` as bad input.
+fn at_least<T: PartialOrd + Display>(name: &str, value: T, min: T) -> Result<T, CliError> {
+    if value < min {
+        return Err(bad(format!("--{name} must be at least {min}")));
     }
+    Ok(value)
 }
 
-fn build_net(flags: &HashMap<String, String>) -> IrregularNetwork {
+fn build_net(flags: &Flags) -> Result<IrregularNetwork, CliError> {
     let cfg = IrregularConfig {
-        switches: get(flags, "switches", 16),
-        ports: get(flags, "ports", 8),
-        hosts: get(flags, "hosts", 64),
+        switches: flags.get("switches", 16)?,
+        ports: flags.get("ports", 8)?,
+        hosts: flags.get("hosts", 64)?,
     };
-    IrregularNetwork::generate(cfg, get(flags, "seed", 0u64))
+    cfg.validate().map_err(bad)?;
+    Ok(IrregularNetwork::generate(cfg, flags.get("seed", 0u64)?))
 }
 
-fn cmd_topo(flags: &HashMap<String, String>, _positional: &[String]) {
-    let net = build_net(flags);
+fn cmd_topo(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let net = build_net(flags)?;
     let t = net.topology();
-    if flags.contains_key("dot") {
+    if flags.has("dot") {
         print!("{}", t.to_dot());
-        return;
+        return Ok(());
     }
     println!("{}", net.describe());
     println!(
@@ -223,16 +251,22 @@ fn cmd_topo(flags: &HashMap<String, String>, _positional: &[String]) {
             nbrs.join(", ")
         );
     }
+    Ok(())
 }
 
-fn cmd_route(flags: &HashMap<String, String>, positional: &[String]) {
-    if positional.len() != 2 {
-        eprintln!("route needs <FROM> <TO>");
-        std::process::exit(2);
-    }
-    let net = build_net(flags);
-    let from = HostId(positional[0].parse().expect("FROM must be a host id"));
-    let to = HostId(positional[1].parse().expect("TO must be a host id"));
+fn cmd_route(flags: &Flags, positional: &[String]) -> Result<(), CliError> {
+    let [from, to] = positional else {
+        return Err(bad("route needs <FROM> <TO>"));
+    };
+    let net = build_net(flags)?;
+    let host = |v: &str| match v.parse::<u32>() {
+        Ok(h) if h < net.num_hosts() => Ok(HostId(h)),
+        _ => Err(bad(format!(
+            "host '{v}' is not one of 0..{}",
+            net.num_hosts()
+        ))),
+    };
+    let (from, to) = (host(from)?, host(to)?);
     let route = net.route(from, to);
     println!("{from} -> {to}: {} channels", route.len());
     let t = net.topology();
@@ -240,14 +274,15 @@ fn cmd_route(flags: &HashMap<String, String>, positional: &[String]) {
         let (a, b) = t.channel_endpoints(c);
         println!("  {a} -> {b}");
     }
+    Ok(())
 }
 
-fn cmd_tree(flags: &HashMap<String, String>, _positional: &[String]) {
-    let n: u32 = get(flags, "n", 16);
-    let k = match flags.get("k") {
-        Some(v) => v.parse().expect("--k must be a number"),
+fn cmd_tree(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let n: u32 = at_least("n", flags.get("n", 16)?, 1)?;
+    let m: u32 = at_least("m", flags.get("m", 1)?, 1)?;
+    let k = match flags.opt("k")? {
+        Some(k) => at_least("k", k, 1)?,
         None => {
-            let m: u32 = get(flags, "m", 1);
             let opt = optimal_k(u64::from(n), m);
             println!(
                 "optimal k for n={n}, m={m}: {} ({} steps)",
@@ -257,7 +292,6 @@ fn cmd_tree(flags: &HashMap<String, String>, _positional: &[String]) {
         }
     };
     let tree = kbinomial_tree(n, k);
-    let m: u32 = get(flags, "m", 1);
     let sched = fpfs_schedule(&tree, m);
     println!(
         "{k}-binomial tree over {n}: depth {}, root degree {}, {m}-packet FPFS completes in {} steps",
@@ -265,20 +299,21 @@ fn cmd_tree(flags: &HashMap<String, String>, _positional: &[String]) {
         tree.root_degree(),
         sched.total_steps()
     );
-    if flags.contains_key("render") {
+    if flags.has("render") {
         print!("{}", tree.render());
     }
-    if flags.contains_key("dot") {
+    if flags.has("dot") {
         print!("{}", tree.to_dot());
     }
-    if flags.contains_key("diagram") {
+    if flags.has("diagram") {
         print!("{}", sched.step_diagram(&tree));
     }
+    Ok(())
 }
 
-fn cmd_optimal(flags: &HashMap<String, String>, _positional: &[String]) {
-    let n: u64 = get(flags, "n", 64);
-    let m: u32 = get(flags, "m", 8);
+fn cmd_optimal(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let n: u64 = at_least("n", flags.get("n", 64)?, 1)?;
+    let m: u32 = at_least("m", flags.get("m", 8)?, 1)?;
     let opt = optimal_k(n, m);
     println!("n={n} m={m}: optimal k = {}, {} steps", opt.k, opt.steps);
     let p = SystemParams::paper_1997();
@@ -286,11 +321,12 @@ fn cmd_optimal(flags: &HashMap<String, String>, _positional: &[String]) {
         "contention-free latency: {:.2} us (t_s + steps*t_step + t_r)",
         p.t_s + opt.steps as f64 * p.t_step() + p.t_r
     );
+    Ok(())
 }
 
-fn cmd_table(flags: &HashMap<String, String>, _positional: &[String]) {
-    let max_n: u64 = get(flags, "max-n", 64);
-    let max_m: u32 = get(flags, "max-m", 16);
+fn cmd_table(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let max_n: u64 = at_least("max-n", flags.get("max-n", 64)?, 2)?;
+    let max_m: u32 = at_least("max-m", flags.get("max-m", 16)?, 1)?;
     let table = OptimalKTable::build(max_n, max_m);
     println!(
         "optimal-k table, n in 2..={max_n} (rows), m in 1..={max_m} (cols), {} bytes:",
@@ -304,48 +340,230 @@ fn cmd_table(flags: &HashMap<String, String>, _positional: &[String]) {
     for n in 2..=max_n {
         print!("{n:>5}");
         for m in 1..=max_m {
-            print!("{:>3}", table.lookup(n, m).unwrap());
+            // Every (n, m) of the printed range is inside the table.
+            print!("{:>3}", table.lookup(n, m).unwrap_or_default());
         }
         println!();
     }
+    Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
-    let net = build_net(flags);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 8);
+/// The `figures` subcommand: every paper figure (and the chaos-axis
+/// figures) as an aligned text table, plus optional JSON and gnuplot
+/// sidecars. Unknown FIG names are rejected before any figure runs.
+fn cmd_figures(flags: &Flags, names: &[String]) -> Result<(), CliError> {
+    let (mut figs, mut chaos_figs) = (Vec::new(), Vec::new());
+    for name in names {
+        if name == "all" {
+            figs.extend(FigureId::ALL);
+            chaos_figs.extend(ChaosFigureId::ALL);
+        } else if let Ok(id) = name.parse::<FigureId>() {
+            figs.push(id);
+        } else {
+            chaos_figs.push(name.parse::<ChaosFigureId>().map_err(bad)?);
+        }
+    }
+    if names.is_empty() {
+        figs = FigureId::ALL.to_vec();
+        chaos_figs = ChaosFigureId::ALL.to_vec();
+    }
+    let builder = if flags.has("quick") {
+        SweepBuilder::quick()
+    } else {
+        SweepBuilder::paper()
+    };
+    let sweep = builder
+        .parallelism(flags.get("threads", 1)?)
+        .build()
+        .map_err(|e| bad(format!("invalid sweep configuration: {e}")))?;
+    let cfg = sweep.config();
+    println!(
+        "# optimcast figure regeneration ({} topologies x {} destination sets, {} worker(s))",
+        cfg.topologies(),
+        cfg.dest_sets(),
+        cfg.threads()
+    );
+    println!("# network: 64 hosts, 16 switches x 8 ports; CCO ordering; FPFS smart NI\n");
+
+    let emit = |figure: Result<Figure, SweepError>, start: Instant| -> Result<(), CliError> {
+        let figure = figure.map_err(failed)?;
+        print_figure(&figure, start.elapsed().as_secs_f64());
+        if let Some(dir) = flags.str("json") {
+            create_dir(dir)?;
+            let path = format!("{dir}/{}.json", figure.id);
+            write_file(&path, &figure.to_json().to_string_pretty())?;
+            println!("   wrote {path}\n");
+        }
+        if let Some(dir) = flags.str("gnuplot") {
+            let (dat, gp) = write_figure_plots(dir, &figure)?;
+            println!("   wrote {dat} + {gp}\n");
+        }
+        Ok(())
+    };
+    for fig in figs {
+        let start = Instant::now();
+        emit(sweep.figure(fig), start)?;
+    }
+    // The chaos-axis figures (outage window, corruption rate, NI buffer
+    // capacity) chart the fault extension on top of the paper's sampling
+    // methodology: 31 destinations, 4-packet messages, matching the
+    // `optimcast chaos` grid defaults.
+    for fig in chaos_figs {
+        let start = Instant::now();
+        emit(sweep.chaos_figure(fig, 31, 4), start)?;
+    }
+    Ok(())
+}
+
+/// Prints a figure as an aligned table: one row per x value, one column per
+/// series (the paper's gnuplot-style series).
+fn print_figure(fig: &Figure, elapsed: f64) {
+    println!("## {} — {}   [{elapsed:.2}s]", fig.id, fig.title);
+    print!("{:>24}", fig.x_label);
+    for s in &fig.series {
+        print!("{:>16}", s.label);
+    }
+    println!();
+    for x in x_axis(fig) {
+        // Fractional axes (e.g. corruption rate) keep two decimals;
+        // integral axes (packets, dests) stay as before.
+        if x.fract() == 0.0 {
+            print!("{x:>24.0}");
+        } else {
+            print!("{x:>24.2}");
+        }
+        for s in &fig.series {
+            match s.points.iter().find(|&&(px, _)| px == x) {
+                Some(&(_, y)) => print!("{y:>16.2}"),
+                None => print!("{:>16}", "-"),
+            }
+        }
+        println!();
+    }
+    println!("   ({})\n", fig.y_label);
+}
+
+/// The union of every series' x values, in first-seen order.
+fn x_axis(fig: &Figure) -> Vec<f64> {
+    let mut xs: Vec<f64> = Vec::new();
+    for s in &fig.series {
+        for &(x, _) in &s.points {
+            if !xs.contains(&x) {
+                xs.push(x);
+            }
+        }
+    }
+    xs
+}
+
+/// Writes `<dir>/<figure id>.dat` + `.gp`, the format of every committed
+/// plot: a `# x "label"…` header, one column per series with `?` for
+/// missing points, and a pngcairo script. Returns both paths.
+fn write_figure_plots(dir: &str, fig: &Figure) -> Result<(String, String), CliError> {
+    create_dir(dir)?;
+    let mut xs = x_axis(fig);
+    xs.sort_by(f64::total_cmp);
+    let mut dat = String::from("# x");
+    for s in &fig.series {
+        dat.push_str(&format!("  \"{}\"", s.label));
+    }
+    dat.push('\n');
+    for &x in &xs {
+        dat.push_str(&format!("{x}"));
+        for s in &fig.series {
+            match s.points.iter().find(|&&(px, _)| px == x) {
+                Some(&(_, y)) => dat.push_str(&format!(" {y}")),
+                None => dat.push_str(" ?"),
+            }
+        }
+        dat.push('\n');
+    }
+    let dat_path = format!("{dir}/{}.dat", fig.id);
+    write_file(&dat_path, &dat)?;
+    let plots: Vec<String> = fig
+        .series
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            format!(
+                "\"{}.dat\" using 1:{} with linespoints title \"{}\"",
+                fig.id,
+                i + 2,
+                s.label
+            )
+        })
+        .collect();
+    let gp = format!(
+        "set title \"{}\"\nset xlabel \"{}\"\nset ylabel \"{}\"\nset key left top\nset grid\n\
+         set terminal pngcairo size 800,600\nset output \"{}.png\"\nset datafile missing \"?\"\n\
+         plot {}\n",
+        fig.title,
+        fig.x_label,
+        fig.y_label,
+        fig.id,
+        plots.join(", \\\n     ")
+    );
+    let gp_path = format!("{dir}/{}.gp", fig.id);
+    write_file(&gp_path, &gp)?;
+    Ok((dat_path, gp_path))
+}
+
+/// Writes a figure's plot files to `--plots` (default `plots`).
+fn write_plots(flags: &Flags, fig: &Figure) -> Result<(), CliError> {
+    let (dat, gp) = write_figure_plots(flags.str("plots").unwrap_or("plots"), fig)?;
+    println!("plots written to {dat} and {gp}");
+    Ok(())
+}
+
+/// Writes a JSON report to `--out` (default `default_out`).
+fn write_out(flags: &Flags, default_out: &str, report: &Json) -> Result<(), CliError> {
+    let path = flags.str("out").unwrap_or(default_out);
+    write_file(path, &report.to_string_pretty())?;
+    println!("report written to {path}");
+    Ok(())
+}
+
+fn write_file(path: &str, body: &str) -> Result<(), CliError> {
+    std::fs::write(path, body).map_err(|e| failed(format!("cannot write {path}: {e}")))
+}
+
+fn create_dir(dir: &str) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir).map_err(|e| failed(format!("cannot create {dir}: {e}")))
+}
+
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let net = build_net(flags)?;
+    let dests: u32 = flags.get("dests", 31)?;
+    let m: u32 = flags.get("m", 8)?;
     let n_hosts = net.num_hosts();
     if dests >= n_hosts {
-        eprintln!(
-            "simulate: --dests {dests} requires at least {} hosts, but the network has {n_hosts} \
+        return Err(failed(format!(
+            "--dests {dests} requires at least {} hosts, but the network has {n_hosts} \
              (raise --hosts/--switches)",
             dests + 1
-        );
-        std::process::exit(1);
+        )));
     }
     if m == 0 {
-        eprintln!("simulate: --m must be at least 1 packet");
-        std::process::exit(1);
+        return Err(failed("--m must be at least 1 packet"));
     }
-    let ordering = match flags.get("ordering").map(String::as_str) {
+    let seed: u64 = flags.get("seed", 0)?;
+    let ordering = match flags.str("ordering") {
         None | Some("cco") => cco(&net),
         Some("poc") => poc(&net),
-        Some("random") => Ordering::random(net.num_hosts(), get(flags, "seed", 0u64) + 1),
-        Some(o) => {
-            eprintln!("unknown ordering '{o}'");
-            std::process::exit(2);
-        }
+        Some("random") => Ordering::random(net.num_hosts(), seed.wrapping_add(1)),
+        Some(o) => return Err(bad(format!("unknown ordering '{o}'"))),
     };
-    let nic = match flags.get("nic").map(String::as_str) {
+    let nic = match flags.str("nic") {
         None | Some("fpfs") => NicKind::Smart(ForwardingDiscipline::Fpfs),
         Some("fcfs") => NicKind::Smart(ForwardingDiscipline::Fcfs),
         Some("conv") => NicKind::Conventional,
-        Some(o) => {
-            eprintln!("unknown nic '{o}'");
-            std::process::exit(2);
-        }
+        Some(o) => return Err(bad(format!("unknown nic '{o}'"))),
     };
-    let contention = if flags.contains_key("ideal") {
+    let contention = if flags.has("ideal") {
         ContentionMode::Ideal
     } else {
         ContentionMode::Wormhole
@@ -356,32 +574,27 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
     let n = chain.len() as u32;
     let opt = optimal_k(u64::from(n), m);
     let tree = kbinomial_tree(n, opt.k);
-    let live_repair = flags.contains_key("live-repair");
-    let crash_count: u32 = get(flags, "crashes", 0);
-    let window: u32 = get(flags, "window", 1);
-    let send_units: u32 = get(flags, "send-units", 1);
-    let deadline_us: Option<f64> = flags
-        .contains_key("deadline")
-        .then(|| get(flags, "deadline", 0.0));
+    let live_repair = flags.has("live-repair");
+    let crash_count: u32 = flags.get("crashes", 0)?;
+    let send_units: u32 = flags.get("send-units", 1)?;
     let spec = FaultPlanSpec {
-        seed: get(flags, "fault-seed", 1997u64),
-        drop_rate: get(flags, "drop-rate", 0.0),
-        corrupt_rate: get(flags, "corrupt-rate", 0.0),
+        seed: flags.get("fault-seed", 1997)?,
+        drop_rate: flags.get("drop-rate", 0.0)?,
+        corrupt_rate: flags.get("corrupt-rate", 0.0)?,
         crashes: crash_count,
-        crash_at_us: get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 }),
+        crash_at_us: flags.get("crash-at", if live_repair { 5.0 } else { 0.0 })?,
         live_repair,
-        window,
-        deadline_us,
+        window: flags.get("window", 1)?,
+        deadline_us: flags.opt("deadline")?,
         send_units,
         ..FaultPlanSpec::default()
     };
     if crash_count as usize >= chain.len() {
-        eprintln!(
-            "simulate: --crashes {crash_count} must leave at least the source and one \
+        return Err(failed(format!(
+            "--crashes {crash_count} must leave at least the source and one \
              destination out of {} participants",
             chain.len()
-        );
-        std::process::exit(1);
+        )));
     }
     let jobs = [MulticastJob {
         tree: tree.into(),
@@ -394,7 +607,7 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
     let config = WorkloadConfig {
         contention,
         timing: NiTiming::Handshake,
-        trace: flags.contains_key("trace"),
+        trace: flags.has("trace"),
         ni: NiModel {
             send_units,
             queue_capacity: None,
@@ -418,18 +631,15 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
     } else {
         SimRun::new(&net, &jobs, &params, config).run()
     }
-    .unwrap_or_else(|e| {
-        eprintln!("simulate: {e}");
-        std::process::exit(1);
-    });
+    .map_err(failed)?;
     let out = &wl.jobs[0];
     let c = &wl.counters;
-    if flags.contains_key("json") {
+    if flags.has("json") {
         print!(
             "{}",
             simulate_json(&wl, opt.k, opt.steps).to_string_pretty()
         );
-        return;
+        return Ok(());
     }
     println!("{}", net.describe());
     println!(
@@ -503,38 +713,32 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
             histo.join(" ")
         );
     }
-    if flags.contains_key("trace") {
+    if flags.has("trace") {
         println!("timeline ({} records):", wl.trace.len());
         for r in &wl.trace {
-            match r.kind {
+            let event = match r.kind {
                 TraceKind::SendStart {
                     from,
                     to,
                     packet,
                     stalled_us,
+                } if stalled_us > 0.0 => {
+                    format!("send  {from} -> {to}  pkt {packet}  (stalled {stalled_us:.1} us)")
+                }
+                TraceKind::SendStart {
+                    from, to, packet, ..
                 } => {
-                    print!("  {:9.2} us  send  {from} -> {to}  pkt {packet}", r.t_us);
-                    if stalled_us > 0.0 {
-                        print!("  (stalled {stalled_us:.1} us)");
-                    }
-                    println!();
+                    format!("send  {from} -> {to}  pkt {packet}")
                 }
-                TraceKind::RecvDone { at, packet } => {
-                    println!("  {:9.2} us  recv  {at}  pkt {packet}", r.t_us);
-                }
-                TraceKind::HostDone { rank } => {
-                    println!("  {:9.2} us  done  {rank}", r.t_us);
-                }
+                TraceKind::RecvDone { at, packet } => format!("recv  {at}  pkt {packet}"),
+                TraceKind::HostDone { rank } => format!("done  {rank}"),
                 TraceKind::Dropped {
                     from,
                     to,
                     packet,
                     kind,
                 } => {
-                    println!(
-                        "  {:9.2} us  drop  {from} -> {to}  pkt {packet}  ({kind:?})",
-                        r.t_us
-                    );
+                    format!("drop  {from} -> {to}  pkt {packet}  ({kind:?})")
                 }
                 TraceKind::Retransmit {
                     from,
@@ -542,10 +746,7 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
                     packet,
                     attempt,
                 } => {
-                    println!(
-                        "  {:9.2} us  retry {from} -> {to}  pkt {packet}  attempt {attempt}",
-                        r.t_us
-                    );
+                    format!("retry {from} -> {to}  pkt {packet}  attempt {attempt}")
                 }
                 TraceKind::Abandoned {
                     from,
@@ -553,56 +754,32 @@ fn cmd_simulate(flags: &HashMap<String, String>, _positional: &[String]) {
                     packet,
                     attempts,
                 } => {
-                    println!(
-                        "  {:9.2} us  abandon {from} -> {to}  pkt {packet}  after {attempts} attempts",
-                        r.t_us
-                    );
+                    format!("abandon {from} -> {to}  pkt {packet}  after {attempts} attempts")
                 }
                 TraceKind::RepairTriggered {
                     epoch,
                     failed,
                     reattached,
                 } => {
-                    println!(
-                        "  {:9.2} us  repair epoch {epoch}  ({failed} failed, {reattached} reattached)",
-                        r.t_us
-                    );
+                    format!("repair epoch {epoch}  ({failed} failed, {reattached} reattached)")
                 }
-                TraceKind::Reissued { to, packet } => {
-                    println!("  {:9.2} us  reissue -> {to}  pkt {packet}", r.t_us);
-                }
-            }
+                TraceKind::Reissued { to, packet } => format!("reissue -> {to}  pkt {packet}"),
+            };
+            println!("  {:9.2} us  {event}", r.t_us);
         }
     }
+    Ok(())
 }
 
-fn cmd_bench_sweep(flags: &HashMap<String, String>, _positional: &[String]) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let smoke = flags.contains_key("smoke");
-    let base = if smoke {
-        SweepBuilder::quick()
+fn cmd_bench_sweep(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let threads: usize = flags.get("threads", all_cores())?;
+    let (base, label) = if flags.has("smoke") {
+        (SweepBuilder::quick(), "smoke (2×3)")
     } else {
-        SweepBuilder::paper()
-    };
-    let label = if smoke {
-        "smoke (2×3)"
-    } else {
-        "paper (10×30)"
+        (SweepBuilder::paper(), "paper (10×30)")
     };
     eprintln!("bench-sweep: {label} methodology, serial vs {threads} worker(s)...");
-    let report = bench_sweep(&base, threads).unwrap_or_else(|e| {
-        eprintln!("bench-sweep: {e}");
-        std::process::exit(1);
-    });
-    let default_out = "BENCH_sweep.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sweep: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let report = bench_sweep(&base, threads).map_err(failed)?;
     println!(
         "cells: {} | serial {:.3} s ({:.1} cells/s) | {} workers {:.3} s ({:.1} cells/s) | speedup {:.2}x",
         report.cells,
@@ -628,10 +805,13 @@ fn cmd_bench_sweep(flags: &HashMap<String, String>, _positional: &[String]) {
         report.effort.events_processed,
         report.effort.peak_queue_len
     );
-    println!("report written to {out_path}");
-    if !report.identical {
-        eprintln!("bench-sweep: DETERMINISM VIOLATION — parallel figures diverged from serial");
-        std::process::exit(1);
+    write_out(flags, "BENCH_sweep.json", &report.to_json())?;
+    if report.identical {
+        Ok(())
+    } else {
+        Err(failed(
+            "DETERMINISM VIOLATION — parallel figures diverged from serial",
+        ))
     }
 }
 
@@ -639,18 +819,14 @@ fn cmd_bench_sweep(flags: &HashMap<String, String>, _positional: &[String]) {
 /// churn, `run_multicast` events/sec, allocations-per-event via the
 /// counting global allocator registered above), written as
 /// `BENCH_sim.json`.
-fn cmd_bench_sim(flags: &HashMap<String, String>, _positional: &[String]) {
-    if flags.contains_key("mega") {
-        cmd_bench_mega(flags);
-        return;
+fn cmd_bench_sim(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    if flags.has("mega") {
+        return cmd_bench_mega(flags);
     }
-    let quick = flags.contains_key("quick");
+    let quick = flags.has("quick");
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim: {label} sizing...");
-    let report = bench_sim(quick).unwrap_or_else(|e| {
-        eprintln!("bench-sim: {e}");
-        std::process::exit(1);
-    });
+    let report = bench_sim(quick).map_err(failed)?;
     println!(
         "event queue: {:.2} M schedule+pop pairs/s random delays, {:.2} M on the \
          step-cost lattice ({} ops each)",
@@ -676,13 +852,7 @@ fn cmd_bench_sim(flags: &HashMap<String, String>, _positional: &[String]) {
     } else {
         println!("allocations: not measured (no counting allocator registered)");
     }
-    let default_out = "BENCH_sim.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sim: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
+    write_out(flags, "BENCH_sim.json", &report.to_json())
 }
 
 /// The `bench-sim --mega` variant: one end-to-end optimal-k multicast
@@ -690,17 +860,12 @@ fn cmd_bench_sim(flags: &HashMap<String, String>, _positional: &[String]) {
 /// bytes, events/s, and a timing-free outcome digest per point. Writes
 /// `BENCH_mega.json` plus, on the full sizing, the committed
 /// `results/fig_megascale.json` figure and its plot files.
-fn cmd_bench_mega(flags: &HashMap<String, String>) {
-    let quick = flags.contains_key("quick");
-    let hosts: Option<u32> = flags
-        .contains_key("hosts")
-        .then(|| get(flags, "hosts", 0u32));
+fn cmd_bench_mega(flags: &Flags) -> Result<(), CliError> {
+    let quick = flags.has("quick");
+    let hosts: Option<u32> = flags.opt("hosts")?;
     let label = if quick { "quick" } else { "full" };
     eprintln!("bench-sim --mega: {label} sizing...");
-    let report = bench_mega(quick, hosts).unwrap_or_else(|e| {
-        eprintln!("bench-sim: {e}");
-        std::process::exit(1);
-    });
+    let report = bench_mega(quick, hosts).map_err(failed)?;
     for p in &report.points {
         println!(
             "n={:>6} (k={} fat-tree, {} switches, tree k={}): setup {:.3} s{} | \
@@ -726,32 +891,23 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
             p.digest
         );
     }
-    let default_out = "BENCH_mega.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("bench-sim: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
+    write_out(flags, "BENCH_mega.json", &report.to_json())?;
     // The committed figure charts the full size axis; quick smoke runs and
     // single-size overrides must not overwrite it.
     if !quick && hosts.is_none() {
         let fig = report.figure();
         let fig_path = "results/fig_megascale.json";
-        if let Err(e) = std::fs::write(fig_path, fig.to_json().to_string_pretty()) {
-            eprintln!("bench-sim: cannot write {fig_path}: {e}");
-            std::process::exit(1);
-        }
+        write_file(fig_path, &fig.to_json().to_string_pretty())?;
         println!("figure written to {fig_path}");
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("bench-sim", plot_dir, &fig);
+        write_plots(flags, &fig)?;
     }
-    if !report.all_ok() {
-        eprintln!(
-            "bench-sim --mega: FAILED — setup memory over the {} MiB budget",
+    if report.all_ok() {
+        Ok(())
+    } else {
+        Err(failed(format!(
+            "FAILED — setup memory over the {} MiB budget",
             report.budget_bytes / (1024 * 1024)
-        );
-        std::process::exit(1);
+        )))
     }
 }
 
@@ -761,92 +917,66 @@ fn cmd_bench_mega(flags: &HashMap<String, String>) {
 /// compared, so the quick fresh run is a fair check against committed
 /// full-sizing artifacts. With `--mega`, a fresh point whose outcome digest
 /// differs from the committed point of the same host count also fails.
-fn cmd_bench_compare(flags: &HashMap<String, String>, _positional: &[String]) {
-    let threshold: f64 = get(flags, "threshold", 0.30);
+fn cmd_bench_compare(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let threshold: f64 = flags.get("threshold", 0.30)?;
     if !(0.0..1.0).contains(&threshold) {
-        eprintln!("bench-compare: --threshold must be in [0, 1)");
-        std::process::exit(2);
+        return Err(bad("--threshold must be in [0, 1)"));
     }
-    let threads: usize = get(flags, "threads", 1);
-    let load = |path: &str| -> Json {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench-compare: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        })
+    let threads: usize = flags.get("threads", 1)?;
+    let load = |path: &str| -> Result<Json, CliError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+        Json::parse(&text).map_err(|e| failed(format!("{path} is not valid JSON: {e}")))
     };
     let mut checks = Vec::new();
     let mut compare = |label: &str, path: &str, committed: &Json, fresh: Json| {
         let found = bench_regressions(committed, &fresh);
         if found.is_empty() {
-            eprintln!("bench-compare: no comparable rates in {path}");
-            std::process::exit(1);
+            return Err(failed(format!("no comparable rates in {path}")));
         }
         eprintln!("bench-compare: {label} ({path}): {} rate(s)", found.len());
         checks.extend(found);
+        Ok(())
     };
 
-    let sim_path = flags
-        .get("sim")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let committed_sim = load(&sim_path);
+    let sim_path = flags.str("sim").unwrap_or("BENCH_sim.json");
+    let committed_sim = load(sim_path)?;
     eprintln!("bench-compare: fresh quick bench-sim...");
-    let fresh_sim = bench_sim(true).unwrap_or_else(|e| {
-        eprintln!("bench-compare: {e}");
-        std::process::exit(1);
-    });
-    compare("bench-sim", &sim_path, &committed_sim, fresh_sim.to_json());
+    let fresh_sim = bench_sim(true).map_err(failed)?;
+    compare("bench-sim", sim_path, &committed_sim, fresh_sim.to_json())?;
 
-    let sweep_path = flags
-        .get("sweep")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let committed_sweep = load(&sweep_path);
+    let sweep_path = flags.str("sweep").unwrap_or("BENCH_sweep.json");
+    let committed_sweep = load(sweep_path)?;
     // The sweep's events/s amortizes per-cell setup over the sample count,
     // so it is only comparable at the committed artifact's own
     // (topologies × dest_sets) methodology — reconstruct it from the meta.
-    let meta_u32 = |doc: &Json, key: &str, default: u32| -> u32 {
-        doc.get("meta")
+    let meta_u32 = |key: &str, default: u32| -> u32 {
+        committed_sweep
+            .get("meta")
             .and_then(|m| m.get(key))
             .and_then(Json::as_f64)
-            .map(|v| v as u32)
-            .unwrap_or(default)
+            .map_or(default, |v| v as u32)
     };
+    let (topologies, dest_sets) = (meta_u32("topologies", 2), meta_u32("dest_sets", 3));
     let base = SweepBuilder::quick()
-        .topologies(meta_u32(&committed_sweep, "topologies", 2))
-        .dest_sets(meta_u32(&committed_sweep, "dest_sets", 3));
+        .topologies(topologies)
+        .dest_sets(dest_sets);
     eprintln!(
-        "bench-compare: fresh bench-sweep at the committed {}x{} methodology \
-         ({threads} worker(s))...",
-        meta_u32(&committed_sweep, "topologies", 2),
-        meta_u32(&committed_sweep, "dest_sets", 3)
+        "bench-compare: fresh bench-sweep at the committed {topologies}x{dest_sets} methodology \
+         ({threads} worker(s))..."
     );
-    let fresh_sweep = bench_sweep(&base, threads).unwrap_or_else(|e| {
-        eprintln!("bench-compare: {e}");
-        std::process::exit(1);
-    });
+    let fresh_sweep = bench_sweep(&base, threads).map_err(failed)?;
     compare(
         "bench-sweep",
-        &sweep_path,
+        sweep_path,
         &committed_sweep,
         fresh_sweep.to_json(),
-    );
+    )?;
 
-    if let Some(mega_path) = flags.get("mega") {
-        let committed_mega = load(mega_path);
+    if let Some(mega_path) = flags.str("mega") {
+        let committed_mega = load(mega_path)?;
         eprintln!("bench-compare: fresh quick bench-sim --mega...");
-        let fresh_mega = bench_mega(true, None).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {e}");
-            std::process::exit(1);
-        });
-        let fresh_mega = fresh_mega.to_json();
+        let fresh_mega = bench_mega(true, None).map_err(failed)?.to_json();
         let mismatches = mega_digest_mismatches(&committed_mega, &fresh_mega);
         for d in &mismatches {
             eprintln!(
@@ -855,580 +985,453 @@ fn cmd_bench_compare(flags: &HashMap<String, String>, _positional: &[String]) {
             );
         }
         if !mismatches.is_empty() {
-            eprintln!("bench-compare: FAILED — the simulated mega outcome changed");
-            std::process::exit(1);
+            return Err(failed("FAILED — the simulated mega outcome changed"));
         }
-        compare("bench-mega", mega_path, &committed_mega, fresh_mega);
+        compare("bench-mega", mega_path, &committed_mega, fresh_mega)?;
     }
 
     let mut regressed = false;
     for c in &checks {
-        let bad = c.regressed(threshold);
-        regressed |= bad;
+        let regression = c.regressed(threshold);
+        regressed |= regression;
         println!(
             "{:>22}: committed {:>14.1} | fresh {:>14.1} | ratio {:.2}{}",
             c.metric,
             c.committed,
             c.fresh,
             c.ratio(),
-            if bad { "  REGRESSION" } else { "" }
+            if regression { "  REGRESSION" } else { "" }
         );
     }
     if regressed {
-        eprintln!(
-            "bench-compare: FAILED — at least one rate regressed more than {:.0}%",
+        return Err(failed(format!(
+            "FAILED — at least one rate regressed more than {:.0}%",
             threshold * 100.0
-        );
-        std::process::exit(1);
+        )));
     }
     println!(
         "bench-compare: all {} rate(s) within {:.0}% of committed",
         checks.len(),
         threshold * 100.0
     );
+    Ok(())
+}
+
+/// What a grid command's body hands back for [`run_grid`] to finish.
+struct GridReport {
+    json: Json,
+    /// The plotted figure, for grids with committed plot files.
+    figure: Option<Figure>,
+    /// Appended to the engine effort line.
+    effort: String,
+}
+
+/// The frame shared by the sweep grid commands (`chaos`, `chaos --arq`,
+/// `stream`, `jobs`). It reads `--threads` (default: every core), picks
+/// the `--quick` methodology or `paper`, applies `setup` and builds the
+/// sweep. `body` runs the grid and prints its table; a `None` means it
+/// printed its report itself (`jobs --json`). Otherwise this prints the
+/// engine effort line, writes the JSON report to `--out` (default
+/// `default_out`) and, on the full grid only, writes the figure's plots:
+/// the committed plots chart the full grid, so quick smoke runs (CI's
+/// determinism checks) must not overwrite them. The JSON records no thread
+/// count and is byte-identical for every `--threads` value.
+fn run_grid(
+    flags: &Flags,
+    paper: SweepBuilder,
+    setup: impl FnOnce(SweepBuilder) -> SweepBuilder,
+    shape: &str,
+    default_out: &str,
+    body: impl FnOnce(&Sweep) -> Result<Option<GridReport>, CliError>,
+) -> Result<(), CliError> {
+    let threads: usize = flags.get("threads", all_cores())?;
+    let quick = flags.has("quick");
+    let builder = if quick { SweepBuilder::quick() } else { paper };
+    let sweep = setup(builder.parallelism(threads)).build().map_err(bad)?;
+    let cfg = sweep.config();
+    eprintln!(
+        "{}: {} ({}x{}) methodology, {shape}, {threads} worker(s)...",
+        flags.cmd,
+        if quick { "quick" } else { "paper" },
+        cfg.topologies(),
+        cfg.dest_sets()
+    );
+    let Some(report) = body(&sweep)? else {
+        return Ok(());
+    };
+    // Engine effort is stdout-only context: the JSON report stays
+    // byte-identical across hosts and thread counts.
+    let effort = sweep.sim_effort();
+    println!(
+        "engine: {} events processed, peak queue {}{}",
+        effort.events_processed, effort.peak_queue_len, report.effort
+    );
+    write_out(flags, default_out, &report.json)?;
+    match report.figure {
+        Some(fig) if !quick => write_plots(flags, &fig),
+        _ => Ok(()),
+    }
 }
 
 /// The `chaos` subcommand: the robustness grid (drop rate × crash count)
 /// over the paper's sampling methodology, reported as a table plus the
-/// unified figure JSON. The JSON records no thread count and is
-/// byte-identical for every `--threads` value — CI runs it twice and diffs.
-fn cmd_chaos(flags: &HashMap<String, String>, _positional: &[String]) {
-    if flags.contains_key("arq") {
-        cmd_chaos_arq(flags);
-        return;
+/// unified figure JSON.
+fn cmd_chaos(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    if flags.has("arq") {
+        return cmd_chaos_arq(flags);
     }
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 4);
-    let live_repair = flags.contains_key("live-repair");
+    let seed: u64 = flags.get("seed", 1997)?;
+    let dests: u32 = flags.get("dests", 31)?;
+    let m: u32 = flags.get("m", 4)?;
+    let live_repair = flags.has("live-repair");
     // With live repair the drawn hosts crash mid-run (default 5 µs: before
     // the first send completes, so every crash exercises the repair path);
     // without it they are repaired around before the run, at time zero.
-    let crash_at_us: f64 = get(flags, "crash-at", if live_repair { 5.0 } else { 0.0 });
     let spec = FaultPlanSpec {
         seed,
         live_repair,
-        crash_at_us,
+        crash_at_us: flags.get("crash-at", if live_repair { 5.0 } else { 0.0 })?,
         ..FaultPlanSpec::default()
     };
-    let (base, drops, crashes, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![0.0, 0.05, 0.1],
-            vec![0u32, 1, 2],
-            "quick (2x3)",
-        )
+    let (drops, crashes) = if flags.has("quick") {
+        (vec![0.0, 0.05, 0.1], vec![0u32, 1, 2])
     } else {
         (
-            SweepBuilder::paper(),
             vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
             vec![0u32, 1, 2, 4, 8],
-            "paper (10x30)",
         )
     };
-    eprintln!(
-        "chaos: {label} methodology, {}x{} grid, {threads} worker(s)...",
-        drops.len(),
-        crashes.len()
-    );
-    let sweep = base
-        .parallelism(threads)
-        .fault(spec)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep.chaos(&drops, &crashes, dests, m).unwrap_or_else(|e| {
-        eprintln!("chaos: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "chaos grid: {dests} dests, {m} packets, fault seed {seed}, {} samples/cell{}",
-        sweep.config().samples(),
-        if live_repair { ", live repair on" } else { "" }
-    );
-    print!(
-        "{:>6} {:>7} {:>9} {:>6} {:>9} {:>12} {:>11} {:>10}",
-        "drop",
-        "crashes",
-        "delivered",
-        "failed",
-        "unreached",
-        "latency(us)",
-        "retransmits",
-        "reattached"
-    );
-    if live_repair {
-        print!(" {:>7} {:>8} {:>11}", "repairs", "reissued", "written-off");
-    }
-    println!();
-    for d in 0..report.drop_rates.len() {
-        for c in 0..report.crash_counts.len() {
-            let cell = report.cell(d, c);
+    let default_out = if live_repair {
+        "results/chaos_repair.json"
+    } else {
+        "results/chaos.json"
+    };
+    let shape = format!("{}x{} grid", drops.len(), crashes.len());
+    run_grid(
+        flags,
+        SweepBuilder::paper(),
+        |b| b.fault(spec),
+        &shape,
+        default_out,
+        |sweep| {
+            let report = sweep.chaos(&drops, &crashes, dests, m).map_err(failed)?;
+            println!(
+                "chaos grid: {dests} dests, {m} packets, fault seed {seed}, {} samples/cell{}",
+                sweep.config().samples(),
+                if live_repair { ", live repair on" } else { "" }
+            );
             print!(
-                "{:>6.2} {:>7} {:>9} {:>6} {:>9} {:>12.2} {:>11} {:>10}",
-                cell.drop_rate,
-                cell.crashes,
-                cell.delivered,
-                cell.failed,
-                cell.unreached,
-                cell.mean_latency_us,
-                cell.retransmits,
-                cell.reattached
+                "{:>6} {:>7} {:>9} {:>6} {:>9} {:>12} {:>11} {:>10}",
+                "drop",
+                "crashes",
+                "delivered",
+                "failed",
+                "unreached",
+                "latency(us)",
+                "retransmits",
+                "reattached"
             );
             if live_repair {
-                print!(
-                    " {:>7} {:>8} {:>11}",
-                    cell.repairs, cell.reissued_packets, cell.unreachable_crashed
-                );
+                print!(" {:>7} {:>8} {:>11}", "repairs", "reissued", "written-off");
             }
             println!();
-        }
-    }
-    if report.all_reached() {
-        println!("all-reached invariant holds: every run reached every surviving destination");
-    } else {
-        let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
-        let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
-        println!(
-            "WARNING: {failed} run(s) exhausted the retransmission budget; \
-             {unreached} surviving destination(s) unreached"
-        );
-    }
-    // Engine effort is stdout-only context: the JSON report stays
-    // byte-identical across hosts and thread counts.
-    let effort = sweep.sim_effort();
-    let cache = sweep.cache_stats();
-    println!(
-        "engine: {} events processed, peak queue {}, tree cache {}/{} hits, \
-         route cache {}/{} hits",
-        effort.events_processed,
-        effort.peak_queue_len,
-        cache.hits,
-        cache.hits + cache.misses,
-        cache.route_hits,
-        cache.route_hits + cache.route_misses
-    );
-    let default_out = if live_repair {
-        "results/chaos_repair.json".to_string()
-    } else {
-        "results/chaos.json".to_string()
-    };
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("chaos: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
+            for d in 0..report.drop_rates.len() {
+                for c in 0..report.crash_counts.len() {
+                    let cell = report.cell(d, c);
+                    print!(
+                        "{:>6.2} {:>7} {:>9} {:>6} {:>9} {:>12.2} {:>11} {:>10}",
+                        cell.drop_rate,
+                        cell.crashes,
+                        cell.delivered,
+                        cell.failed,
+                        cell.unreached,
+                        cell.mean_latency_us,
+                        cell.retransmits,
+                        cell.reattached
+                    );
+                    if live_repair {
+                        print!(
+                            " {:>7} {:>8} {:>11}",
+                            cell.repairs, cell.reissued_packets, cell.unreachable_crashed
+                        );
+                    }
+                    println!();
+                }
+            }
+            if report.all_reached() {
+                println!(
+                    "all-reached invariant holds: every run reached every surviving destination"
+                );
+            } else {
+                let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
+                let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
+                println!(
+                    "WARNING: {failed} run(s) exhausted the retransmission budget; \
+                     {unreached} surviving destination(s) unreached"
+                );
+            }
+            let cache = sweep.cache_stats();
+            Ok(Some(GridReport {
+                json: report.to_json(),
+                figure: None,
+                effort: format!(
+                    ", tree cache {}/{} hits, route cache {}/{} hits",
+                    cache.hits,
+                    cache.hits + cache.misses,
+                    cache.route_hits,
+                    cache.route_hits + cache.route_misses
+                ),
+            }))
+        },
+    )
 }
 
 /// The `chaos --arq` variant: the recovery-latency grid — stop-and-wait
 /// against windowed selective-repeat at every swept drop rate, charting
-/// each mode's added latency over its own lossless baseline. The JSON
-/// records no thread count and is byte-identical for every `--threads`
-/// value — CI runs it twice and diffs.
-fn cmd_chaos_arq(flags: &HashMap<String, String>) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let dests: u32 = get(flags, "dests", 31);
-    let m: u32 = get(flags, "m", 4);
-    let window: u32 = get(flags, "window", 8);
-    let send_units: u32 = get(flags, "send-units", 2);
-    let (base, drops, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![0.0, 0.02, 0.05, 0.1],
-            "quick (2x3)",
-        )
+/// each mode's added latency over its own lossless baseline.
+fn cmd_chaos_arq(flags: &Flags) -> Result<(), CliError> {
+    let seed: u64 = flags.get("seed", 1997)?;
+    let dests: u32 = flags.get("dests", 31)?;
+    let m: u32 = flags.get("m", 4)?;
+    let window: u32 = flags.get("window", 8)?;
+    let send_units: u32 = flags.get("send-units", 2)?;
+    let drops = if flags.has("quick") {
+        vec![0.0, 0.02, 0.05, 0.1]
     } else {
-        (
-            SweepBuilder::paper(),
-            vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
-            "paper (10x30)",
-        )
+        vec![0.0, 0.01, 0.02, 0.05, 0.1, 0.2]
     };
-    eprintln!(
-        "chaos --arq: {label} methodology, {} drop rate(s) x 2 modes, {threads} worker(s)...",
-        drops.len()
-    );
-    let sweep = base
-        .parallelism(threads)
-        .fault(FaultPlanSpec {
-            seed,
-            ..FaultPlanSpec::default()
-        })
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep
-        .chaos_arq(&drops, dests, m, window, send_units)
-        .unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(1);
-        });
-    println!(
-        "arq grid: {dests} dests, {m} packets, fault seed {seed}, window {window}, \
-         {send_units} send unit(s), {} samples/cell",
-        sweep.config().samples()
-    );
-    println!(
-        "{:>13} {:>6} {:>9} {:>6} {:>12} {:>13} {:>11} {:>6} {:>10}",
-        "mode",
-        "drop",
-        "delivered",
-        "failed",
-        "latency(us)",
-        "recovery(us)",
-        "retransmits",
-        "nacks",
-        "stall(us)"
-    );
-    for cell in &report.cells {
-        println!(
-            "{:>13} {:>6.2} {:>9} {:>6} {:>12.2} {:>13.2} {:>11} {:>6} {:>10.1}",
-            if cell.windowed {
-                "windowed"
+    let spec = FaultPlanSpec {
+        seed,
+        ..FaultPlanSpec::default()
+    };
+    let shape = format!("{} drop rate(s) x 2 ARQ modes", drops.len());
+    run_grid(
+        flags,
+        SweepBuilder::paper(),
+        |b| b.fault(spec),
+        &shape,
+        "results/chaos_arq.json",
+        |sweep| {
+            let report = sweep
+                .chaos_arq(&drops, dests, m, window, send_units)
+                .map_err(failed)?;
+            println!(
+                "arq grid: {dests} dests, {m} packets, fault seed {seed}, window {window}, \
+                 {send_units} send unit(s), {} samples/cell",
+                sweep.config().samples()
+            );
+            println!(
+                "{:>13} {:>6} {:>9} {:>6} {:>12} {:>13} {:>11} {:>6} {:>10}",
+                "mode",
+                "drop",
+                "delivered",
+                "failed",
+                "latency(us)",
+                "recovery(us)",
+                "retransmits",
+                "nacks",
+                "stall(us)"
+            );
+            for cell in &report.cells {
+                println!(
+                    "{:>13} {:>6.2} {:>9} {:>6} {:>12.2} {:>13.2} {:>11} {:>6} {:>10.1}",
+                    if cell.windowed {
+                        "windowed"
+                    } else {
+                        "stop-and-wait"
+                    },
+                    cell.drop_rate,
+                    cell.delivered,
+                    cell.failed,
+                    cell.mean_latency_us,
+                    cell.recovery_latency_us,
+                    cell.retransmits,
+                    cell.nack_ranges_sent,
+                    cell.window_stalls_us
+                );
+            }
+            if report.all_reached() {
+                println!("all-reached invariant holds: every run recovered every destination");
             } else {
-                "stop-and-wait"
-            },
-            cell.drop_rate,
-            cell.delivered,
-            cell.failed,
-            cell.mean_latency_us,
-            cell.recovery_latency_us,
-            cell.retransmits,
-            cell.nack_ranges_sent,
-            cell.window_stalls_us
-        );
-    }
-    if report.all_reached() {
-        println!("all-reached invariant holds: every run recovered every destination");
-    } else {
-        let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
-        let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
-        println!(
-            "WARNING: {failed} run(s) exhausted the retransmission budget; \
-             {unreached} destination(s) unreached"
-        );
-    }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}",
-        effort.events_processed, effort.peak_queue_len
-    );
-    let default_out = "results/chaos_arq.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("chaos: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full paper grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("chaos", plot_dir, &report.figure());
-    }
+                let failed: u32 = report.cells.iter().map(|c| c.failed).sum();
+                let unreached: u64 = report.cells.iter().map(|c| c.unreached).sum();
+                println!(
+                    "WARNING: {failed} run(s) exhausted the retransmission budget; \
+                     {unreached} destination(s) unreached"
+                );
+            }
+            Ok(Some(GridReport {
+                json: report.to_json(),
+                figure: Some(report.figure()),
+                effort: String::new(),
+            }))
+        },
+    )
 }
 
 /// The `stream` subcommand: the streaming grid — churn rate × offered
 /// load × buffer depth, each cell streaming frames through bounded
 /// drop-oldest buffers to a churning group on the optimal k-binomial
-/// tree. The JSON records no thread count and is byte-identical for
-/// every `--threads` value — CI runs it twice and diffs.
-fn cmd_stream(flags: &HashMap<String, String>, _positional: &[String]) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let (base, mut grid, label) = if quick {
-        (SweepBuilder::quick(), StreamGrid::quick(), "quick (2x3)")
+/// tree.
+fn cmd_stream(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let seed: u64 = flags.get("seed", 1997)?;
+    let mut grid = if flags.has("quick") {
+        StreamGrid::quick()
     } else {
-        (SweepBuilder::paper(), StreamGrid::paper(), "paper (10x30)")
+        StreamGrid::paper()
     };
-    grid.dests = get(flags, "dests", grid.dests);
-    grid.frame_bytes = get(flags, "frame-bytes", grid.frame_bytes);
-    grid.mtu_bytes = get(flags, "mtu", grid.mtu_bytes);
-    grid.frames = get(flags, "frames", grid.frames);
-    eprintln!(
-        "stream: {label} methodology, {} churn x {} load x {} buffer cell(s), {threads} worker(s)...",
+    grid.dests = flags.get("dests", grid.dests)?;
+    grid.frame_bytes = flags.get("frame-bytes", grid.frame_bytes)?;
+    grid.mtu_bytes = flags.get("mtu", grid.mtu_bytes)?;
+    grid.frames = flags.get("frames", grid.frames)?;
+    let shape = format!(
+        "{} churn x {} load x {} buffer cell(s)",
         grid.churn_levels.len(),
         grid.loads.len(),
         grid.buffer_depths.len()
     );
-    let sweep = base
-        .parallelism(threads)
-        .base_seed(seed)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("stream: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep.streaming(&grid).unwrap_or_else(|e| {
-        eprintln!("stream: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "stream grid: {} dests, {}-byte frames at {}-byte MTU ({} packets), {} frames/stream, \
-         {} samples/cell",
-        grid.dests,
-        grid.frame_bytes,
-        grid.mtu_bytes,
-        grid.frame_bytes.div_ceil(grid.mtu_bytes),
-        grid.frames,
-        sweep.config().samples()
-    );
-    println!(
-        "{:>6} {:>5} {:>6} {:>8} {:>8} {:>9} {:>14} {:>14} {:>13}",
-        "churn",
-        "load",
-        "buf",
-        "served",
-        "dropped",
-        "droprate",
-        "goodput(Mb/s)",
-        "stale(us)",
-        "maxstale(us)"
-    );
-    for cell in &report.cells {
-        println!(
-            "{:>6} {:>5.2} {:>6} {:>8} {:>8} {:>9.4} {:>14.3} {:>14.2} {:>13.2}",
-            cell.churn_events,
-            cell.load,
-            if cell.buffer_frames == 0 {
-                "inf".to_string()
-            } else {
-                cell.buffer_frames.to_string()
-            },
-            cell.served,
-            cell.dropped,
-            cell.drop_rate,
-            cell.mean_goodput_mbps,
-            cell.mean_staleness_us,
-            cell.max_staleness_us
-        );
-    }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}",
-        effort.events_processed, effort.peak_queue_len
-    );
-    let default_out = "results/streaming.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("stream: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full paper grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("stream", plot_dir, &report.figure());
-    }
+    run_grid(
+        flags,
+        SweepBuilder::paper(),
+        |b| b.base_seed(seed),
+        &shape,
+        "results/streaming.json",
+        |sweep| {
+            let report = sweep.streaming(&grid).map_err(failed)?;
+            println!(
+                "stream grid: {} dests, {}-byte frames at {}-byte MTU ({} packets), \
+                 {} frames/stream, {} samples/cell",
+                grid.dests,
+                grid.frame_bytes,
+                grid.mtu_bytes,
+                grid.frame_bytes.div_ceil(grid.mtu_bytes),
+                grid.frames,
+                sweep.config().samples()
+            );
+            println!(
+                "{:>6} {:>5} {:>6} {:>8} {:>8} {:>9} {:>14} {:>14} {:>13}",
+                "churn",
+                "load",
+                "buf",
+                "served",
+                "dropped",
+                "droprate",
+                "goodput(Mb/s)",
+                "stale(us)",
+                "maxstale(us)"
+            );
+            for cell in &report.cells {
+                println!(
+                    "{:>6} {:>5.2} {:>6} {:>8} {:>8} {:>9.4} {:>14.3} {:>14.2} {:>13.2}",
+                    cell.churn_events,
+                    cell.load,
+                    if cell.buffer_frames == 0 {
+                        "inf".to_string()
+                    } else {
+                        cell.buffer_frames.to_string()
+                    },
+                    cell.served,
+                    cell.dropped,
+                    cell.drop_rate,
+                    cell.mean_goodput_mbps,
+                    cell.mean_staleness_us,
+                    cell.max_staleness_us
+                );
+            }
+            Ok(Some(GridReport {
+                json: report.to_json(),
+                figure: Some(report.figure()),
+                effort: String::new(),
+            }))
+        },
+    )
 }
 
 /// The `jobs` subcommand: the multi-tenant admission grid (concurrent job
 /// count × mean inter-arrival × group size), every cell scheduled under
 /// both FIFO and contention-aware admission on identical sampled job sets.
-/// The JSON records no thread count and is byte-identical for every
-/// `--threads` value — CI runs it twice and diffs.
-fn cmd_jobs(flags: &HashMap<String, String>, _positional: &[String]) {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = get(flags, "threads", default_threads);
-    let quick = flags.contains_key("quick");
-    let seed: u64 = get(flags, "seed", 1997);
-    let (base, job_counts, interarrivals, groups, m, label) = if quick {
-        (
-            SweepBuilder::quick(),
-            vec![1u32, 2, 4],
-            vec![25.0],
-            vec![8u32],
-            get(flags, "m", 2),
-            "quick (2x3)",
-        )
+fn cmd_jobs(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let seed: u64 = flags.get("seed", 1997)?;
+    let (job_counts, interarrivals, groups, m) = if flags.has("quick") {
+        (vec![1u32, 2, 4], vec![25.0], vec![8u32], flags.get("m", 2)?)
     } else {
-        // Multi-tenant cells pool `samples × jobs` completions each, so a
-        // 3×5 methodology already gives the percentiles hundreds of
-        // observations at the larger job counts — the full 10×30 sampling
-        // would add minutes for no visible change in the figure.
         (
-            SweepBuilder::paper().topologies(3).dest_sets(5),
             vec![1u32, 2, 4, 8, 16],
             vec![25.0, 100.0],
             vec![8u32, 16],
-            get(flags, "m", 4),
-            "tenant (3x5)",
+            flags.get("m", 4)?,
         )
     };
-    eprintln!(
-        "jobs: {label} methodology, {}x{}x{} grid, {threads} worker(s)...",
+    let shape = format!(
+        "{}x{}x{} grid",
         job_counts.len(),
         interarrivals.len(),
         groups.len()
     );
-    let sweep = base
-        .base_seed(seed)
-        .parallelism(threads)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("jobs: {e}");
-            std::process::exit(2);
-        });
-    let report = sweep
-        .multi_tenant(&job_counts, &interarrivals, &groups, m)
-        .unwrap_or_else(|e| {
-            eprintln!("jobs: {e}");
-            std::process::exit(1);
-        });
-    if flags.contains_key("json") {
-        print!("{}", report.to_json().to_string_pretty());
-        return;
-    }
-    println!(
-        "multi-tenant grid: {m} packets/job, base seed {seed}, {} samples/cell, \
-         channel load bound {}",
-        sweep.config().samples(),
-        report.max_channel_load
-    );
-    println!(
-        "{:>5} {:>8} {:>6} | {:>10} {:>10} {:>8} | {:>10} {:>10} {:>8} {:>9}",
-        "jobs",
-        "gap(us)",
-        "group",
-        "fifo p50",
-        "fifo p99",
-        "defer",
-        "shaped p50",
-        "shaped p99",
-        "defer",
-        "queue(us)"
-    );
-    for cell in &report.cells {
-        println!(
-            "{:>5} {:>8.0} {:>6} | {:>10.2} {:>10.2} {:>8} | {:>10.2} {:>10.2} {:>8} {:>9.2}",
-            cell.jobs,
-            cell.mean_interarrival_us,
-            cell.group,
-            cell.fifo.p50_completion_us,
-            cell.fifo.p99_completion_us,
-            cell.fifo.deferred,
-            cell.shaped.p50_completion_us,
-            cell.shaped.p99_completion_us,
-            cell.shaped.deferred,
-            cell.shaped.mean_queue_us
-        );
-    }
-    let effort = sweep.sim_effort();
-    println!(
-        "engine: {} events processed, peak queue {}, {} cells x {} samples x 2 policies",
-        effort.events_processed,
-        effort.peak_queue_len,
-        report.cells.len(),
-        sweep.config().samples()
-    );
-    let default_out = "results/multi_tenant.json".to_string();
-    let out_path = flags.get("out").unwrap_or(&default_out);
-    if let Err(e) = std::fs::write(out_path, report.to_json().to_string_pretty()) {
-        eprintln!("jobs: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("report written to {out_path}");
-    // The committed plots chart the full tenant grid; quick smoke runs
-    // (CI's determinism check) must not overwrite them with the 3-cell
-    // quick figure.
-    if !quick {
-        let plot_dir = flags.get("plots").map(String::as_str).unwrap_or("plots");
-        write_figure_plots("jobs", plot_dir, &report.figure());
-    }
-}
-
-/// Writes `<dir>/<figure id>.dat` + `.gp` in the same gnuplot format the
-/// `figures` binary uses for every other committed plot: a `# x "label"…`
-/// header, one column per series with `?` for missing points, and a
-/// pngcairo script. `cmd` labels error messages with the calling
-/// subcommand.
-fn write_figure_plots(cmd: &str, dir: &str, fig: &optimcast::sweep::Figure) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("{cmd}: cannot create {dir}: {e}");
-        return;
-    }
-    let mut xs: Vec<f64> = Vec::new();
-    for s in &fig.series {
-        for &(x, _) in &s.points {
-            if !xs.contains(&x) {
-                xs.push(x);
+    // Multi-tenant cells pool `samples × jobs` completions each, so a 3×5
+    // methodology already gives the percentiles hundreds of observations
+    // at the larger job counts — the full 10×30 sampling would add minutes
+    // for no visible change in the figure.
+    let paper = SweepBuilder::paper().topologies(3).dest_sets(5);
+    run_grid(
+        flags,
+        paper,
+        |b| b.base_seed(seed),
+        &shape,
+        "results/multi_tenant.json",
+        |sweep| {
+            let report = sweep
+                .multi_tenant(&job_counts, &interarrivals, &groups, m)
+                .map_err(failed)?;
+            if flags.has("json") {
+                print!("{}", report.to_json().to_string_pretty());
+                return Ok(None);
             }
-        }
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dat_path = format!("{dir}/{}.dat", fig.id);
-    let mut dat = String::new();
-    dat.push_str("# x");
-    for s in &fig.series {
-        dat.push_str(&format!("  \"{}\"", s.label));
-    }
-    dat.push('\n');
-    for &x in &xs {
-        dat.push_str(&format!("{x}"));
-        for s in &fig.series {
-            match s.points.iter().find(|&&(px, _)| px == x) {
-                Some(&(_, y)) => dat.push_str(&format!(" {y}")),
-                None => dat.push_str(" ?"),
+            println!(
+                "multi-tenant grid: {m} packets/job, base seed {seed}, {} samples/cell, \
+                 channel load bound {}",
+                sweep.config().samples(),
+                report.max_channel_load
+            );
+            println!(
+                "{:>5} {:>8} {:>6} | {:>10} {:>10} {:>8} | {:>10} {:>10} {:>8} {:>9}",
+                "jobs",
+                "gap(us)",
+                "group",
+                "fifo p50",
+                "fifo p99",
+                "defer",
+                "shaped p50",
+                "shaped p99",
+                "defer",
+                "queue(us)"
+            );
+            for cell in &report.cells {
+                println!(
+                    "{:>5} {:>8.0} {:>6} | {:>10.2} {:>10.2} {:>8} | {:>10.2} {:>10.2} {:>8} {:>9.2}",
+                    cell.jobs,
+                    cell.mean_interarrival_us,
+                    cell.group,
+                    cell.fifo.p50_completion_us,
+                    cell.fifo.p99_completion_us,
+                    cell.fifo.deferred,
+                    cell.shaped.p50_completion_us,
+                    cell.shaped.p99_completion_us,
+                    cell.shaped.deferred,
+                    cell.shaped.mean_queue_us
+                );
             }
-        }
-        dat.push('\n');
-    }
-    if let Err(e) = std::fs::write(&dat_path, dat) {
-        eprintln!("{cmd}: cannot write {dat_path}: {e}");
-        return;
-    }
-    let gp_path = format!("{dir}/{}.gp", fig.id);
-    let mut gp = String::new();
-    gp.push_str(&format!(
-        "set title \"{}\"\nset xlabel \"{}\"\nset ylabel \"{}\"\nset key left top\nset grid\n",
-        fig.title, fig.x_label, fig.y_label
-    ));
-    gp.push_str(&format!(
-        "set terminal pngcairo size 800,600\nset output \"{}.png\"\nset datafile missing \"?\"\nplot ",
-        fig.id
-    ));
-    let plots: Vec<String> = fig
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "\"{}.dat\" using 1:{} with linespoints title \"{}\"",
-                fig.id,
-                i + 2,
-                s.label
-            )
-        })
-        .collect();
-    gp.push_str(&plots.join(", \\\n     "));
-    gp.push('\n');
-    if let Err(e) = std::fs::write(&gp_path, gp) {
-        eprintln!("{cmd}: cannot write {gp_path}: {e}");
-        return;
-    }
-    println!("plots written to {dat_path} and {gp_path}");
+            Ok(Some(GridReport {
+                json: report.to_json(),
+                figure: Some(report.figure()),
+                effort: format!(
+                    ", {} cells x {} samples x 2 policies",
+                    report.cells.len(),
+                    sweep.config().samples()
+                ),
+            }))
+        },
+    )
 }
 
 /// The `wire` subcommand: the same k-binomial tree and FPFS schedule the
@@ -1442,76 +1445,58 @@ fn write_figure_plots(cmd: &str, dir: &str, fig: &optimcast::sweep::Figure) {
 ///   process binds `127.0.0.1:(port-base + rank)` and reconstructs the same
 ///   deterministic plan from `(n, k, m)`, so no coordination channel is
 ///   needed; start the sinks first, then the source.
-fn cmd_wire(flags: &HashMap<String, String>, _positional: &[String]) {
-    let n: u32 = get(flags, "n", 8);
-    let m: u32 = get(flags, "m", 4);
-    if n < 2 {
-        eprintln!("wire: --n must be at least 2 (source plus one destination)");
-        std::process::exit(2);
-    }
-    if m == 0 {
-        eprintln!("wire: --m must be at least 1 packet");
-        std::process::exit(2);
-    }
-    let k: u32 = match flags.get("k") {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("--k: {e}");
-            std::process::exit(2);
-        }),
+fn cmd_wire(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
+    let n: u32 = at_least("n", flags.get("n", 8)?, 2)?;
+    let m: u32 = at_least("m", flags.get("m", 4)?, 1)?;
+    let k: u32 = match flags.opt("k")? {
+        Some(k) => at_least("k", k, 1)?,
         None => optimal_k(u64::from(n), m).k,
     };
-    let payload: usize = get(flags, "payload", 4096);
-    let mtu: usize = get(flags, "mtu", DEFAULT_MTU);
+    let payload: usize = flags.get("payload", 4096)?;
+    let mtu: usize = flags.get("mtu", DEFAULT_MTU)?;
     if mtu <= HEADER_LEN {
-        eprintln!("wire: --mtu must exceed the {HEADER_LEN}-byte frame header");
-        std::process::exit(2);
+        return Err(bad(format!(
+            "--mtu must exceed the {HEADER_LEN}-byte frame header"
+        )));
     }
-    let timeout = std::time::Duration::from_millis(get(flags, "timeout-ms", 10_000u64));
-    let role = flags.get("role").map(String::as_str).unwrap_or("demo");
+    let timeout = std::time::Duration::from_millis(flags.get("timeout-ms", 10_000)?);
+    let role = flags.str("role").unwrap_or("demo");
     match role {
         "demo" => {
-            let reports = loopback_demo(n, k, m, payload, mtu, timeout).unwrap_or_else(|e| {
-                eprintln!("wire: {e}");
-                std::process::exit(1);
-            });
+            let reports = loopback_demo(n, k, m, payload, mtu, timeout).map_err(failed)?;
             let mut ok = true;
             for r in &reports {
                 println!("{}", r.to_json_line());
                 ok &= r.parity();
             }
-            if ok {
-                eprintln!(
-                    "wire demo: {} sink(s) all at parity with the predicted delivery order \
-                     (n={n}, k={k}, m={m})",
-                    reports.len()
-                );
-            } else {
-                eprintln!("wire demo: PARITY VIOLATION — wire order diverged from the schedule");
-                std::process::exit(1);
+            if !ok {
+                return Err(failed(
+                    "PARITY VIOLATION — wire order diverged from the schedule",
+                ));
             }
+            eprintln!(
+                "wire demo: {} sink(s) all at parity with the predicted delivery order \
+                 (n={n}, k={k}, m={m})",
+                reports.len()
+            );
         }
         "source" | "sink" => {
-            let port_base: u32 = get(flags, "port-base", 47_000u32);
-            let rank: u32 = if role == "source" {
-                0
-            } else {
-                get(flags, "rank", 0)
+            let port_base: u32 = flags.get("port-base", 47_000)?;
+            let rank: u32 = match role {
+                "source" => 0,
+                _ => flags.get("rank", 0)?,
             };
             if role == "sink" && (rank == 0 || rank >= n) {
-                eprintln!("wire: --role sink needs --rank R with 1 <= R < n");
-                std::process::exit(2);
+                return Err(bad("--role sink needs --rank R with 1 <= R < n"));
             }
-            if port_base + n > u32::from(u16::MAX) {
-                eprintln!("wire: --port-base {port_base} leaves no room for {n} ranks");
-                std::process::exit(2);
+            if u64::from(port_base) + u64::from(n) > u64::from(u16::MAX) {
+                return Err(bad(format!(
+                    "--port-base {port_base} leaves no room for {n} ranks"
+                )));
             }
             let plan = WirePlan::new(n, k, m, payload, mtu);
-            let fail = |e: optimcast::netsim::TransportError| -> ! {
-                eprintln!("wire: {e}");
-                std::process::exit(1);
-            };
-            let mut t = UdpTransport::bind(("127.0.0.1", (port_base + rank) as u16))
-                .unwrap_or_else(|e| fail(e));
+            let mut t =
+                UdpTransport::bind(("127.0.0.1", (port_base + rank) as u16)).map_err(failed)?;
             t.set_peers(
                 (0..n)
                     .map(|r| std::net::SocketAddr::from(([127, 0, 0, 1], (port_base + r) as u16)))
@@ -1519,26 +1504,29 @@ fn cmd_wire(flags: &HashMap<String, String>, _positional: &[String]) {
             );
             t.set_mtu(mtu);
             if role == "source" {
-                let sent = run_source(&plan, &mut t).unwrap_or_else(|e| fail(e));
-                t.close().unwrap_or_else(|e| fail(e));
+                let sent = run_source(&plan, &mut t).map_err(failed)?;
+                t.close().map_err(failed)?;
                 println!(
                     "wire source: {sent} send(s) across {} schedule steps (n={n}, k={k}, m={m})",
                     plan.schedule.total_steps()
                 );
             } else {
-                let report =
-                    run_sink(&plan, Rank(rank), &mut t, timeout).unwrap_or_else(|e| fail(e));
+                let report = run_sink(&plan, Rank(rank), &mut t, timeout).map_err(failed)?;
                 println!("{}", report.to_json_line());
                 if !report.parity() {
-                    std::process::exit(1);
+                    return Err(failed(format!(
+                        "sink rank {rank} diverged from the predicted delivery order"
+                    )));
                 }
             }
         }
         other => {
-            eprintln!("wire: unknown role '{other}' (demo, source, or sink)");
-            std::process::exit(2);
+            return Err(bad(format!(
+                "unknown role '{other}' (demo, source, or sink)"
+            )))
         }
     }
+    Ok(())
 }
 
 /// The `simulate --json` document: headline metrics plus the structured
@@ -1563,7 +1551,7 @@ fn simulate_json(wl: &WorkloadOutcome, k: u32, steps: u64) -> Json {
                 ("max_send_queue", Json::from(c.max_send_queue as u64)),
                 (
                     "buffer_occupancy",
-                    Json::Arr(c.buffer_occupancy.iter().map(|&n| Json::from(n)).collect()),
+                    Json::from(c.buffer_occupancy.as_slice()),
                 ),
                 ("events", Json::from(c.events)),
                 ("packets_dropped", Json::from(c.packets_dropped)),

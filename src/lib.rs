@@ -24,9 +24,10 @@
 //!   parallel sweep engine: the validated [`SweepBuilder`](prelude::SweepBuilder)
 //!   API, memoized topology/tree construction, figure regeneration, and the
 //!   unified figure JSON schema;
-//! * this crate — the experiment facade ([`experiments`]), the static
-//!   schedule/route contention analysis ([`analysis`]), and the `figures`
-//!   binary that prints every paper figure as a data table.
+//! * this crate — the static schedule/route contention analysis
+//!   ([`analysis`]), the MPI-style [`Communicator`](comm::Communicator)
+//!   facade, and the `optimcast` CLI, whose `figures` command prints every
+//!   paper figure as a data table.
 //!
 //! ## Regenerating figures
 //!
@@ -74,8 +75,6 @@ pub use optimcast_transport_udp as transport_udp;
 
 pub mod analysis;
 pub mod comm;
-pub mod experiments;
-pub mod jsonout;
 
 /// One-stop imports for applications.
 pub mod prelude {

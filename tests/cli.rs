@@ -1,5 +1,5 @@
-//! End-to-end tests of the `optimcast` and `figures` binaries (the
-//! interfaces a downstream user drives first).
+//! End-to-end tests of the `optimcast` binary (the interface a downstream
+//! user drives first).
 
 use std::process::Command;
 
@@ -228,7 +228,7 @@ fn every_subcommand_rejects_unknown_flags() {
     // One misspelled flag per subcommand, plus a removed `bench-sim` flag:
     // each must exit 2 with a diagnostic, not run with defaults. Each case
     // is (args, the flag expected to be rejected).
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["topo", "--seeds", "3"], "--seeds"),
         (&["route", "--sed", "1", "0", "1"], "--sed"),
         (&["tree", "--n", "8", "--kk", "2"], "--kk"),
@@ -243,6 +243,7 @@ fn every_subcommand_rejects_unknown_flags() {
         (&["stream", "--quick", "--frame-byte", "64"], "--frame-byte"),
         (&["wire", "--n", "2", "--rol", "demo"], "--rol"),
         (&["bench-sim", "--mega", "--shards", "4"], "--shards"),
+        (&["figures", "--quik", "fig4"], "--quik"),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
@@ -254,6 +255,62 @@ fn every_subcommand_rejects_unknown_flags() {
         let want = format!("unknown flag {flag} for {}", args[0]);
         assert!(err.contains(&want), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn out_of_range_input_is_a_usage_error() {
+    // Values the library documents as panics must be rejected up front:
+    // exit 2 with a `<cmd>:` diagnostic, never a panic (exit 101).
+    let cases: [&[&str]; 19] = [
+        &["route", "1", "x"],
+        &["route", "1", "9999"],
+        &["tree", "--k", "x"],
+        &["tree", "--k", "0"],
+        &["tree", "--n", "0"],
+        &["tree", "--n", "4", "--m", "0"],
+        &["optimal", "--n", "0"],
+        &["optimal", "--m", "0"],
+        &["table", "--max-n", "1"],
+        &["table", "--max-m", "0"],
+        &["topo", "--switches", "0"],
+        &["topo", "--hosts", "0"],
+        &["topo", "--ports", "1"],
+        &["simulate", "--switches", "0"],
+        &["simulate", "--hosts", "0"],
+        &["simulate", "--ports", "1"],
+        &["tree", "--n", "4", "--k", "2", "--m", "0"],
+        &["route", "--switches", "0", "1", "2"],
+        &["wire", "--k", "0"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("{}: ", args[0])),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn figures_rejects_an_unknown_figure_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+        .args(["figures", "--quick", "fig4", "fig13x"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("fig13x"), "{err}");
+    // The name is checked before any figure runs.
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]
@@ -291,8 +348,8 @@ fn topo_dot_output() {
 
 #[test]
 fn figures_quick_analytic_subset() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--quick", "fig5", "fig12a"])
+    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+        .args(["figures", "--quick", "fig5", "fig12a"])
         .output()
         .expect("figures runs");
     assert!(out.status.success());
@@ -304,8 +361,8 @@ fn figures_quick_analytic_subset() {
 
 #[test]
 fn figures_chaos_axis_by_name() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--quick", "chaos_outage"])
+    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+        .args(["figures", "--quick", "chaos_outage"])
         .output()
         .expect("figures runs");
     assert!(out.status.success());
@@ -323,8 +380,9 @@ fn figures_threads_flag_is_output_invariant() {
     let run = |threads: &str| {
         let dir = std::env::temp_dir().join(format!("optimcast-figjson-{threads}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
             .args([
+                "figures",
                 "--quick",
                 "--threads",
                 threads,

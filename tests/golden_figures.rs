@@ -3,8 +3,8 @@
 //! change legitimately moves them, update these values alongside
 //! EXPERIMENTS.md.)
 
-use optimcast::experiments::{fig12a, fig12b, fig5, fig8};
 use optimcast::prelude::*;
+use optimcast::sweep::{fig12a, fig12b, fig5, fig8};
 
 /// Analytic figures are parameter-exact.
 #[test]

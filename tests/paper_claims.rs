@@ -2,8 +2,8 @@
 //! pipeline (reduced sample counts keep test time reasonable; the `figures`
 //! binary runs the full 10 × 30 methodology).
 
-use optimcast::experiments::{fig12a, fig12b, fig5, fig8};
 use optimcast::prelude::*;
+use optimcast::sweep::{fig12a, fig12b, fig5, fig8};
 
 fn sweep() -> Sweep {
     SweepBuilder::paper()

@@ -5,7 +5,7 @@
 //! simulated figures under the full 10 × 30 paper methodology take minutes,
 //! so they are `#[ignore]`d here and exercised by
 //! `cargo test --release -- --ignored` (and by regenerating the committed
-//! files with `figures --json results`).
+//! files with `optimcast figures --json results`).
 
 use optimcast::prelude::*;
 use optimcast::sweep::{Json, ToJson};
@@ -237,9 +237,9 @@ fn chaos_arq_report_matches_committed_golden() {
 }
 
 /// The committed chaos-axis figures (`results/chaos_{outage,corrupt,
-/// buffer}.json`) regenerate byte-identically from the arguments the
-/// `figures` binary uses: the paper methodology, 31 destinations, 4-packet
-/// messages.
+/// buffer}.json`) regenerate byte-identically from the arguments
+/// `optimcast figures` uses: the paper methodology, 31 destinations,
+/// 4-packet messages.
 fn chaos_figure_matches_committed(id: ChaosFigureId) {
     let sweep = SweepBuilder::paper().parallelism(4).build().unwrap();
     let figure = sweep
