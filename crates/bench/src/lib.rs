@@ -1,5 +1,6 @@
 //! # optimcast-bench
 //!
-//! Criterion benchmark harness regenerating every table and figure of the
-//! paper's evaluation. The content lives in the `benches/` targets, which
-//! drive the experiment sweeps exported by the umbrella `optimcast` crate.
+//! Criterion microbenchmarks of the analytic figures, the ablations and the
+//! simulator hot path. The content lives in the `benches/` targets, which
+//! drive the APIs exported by the umbrella `optimcast` crate; the simulated
+//! Figs. 13–14 sweeps are timed end to end by the perfbench package.

@@ -12,9 +12,10 @@
 //! static ALLOC: optimcast_netsim::alloc::CountingAlloc = CountingAlloc::new();
 //! ```
 //!
-//! The `optimcast` CLI registers it so `bench-sim` can report
-//! allocations-per-event, and the `zero_alloc` integration test registers
-//! it to assert the steady-state budget. When no binary registers it the
+//! The `optimcast` CLI registers it so `bench-mega` can report set-up peak
+//! bytes, the perfbench package for its heap and allocations-per-event
+//! metrics, and the `zero_alloc` integration test to assert the
+//! steady-state budget. When no binary registers it the
 //! counters simply stay at zero ([`CountingAlloc::enabled`] distinguishes
 //! "zero allocations" from "not measuring").
 //!

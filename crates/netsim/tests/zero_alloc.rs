@@ -83,7 +83,7 @@ fn steady_state_event_loop_is_allocation_free() {
     );
 
     // Peak-bytes high-water tracking — what the mega-scale setup budget
-    // (`bench-sim --mega`) is measured with: a large allocation raises the
+    // (`optimcast bench-mega`) is measured with: a large allocation raises the
     // peak, freeing it does not lower the peak, and `reset_peak` rebases
     // the mark to the currently live bytes.
     let base = CountingAlloc::reset_peak();

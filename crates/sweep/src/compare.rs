@@ -1,23 +1,20 @@
-//! Bench trend tracking: committed bench JSON vs a fresh run.
+//! Mega trend tracking: the committed `BENCH_mega.json` vs a fresh run.
 //!
-//! `BENCH_sim.json` / `BENCH_sweep.json` / `BENCH_mega.json` are committed
-//! perf artifacts with no history beyond git; the `bench-compare`
-//! subcommand replays a fresh `--quick` measurement and fails on a
-//! regression beyond a threshold. The comparison only uses **rate**
-//! metrics (events/s, ops/s) that are sizing-insensitive, so a quick fresh
-//! run is comparable against a committed full-sizing artifact; per-run
-//! totals (cells, events) are sizing-dependent and deliberately excluded —
-//! except cells/s, which is compared only when the committed and fresh
-//! sweep methodologies match. Mega points also carry a timing-free outcome
-//! digest, which must match exactly at every shared host count.
+//! `BENCH_mega.json` is a committed perf artifact with no history beyond
+//! git; the `bench-compare` subcommand replays a fresh `--quick`
+//! measurement and fails on a regression beyond a threshold. Only the
+//! per-point **rate** (events/s) is compared: it is sizing-insensitive, so
+//! a quick fresh run is comparable against the committed full sizing. Each
+//! point also carries a timing-free outcome digest, which must be present
+//! and match exactly at every host count the fresh run measured.
 
 use crate::json::Json;
 
-/// One compared rate metric.
+/// One compared events/s rate of a mega point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateCheck {
-    /// Human-readable metric name (`"sim events/s"`, …).
-    pub metric: &'static str,
+    /// Host count of the compared point.
+    pub hosts: u64,
     /// The committed artifact's rate.
     pub committed: f64,
     /// The freshly measured rate.
@@ -36,282 +33,204 @@ impl RateCheck {
     }
 }
 
-fn meta_f64(doc: &Json, key: &str) -> Option<f64> {
-    doc.get("meta")?.get(key)?.as_f64()
-}
-
-/// Extracts the comparable rate metrics from a committed bench document
-/// and its freshly measured counterpart. The two documents must carry the
-/// same `id`; unknown ids yield no checks.
-///
-/// * `bench_sim` — `queue_ops_per_sec`, `lattice_queue_ops_per_sec`,
-///   `events_per_sec`;
-/// * `bench_sweep` — normalized `events_processed / serial_seconds`,
-///   plus raw `serial_cells_per_sec` when both runs used the same
-///   `(topologies, dest_sets)` methodology;
-/// * `bench_mega` — `events_per_sec` of every host count present in both.
-pub fn bench_regressions(committed: &Json, fresh: &Json) -> Vec<RateCheck> {
-    let id = committed.get("id").and_then(Json::as_str);
-    if id != fresh.get("id").and_then(Json::as_str) {
-        return Vec::new();
-    }
-    let mut checks = Vec::new();
-    let mut push = |metric: &'static str, c: Option<f64>, f: Option<f64>| {
-        if let (Some(committed), Some(fresh)) = (c, f) {
-            if committed > 0.0 && fresh.is_finite() {
-                checks.push(RateCheck {
-                    metric,
-                    committed,
-                    fresh,
-                });
-            }
-        }
+/// The `(hosts, point)` pairs of a `bench_mega` document; any other
+/// document has none.
+fn mega_points(doc: &Json) -> impl Iterator<Item = (u64, &Json)> {
+    let points = match doc.get("id").and_then(Json::as_str) {
+        Some("bench_mega") => doc.get("points").and_then(Json::as_arr),
+        _ => None,
     };
-    match id {
-        Some("bench_sim") => {
-            push(
-                "event-queue ops/s",
-                meta_f64(committed, "queue_ops_per_sec"),
-                meta_f64(fresh, "queue_ops_per_sec"),
-            );
-            push(
-                "lattice event-queue ops/s",
-                meta_f64(committed, "lattice_queue_ops_per_sec"),
-                meta_f64(fresh, "lattice_queue_ops_per_sec"),
-            );
-            push(
-                "sim events/s",
-                meta_f64(committed, "events_per_sec"),
-                meta_f64(fresh, "events_per_sec"),
-            );
-        }
-        Some("bench_sweep") => {
-            let rate = |doc: &Json| -> Option<f64> {
-                let events = meta_f64(doc, "events_processed")?;
-                let secs = meta_f64(doc, "serial_seconds")?;
-                (secs > 0.0).then_some(events / secs)
-            };
-            push("sweep events/s", rate(committed), rate(fresh));
-            let shape = |doc: &Json| -> Option<(f64, f64)> {
-                Some((meta_f64(doc, "topologies")?, meta_f64(doc, "dest_sets")?))
-            };
-            if shape(committed).is_some() && shape(committed) == shape(fresh) {
-                push(
-                    "sweep cells/s",
-                    meta_f64(committed, "serial_cells_per_sec"),
-                    meta_f64(fresh, "serial_cells_per_sec"),
-                );
-            }
-        }
-        Some("bench_mega") => {
-            let by_hosts = |doc: &Json, hosts: f64| -> Option<f64> {
-                doc.get("points")?.as_arr()?.iter().find_map(|p| {
-                    (p.get("hosts")?.as_f64()? == hosts)
-                        .then(|| p.get("events_per_sec")?.as_f64())?
-                })
-            };
-            for p in committed
-                .get("points")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-            {
-                let Some(hosts) = p.get("hosts").and_then(Json::as_f64) else {
-                    continue;
-                };
-                // Host counts measured by both sizings compare directly;
-                // the 65,536 point only exists in the committed full run.
-                let label: &'static str = match hosts as u64 {
-                    1024 => "mega events/s @1024",
-                    4096 => "mega events/s @4096",
-                    8192 => "mega events/s @8192",
-                    65536 => "mega events/s @65536",
-                    _ => "mega events/s",
-                };
-                push(
-                    label,
-                    p.get("events_per_sec").and_then(Json::as_f64),
-                    by_hosts(fresh, hosts),
-                );
-            }
-        }
-        _ => {}
-    }
-    checks
+    points
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|p| Some((p.get("hosts")?.as_f64()? as u64, p)))
 }
 
-/// A `bench_mega` host count whose fresh outcome digest differs from the
-/// committed one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DigestMismatch {
-    /// Host count of the point.
-    pub hosts: u64,
-    /// The committed artifact's digest.
-    pub committed: String,
-    /// The freshly measured digest.
-    pub fresh: String,
-}
-
-/// Every host count present in both `bench_mega` documents whose
-/// timing-free outcome digest differs. The digest is a pure function of
-/// `(hosts, m)`, so any mismatch means the simulated outcome changed.
-pub fn mega_digest_mismatches(committed: &Json, fresh: &Json) -> Vec<DigestMismatch> {
-    let points = |doc: &Json| -> Vec<(u64, String)> {
-        if doc.get("id").and_then(Json::as_str) != Some("bench_mega") {
-            return Vec::new();
-        }
-        doc.get("points")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|p| {
-                let hosts = p.get("hosts")?.as_f64()? as u64;
-                Some((hosts, p.get("digest")?.as_str()?.to_string()))
-            })
-            .collect()
-    };
-    let committed = points(committed);
-    points(fresh)
-        .into_iter()
-        .filter_map(|(hosts, fresh)| {
-            let (_, want) = committed.iter().find(|(h, _)| *h == hosts)?;
-            (*want != fresh).then(|| DigestMismatch {
+/// The `events_per_sec` of every host count present in both `bench_mega`
+/// documents, in committed order. Host counts measured by only one sizing
+/// (the 65,536 point exists only in the committed full run) are skipped.
+pub fn mega_rate_checks(committed: &Json, fresh: &Json) -> Vec<RateCheck> {
+    let rate = |p: &Json| p.get("events_per_sec").and_then(Json::as_f64);
+    mega_points(committed)
+        .filter_map(|(hosts, c)| {
+            let (_, f) = mega_points(fresh).find(|&(h, _)| h == hosts)?;
+            let (committed, fresh) = (rate(c)?, rate(f)?);
+            (committed > 0.0 && fresh.is_finite()).then_some(RateCheck {
                 hosts,
-                committed: want.clone(),
+                committed,
                 fresh,
             })
         })
         .collect()
 }
 
+/// A `bench_mega` host count whose fresh outcome digest does not match the
+/// committed one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DigestMismatch {
+    /// Host count of the point.
+    pub hosts: u64,
+    /// The committed artifact's digest; `None` when the committed point
+    /// carries none, which fails the gate rather than skipping the point.
+    pub committed: Option<String>,
+    /// The freshly measured digest.
+    pub fresh: String,
+}
+
+/// The digest comparison of a fresh `bench_mega` run against the committed
+/// artifact.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DigestCheck {
+    /// Host counts whose digests were compared and matched.
+    pub matched: usize,
+    /// Host counts whose committed digest is missing or differs.
+    pub mismatches: Vec<DigestMismatch>,
+}
+
+impl DigestCheck {
+    /// True when at least one digest matched and none was missing or
+    /// differed: a gate that compared nothing fails closed.
+    pub fn passed(&self) -> bool {
+        self.matched > 0 && self.mismatches.is_empty()
+    }
+}
+
+/// Compares the timing-free outcome digest of every host count the fresh
+/// run measured against the committed point of the same host count. The
+/// digest is a pure function of `(hosts, m)`, so any mismatch means the
+/// simulated outcome changed; a committed point without a digest counts
+/// as a mismatch.
+pub fn mega_digest_check(committed: &Json, fresh: &Json) -> DigestCheck {
+    let digest = |p: &Json| Some(p.get("digest")?.as_str()?.to_string());
+    let mut check = DigestCheck::default();
+    for (hosts, f) in mega_points(fresh) {
+        let Some((_, c)) = mega_points(committed).find(|&(h, _)| h == hosts) else {
+            continue;
+        };
+        let Some(fresh) = digest(f) else { continue };
+        let committed = digest(c);
+        if committed.as_deref() == Some(fresh.as_str()) {
+            check.matched += 1;
+        } else {
+            check.mismatches.push(DigestMismatch {
+                hosts,
+                committed,
+                fresh,
+            });
+        }
+    }
+    check
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sim_doc(queue: f64, events: f64) -> Json {
+    /// A document of `(hosts, events_per_sec, digest)` points.
+    fn doc(id: &str, points: &[(u64, f64, Option<&str>)]) -> Json {
         Json::obj(vec![
-            ("id", Json::from("bench_sim")),
+            ("id", Json::from(id)),
             (
-                "meta",
-                Json::obj(vec![
-                    ("queue_ops_per_sec", Json::from(queue)),
-                    ("events_per_sec", Json::from(events)),
-                ]),
+                "points",
+                Json::Arr(
+                    points
+                        .iter()
+                        .map(|&(h, r, d)| {
+                            let mut fields =
+                                vec![("hosts", Json::from(h)), ("events_per_sec", Json::from(r))];
+                            fields.extend(d.map(|d| ("digest", Json::from(d))));
+                            Json::obj(fields)
+                        })
+                        .collect(),
+                ),
             ),
         ])
     }
 
     #[test]
-    fn sim_rates_compare_and_flag_regressions() {
-        let checks = bench_regressions(&sim_doc(10e6, 12e6), &sim_doc(9e6, 8e6));
-        assert_eq!(checks.len(), 2);
-        assert!(!checks[0].regressed(0.3), "10%% slower is within 30%%");
-        assert!(checks[1].regressed(0.3), "33%% slower regresses");
-        assert!((checks[1].ratio() - 8.0 / 12.0).abs() < 1e-12);
+    fn mega_points_match_by_host_count() {
+        let committed = doc("bench_mega", &[(1024, 5e6, None), (65536, 4e6, None)]);
+        let fresh = doc("bench_mega", &[(1024, 4.9e6, None)]);
+        let checks = mega_rate_checks(&committed, &fresh);
+        assert_eq!(checks.len(), 1, "only the shared host count compares");
+        assert_eq!(checks[0].hosts, 1024);
+        assert!(!checks[0].regressed(0.3));
+        let slow = doc("bench_mega", &[(1024, 3e6, None)]);
+        let checks = mega_rate_checks(&committed, &slow);
+        assert!(checks[0].regressed(0.3), "40% slower regresses");
+        assert!((checks[0].ratio() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn mismatched_ids_compare_nothing() {
-        let sweep = Json::obj(vec![("id", Json::from("bench_sweep"))]);
-        assert!(bench_regressions(&sim_doc(1.0, 1.0), &sweep).is_empty());
-    }
-
-    #[test]
-    fn sweep_cells_compared_only_on_matching_methodology() {
-        let doc = |topos: f64, cells_per_sec: f64| {
-            Json::obj(vec![
-                ("id", Json::from("bench_sweep")),
-                (
-                    "meta",
-                    Json::obj(vec![
-                        ("topologies", Json::from(topos)),
-                        ("dest_sets", Json::from(3.0)),
-                        ("events_processed", Json::from(1e6)),
-                        ("serial_seconds", Json::from(2.0)),
-                        ("serial_cells_per_sec", Json::from(cells_per_sec)),
-                    ]),
-                ),
-            ])
-        };
-        let same = bench_regressions(&doc(2.0, 400.0), &doc(2.0, 390.0));
-        assert_eq!(same.len(), 2, "events/s + cells/s");
-        let cross = bench_regressions(&doc(10.0, 400.0), &doc(2.0, 9999.0));
-        assert_eq!(cross.len(), 1, "cells/s skipped across sizings");
-        assert_eq!(cross[0].metric, "sweep events/s");
-    }
-
-    #[test]
-    fn mega_points_match_by_host_count() {
-        let doc = |sizes: &[(u64, f64)]| {
-            Json::obj(vec![
-                ("id", Json::from("bench_mega")),
-                (
-                    "points",
-                    Json::Arr(
-                        sizes
-                            .iter()
-                            .map(|&(h, r)| {
-                                Json::obj(vec![
-                                    ("hosts", Json::from(h)),
-                                    ("events_per_sec", Json::from(r)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
-        let committed = doc(&[(1024, 5e6), (65536, 4e6)]);
-        let fresh = doc(&[(1024, 4.9e6)]);
-        let checks = bench_regressions(&committed, &fresh);
-        assert_eq!(checks.len(), 1, "only the shared host count compares");
-        assert_eq!(checks[0].metric, "mega events/s @1024");
-        assert!(!checks[0].regressed(0.3));
+        let mega = doc("bench_mega", &[(1024, 5e6, Some("903021e6bf40f1ad"))]);
+        let other = doc("fig13a", &[(1024, 5e6, Some("903021e6bf40f1ad"))]);
+        for (committed, fresh) in [(&mega, &other), (&other, &mega)] {
+            assert!(mega_rate_checks(committed, fresh).is_empty());
+            assert_eq!(mega_digest_check(committed, fresh), DigestCheck::default());
+        }
     }
 
     #[test]
     fn mega_digest_mismatch_is_reported() {
-        let doc = |id: &str, points: &[(u64, &str)]| {
-            Json::obj(vec![
-                ("id", Json::from(id)),
-                (
-                    "points",
-                    Json::Arr(
-                        points
-                            .iter()
-                            .map(|&(h, d)| {
-                                Json::obj(vec![("hosts", Json::from(h)), ("digest", Json::from(d))])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
         let committed = doc(
             "bench_mega",
             &[
-                (1024, "903021e6bf40f1ad"),
-                (8192, "a80dbf54512ab704"),
-                (65536, "0123456789abcdef"),
+                (1024, 1.0, Some("903021e6bf40f1ad")),
+                (8192, 1.0, Some("a80dbf54512ab704")),
+                (65536, 1.0, Some("0123456789abcdef")),
             ],
         );
         let same = doc(
             "bench_mega",
-            &[(1024, "903021e6bf40f1ad"), (8192, "a80dbf54512ab704")],
+            &[
+                (1024, 1.0, Some("903021e6bf40f1ad")),
+                (8192, 1.0, Some("a80dbf54512ab704")),
+            ],
         );
-        assert!(mega_digest_mismatches(&committed, &same).is_empty());
+        let check = mega_digest_check(&committed, &same);
+        assert!(check.passed());
+        assert_eq!(check.matched, 2);
         let altered = doc(
             "bench_mega",
-            &[(1024, "903021e6bf40f1ad"), (8192, "a80dbf54512ab705")],
+            &[
+                (1024, 1.0, Some("903021e6bf40f1ad")),
+                (8192, 1.0, Some("a80dbf54512ab705")),
+            ],
         );
+        let check = mega_digest_check(&committed, &altered);
+        assert!(!check.passed());
         assert_eq!(
-            mega_digest_mismatches(&committed, &altered),
+            check.mismatches,
             vec![DigestMismatch {
                 hosts: 8192,
-                committed: "a80dbf54512ab704".into(),
+                committed: Some("a80dbf54512ab704".into()),
                 fresh: "a80dbf54512ab705".into(),
             }]
         );
-        let other = doc("bench_sim", &[(8192, "a80dbf54512ab705")]);
-        assert!(mega_digest_mismatches(&committed, &other).is_empty());
+    }
+
+    #[test]
+    fn mega_digest_gate_fails_closed() {
+        // A committed point without a digest at a measured host count is a
+        // mismatch, not a skip.
+        let stripped = doc("bench_mega", &[(1024, 1.0, None), (8192, 1.0, None)]);
+        let fresh = doc(
+            "bench_mega",
+            &[
+                (1024, 1.0, Some("903021e6bf40f1ad")),
+                (8192, 1.0, Some("a80dbf54512ab704")),
+            ],
+        );
+        let check = mega_digest_check(&stripped, &fresh);
+        assert!(!check.passed());
+        assert_eq!(check.matched, 0);
+        assert_eq!(check.mismatches.len(), 2);
+        assert_eq!(check.mismatches[0].committed, None);
+        // Comparing nothing fails too.
+        let elsewhere = doc("bench_mega", &[(65536, 1.0, Some("0123456789abcdef"))]);
+        let check = mega_digest_check(&elsewhere, &fresh);
+        assert_eq!(check, DigestCheck::default());
+        assert!(!check.passed());
     }
 }

@@ -1,5 +1,5 @@
 //! The figure/series vocabulary shared by the engine, the CLI `--json`
-//! path, the committed `results/*.json` goldens, and `BENCH_sweep.json`.
+//! path, and the committed `results/*.json` goldens.
 
 use crate::error::SweepError;
 use std::fmt;

@@ -1,5 +1,5 @@
 //! The unified JSON schema shared by the committed `results/*.json`
-//! goldens, the CLI `--json` paths, and `BENCH_sweep.json`.
+//! goldens, the CLI `--json` paths, and `BENCH_mega.json`.
 //!
 //! The build environment cannot fetch `serde_json`, so this is a tiny value
 //! tree with a pretty-printer and a parser. The printer is byte-compatible
@@ -549,7 +549,7 @@ impl Series {
 
 impl Figure {
     /// Deserializes a figure from its [`ToJson`] encoding — the schema
-    /// shared by `results/*.json`, `figures --json`, and `BENCH_sweep.json`.
+    /// shared by `results/*.json` and `figures --json`.
     ///
     /// # Errors
     ///

@@ -29,8 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench;
-mod bench_sim;
 mod chaos;
 mod chaos_arq;
 mod chaos_figures;
@@ -47,12 +45,10 @@ mod sampling;
 mod streaming;
 mod tenants;
 
-pub use bench::{bench_sweep, BenchReport};
-pub use bench_sim::{bench_sim, SimBenchReport};
 pub use chaos::{ChaosCell, ChaosReport};
 pub use chaos_arq::{ArqCell, ArqReport};
 pub use chaos_figures::ChaosFigureId;
-pub use compare::{bench_regressions, mega_digest_mismatches, DigestMismatch, RateCheck};
+pub use compare::{mega_digest_check, mega_rate_checks, DigestCheck, DigestMismatch, RateCheck};
 pub use config::{SweepBuilder, SweepConfig};
 pub use engine::{LatencyStats, PointSpec, SimEffort, Sweep};
 pub use error::SweepError;

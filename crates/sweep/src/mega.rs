@@ -1,8 +1,7 @@
-//! The `bench-sim --mega` measurement: mega-scale fat-tree multicast.
+//! The `bench-mega` measurement: mega-scale fat-tree multicast.
 //!
-//! Where [`crate::bench_sim`] measures simulator-core throughput at the
-//! paper's 64-host scale, this harness extends the optimal-k study two
-//! orders of magnitude: one end-to-end optimal-k multicast (m = 16 packets)
+//! This harness extends the paper's 64-host optimal-k study three orders
+//! of magnitude: one end-to-end optimal-k multicast (m = 16 packets)
 //! on the smallest fat-tree covering n ∈ {1024, 8192, 65536} hosts. Each
 //! point records what the mega-scale work is accountable for:
 //!

@@ -17,9 +17,7 @@ use optimcast::netsim::{
     WorkloadOutcome,
 };
 use optimcast::prelude::*;
-use optimcast::sweep::{
-    bench_mega, bench_regressions, bench_sim, bench_sweep, mega_digest_mismatches, Json, ToJson,
-};
+use optimcast::sweep::{bench_mega, mega_digest_check, mega_rate_checks, Json, ToJson};
 use optimcast::topology::ordering::{cco, poc};
 use optimcast::transport_udp::{
     loopback_demo, run_sink, run_source, UdpTransport, WirePlan, DEFAULT_MTU, HEADER_LEN,
@@ -28,9 +26,9 @@ use std::collections::HashMap;
 use std::fmt::Display;
 use std::time::Instant;
 
-/// Every allocation in the CLI is counted so `bench-sim` can report
-/// allocations-per-event; two relaxed atomic adds per allocation are noise
-/// next to the allocation itself.
+/// Every allocation in the CLI is counted so `bench-mega` can report each
+/// point's set-up peak bytes; two relaxed atomic adds per allocation are
+/// noise next to the allocation itself.
 #[global_allocator]
 static ALLOC: optimcast::netsim::CountingAlloc = optimcast::netsim::CountingAlloc::new();
 
@@ -97,9 +95,8 @@ const COMMANDS: &[Command] = &[
     ("simulate", "switches ports hosts seed dests m nic ordering ideal trace json drop-rate \
                   corrupt-rate crashes crash-at live-repair fault-seed window send-units deadline",
         "ideal trace json live-repair", cmd_simulate),
-    ("bench-sweep", "threads smoke out", "smoke", cmd_bench_sweep),
-    ("bench-sim", "quick out mega hosts plots", "quick mega", cmd_bench_sim),
-    ("bench-compare", "sim sweep mega threshold threads", "", cmd_bench_compare),
+    ("bench-mega", "quick out hosts plots", "quick", cmd_bench_mega),
+    ("bench-compare", "mega threshold", "", cmd_bench_compare),
     ("chaos", "quick seed threads dests m live-repair crash-at out arq window send-units plots",
         "quick live-repair arq", cmd_chaos),
     ("jobs", "quick seed threads m json out plots", "quick json", cmd_jobs),
@@ -124,10 +121,8 @@ fn usage() {
          \u{20}           [--drop-rate R] [--corrupt-rate R] [--crashes C]\n\
          \u{20}           [--crash-at US] [--live-repair] [--fault-seed N]\n\
          \u{20}           [--window W] [--send-units S] [--deadline US]\n\
-         \u{20}  bench-sweep [--threads N] [--smoke] [--out PATH]\n\
-         \u{20}  bench-sim [--quick] [--out PATH] [--mega [--hosts N] [--plots DIR]]\n\
-         \u{20}  bench-compare [--sim PATH] [--sweep PATH] [--mega PATH]\n\
-         \u{20}           [--threshold F] [--threads N]\n\
+         \u{20}  bench-mega [--quick] [--hosts N] [--out PATH] [--plots DIR]\n\
+         \u{20}  bench-compare [--mega PATH] [--threshold F]\n\
          \u{20}  chaos    [--quick] [--seed N] [--threads N] [--dests D] [--m M]\n\
          \u{20}           [--live-repair] [--crash-at US] [--out PATH]\n\
          \u{20}           [--arq] [--window W] [--send-units S] [--plots DIR]\n\
@@ -771,100 +766,16 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_sweep(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
-    let threads: usize = flags.get("threads", all_cores())?;
-    let (base, label) = if flags.has("smoke") {
-        (SweepBuilder::quick(), "smoke (2×3)")
-    } else {
-        (SweepBuilder::paper(), "paper (10×30)")
-    };
-    eprintln!("bench-sweep: {label} methodology, serial vs {threads} worker(s)...");
-    let report = bench_sweep(&base, threads).map_err(failed)?;
-    println!(
-        "cells: {} | serial {:.3} s ({:.1} cells/s) | {} workers {:.3} s ({:.1} cells/s) | speedup {:.2}x",
-        report.cells,
-        report.serial_seconds,
-        report.serial_cells_per_sec(),
-        report.threads,
-        report.parallel_seconds,
-        report.parallel_cells_per_sec(),
-        report.speedup()
-    );
-    println!(
-        "cache: {} hits / {} misses ({:.1}% hit rate) | parallel output identical to serial: {}",
-        report.cache.hits,
-        report.cache.misses,
-        100.0 * report.cache.hit_rate(),
-        report.identical
-    );
-    println!(
-        "routes: {} hits / {} misses ({:.1}% hit rate) | {} events, peak queue {}",
-        report.cache.route_hits,
-        report.cache.route_misses,
-        100.0 * report.cache.route_hit_rate(),
-        report.effort.events_processed,
-        report.effort.peak_queue_len
-    );
-    write_out(flags, "BENCH_sweep.json", &report.to_json())?;
-    if report.identical {
-        Ok(())
-    } else {
-        Err(failed(
-            "DETERMINISM VIOLATION — parallel figures diverged from serial",
-        ))
-    }
-}
-
-/// The `bench-sim` subcommand: simulator-core throughput (event-queue
-/// churn, `run_multicast` events/sec, allocations-per-event via the
-/// counting global allocator registered above), written as
-/// `BENCH_sim.json`.
-fn cmd_bench_sim(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
-    if flags.has("mega") {
-        return cmd_bench_mega(flags);
-    }
-    let quick = flags.has("quick");
-    let label = if quick { "quick" } else { "full" };
-    eprintln!("bench-sim: {label} sizing...");
-    let report = bench_sim(quick).map_err(failed)?;
-    println!(
-        "event queue: {:.2} M schedule+pop pairs/s random delays, {:.2} M on the \
-         step-cost lattice ({} ops each)",
-        report.queue_ops_per_sec / 1e6,
-        report.lattice_queue_ops_per_sec / 1e6,
-        report.queue_ops
-    );
-    println!(
-        "run_multicast: {:.2} M events/s over {} runs ({} dests, {} packets, \
-         {} events/run, peak queue {})",
-        report.events_per_sec / 1e6,
-        report.runs,
-        report.dests,
-        report.m,
-        report.events_per_run,
-        report.peak_queue_len
-    );
-    if report.alloc_counting {
-        println!(
-            "allocations: {:.4} per event (incl. per-run setup)",
-            report.allocations_per_event
-        );
-    } else {
-        println!("allocations: not measured (no counting allocator registered)");
-    }
-    write_out(flags, "BENCH_sim.json", &report.to_json())
-}
-
-/// The `bench-sim --mega` variant: one end-to-end optimal-k multicast
+/// The `bench-mega` subcommand: one end-to-end optimal-k multicast
 /// (m = 16) per fat-tree size, with setup time, setup peak-allocation
 /// bytes, events/s, and a timing-free outcome digest per point. Writes
 /// `BENCH_mega.json` plus, on the full sizing, the committed
 /// `results/fig_megascale.json` figure and its plot files.
-fn cmd_bench_mega(flags: &Flags) -> Result<(), CliError> {
+fn cmd_bench_mega(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     let quick = flags.has("quick");
     let hosts: Option<u32> = flags.opt("hosts")?;
     let label = if quick { "quick" } else { "full" };
-    eprintln!("bench-sim --mega: {label} sizing...");
+    eprintln!("bench-mega: {label} sizing...");
     let report = bench_mega(quick, hosts).map_err(failed)?;
     for p in &report.points {
         println!(
@@ -911,92 +822,62 @@ fn cmd_bench_mega(flags: &Flags) -> Result<(), CliError> {
     }
 }
 
-/// The `bench-compare` subcommand: replays a fresh `--quick` measurement
-/// of each committed bench artifact and fails on a rate regression beyond
-/// `--threshold` (default 0.30). Only sizing-insensitive rates are
-/// compared, so the quick fresh run is a fair check against committed
-/// full-sizing artifacts. With `--mega`, a fresh point whose outcome digest
-/// differs from the committed point of the same host count also fails.
+/// The `bench-compare` subcommand: replays a fresh quick `bench-mega`
+/// against the committed mega artifact (`--mega`, default
+/// `BENCH_mega.json`). It fails when a committed point at a host count the
+/// fresh run measured has a missing or changed outcome digest, when no
+/// digest was compared at all, or when a point's events/s regressed beyond
+/// `--threshold` (default 0.30). Events/s is sizing-insensitive, so the
+/// quick fresh run is a fair check against the committed full sizing.
 fn cmd_bench_compare(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     let threshold: f64 = flags.get("threshold", 0.30)?;
     if !(0.0..1.0).contains(&threshold) {
         return Err(bad("--threshold must be in [0, 1)"));
     }
-    let threads: usize = flags.get("threads", 1)?;
-    let load = |path: &str| -> Result<Json, CliError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
-        Json::parse(&text).map_err(|e| failed(format!("{path} is not valid JSON: {e}")))
-    };
-    let mut checks = Vec::new();
-    let mut compare = |label: &str, path: &str, committed: &Json, fresh: Json| {
-        let found = bench_regressions(committed, &fresh);
-        if found.is_empty() {
-            return Err(failed(format!("no comparable rates in {path}")));
-        }
-        eprintln!("bench-compare: {label} ({path}): {} rate(s)", found.len());
-        checks.extend(found);
-        Ok(())
-    };
+    let path = flags.str("mega").unwrap_or("BENCH_mega.json");
+    let text =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+    let committed =
+        Json::parse(&text).map_err(|e| failed(format!("{path} is not valid JSON: {e}")))?;
+    eprintln!("bench-compare: fresh quick bench-mega...");
+    let fresh = bench_mega(true, None).map_err(failed)?.to_json();
 
-    let sim_path = flags.str("sim").unwrap_or("BENCH_sim.json");
-    let committed_sim = load(sim_path)?;
-    eprintln!("bench-compare: fresh quick bench-sim...");
-    let fresh_sim = bench_sim(true).map_err(failed)?;
-    compare("bench-sim", sim_path, &committed_sim, fresh_sim.to_json())?;
-
-    let sweep_path = flags.str("sweep").unwrap_or("BENCH_sweep.json");
-    let committed_sweep = load(sweep_path)?;
-    // The sweep's events/s amortizes per-cell setup over the sample count,
-    // so it is only comparable at the committed artifact's own
-    // (topologies × dest_sets) methodology — reconstruct it from the meta.
-    let meta_u32 = |key: &str, default: u32| -> u32 {
-        committed_sweep
-            .get("meta")
-            .and_then(|m| m.get(key))
-            .and_then(Json::as_f64)
-            .map_or(default, |v| v as u32)
-    };
-    let (topologies, dest_sets) = (meta_u32("topologies", 2), meta_u32("dest_sets", 3));
-    let base = SweepBuilder::quick()
-        .topologies(topologies)
-        .dest_sets(dest_sets);
-    eprintln!(
-        "bench-compare: fresh bench-sweep at the committed {topologies}x{dest_sets} methodology \
-         ({threads} worker(s))..."
-    );
-    let fresh_sweep = bench_sweep(&base, threads).map_err(failed)?;
-    compare(
-        "bench-sweep",
-        sweep_path,
-        &committed_sweep,
-        fresh_sweep.to_json(),
-    )?;
-
-    if let Some(mega_path) = flags.str("mega") {
-        let committed_mega = load(mega_path)?;
-        eprintln!("bench-compare: fresh quick bench-sim --mega...");
-        let fresh_mega = bench_mega(true, None).map_err(failed)?.to_json();
-        let mismatches = mega_digest_mismatches(&committed_mega, &fresh_mega);
-        for d in &mismatches {
-            eprintln!(
-                "bench-compare: mega digest @{} changed: committed {} | fresh {}",
-                d.hosts, d.committed, d.fresh
-            );
-        }
-        if !mismatches.is_empty() {
-            return Err(failed("FAILED — the simulated mega outcome changed"));
-        }
-        compare("bench-mega", mega_path, &committed_mega, fresh_mega)?;
+    let digests = mega_digest_check(&committed, &fresh);
+    for d in &digests.mismatches {
+        let want = d.committed.as_deref().unwrap_or("(missing)");
+        eprintln!(
+            "bench-compare: mega digest @{}: committed {want} | fresh {}",
+            d.hosts, d.fresh
+        );
+    }
+    if !digests.passed() {
+        return Err(failed(if digests.mismatches.is_empty() {
+            format!(
+                "FAILED — no host count of {path} matches the fresh run, so no digest was compared"
+            )
+        } else {
+            format!(
+                "FAILED — {} mega digest(s) missing from or changed in {path}",
+                digests.mismatches.len()
+            )
+        }));
     }
 
+    let checks = mega_rate_checks(&committed, &fresh);
+    if checks.is_empty() {
+        return Err(failed(format!("no comparable rates in {path}")));
+    }
+    eprintln!(
+        "bench-compare: bench-mega ({path}): {} rate(s)",
+        checks.len()
+    );
     let mut regressed = false;
     for c in &checks {
         let regression = c.regressed(threshold);
         regressed |= regression;
         println!(
             "{:>22}: committed {:>14.1} | fresh {:>14.1} | ratio {:.2}{}",
-            c.metric,
+            format!("mega events/s @{}", c.hosts),
             c.committed,
             c.fresh,
             c.ratio(),
@@ -1010,7 +891,8 @@ fn cmd_bench_compare(flags: &Flags, _positional: &[String]) -> Result<(), CliErr
         )));
     }
     println!(
-        "bench-compare: all {} rate(s) within {:.0}% of committed",
+        "bench-compare: {} digest(s) exact, all {} rate(s) within {:.0}% of committed",
+        digests.matched,
         checks.len(),
         threshold * 100.0
     );

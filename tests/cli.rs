@@ -225,9 +225,9 @@ fn simulate_rejects_invalid_workload_gracefully() {
 
 #[test]
 fn every_subcommand_rejects_unknown_flags() {
-    // One misspelled flag per subcommand, plus a removed `bench-sim` flag:
-    // each must exit 2 with a diagnostic, not run with defaults. Each case
-    // is (args, the flag expected to be rejected).
+    // One misspelled flag per subcommand, plus two removed flags: each must
+    // exit 2 with a diagnostic, not run with defaults. Each case is (args,
+    // the flag expected to be rejected).
     let cases: [(&[&str], &str); 15] = [
         (&["topo", "--seeds", "3"], "--seeds"),
         (&["route", "--sed", "1", "0", "1"], "--sed"),
@@ -235,14 +235,14 @@ fn every_subcommand_rejects_unknown_flags() {
         (&["optimal", "--n", "8", "--mm", "2"], "--mm"),
         (&["table", "--maxn", "8"], "--maxn"),
         (&["simulate", "--dest", "7"], "--dest"),
-        (&["bench-sweep", "--thread", "2"], "--thread"),
-        (&["bench-sim", "--quik"], "--quik"),
+        (&["bench-mega", "--quik"], "--quik"),
         (&["bench-compare", "--treshold", "0.3"], "--treshold"),
         (&["chaos", "--quick", "--live_repair"], "--live_repair"),
         (&["jobs", "--quick", "--jsn"], "--jsn"),
         (&["stream", "--quick", "--frame-byte", "64"], "--frame-byte"),
         (&["wire", "--n", "2", "--rol", "demo"], "--rol"),
-        (&["bench-sim", "--mega", "--shards", "4"], "--shards"),
+        (&["bench-mega", "--shards", "4"], "--shards"),
+        (&["bench-compare", "--sim", "x"], "--sim"),
         (&["figures", "--quik", "fig4"], "--quik"),
     ];
     for (args, flag) in cases {
@@ -254,6 +254,23 @@ fn every_subcommand_rejects_unknown_flags() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         let want = format!("unknown flag {flag} for {}", args[0]);
         assert!(err.contains(&want), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn retired_bench_commands_are_unknown() {
+    // Retired command names exit 2 instead of running anything.
+    for cmd in ["bench-sweep", "bench-sim"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+            .arg(cmd)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(
+            err.contains(&format!("unknown command '{cmd}'")),
+            "{cmd}: {err}"
+        );
     }
 }
 
@@ -435,44 +452,6 @@ fn chaos_arq_threads_flag_is_output_invariant() {
     assert_eq!(serial, run("4"), "thread count changed ARQ report bytes");
     assert!(serial.contains("\"id\": \"chaos_arq\""), "{serial}");
     assert!(serial.contains("\"recovery_latency_us\""), "{serial}");
-}
-
-#[test]
-fn bench_sweep_smoke() {
-    let out_path = std::env::temp_dir().join("optimcast-bench-sweep-smoke.json");
-    let _ = std::fs::remove_file(&out_path);
-    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
-        .args([
-            "bench-sweep",
-            "--smoke",
-            "--threads",
-            "2",
-            "--out",
-            out_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("identical to serial: true"), "{stdout}");
-    let body = std::fs::read_to_string(&out_path).expect("report written");
-    for key in [
-        "\"cells\"",
-        "\"serial_seconds\"",
-        "\"parallel_seconds\"",
-        "\"serial_cells_per_sec\"",
-        "\"parallel_cells_per_sec\"",
-        "\"speedup\"",
-        "\"cache_hit_rate\"",
-        "\"identical\": true",
-        "\"figure\"",
-    ] {
-        assert!(body.contains(key), "missing {key} in {body}");
-    }
 }
 
 #[test]

@@ -94,18 +94,19 @@ proptest! {
     }
 }
 
-/// A full simulated figure is byte-identical across 1, 2, and 8 workers on
-/// the quick methodology.
+/// Every simulated figure (13a, 13b, 14a, 14b) is byte-identical across 1,
+/// 2, and 8 workers on the quick methodology.
 #[test]
 fn full_figure_byte_identical_across_workers() {
-    let json_for = |threads: usize| {
+    let json_for = |threads: usize, id: FigureId| {
         let sweep = SweepBuilder::quick().parallelism(threads).build().unwrap();
-        let fig = sweep.figure(FigureId::Fig13b).unwrap();
-        fig.to_json().to_string_pretty()
+        sweep.figure(id).unwrap().to_json().to_string_pretty()
     };
-    let serial = json_for(1);
-    assert_eq!(serial, json_for(2));
-    assert_eq!(serial, json_for(8));
+    for id in FigureId::ALL.into_iter().filter(|id| id.simulated()) {
+        let serial = json_for(1, id);
+        assert_eq!(serial, json_for(2, id), "{id:?}: 2 workers diverged");
+        assert_eq!(serial, json_for(8, id), "{id:?}: 8 workers diverged");
+    }
 }
 
 /// Memoization shares one tree arena per resolved `(n, k)` across the whole
