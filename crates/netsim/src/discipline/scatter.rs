@@ -8,91 +8,75 @@
 //! policy under study in `optimcast-collectives::scatter`; intermediate
 //! nodes always forward in arrival order, as a real NI would.
 
-use super::ForwardingDiscipline;
+use super::record_receive;
 use crate::event::{Ev, SendItem};
 use crate::simulation::SimState;
 use crate::time::SimTime;
 use crate::workload::PersonalizedOrder;
 use optimcast_core::tree::{MulticastTree, Rank};
 
-/// The scatter (personalized payload) engine; stateless apart from the
-/// configured source order.
-pub(crate) struct Scatter {
-    pub order: PersonalizedOrder,
-}
-
-impl ForwardingDiscipline for Scatter {
-    fn kickoff(&self, st: &mut SimState<'_>, job: u32) {
-        let jobd = st.job(job);
-        let src_host = jobd.binding[0];
-        let items = source_order(&jobd.tree, jobd.packets, self.order);
-        let staged = items.len() as u32;
-        for (dest, p) in items {
-            let child = first_hop(&jobd.tree, dest);
-            st.enqueue_send(
-                src_host,
-                SendItem {
-                    job,
-                    packet: p,
-                    from: Rank::SOURCE,
-                    child,
-                    dest,
-                    attempt: 0,
-                },
-            );
-        }
-        // The whole personalized payload is staged at the source NI.
-        if staged > 0 {
-            st.stage(src_host, staged);
-        }
-        st.queue.schedule(
-            SimTime::us(jobd.start_us + st.params.t_s),
-            Ev::TrySend(src_host),
+/// Stages the whole personalized payload at the source NI, queues it in
+/// `order`, and schedules the source's first dispatch at `ready`.
+pub(crate) fn kickoff(
+    st: &mut SimState<'_>,
+    tree: &MulticastTree,
+    order: PersonalizedOrder,
+    job: u32,
+    ready: SimTime,
+) {
+    let jobd = st.job(job);
+    let src_host = jobd.binding[0];
+    let items = source_order(tree, jobd.packets, order);
+    let staged = items.len() as u32;
+    for (dest, p) in items {
+        let child = first_hop(tree, dest);
+        st.enqueue_send(
+            src_host,
+            SendItem {
+                job,
+                packet: p,
+                from: Rank::SOURCE,
+                child,
+                dest,
+                attempt: 0,
+            },
         );
     }
-
-    fn on_recv_done(
-        &self,
-        st: &mut SimState<'_>,
-        now: SimTime,
-        job: u32,
-        at: Rank,
-        packet: u32,
-        dest: Rank,
-    ) {
-        let jobd = st.job(job);
-        if dest == at {
-            let part = &mut st.parts[job as usize][at.index()];
-            part.received += 1;
-            part.last_recv = now;
-            if part.received == jobd.packets {
-                st.finish_host(now, job, at);
-            }
-        } else {
-            // Relay the packet one hop toward its destination.
-            let next = next_hop_rank(&jobd.tree, at, dest);
-            let v_host = jobd.binding[at.index()];
-            st.stage(v_host, 1);
-            st.enqueue_send(
-                v_host,
-                SendItem {
-                    job,
-                    packet,
-                    from: at,
-                    child: next,
-                    dest,
-                    attempt: 0,
-                },
-            );
-            st.queue.schedule(now, Ev::TrySend(v_host));
-        }
+    // The whole personalized payload is staged at the source NI.
+    if staged > 0 {
+        st.stage(src_host, staged);
     }
+    st.queue.schedule(ready, Ev::TrySend(src_host));
+}
 
-    /// A relayed packet frees its buffer slot as soon as its onward copy is
-    /// out (exactly one copy per packet — no replication).
-    fn on_copy_released(&self, st: &mut SimState<'_>, item: SendItem) {
-        let h = st.jobs[item.job as usize].binding[item.from.index()];
-        st.unstage(h);
+/// A packet landed: count it if it is ours, else relay it one hop toward
+/// its destination.
+pub(crate) fn on_recv_done(
+    st: &mut SimState<'_>,
+    tree: &MulticastTree,
+    now: SimTime,
+    item: SendItem,
+) {
+    let (job, at) = (item.job, item.child);
+    let jobd = st.job(job);
+    if item.dest == at {
+        if record_receive(st, now, job, at) == jobd.packets {
+            st.finish_host(now, job, at);
+        }
+    } else {
+        let next = next_hop_rank(tree, at, item.dest);
+        let v_host = jobd.binding[at.index()];
+        st.stage(v_host, 1);
+        st.enqueue_send(
+            v_host,
+            SendItem {
+                from: at,
+                child: next,
+                attempt: 0,
+                ..item
+            },
+        );
+        st.queue.schedule(now, Ev::TrySend(v_host));
     }
 }
 

@@ -6,21 +6,27 @@
 //!   forwarding-buffer occupancy, shared across jobs (node contention);
 //! * [`crate::channel::ChannelManager`] — wormhole route reservation
 //!   (channel contention);
-//! * [`crate::discipline`] — one [`ForwardingDiscipline`] engine per job,
-//!   selected from its `(NicKind, JobPayload)`;
+//! * [`crate::discipline`] — one [`Engine`] per job, selected from its
+//!   `(NicKind, JobPayload)`, held beside the tree the job currently
+//!   forwards over;
+//! * [`crate::transport::SimTransport`] — each send's channel stall,
+//!   arrival instant and loss verdict, called directly (no trait object);
 //! * [`crate::observe::ObserverHub`] — metrics, counters, and the optional
 //!   trace timeline, all fed from the same hooks.
 //!
 //! The core handles what every engine shares — dispatching queued sends
 //! through channel reservation, serializing arrivals on receive units,
-//! handshake send-unit release — and delegates policy to the engines. Event
+//! handshake send-unit release — and delegates policy to the engines. A
+//! repair epoch is no second path: it swaps the job's tree, routes and
+//! engine, then restages the source exactly as an FPFS kickoff does. Event
 //! scheduling order is part of the simulator's contract: ties in simulated
 //! time resolve by insertion order, so the golden-equivalence tests pin the
 //! exact sequence this module produces.
 
 use crate::arq::{self, ArqState, Slot};
-use crate::discipline::{conventional::Conventional, fcfs::Fcfs, fpfs::Fpfs, scatter::Scatter};
-use crate::discipline::{record_receive, release_replicated_copy, ForwardingDiscipline};
+use crate::discipline::{
+    conventional, record_receive, release_replicated_copy, replicated, Engine,
+};
 use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::event::{Ev, SendItem};
@@ -30,9 +36,10 @@ use crate::observe::{Observer, ObserverHub};
 use crate::routes::JobRoutes;
 use crate::sim::{MulticastOutcome, NiTiming, NicKind};
 use crate::time::SimTime;
-use crate::transport::{LinkContext, PacketView, SimTransport, Transport, TransportResult};
+use crate::transport::{LinkContext, PacketView, SimTransport, TransportResult};
 use crate::workload::{JobPayload, MulticastJob, WorkloadConfig, WorkloadOutcome};
 use optimcast_core::params::SystemParams;
+use optimcast_core::schedule::ForwardingDiscipline as Order;
 use optimcast_core::tree::{MulticastTree, Rank};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
@@ -55,16 +62,17 @@ pub(crate) struct PartState {
 
 /// All mutable simulation state, shared with the engines.
 ///
-/// Kept separate from the engine table so the event loop can hold `&mut
-/// SimState` and `&dyn ForwardingDiscipline` simultaneously (disjoint field
-/// borrows).
+/// Kept separate from the per-job [`Forwarding`] table so the event loop
+/// can hold `&mut SimState` and a job's current tree simultaneously
+/// (disjoint field borrows).
 pub(crate) struct SimState<'a> {
     pub jobs: &'a [MulticastJob],
     pub params: &'a SystemParams,
     pub config: WorkloadConfig,
     /// `routes[job].route(rank)`: channel route from `rank`'s parent to
-    /// `rank`, interned CSR-style (shared with the sweep cache when the
-    /// caller passed prebuilt tables).
+    /// `rank` in the job's current tree, interned CSR-style (shared with
+    /// the sweep cache when the caller passed prebuilt tables; replaced by
+    /// the repaired tree's table at a repair epoch).
     pub routes: Vec<Arc<JobRoutes>>,
     pub hosts: HostModel,
     pub parts: Vec<Vec<PartState>>,
@@ -73,10 +81,10 @@ pub(crate) struct SimState<'a> {
     /// zero). One rank-major table per job, `packets` entries per rank;
     /// reach it through [`SimState::rank_copies`].
     copies_left: Vec<Vec<u32>>,
-    /// The packet-motion backend. Every send decision — channel stall,
-    /// arrival instant, loss verdict — flows through this trait object; the
-    /// default is [`SimTransport`] over the wormhole channel manager.
-    pub transport: Box<dyn Transport + 'a>,
+    /// The packet-motion backend: every send decision — channel stall,
+    /// arrival instant, loss verdict — comes from the wormhole channel
+    /// manager and the fault plan behind [`SimTransport::transmit`].
+    pub transport: SimTransport<'a>,
     pub queue: EventQueue<Ev>,
     pub obs: ObserverHub<'a>,
     /// Active fault plan, if any. `None` (including trivial plans, filtered
@@ -121,6 +129,25 @@ impl<'a> SimState<'a> {
         let packets = self.jobs[job as usize].packets as usize;
         let start = r.index() * packets;
         &mut self.copies_left[job as usize][start..start + packets]
+    }
+
+    /// Reports `item` lost in the network at `t_us`, plus the fault that
+    /// caused it when that was a link outage or the dead receiver.
+    fn report_loss(
+        &mut self,
+        t_us: f64,
+        item: SendItem,
+        kind: FaultKind,
+        sender: HostId,
+        receiver: HostId,
+    ) {
+        self.obs
+            .packet_dropped(t_us, item.job, item.from, item.child, item.packet, kind);
+        match kind {
+            FaultKind::LinkDown => self.obs.fault_triggered(t_us, kind, sender),
+            FaultKind::ReceiverDead => self.obs.fault_triggered(t_us, kind, receiver),
+            _ => {}
+        }
     }
 
     /// Marks `(job, rank)` complete `t_r` after its last receive; returns
@@ -212,33 +239,18 @@ pub(crate) fn resolve_routes<N: Network>(
     Ok(tables)
 }
 
-/// Selects the forwarding engine for a job's `(NicKind, JobPayload)`.
-fn engine_for(job: &MulticastJob) -> Box<dyn ForwardingDiscipline> {
-    use optimcast_core::schedule::ForwardingDiscipline as Kind;
-    match (job.nic, job.payload) {
-        (NicKind::Smart(Kind::Fpfs), JobPayload::Replicated) => Box::new(Fpfs),
-        (NicKind::Smart(Kind::Fcfs), JobPayload::Replicated) => Box::new(Fcfs),
-        (NicKind::Smart(_), JobPayload::Personalized { order }) => Box::new(Scatter { order }),
-        (NicKind::Conventional, JobPayload::Replicated) => Box::new(Conventional),
-        (NicKind::Conventional, JobPayload::Personalized { .. }) => {
-            unreachable!("validate() rejects personalized payloads on conventional NIs")
-        }
-    }
-}
-
-/// One repair epoch's forwarding structure for a job: a sparse tree over
-/// the job's *original* rank space spanning the source plus the undelivered
-/// survivors, and its channel routes. Built at the epoch boundary, so the
-/// zero-alloc steady state of fault-free runs is untouched.
-struct EpochOverlay {
+/// One job's forwarding state: its engine and the tree it forwards over —
+/// the job's own tree until a repair epoch swaps in the repaired one.
+struct Forwarding {
+    engine: Engine,
     tree: Arc<MulticastTree>,
-    routes: Arc<JobRoutes>,
 }
 
-/// One workload execution: the engine table plus all mutable state.
+/// One workload execution: the per-job forwarding table plus all mutable
+/// state.
 pub(crate) struct Simulation<'a, N: Network> {
     st: SimState<'a>,
-    engines: Vec<Box<dyn ForwardingDiscipline>>,
+    forwarding: Vec<Forwarding>,
     /// The topology, retained so repair epochs can rebuild routes for the
     /// repaired tree.
     net: &'a N,
@@ -250,9 +262,6 @@ pub(crate) struct Simulation<'a, N: Network> {
     /// `DeliveryFailed`. Empty until the first exclusion (fault-free runs
     /// never allocate it).
     excluded: Vec<Vec<bool>>,
-    /// Per-job overlay for the current repair epoch (`None` until a job's
-    /// first repair). Empty until the first repair.
-    overlay: Vec<Option<EpochOverlay>>,
     /// Selective-repeat window state, present when the fault plan sets
     /// `window > 1`. The windowed path replays the FPFS replication pattern
     /// with per-edge send windows and bypasses the per-job engines.
@@ -347,7 +356,13 @@ impl<'a, N: Network> Simulation<'a, N> {
             .iter()
             .map(|job| vec![0; job.tree.len() * job.packets as usize])
             .collect();
-        let engines = jobs.iter().map(engine_for).collect();
+        let forwarding = jobs
+            .iter()
+            .map(|job| Forwarding {
+                engine: Engine::for_job(job),
+                tree: Arc::clone(&job.tree),
+            })
+            .collect();
         let arq = fault
             .filter(|f| f.window > 1)
             .map(|f| ArqState::new(jobs, net.num_hosts() as usize, f.window, f.deadline_us));
@@ -360,21 +375,20 @@ impl<'a, N: Network> Simulation<'a, N> {
                 hosts: HostModel::new(net.num_hosts() as usize, config.ni),
                 parts,
                 copies_left,
-                transport: Box::new(SimTransport::new(
+                transport: SimTransport::new(
                     config.contention,
                     net.num_channels() as usize,
                     params,
                     fault,
-                )),
+                ),
                 queue: EventQueue::new(),
                 obs: ObserverHub::new(jobs.len(), config.trace, user_observer),
                 fault,
             },
-            engines,
+            forwarding,
             net,
             epoch: 0,
             excluded: Vec::new(),
-            overlay: Vec::new(),
             arq,
         })
     }
@@ -411,7 +425,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             // conventional NI is already fully event-driven (kickoff only
             // schedules `HostReady` at the job's start).
             if job.start_us == 0.0 || matches!(job.nic, NicKind::Conventional) {
-                self.engines[j].kickoff(&mut self.st, j as u32);
+                self.kickoff(j as u32);
             } else {
                 self.st.queue.schedule(
                     SimTime::us(job.start_us + self.st.params.t_s),
@@ -424,15 +438,18 @@ impl<'a, N: Network> Simulation<'a, N> {
             while let Some((now, ev)) = self.st.queue.pop() {
                 last = now;
                 match ev {
-                    Ev::JobStart(j) => self.engines[j as usize].kickoff(&mut self.st, j),
+                    Ev::JobStart(j) => self.kickoff(j),
                     Ev::TrySend(h) => self.handle_try_send(now, h),
                     Ev::Arrive { item, corrupt } => self.handle_arrive(now, item, corrupt),
                     Ev::RecvDone { item, corrupt } => self.handle_recv_done(now, item, corrupt),
                     Ev::HostReady { job, at } => {
-                        self.engines[job as usize].on_host_ready(&mut self.st, now, job, at)
+                        let tree = &self.forwarding[job as usize].tree;
+                        conventional::on_host_ready(&mut self.st, tree, now, job, at)
                     }
-                    Ev::SendPrepared { job, at, child_idx } => self.engines[job as usize]
-                        .on_send_prepared(&mut self.st, now, job, at, child_idx),
+                    Ev::SendPrepared { job, at, child_idx } => {
+                        let tree = &self.forwarding[job as usize].tree;
+                        conventional::on_send_prepared(&mut self.st, tree, now, job, at, child_idx)
+                    }
                     Ev::SendRelease { host, seq } => self.handle_send_release(now, host, seq),
                     Ev::AckTimeout { host, seq } => self.handle_ack_timeout(now, host, seq),
                     Ev::ArqRelease { host, seq } => self.handle_arq_release(now, host, seq),
@@ -457,13 +474,21 @@ impl<'a, N: Network> Simulation<'a, N> {
         self.collect()
     }
 
+    /// Hands the job's kickoff to its engine.
+    fn kickoff(&mut self, j: u32) {
+        let fwd = &self.forwarding[j as usize];
+        fwd.engine.kickoff(&mut self.st, &fwd.tree, j);
+    }
+
     /// The event queue drained. With a repair policy on the fault plan and
     /// destinations still undelivered, this is an epoch boundary rather
     /// than the end of the run: the source learns of the failure at
     /// `notify_us` after the last delivery activity, writes off the crashed
     /// destinations, repairs the surviving membership
     /// ([`MulticastTree::repair_partial`] — delivered ranks are not
-    /// re-bound), and re-issues all packets over the repaired tree.
+    /// re-bound), swaps the repaired tree, its routes and the FPFS engine
+    /// in as the job's forwarding state, and re-issues all packets through
+    /// the same source staging an FPFS kickoff uses.
     /// Returns `true` when a new epoch was opened (events are queued again).
     ///
     /// Every decision here is a pure function of delivery state, which is
@@ -540,21 +565,13 @@ impl<'a, N: Network> Simulation<'a, N> {
             // space (sparse: crashed and delivered ranks stay unattached,
             // which `JobRoutes::build` skips), preserving each parent's
             // child send order.
-            let mut ov_tree = MulticastTree::with_capacity(n as u32);
+            let mut tree = MulticastTree::with_capacity(n as u32);
             for u in rep.tree.dfs_preorder() {
                 for &c in rep.tree.children(u) {
-                    ov_tree.attach(rep.new_to_old[u.index()], rep.new_to_old[c.index()]);
+                    tree.attach(rep.new_to_old[u.index()], rep.new_to_old[c.index()]);
                 }
             }
-            ov_tree.pack();
-            let routes = Arc::new(JobRoutes::build(self.net, &ov_tree, &job.binding));
-            if self.overlay.is_empty() {
-                self.overlay = (0..self.st.jobs.len()).map(|_| None).collect();
-            }
-            self.overlay[j] = Some(EpochOverlay {
-                tree: Arc::new(ov_tree),
-                routes,
-            });
+            tree.pack();
             self.st.obs.repair_triggered(
                 detect.as_us(),
                 j as u32,
@@ -565,40 +582,25 @@ impl<'a, N: Network> Simulation<'a, N> {
             );
             // Message-level re-issue: partial fragments at the undelivered
             // survivors are discarded, and the source restages the whole
-            // message packet-major (FPFS order) over the repaired tree.
+            // message packet-major (FPFS order) over the repaired tree,
+            // which from now on is the job's tree, routes and engine.
             for r in 1..n {
                 let p = &mut self.st.parts[j][r];
                 if p.host_done.is_none() {
                     p.received = 0;
                 }
             }
-            let ov = self.overlay[j].as_ref().expect("just installed");
-            let kids = ov.tree.root_children();
-            debug_assert!(!kids.is_empty(), "a pending survivor implies a child");
-            let src_host = job.binding[0];
             for p in 0..job.packets {
-                for &c in kids {
+                for &c in tree.root_children() {
                     self.st.obs.packet_reissued(detect.as_us(), j as u32, c, p);
-                    self.st.enqueue_send(
-                        src_host,
-                        SendItem {
-                            job: j as u32,
-                            packet: p,
-                            from: Rank::SOURCE,
-                            child: c,
-                            dest: c,
-                            attempt: 0,
-                        },
-                    );
                 }
             }
-            self.st.stage(src_host, job.packets);
-            self.st
-                .rank_copies(j as u32, Rank::SOURCE)
-                .fill(kids.len() as u32);
-            self.st
-                .queue
-                .schedule(detect + self.st.params.t_s, Ev::TrySend(src_host));
+            self.st.routes[j] = Arc::new(JobRoutes::build(self.net, &tree, &job.binding));
+            let fwd = &mut self.forwarding[j];
+            fwd.engine = Engine::Fpfs;
+            fwd.tree = Arc::new(tree);
+            let ready = detect + self.st.params.t_s;
+            replicated::stage_source(&mut self.st, &fwd.tree, Order::Fpfs, j as u32, ready);
             reissued = true;
         }
         if reissued {
@@ -641,26 +643,9 @@ impl<'a, N: Network> Simulation<'a, N> {
     fn dispatch_one(&mut self, now: SimTime, h: HostId, item: SendItem) {
         let st = &mut self.st;
         let j = item.job as usize;
-        // During a repair epoch the job's forwarding structure is its
-        // overlay (tree + routes over the original rank space); epoch 0
-        // takes the unchanged hot path.
-        let overlay = if self.epoch > 0 {
-            self.overlay.get(j).and_then(Option::as_ref)
-        } else {
-            None
-        };
-        let route = match overlay {
-            Some(ov) => ov.routes.route(item.child.index()),
-            None => st.routes[j].route(item.child.index()),
-        };
+        let route = st.routes[j].route(item.child.index());
         debug_assert!(!route.is_empty());
-        debug_assert_eq!(
-            match overlay {
-                Some(ov) => ov.tree.parent(item.child),
-                None => st.jobs[j].tree.parent(item.child),
-            },
-            Some(item.from)
-        );
+        debug_assert_eq!(self.forwarding[j].tree.parent(item.child), Some(item.from));
         let dest_host = st.jobs[j].binding[item.child.index()];
         let view = PacketView {
             stream: item.job,
@@ -675,10 +660,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             from_rank: item.from.0,
             to_rank: item.child.0,
         };
-        let outcome = st
-            .transport
-            .send(h, dest_host, view, ctx)
-            .expect("the simulator transport is infallible");
+        let outcome = st.transport.transmit(dest_host, view, ctx);
         let start_us = match outcome {
             TransportResult::Delivered { start_us, .. }
             | TransportResult::Lost { start_us, .. } => start_us,
@@ -711,22 +693,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 TransportResult::Lost {
                     kind, retry_at_us, ..
                 } => {
-                    st.obs.packet_dropped(
-                        start_us,
-                        item.job,
-                        item.from,
-                        item.child,
-                        item.packet,
-                        kind,
-                    );
-                    if matches!(kind, FaultKind::LinkDown | FaultKind::ReceiverDead) {
-                        let affected = if kind == FaultKind::ReceiverDead {
-                            dest_host
-                        } else {
-                            h
-                        };
-                        st.obs.fault_triggered(start_us, kind, affected);
-                    }
+                    st.report_loss(start_us, item, kind, h, dest_host);
                     // The slot's retransmission timer; the PRF-derived
                     // jitter decorrelates simultaneous expirations while
                     // keeping the schedule byte-identical at any worker
@@ -770,16 +737,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 // held until its acknowledgement timeout fires (handshake
                 // timing is guaranteed here — construction rejects
                 // overlapped timing with faults).
-                st.obs
-                    .packet_dropped(start_us, item.job, item.from, item.child, item.packet, kind);
-                if matches!(kind, FaultKind::LinkDown | FaultKind::ReceiverDead) {
-                    let affected = if kind == FaultKind::ReceiverDead {
-                        dest_host
-                    } else {
-                        h
-                    };
-                    st.obs.fault_triggered(start_us, kind, affected);
-                }
+                st.report_loss(start_us, item, kind, h, dest_host);
                 let seq = st.hosts.last_dispatched_seq(h);
                 st.queue
                     .schedule(SimTime::us(retry_at_us), Ev::AckTimeout { host: h, seq });
@@ -825,21 +783,14 @@ impl<'a, N: Network> Simulation<'a, N> {
         let st = &mut self.st;
         let h = st.host_of(item.job, item.child);
         if let Some(cap) = st.fault.and_then(|f| f.ni_buffer_capacity) {
-            let jobd = st.job(item.job);
             // Only packets the NI must hold for forwarding compete for
             // buffer space — leaf deliveries and relayed personalized
-            // packets stream through. In a repair epoch the forwarding
-            // structure is the job's overlay tree.
-            let overlay = if self.epoch > 0 {
-                self.overlay.get(item.job as usize).and_then(Option::as_ref)
-            } else {
-                None
-            };
-            let would_stage = match jobd.payload {
-                JobPayload::Replicated => match overlay {
-                    Some(ov) => !ov.tree.children(item.child).is_empty(),
-                    None => !jobd.tree.children(item.child).is_empty(),
-                },
+            // packets stream through.
+            let would_stage = match st.job(item.job).payload {
+                JobPayload::Replicated => {
+                    let tree = &self.forwarding[item.job as usize].tree;
+                    !tree.children(item.child).is_empty()
+                }
                 JobPayload::Personalized { .. } => item.dest != item.child,
             };
             if would_stage && st.hosts.resident(h) >= cap {
@@ -877,7 +828,6 @@ impl<'a, N: Network> Simulation<'a, N> {
             self.arq_recv_done(now, item, corrupt);
             return;
         }
-        let j = item.job as usize;
         if corrupt {
             debug_assert_eq!(self.st.config.timing, NiTiming::Handshake);
             let u_host = self.st.host_of(item.job, item.from);
@@ -894,65 +844,23 @@ impl<'a, N: Network> Simulation<'a, N> {
             self.st.queue.schedule(now, Ev::TrySend(u_host));
             return;
         }
+        let fwd = &self.forwarding[item.job as usize];
         if self.st.config.timing == NiTiming::Handshake {
             // The handshake frees exactly the unit that carried this
             // transmission (with `s > 1` an out-of-order completion must not
             // release a sibling's unit).
             let u_host = self.st.host_of(item.job, item.from);
             self.st.hosts.release_matching(u_host, &item);
-            self.engines[item.job as usize].on_copy_released(&mut self.st, item);
+            fwd.engine.on_copy_released(&mut self.st, item);
             self.st.queue.schedule(now, Ev::TrySend(u_host));
         }
-        self.engines[j].sender_ack(&mut self.st, now, item.job, item.from);
+        if fwd.engine == Engine::Conventional {
+            conventional::sender_ack(&mut self.st, &fwd.tree, now, item.job, item.from);
+        }
         self.st
             .obs
             .recv_done(now.as_us(), item.job, item.child, item.packet);
-        if self.epoch > 0 && self.overlay.get(j).and_then(Option::as_ref).is_some() {
-            self.overlay_recv_done(now, item.job, item.child, item.packet);
-        } else {
-            self.engines[j].on_recv_done(
-                &mut self.st,
-                now,
-                item.job,
-                item.child,
-                item.packet,
-                item.dest,
-            );
-        }
-    }
-
-    /// Repair-epoch receive handling: the FPFS replication pattern over the
-    /// job's overlay tree — forward the packet to every overlay child
-    /// immediately, complete the host once the whole message is in.
-    fn overlay_recv_done(&mut self, now: SimTime, job: u32, at: Rank, packet: u32) {
-        let j = job as usize;
-        let jobd = self.st.job(job);
-        let packets = jobd.packets;
-        let v_host = jobd.binding[at.index()];
-        let ov = self.overlay[j].as_ref().expect("overlay epoch");
-        let kids = ov.tree.children(at);
-        let received = record_receive(&mut self.st, now, job, at);
-        if !kids.is_empty() {
-            self.st.rank_copies(job, at)[packet as usize] = kids.len() as u32;
-            self.st.stage(v_host, 1);
-            for &c in kids {
-                self.st.enqueue_send(
-                    v_host,
-                    SendItem {
-                        job,
-                        packet,
-                        from: at,
-                        child: c,
-                        dest: c,
-                        attempt: 0,
-                    },
-                );
-            }
-            self.st.queue.schedule(now, Ev::TrySend(v_host));
-        }
-        if received == packets {
-            self.st.finish_host(now, job, at);
-        }
+        fwd.engine.on_recv_done(&mut self.st, &fwd.tree, now, item);
     }
 
     /// The acknowledgement for a (presumed lost) transmission never came:
@@ -991,7 +899,9 @@ impl<'a, N: Network> Simulation<'a, N> {
                 item.packet,
                 item.attempt + 1,
             );
-            self.engines[item.job as usize].on_copy_released(&mut self.st, item);
+            self.forwarding[item.job as usize]
+                .engine
+                .on_copy_released(&mut self.st, item);
         } else {
             let next = SendItem {
                 attempt: item.attempt + 1,
@@ -1019,7 +929,9 @@ impl<'a, N: Network> Simulation<'a, N> {
             .hosts
             .release_by_seq(h, seq)
             .expect("overlapped release without its dispatch");
-        self.engines[item.job as usize].on_copy_released(&mut self.st, item);
+        self.forwarding[item.job as usize]
+            .engine
+            .on_copy_released(&mut self.st, item);
         self.st.queue.schedule(now, Ev::TrySend(h));
     }
 

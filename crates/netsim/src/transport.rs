@@ -18,10 +18,11 @@
 //!   deliveries surface asynchronously through bounded-timeout
 //!   `poll_deliveries` calls.
 //!
-//! The trait is dispatched dynamically (`Box<dyn Transport>`) on the
-//! simulator's per-send hot path, so its vocabulary types are all `Copy`
-//! and a send performs no allocation — the golden-equivalence and
-//! zero-alloc suites pin that the indirection changes nothing.
+//! The simulator's event loop holds its [`SimTransport`] by value and calls
+//! the infallible inherent `transmit` on the per-send hot path; the trait
+//! impl wraps that same call in `Ok`, so a `dyn Transport` caller sees the
+//! exact verdicts the simulator acts on. The vocabulary types are all
+//! `Copy` and a send performs no allocation.
 
 use crate::channel::ChannelManager;
 use crate::fault::{FaultKind, FaultPlan};
@@ -183,11 +184,10 @@ pub trait Transport {
 /// and the fault plan's transmission verdict. One instance serves one
 /// workload run; it owns the run's channel-occupancy state.
 ///
-/// `send` reproduces the historic inline hot path *exactly* — reserve the
-/// route with a `t_send + t_prop` hold, derive the head arrival, then ask
-/// the fault plan for a verdict keyed by the transmission identity — so
-/// routing every send through the trait object leaves the golden event
-/// sequences bit-identical.
+/// A send reserves the route with a `t_send + t_prop` hold, derives the
+/// head arrival, then asks the fault plan for a verdict keyed by the
+/// transmission identity. It cannot fail, so [`Transport::send`] always
+/// returns `Ok`.
 pub struct SimTransport<'a> {
     channels: ChannelManager,
     t_send: f64,
@@ -211,16 +211,14 @@ impl<'a> SimTransport<'a> {
             fault,
         }
     }
-}
 
-impl Transport for SimTransport<'_> {
-    fn send(
+    /// The verdict on one transmission to host `to`.
+    pub(crate) fn transmit(
         &mut self,
-        _from: HostId,
         to: HostId,
         packet: PacketView<'_>,
         link: LinkContext<'_>,
-    ) -> Result<TransportResult, TransportError> {
+    ) -> TransportResult {
         let now = SimTime::us(link.now_us);
         let hold = self.t_send + self.t_prop;
         let t0 = self.channels.reserve(link.route, now, hold);
@@ -240,7 +238,7 @@ impl Transport for SimTransport<'_> {
             ),
             None => None,
         };
-        Ok(match verdict {
+        match verdict {
             None => TransportResult::Delivered {
                 start_us: t0.as_us(),
                 arrival_us: arrival.as_us(),
@@ -259,7 +257,19 @@ impl Transport for SimTransport<'_> {
                     retry_at_us: (t0 + f.rto(packet.attempt)).as_us(),
                 }
             }
-        })
+        }
+    }
+}
+
+impl Transport for SimTransport<'_> {
+    fn send(
+        &mut self,
+        _from: HostId,
+        to: HostId,
+        packet: PacketView<'_>,
+        link: LinkContext<'_>,
+    ) -> Result<TransportResult, TransportError> {
+        Ok(self.transmit(to, packet, link))
     }
 
     /// Simulated deliveries ride the event queue, not the transport.
@@ -307,10 +317,10 @@ mod tests {
     fn dyn_send_serializes_shared_routes() {
         let p = params();
         let hold = p.t_send + p.t_prop;
-        let mut boxed: Box<dyn Transport> =
-            Box::new(SimTransport::new(ContentionMode::Wormhole, 4, &p, None));
+        let mut sim = SimTransport::new(ContentionMode::Wormhole, 4, &p, None);
+        let transport: &mut dyn Transport = &mut sim;
         let route = [ChannelId(0), ChannelId(1)];
-        let first = boxed.send(HostId(0), HostId(1), view(0, 0), link(0.0, &route));
+        let first = transport.send(HostId(0), HostId(1), view(0, 0), link(0.0, &route));
         match first.unwrap() {
             TransportResult::Delivered {
                 start_us,
@@ -323,13 +333,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let second = boxed.send(HostId(0), HostId(1), view(1, 0), link(0.0, &route));
+        let second = transport.send(HostId(0), HostId(1), view(1, 0), link(0.0, &route));
         match second.unwrap() {
             TransportResult::Delivered { start_us, .. } => assert_eq!(start_us, hold),
             other => panic!("unexpected {other:?}"),
         }
         // Disjoint route: no stall.
-        let third = boxed.send(HostId(0), HostId(2), view(0, 0), link(1.0, &[ChannelId(3)]));
+        let third = transport.send(HostId(0), HostId(2), view(0, 0), link(1.0, &[ChannelId(3)]));
         match third.unwrap() {
             TransportResult::Delivered { start_us, .. } => assert_eq!(start_us, 1.0),
             other => panic!("unexpected {other:?}"),
@@ -343,14 +353,10 @@ mod tests {
         let p = params();
         let mut plan = FaultPlan::new(7);
         plan.drop_rate = 1.0;
-        let mut boxed: Box<dyn Transport> = Box::new(SimTransport::new(
-            ContentionMode::Wormhole,
-            2,
-            &p,
-            Some(&plan),
-        ));
+        let mut sim = SimTransport::new(ContentionMode::Wormhole, 2, &p, Some(&plan));
+        let transport: &mut dyn Transport = &mut sim;
         let route = [ChannelId(0)];
-        match boxed
+        match transport
             .send(HostId(0), HostId(1), view(0, 0), link(5.0, &route))
             .unwrap()
         {
@@ -367,7 +373,7 @@ mod tests {
         }
         // The simulator backend has no asynchronous receive side.
         let mut seen = 0usize;
-        let n = boxed.poll_deliveries(10, &mut |_d| seen += 1).unwrap();
+        let n = transport.poll_deliveries(10, &mut |_d| seen += 1).unwrap();
         assert_eq!((n, seen), (0, 0));
     }
 }

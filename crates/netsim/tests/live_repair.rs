@@ -8,7 +8,9 @@
 //! `SimRun` (with faults) invocation. The battery checks:
 //!
 //! * an interior-node crash that is `SimError::DeliveryFailed` without the
-//!   policy completes with every survivor reached under it;
+//!   policy completes with every survivor reached under it, for FPFS and
+//!   FCFS jobs alike, while a conventional-NI job (which repair skips)
+//!   still fails;
 //! * conservation: every destination is delivered exactly once (one
 //!   `HostDone`) or listed in `unreached`, never both;
 //! * observers never perturb a repairing run (identical outcome + trace);
@@ -19,6 +21,7 @@
 
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
+use optimcast_core::schedule::ForwardingDiscipline;
 use optimcast_core::tree::Rank;
 use optimcast_netsim::fault::{FaultPlan, HostCrash, RepairPolicy};
 use optimcast_netsim::*;
@@ -67,41 +70,95 @@ fn traced() -> WorkloadConfig {
 /// The acceptance scenario: drop rate 0, an interior tree node crashes
 /// before the first packet lands. Without a repair policy that is a
 /// terminal `DeliveryFailed`; with one, the run completes, every survivor
-/// is reached, and exactly the crashed rank is written off.
+/// is reached, and exactly the crashed rank is written off. Both smart-NI
+/// disciplines are inputs, and each pins its latency bits and re-issue
+/// count. Repair re-issues packet-major (FPFS) over the repaired tree for
+/// either; the crash at rank 12 leaves a repaired tree on which an FCFS
+/// re-issue would finish later.
 #[test]
 fn live_repair_rescues_an_interior_crash() {
     let n = net(21);
     let tree = Arc::new(kbinomial_tree(64, 2));
-    let crashed = Rank(13);
-    assert!(
-        !tree.children(crashed).is_empty(),
-        "rank 13 must be interior for this scenario"
-    );
-    let job = MulticastJob::fpfs(tree.clone(), identity(64), 8);
+    let fpfs = MulticastJob::fpfs(tree.clone(), identity(64), 8);
+    let fcfs = MulticastJob {
+        nic: NicKind::Smart(ForwardingDiscipline::Fcfs),
+        ..fpfs.clone()
+    };
+    for (job, crashed, latency_bits, reissued) in [
+        (&fpfs, Rank(13), 0x40e2a53000000000u64, 8u64),
+        (&fcfs, Rank(13), 0x40e2ae9000000000, 8),
+        (&fcfs, Rank(12), 0x40e2aef000000000, 16),
+    ] {
+        assert!(
+            !tree.children(crashed).is_empty(),
+            "{crashed} must be interior for this scenario"
+        );
+        let mut plan = repair_plan(0xC0FFEE);
+        plan.crashes.push(HostCrash {
+            host: HostId(crashed.0),
+            at_us: 5.0,
+        });
+        let mut bare = plan.clone();
+        bare.repair = None;
+        let run = |plan: &FaultPlan| {
+            SimRun::new(
+                &n,
+                std::slice::from_ref(job),
+                &params(),
+                WorkloadConfig::default(),
+            )
+            .faults(plan)
+            .run()
+        };
+        // Contrast: the identical schedule without the policy is terminal.
+        let err = run(&bare).unwrap_err();
+        assert!(
+            matches!(err, SimError::DeliveryFailed { .. }),
+            "{:?}: expected DeliveryFailed without repair, got {err}",
+            job.nic
+        );
+
+        let out = run(&plan).expect("live repair must rescue the run");
+        assert_eq!(out.unreached, vec![(0, crashed)]);
+        let done = &out.jobs[0].host_done_us;
+        for (r, &t) in done.iter().enumerate().skip(1) {
+            if r == crashed.index() {
+                assert_eq!(t, 0.0, "a crashed rank cannot complete");
+            } else {
+                assert!(t > 0.0, "{:?}: survivor rank {r} never reached", job.nic);
+            }
+        }
+        assert!(out.counters.repairs >= 1, "{:?}", out.counters);
+        assert!(out.counters.repair_wait_us > 0.0, "{:?}", out.counters);
+        assert_eq!(
+            (
+                out.jobs[0].latency_us.to_bits(),
+                out.counters.reissued_packets
+            ),
+            (latency_bits, reissued),
+            "{:?}, crash at {crashed}: latency {} µs",
+            job.nic,
+            out.jobs[0].latency_us
+        );
+    }
+}
+
+/// Repair replays the smart-NI replication pattern, so it skips
+/// conventional-NI jobs: the same interior crash stays a terminal
+/// `DeliveryFailed` under a repair plan.
+#[test]
+fn live_repair_skips_conventional_jobs() {
+    let n = net(21);
+    let job = MulticastJob {
+        nic: NicKind::Conventional,
+        ..MulticastJob::fpfs(kbinomial_tree(64, 2), identity(64), 8)
+    };
     let mut plan = repair_plan(0xC0FFEE);
     plan.crashes.push(HostCrash {
         host: HostId(13),
         at_us: 5.0,
     });
-
-    // Contrast: the identical schedule without the policy is terminal.
-    let mut bare = plan.clone();
-    bare.repair = None;
     let err = SimRun::new(
-        &n,
-        std::slice::from_ref(&job),
-        &params(),
-        WorkloadConfig::default(),
-    )
-    .faults(&bare)
-    .run()
-    .unwrap_err();
-    assert!(
-        matches!(err, SimError::DeliveryFailed { .. }),
-        "expected DeliveryFailed without repair, got {err}"
-    );
-
-    let out = SimRun::new(
         &n,
         std::slice::from_ref(&job),
         &params(),
@@ -109,22 +166,10 @@ fn live_repair_rescues_an_interior_crash() {
     )
     .faults(&plan)
     .run()
-    .expect("live repair must rescue the run");
-    assert_eq!(out.unreached, vec![(0, crashed)]);
-    let done = &out.jobs[0].host_done_us;
-    for (r, &t) in done.iter().enumerate().skip(1) {
-        if r == crashed.index() {
-            assert_eq!(t, 0.0, "a crashed rank cannot complete");
-        } else {
-            assert!(t > 0.0, "survivor rank {r} never reached");
-        }
-    }
-    assert!(out.counters.repairs >= 1, "{:?}", out.counters);
-    assert!(out.counters.reissued_packets > 0, "{:?}", out.counters);
-    assert!(out.counters.repair_wait_us > 0.0, "{:?}", out.counters);
+    .unwrap_err();
     assert!(
-        out.jobs[0].latency_us > 0.0,
-        "latency must cover the repaired survivors"
+        matches!(err, SimError::DeliveryFailed { .. }),
+        "expected DeliveryFailed, got {err}"
     );
 }
 

@@ -5,8 +5,9 @@
 //! The golden-equivalence suite pins full outcome structs; this suite pins
 //! the three scenarios' *event counts and makespans* as the adapter's own
 //! regression tripwire (711 / 940 / 1641 events), and exercises the
-//! `SimTransport` backend directly as a `&mut dyn Transport` — the exact
-//! dispatch shape the event loop uses.
+//! `SimTransport` backend directly as a `&mut dyn Transport` — the
+//! dispatch shape wire-backend callers use (the event loop itself calls
+//! the same send arithmetic without the trait object).
 
 use optimcast_core::builders::{binomial_tree, kbinomial_tree};
 use optimcast_core::params::SystemParams;
@@ -23,10 +24,11 @@ fn hosts(r: std::ops::Range<u32>) -> Vec<HostId> {
     r.map(HostId).collect()
 }
 
-/// The three golden scenarios' `(events, makespan_us)` through the trait
-/// object — the same numbers the pre-refactor inline hot path produced
-/// (staggered smart-NI scenarios carry one extra `JobStart` staging event
-/// per deferred job since the multi-tenant scheduler landed).
+/// The three golden scenarios' `(events, makespan_us)` through the
+/// simulator transport — the same numbers the pre-refactor inline hot
+/// path produced (staggered smart-NI scenarios carry one extra `JobStart`
+/// staging event per deferred job since the multi-tenant scheduler
+/// landed).
 #[test]
 fn golden_scenarios_pin_through_the_trait_object() {
     let params = SystemParams::paper_1997();
