@@ -14,6 +14,11 @@
 //! releases, retransmission timeouts) or by item identity (handshake
 //! completions), so with `s > 1` a completion frees exactly the unit that
 //! carried it.
+//!
+//! A host's in-flight slots are reserved at its first dispatch, not when
+//! the model is built: most hosts of a large fabric never send in a given
+//! run, and a small run repeated per frame or per sample should not pay a
+//! slot allocation for every host of the network.
 
 use crate::arq::NiModel;
 use crate::event::SendItem;
@@ -26,7 +31,8 @@ use std::collections::VecDeque;
 struct HostState {
     send_queue: VecDeque<SendItem>,
     /// Occupied send units: `(seq, item)` in dispatch order. Length is
-    /// bounded by the NI's `send_units`.
+    /// bounded by the NI's `send_units`; exactly that many slots are
+    /// reserved at the host's first dispatch.
     in_flight: Vec<(u64, SendItem)>,
     /// Dispatch counter; each dispatch takes the next sequence number.
     /// Retransmission timeouts are armed against a dispatch's sequence so a
@@ -51,7 +57,7 @@ impl HostModel {
             hosts: (0..n_hosts)
                 .map(|_| HostState {
                     send_queue: VecDeque::new(),
-                    in_flight: Vec::with_capacity(units),
+                    in_flight: Vec::new(),
                     next_seq: 0,
                     recv_free: SimTime::ZERO,
                     resident: 0,
@@ -79,6 +85,9 @@ impl HostModel {
             return None;
         }
         let item = hs.send_queue.pop_front()?;
+        if hs.next_seq == 0 {
+            hs.in_flight.reserve_exact(units);
+        }
         hs.next_seq += 1;
         hs.in_flight.push((hs.next_seq, item));
         Some(item)
@@ -354,6 +363,21 @@ mod tests {
         assert!(hm.pop_queued(h).is_none());
         assert!(hm.send_queue_is_empty(h));
         assert!(hm.try_dispatch(h).is_none());
+    }
+
+    #[test]
+    fn in_flight_slots_are_reserved_at_first_dispatch() {
+        let ni = NiModel {
+            send_units: 3,
+            queue_capacity: None,
+        };
+        let mut hm = HostModel::new(2, ni);
+        let (idle, sender) = (HostId(0), HostId(1));
+        hm.enqueue(sender, item(0));
+        assert_eq!(hm.hosts[sender.index()].in_flight.capacity(), 0);
+        hm.try_dispatch(sender).unwrap();
+        assert_eq!(hm.hosts[sender.index()].in_flight.capacity(), 3);
+        assert_eq!(hm.hosts[idle.index()].in_flight.capacity(), 0);
     }
 
     #[test]

@@ -20,6 +20,15 @@
 //! one-frame churn-free stream is bit-identical to the equivalent
 //! [`SimRun`] (the differential tests pin this).
 //!
+//! A **membership epoch** is the span between two applied churn events.
+//! Each epoch builds its FPFS job (tree and host binding) and its
+//! [`JobRoutes`] table once, at its first served frame, and every frame of
+//! the epoch runs as a prerouted [`SimRun`] over that shared job. Every
+//! join and every applied leave ends the epoch; a skipped leave does not.
+//! The simulator's NI state is still per frame, and a host reserves its
+//! in-flight send slots only at its first dispatch, so the fabric's hosts
+//! outside the group add no per-host allocation to a frame.
+//!
 //! ## Drop-oldest backpressure
 //!
 //! While a frame is in service, newly emitted frames queue in the source
@@ -48,11 +57,12 @@
 //! delay under overload is included — that is the metric's point.
 
 use crate::error::SimError;
+use crate::routes::JobRoutes;
+use crate::simulation::validate;
 use crate::workload::{MulticastJob, SimRun, WorkloadConfig, WorkloadOutcome};
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::membership::Membership;
 use optimcast_core::params::SystemParams;
-use optimcast_core::tree::MulticastTree;
 use optimcast_rng::{ChaCha8Rng, Rng};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
@@ -125,8 +135,10 @@ pub fn churn_plan(spec: &StreamSpec, universe: u32) -> Vec<ChurnEvent> {
             }
         })
         .collect();
-    // Stable: simultaneous events keep their draw order.
-    plan.sort_by(|a, b| a.at_us.partial_cmp(&b.at_us).expect("finite times"));
+    // Stable: simultaneous events keep their draw order. `total_cmp` agrees
+    // with `partial_cmp` on the finite, non-negative times a valid spec
+    // gives, and sorts a NaN from a malformed spec instead of panicking.
+    plan.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
     plan
 }
 
@@ -311,7 +323,29 @@ impl<'a, N: Network> StreamRun<'a, N> {
         if !(self.spec.gap_us > 0.0 && self.spec.gap_us.is_finite()) {
             return Err(err("inter-frame gap must be positive and finite"));
         }
+        if !(self.spec.gap_us * f64::from(self.spec.frames)).is_finite() {
+            return Err(err("stream span (gap times frames) must be finite"));
+        }
         Ok(())
+    }
+
+    /// One membership epoch's FPFS job over `group`'s tree and the job's
+    /// route table. The binding is validated first so a host outside the
+    /// network is a [`SimError`], not a routing panic.
+    fn epoch_job(
+        &self,
+        group: &Membership,
+        packets: u32,
+    ) -> Result<(MulticastJob, Arc<JobRoutes>), SimError> {
+        let binding: Vec<HostId> = group
+            .members()
+            .iter()
+            .map(|&u| self.binding[u as usize])
+            .collect();
+        let job = MulticastJob::fpfs(group.tree().clone(), binding, packets);
+        validate(self.net, std::slice::from_ref(&job))?;
+        let routes = Arc::new(JobRoutes::build(self.net, &job.tree, &job.binding));
+        Ok((job, routes))
     }
 
     /// Executes the stream.
@@ -328,6 +362,8 @@ impl<'a, N: Network> StreamRun<'a, N> {
         let emit = |i: u32| f64::from(i) * spec.gap_us;
 
         let members: Vec<u32> = (0..self.initial).collect();
+        // Invariant: `validate` bounds `initial` to `2..=universe`, so the
+        // tree spans exactly `members`, led by the source.
         let mut group = Membership::new(
             kbinomial_tree(self.initial, self.k),
             &members,
@@ -338,6 +374,9 @@ impl<'a, N: Network> StreamRun<'a, N> {
 
         let plan = churn_plan(spec, universe);
         let mut next_event = 0usize;
+        // The current membership epoch's job and route table; cleared by
+        // every applied join or leave.
+        let mut epoch: Option<(MulticastJob, Arc<JobRoutes>)> = None;
 
         let mut fates: Vec<Option<FrameRecord>> = vec![None; spec.frames as usize];
         let mut queue: VecDeque<u32> = VecDeque::new();
@@ -377,6 +416,7 @@ impl<'a, N: Network> StreamRun<'a, N> {
                 let before = next_emit;
                 while next_emit < spec.frames && emit(next_emit) <= start {
                     if spec.buffer_frames > 0 && queue.len() >= spec.buffer_frames as usize {
+                        // Invariant: `queue.len() >= buffer_frames > 0`.
                         let victim = queue.pop_front().expect("bounded buffer is non-empty");
                         fates[victim as usize] = Some(FrameRecord {
                             emitted_us: emit(victim),
@@ -399,33 +439,37 @@ impl<'a, N: Network> StreamRun<'a, N> {
             while next_event < plan.len() && plan[next_event].at_us <= start {
                 let ev = plan[next_event];
                 next_event += 1;
+                // Invariant: plan members lie in `1..universe`, so only
+                // membership decides whether `join`/`leave` applies.
                 if group.is_member(ev.member) {
                     if group.len() > 2 {
                         group.leave(ev.member).expect("present member can leave");
                         out.leaves += 1;
+                        epoch = None;
                     } else {
                         out.churn_skipped += 1;
                     }
                 } else {
                     group.join(ev.member).expect("absent member can join");
                     out.joins += 1;
+                    epoch = None;
                 }
             }
-            // Serve the head frame over the current membership.
+            // Invariant: the loop guard or the idle branch queued a frame.
             let frame = queue.pop_front().expect("loop guard");
-            let tree: Arc<MulticastTree> = Arc::new(group.tree().clone());
-            let job_binding: Vec<HostId> = group
-                .members()
-                .iter()
-                .map(|&u| self.binding[u as usize])
-                .collect();
-            let job = MulticastJob::fpfs(tree, job_binding, packets);
+            // Serve it over the current epoch's job and routes, built at the
+            // epoch's first frame.
+            let (job, routes) = match &epoch {
+                Some(cached) => cached,
+                None => epoch.insert(self.epoch_job(&group, packets)?),
+            };
             let sim = SimRun::new(
                 self.net,
-                std::slice::from_ref(&job),
+                std::slice::from_ref(job),
                 self.params,
                 self.config,
             )
+            .routes(vec![Arc::clone(routes)])
             .run()?;
             let completion = start + sim.jobs[0].latency_us;
             let staleness = completion - emit(frame);
@@ -453,6 +497,8 @@ impl<'a, N: Network> StreamRun<'a, N> {
         }
 
         out.duration_us = t_free.max(emit(spec.frames - 1));
+        // Invariant: the loop ends only once every frame was emitted and
+        // the queue drained, so each frame was served or evicted.
         out.frames = fates
             .into_iter()
             .map(|f| f.expect("every frame resolves to delivered or dropped"))
@@ -514,6 +560,10 @@ mod tests {
             bad(&|s| s.mtu_bytes = 0),
             Some(StreamError::InvalidStream(_))
         ));
+        assert!(matches!(
+            bad(&|s| s.gap_us = f64::MAX),
+            Some(StreamError::InvalidStream(_))
+        ));
         let one = binding(1);
         assert!(matches!(
             StreamRun::new(&n, &one, 1, 2, &params(), StreamSpec::default())
@@ -532,6 +582,19 @@ mod tests {
                 .run()
                 .err(),
             Some(StreamError::InvalidStream(_))
+        ));
+    }
+
+    #[test]
+    fn a_host_outside_the_network_is_a_sim_error() {
+        let n = net(1);
+        let mut b = binding(4);
+        b[2] = HostId(9_999);
+        assert!(matches!(
+            StreamRun::new(&n, &b, 4, 2, &params(), StreamSpec::default())
+                .run()
+                .err(),
+            Some(StreamError::Sim(SimError::HostOutOfRange { .. }))
         ));
     }
 

@@ -6,10 +6,19 @@
 //! equivalent [`SimRun`] over the same tree, binding, packet count, and
 //! configuration. This pins `StreamRun` to every existing golden the
 //! `SimRun` path is pinned to.
+//!
+//! **Across epochs** — with many frames, live churn, and bounded or
+//! unbounded buffers, every delivered frame's outcome must equal an
+//! un-prerouted [`SimRun`] over the membership that was current at its
+//! service start, rebuilt here from scratch by replaying [`churn_plan`].
+//! `StreamRun` shares one job and route table across the frames of a
+//! membership epoch; this pins that the share ends at every join and
+//! applied leave, and that the shared routes equal freshly built ones.
 
 use optimcast_core::builders::kbinomial_tree;
+use optimcast_core::membership::Membership;
 use optimcast_core::params::SystemParams;
-use optimcast_netsim::stream::{StreamOutcome, StreamRun, StreamSpec};
+use optimcast_netsim::stream::{churn_plan, FrameFate, StreamOutcome, StreamRun, StreamSpec};
 use optimcast_netsim::workload::{MulticastJob, SimRun, WorkloadConfig};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
@@ -69,5 +78,77 @@ proptest! {
         prop_assert_eq!(&out.frame_outcomes[0], &direct);
         prop_assert_eq!(out.duration_us, direct.makespan_us.max(0.0));
         prop_assert_eq!(out.events, direct.events);
+    }
+}
+
+proptest! {
+    /// Many frames with churn: each delivered frame's `WorkloadOutcome`
+    /// equals an un-prerouted `SimRun` over the membership current at its
+    /// service start.
+    #[test]
+    fn churned_stream_frames_equal_simrun_per_epoch(
+        seed in 0u64..40,
+        universe in 3u32..40,
+        initial_pick in 0u32..40,
+        k in 1u32..5,
+        frames in 2u32..14,
+        churn_events in 1u32..16,
+        churn_seed in 0u64..1_000,
+        buffer_frames in 0u32..4,
+        gap_us in 1u32..400,
+        mtu in 16u32..128,
+    ) {
+        let net = IrregularNetwork::generate(IrregularConfig::default(), seed);
+        // Reverse the host order so routes differ from the identity binding.
+        let binding: Vec<HostId> = (0..universe).map(|u| HostId(63 - u)).collect();
+        let initial = 2 + initial_pick % (universe - 1);
+        let spec = StreamSpec {
+            frame_bytes: 256,
+            mtu_bytes: mtu,
+            gap_us: f64::from(gap_us),
+            frames,
+            buffer_frames,
+            churn_events,
+            churn_seed,
+            keep_frame_outcomes: true,
+        };
+        let out = stream(&net, &binding, initial, k, spec, WorkloadConfig::default());
+        prop_assert_eq!(out.frame_outcomes.len(), out.served as usize);
+
+        let members: Vec<u32> = (0..initial).collect();
+        let mut group = Membership::new(kbinomial_tree(initial, k), &members, universe, k)
+            .expect("valid initial group");
+        let plan = churn_plan(&spec, universe);
+        let mut next_event = 0;
+        let delivered = out.frames.iter().filter_map(|f| match f.fate {
+            FrameFate::Delivered { service_start_us, receivers, .. } => {
+                Some((service_start_us, receivers))
+            }
+            FrameFate::Dropped { .. } => None,
+        });
+        for ((start, receivers), frame_out) in delivered.zip(&out.frame_outcomes) {
+            while next_event < plan.len() && plan[next_event].at_us <= start {
+                let member = plan[next_event].member;
+                next_event += 1;
+                if !group.is_member(member) {
+                    group.join(member).expect("absent member joins");
+                } else if group.len() > 2 {
+                    group.leave(member).expect("present member leaves");
+                }
+            }
+            prop_assert_eq!(receivers as usize, group.len() - 1);
+            let job_binding: Vec<HostId> =
+                group.members().iter().map(|&u| binding[u as usize]).collect();
+            let job = MulticastJob::fpfs(
+                group.tree().clone(),
+                job_binding,
+                out.packets_per_frame,
+            );
+            let direct = SimRun::new(&net, std::slice::from_ref(&job), &params(),
+                                     WorkloadConfig::default())
+                .run()
+                .expect("fault-free run completes");
+            prop_assert_eq!(frame_out, &direct);
+        }
     }
 }

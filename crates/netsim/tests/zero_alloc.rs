@@ -10,13 +10,23 @@
 //! multiplies the event count while leaving the allocation count nearly
 //! unchanged; this test pins that down numerically.
 //!
+//! Setup allocations are per participant, not per host of the fabric: a
+//! host reserves its NI in-flight send slots at its first dispatch, so
+//! hosts that never send allocate nothing.
+//!
+//! A churn-free frame stream pays no more per frame than one prerouted run
+//! of the same job: `StreamRun` builds each membership epoch's job and
+//! route table once and serves every frame of the epoch from them.
+//!
 //! Everything runs inside ONE `#[test]` — the counters are process-wide, so
 //! a second concurrently-running test would pollute the window.
 
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
 use optimcast_netsim::alloc::CountingAlloc;
-use optimcast_netsim::{JobRoutes, MulticastJob, SimRun, WorkloadConfig, WorkloadOutcome};
+use optimcast_netsim::{
+    JobRoutes, MulticastJob, SimRun, StreamRun, StreamSpec, WorkloadConfig, WorkloadOutcome,
+};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use std::sync::Arc;
@@ -80,6 +90,35 @@ fn steady_state_event_loop_is_allocation_free() {
     assert!(
         small_allocs < 1_000,
         "per-run setup allocations blew up: {small_allocs}"
+    );
+
+    // A churn-free stream of the same job (64 members, k = 2, 512-byte
+    // frames at a 64-byte MTU = 8 packets): each frame after the first
+    // costs at most one prerouted run plus a small slack, since the tree,
+    // binding and route table are built once for the epoch.
+    let stream = |frames: u32| -> u64 {
+        let spec = StreamSpec {
+            frame_bytes: 512,
+            mtu_bytes: 64,
+            frames,
+            ..StreamSpec::default()
+        };
+        let before = CountingAlloc::allocations();
+        let out = StreamRun::new(&net, &binding, 64, 2, &params, spec)
+            .run()
+            .expect("valid stream completes");
+        assert_eq!(out.served, frames);
+        assert_eq!(out.packets_per_frame, 8);
+        CountingAlloc::allocations() - before
+    };
+    let one_frame = stream(1);
+    let sixteen_frames = stream(16);
+    let per_frame = sixteen_frames.saturating_sub(one_frame) / 15;
+    assert!(
+        per_frame <= small_allocs + 8,
+        "a stream frame must cost no more than one prerouted run: {per_frame} \
+         allocations per frame vs {small_allocs} per run (1 frame: {one_frame}, \
+         16 frames: {sixteen_frames})"
     );
 
     // Peak-bytes high-water tracking — what the mega-scale setup budget

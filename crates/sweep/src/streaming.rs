@@ -33,8 +33,10 @@ use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::latency::smart_latency_us;
 use optimcast_core::schedule::fpfs_schedule;
+use optimcast_core::tree::MulticastTree;
 use optimcast_netsim::{FrameFate, StreamRun, StreamSpec};
 use std::ops::AddAssign;
+use std::sync::Arc;
 
 /// Seed salt mixed into each sample's churn plan so the membership stream
 /// is independent of the fault and topology streams.
@@ -394,6 +396,10 @@ impl Sweep {
         let topo = self.topology(t);
         let packets = grid.frame_bytes.div_ceil(grid.mtu_bytes);
         let mut agg = StreamAgg::default();
+        // The last sample's memoized tree and its nominal service time: the
+        // samples share one group size, hence one tree, so the schedule is
+        // computed once per call rather than once per sample.
+        let mut nominal: Option<(Arc<MulticastTree>, f64)> = None;
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, grid.dests);
@@ -402,7 +408,14 @@ impl Sweep {
             // sample's shape, as the latency figures chart it.
             let tree = self.tree(TreePolicy::OptimalKBinomial, n, packets);
             let k = tree.max_degree().max(1);
-            let nominal_us = smart_latency_us(&fpfs_schedule(&tree, packets), cfg.params());
+            let nominal_us = match &nominal {
+                Some((seen, us)) if Arc::ptr_eq(seen, &tree) => *us,
+                _ => {
+                    let us = smart_latency_us(&fpfs_schedule(&tree, packets), cfg.params());
+                    nominal = Some((tree, us));
+                    us
+                }
+            };
             let spec = StreamSpec {
                 frame_bytes: grid.frame_bytes,
                 mtu_bytes: grid.mtu_bytes,
