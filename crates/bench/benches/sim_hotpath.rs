@@ -2,14 +2,13 @@
 //! (the innermost data structure of every run) and full `run_multicast`
 //! calls with and without an interned route table.
 
-mod common;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
 use optimcast::netsim::JobRoutes;
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim/event_queue");
@@ -89,9 +88,17 @@ fn bench_run_multicast(c: &mut Criterion) {
     g.finish();
 }
 
+/// Short, stable settings: 10 samples, 1 s of measurement.
+fn config() -> Criterion {
+    Criterion::default()
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(300))
+}
+
 criterion_group! {
     name = benches;
-    config = common::config();
+    config = config();
     targets = bench_event_queue, bench_run_multicast
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! # optimcast-bench
 //!
-//! Criterion microbenchmarks of the analytic figures, the ablations and the
-//! simulator hot path. The content lives in the `benches/` targets, which
-//! drive the APIs exported by the umbrella `optimcast` crate; the simulated
-//! Figs. 13–14 sweeps are timed end to end by the perfbench package.
+//! Criterion microbenchmarks of the simulator hot path, in the
+//! `benches/sim_hotpath.rs` target: event-queue churn and single
+//! `SimRun` multicasts with and without an interned route table. Every
+//! number the evaluation quotes comes from `optimcast figures` goldens
+//! instead; end-to-end timings come from the perfbench package.

@@ -54,11 +54,25 @@ pub enum FigureId {
     Fig14b,
     /// Extension: FPFS vs FCFS optimal-tree steps (analytic).
     Disciplines,
+    /// Ablation A1: base ordering vs wormhole contention (fixed seed).
+    AblationOrdering,
+    /// Ablation A2: FPFS vs FCFS latency and buffer highwater (fixed seed).
+    AblationFpfsFcfs,
+    /// Ablation A3: analytic vs ideal vs wormhole latency (fixed seed).
+    AblationContention,
+    /// Ablation A4: k-binomial broadcast on k-ary n-cubes.
+    AblationCube,
+    /// Extension: concurrent multicasts on shared hosts (fixed seed).
+    MultiMulticast,
+    /// Extension: optimal k under the parameterized model (analytic).
+    ParamModel,
+    /// Extension: scatter/gather steps, chain vs k-binomial (analytic).
+    Collectives,
 }
 
 impl FigureId {
     /// Every figure, in the order `optimcast figures` prints them.
-    pub const ALL: [FigureId; 11] = [
+    pub const ALL: [FigureId; 18] = [
         FigureId::Fig4,
         FigureId::Fig5,
         FigureId::Fig8,
@@ -70,6 +84,13 @@ impl FigureId {
         FigureId::Fig14a,
         FigureId::Fig14b,
         FigureId::Disciplines,
+        FigureId::AblationOrdering,
+        FigureId::AblationFpfsFcfs,
+        FigureId::AblationContention,
+        FigureId::AblationCube,
+        FigureId::MultiMulticast,
+        FigureId::ParamModel,
+        FigureId::Collectives,
     ];
 
     /// The artifact id used in filenames and the `id` field of the JSON
@@ -87,11 +108,19 @@ impl FigureId {
             FigureId::Fig14a => "fig14a",
             FigureId::Fig14b => "fig14b",
             FigureId::Disciplines => "disciplines",
+            FigureId::AblationOrdering => "ablation_ordering",
+            FigureId::AblationFpfsFcfs => "ablation_fpfs_fcfs",
+            FigureId::AblationContention => "ablation_contention",
+            FigureId::AblationCube => "ablation_cube",
+            FigureId::MultiMulticast => "multi_multicast",
+            FigureId::ParamModel => "param_model",
+            FigureId::Collectives => "collectives",
         }
     }
 
-    /// True for figures that run the discrete-event simulator (and therefore
-    /// profit from the parallel engine); false for analytic figures.
+    /// True for the figures sampled over the configured topology × destination
+    /// set grid (and therefore run on the parallel engine); false for
+    /// analytic figures and the fixed-seed ablations.
     pub fn simulated(self) -> bool {
         matches!(
             self,

@@ -7,13 +7,16 @@
 //! CCO as the base ordering, on a 64-host/16-switch/8-port network with
 //! `t_s = t_r = 12.5 µs`, 64-byte packets, `t_send = 3 µs`, `t_recv = 2 µs`.
 
+use crate::ablations::{
+    ablation_contention, ablation_cube, ablation_fpfs_fcfs, ablation_ordering, collectives,
+    multi_multicast, param_model,
+};
 use crate::engine::{PointSpec, Sweep};
 use crate::error::SweepError;
 use crate::figure::{Figure, FigureId, Series};
 use crate::sampling::{m_axis, TreePolicy, DEST_COUNTS, N_SWEEP, PACKET_COUNTS};
 use optimcast_core::buffer::BufferAnalysis;
 use optimcast_core::builders::{binomial_tree, linear_tree};
-use optimcast_core::coverage::ceil_log2;
 use optimcast_core::latency::{conventional_latency_us, smart_latency_us};
 use optimcast_core::optimal::{optimal_k, optimal_k_fcfs};
 use optimcast_core::params::SystemParams;
@@ -248,6 +251,13 @@ impl Sweep {
             FigureId::Fig14a => self.fig14a(),
             FigureId::Fig14b => self.fig14b(),
             FigureId::Disciplines => Ok(fig_disciplines(64)),
+            FigureId::AblationOrdering => Ok(ablation_ordering(self.config().params())),
+            FigureId::AblationFpfsFcfs => Ok(ablation_fpfs_fcfs(self.config().params())),
+            FigureId::AblationContention => Ok(ablation_contention(self.config().params())),
+            FigureId::AblationCube => Ok(ablation_cube(self.config().params())),
+            FigureId::MultiMulticast => Ok(multi_multicast(self.config().params())),
+            FigureId::ParamModel => Ok(param_model(self.config().params())),
+            FigureId::Collectives => Ok(collectives()),
         }
     }
 
@@ -341,14 +351,10 @@ impl Sweep {
     }
 }
 
-/// Upper bound of the optimal-k search interval, exposed for the benches.
-pub fn k_search_interval(n: u64) -> u32 {
-    ceil_log2(n).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optimcast_core::coverage::ceil_log2;
 
     #[test]
     fn fig12a_matches_paper_claims() {

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ablations;
 mod chaos;
 mod chaos_arq;
 mod chaos_figures;
@@ -45,6 +46,10 @@ mod sampling;
 mod streaming;
 mod tenants;
 
+pub use ablations::{
+    ablation_contention, ablation_cube, ablation_fpfs_fcfs, ablation_ordering, collectives,
+    multi_multicast, param_model,
+};
 pub use chaos::{ChaosCell, ChaosReport};
 pub use chaos_arq::{ArqCell, ArqReport};
 pub use chaos_figures::ChaosFigureId;
@@ -53,9 +58,7 @@ pub use config::{SweepBuilder, SweepConfig};
 pub use engine::{LatencyStats, PointSpec, SimEffort, Sweep};
 pub use error::SweepError;
 pub use figure::{Figure, FigureId, Series};
-pub use figures::{
-    buffer_figure, fig12a, fig12b, fig4, fig5, fig8, fig_disciplines, k_search_interval,
-};
+pub use figures::{buffer_figure, fig12a, fig12b, fig4, fig5, fig8, fig_disciplines};
 pub use json::{Json, JsonError, ToJson};
 pub use mega::{
     bench_mega, MegaBenchReport, MegaPoint, MEGA_M, MEGA_QUICK_SIZES, MEGA_SETUP_BUDGET_BYTES,

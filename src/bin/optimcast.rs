@@ -2,12 +2,11 @@
 //! arguments (or with `--help`) for the synopsis of every command; the
 //! flags each command accepts are declared once, in `COMMANDS`.
 //!
-//! `figures` regenerates the paper's figures as text tables: FIG is one of
-//! fig4 fig5 fig8 buffers fig12a fig12b fig13a fig13b fig14a fig14b
-//! disciplines chaos_outage chaos_corrupt chaos_buffer, or `all` (the
-//! default). `--quick` samples 2 topologies × 3 destination sets instead of
-//! the paper's 10 × 30; `--json`/`--gnuplot` also write `<DIR>/<fig>.json`
-//! or `.dat` + `.gp` per figure. Output is bit-identical for any `--threads`.
+//! `figures` regenerates the paper's figures and the ablations as text
+//! tables: FIG is any name `--help` lists, or `all` (the default). `--quick`
+//! samples 2 topologies × 3 destination sets instead of the paper's 10 × 30;
+//! `--json`/`--gnuplot` also write `<DIR>/<fig>.json` or `.dat` + `.gp` per
+//! figure. Output is bit-identical for any `--threads`.
 //!
 //! Bad input exits 2, a failed run exits 1; both print one `<cmd>:` line.
 
@@ -105,6 +104,22 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn usage() {
+    // Every FIG name, wrapped under the `figures` synopsis.
+    let mut figs = String::from("            FIG:");
+    let mut width = figs.len();
+    let names = FigureId::ALL.iter().map(|id| id.as_str());
+    for name in names
+        .chain(ChaosFigureId::ALL.iter().map(|id| id.as_str()))
+        .chain(["all"])
+    {
+        if width + 1 + name.len() > 76 {
+            figs.push_str("\n           ");
+            width = 11;
+        }
+        figs.push(' ');
+        figs.push_str(name);
+        width += 1 + name.len();
+    }
     eprintln!(
         "optimcast — k-binomial multicast toolkit (Kesavan & Panda, ICPP 1997)\n\
          commands:\n\
@@ -114,8 +129,7 @@ fn usage() {
          \u{20}  optimal  --n N --m M\n\
          \u{20}  table    [--max-n N] [--max-m M]\n\
          \u{20}  figures  [--quick] [--threads N] [--json DIR] [--gnuplot DIR] [FIG ...]\n\
-         \u{20}           FIG: fig4 fig5 fig8 buffers fig12a fig12b fig13a fig13b fig14a\n\
-         \u{20}           fig14b disciplines chaos_outage chaos_corrupt chaos_buffer all\n\
+         {figs}\n\
          \u{20}  simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]\n\
          \u{20}           [--ordering cco|poc|random] [--ideal] [--trace] [--json]\n\
          \u{20}           [--drop-rate R] [--corrupt-rate R] [--crashes C]\n\
@@ -591,6 +605,22 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
             chain.len()
         )));
     }
+    // The crashed hosts are the deepest in the ordering: the last
+    // `--crashes` destinations of the arranged chain.
+    let crashes: Vec<HostCrash> = chain
+        .iter()
+        .rev()
+        .take(crash_count as usize)
+        .map(|&host| HostCrash {
+            host,
+            at_us: spec.crash_at_us,
+        })
+        .collect();
+    let plan = spec.plan(0, crashes);
+    // The simulator validates only a plan that can fault (it runs a trivial
+    // one as no plan), so a bad fault flag on a fault-free run (`--window
+    // 0`) is rejected here.
+    plan.validate().map_err(bad)?;
     let jobs = [MulticastJob {
         tree: tree.into(),
         binding: chain.clone(),
@@ -608,25 +638,10 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
             queue_capacity: None,
         },
     };
-    let wl = if !spec.is_trivial() {
-        // The crashed hosts are the deepest in the ordering: the last
-        // `--crashes` destinations of the arranged chain.
-        let crashes: Vec<HostCrash> = chain
-            .iter()
-            .rev()
-            .take(crash_count as usize)
-            .map(|&host| HostCrash {
-                host,
-                at_us: spec.crash_at_us,
-            })
-            .collect();
-        SimRun::new(&net, &jobs, &params, config)
-            .faults(&spec.plan(0, crashes))
-            .run()
-    } else {
-        SimRun::new(&net, &jobs, &params, config).run()
-    }
-    .map_err(failed)?;
+    let wl = SimRun::new(&net, &jobs, &params, config)
+        .faults(&plan)
+        .run()
+        .map_err(failed)?;
     let out = &wl.jobs[0];
     let c = &wl.counters;
     if flags.has("json") {

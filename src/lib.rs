@@ -24,10 +24,11 @@
 //!   parallel sweep engine: the validated [`SweepBuilder`](prelude::SweepBuilder)
 //!   API, memoized topology/tree construction, figure regeneration, and the
 //!   unified figure JSON schema;
+//! * `optimcast_collectives` (re-exported as [`collectives`]) — scatter,
+//!   gather, all-gather, reduce and barrier under packetization;
 //! * this crate — the static schedule/route contention analysis
-//!   ([`analysis`]), the MPI-style [`Communicator`](comm::Communicator)
-//!   facade, and the `optimcast` CLI, whose `figures` command prints every
-//!   paper figure as a data table.
+//!   ([`analysis`]) and the `optimcast` CLI, whose `figures` command prints
+//!   every paper figure and ablation as a data table.
 //!
 //! ## Regenerating figures
 //!
@@ -74,7 +75,6 @@ pub use optimcast_topology as topology;
 pub use optimcast_transport_udp as transport_udp;
 
 pub mod analysis;
-pub mod comm;
 
 /// One-stop imports for applications.
 pub mod prelude {
@@ -97,5 +97,4 @@ pub mod prelude {
     pub use optimcast_topology::Network;
 
     pub use crate::analysis::schedule_conflicts;
-    pub use crate::comm::Communicator;
 }

@@ -278,7 +278,7 @@ fn retired_bench_commands_are_unknown() {
 fn out_of_range_input_is_a_usage_error() {
     // Values the library documents as panics must be rejected up front:
     // exit 2 with a `<cmd>:` diagnostic, never a panic (exit 101).
-    let cases: [&[&str]; 19] = [
+    let cases: [&[&str]; 22] = [
         &["route", "1", "x"],
         &["route", "1", "9999"],
         &["tree", "--k", "x"],
@@ -298,6 +298,10 @@ fn out_of_range_input_is_a_usage_error() {
         &["tree", "--n", "4", "--k", "2", "--m", "0"],
         &["route", "--switches", "0", "1", "2"],
         &["wire", "--k", "0"],
+        // Fault flags are checked even when no fault is injected.
+        &["simulate", "--window", "0"],
+        &["simulate", "--deadline", "-5"],
+        &["simulate", "--crashes", "1", "--crash-at", "-1"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
@@ -328,6 +332,21 @@ fn figures_rejects_an_unknown_figure_name() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn usage_lists_every_figure_name() {
+    use optimcast::prelude::{ChaosFigureId, FigureId};
+    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+        .arg("--help")
+        .output()
+        .expect("binary runs");
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let names: Vec<&str> = usage.split_whitespace().collect();
+    let ids = FigureId::ALL.iter().map(|id| id.as_str());
+    for id in ids.chain(ChaosFigureId::ALL.iter().map(|id| id.as_str())) {
+        assert!(names.contains(&id), "{id} missing from usage:\n{usage}");
+    }
 }
 
 #[test]

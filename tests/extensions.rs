@@ -1,13 +1,19 @@
 //! Integration tests for the extension systems: mesh substrate, POC
 //! ordering, the parameterized model, personalized (scatter) simulation,
 //! and the multi-multicast workload engine — each exercised end to end
-//! across crates.
+//! across crates — plus the qualitative claim of every ablation figure
+//! (`optimcast figures ablation_* multi_multicast param_model
+//! collectives`) that EXPERIMENTS.md quotes.
 
 use optimcast::collectives::{scatter_schedule, OrderPolicy};
 use optimcast::core::param_model::{optimal_k_param, param_schedule, ParamModel};
 use optimcast::core::schedule::ForwardingDiscipline;
 use optimcast::netsim::{MulticastJob, PersonalizedOrder, SimRun, WorkloadConfig};
 use optimcast::prelude::*;
+use optimcast::sweep::{
+    ablation_contention, ablation_cube, ablation_fpfs_fcfs, ablation_ordering, collectives,
+    multi_multicast, param_model,
+};
 use optimcast::topology::mesh::{snake_ordering, MeshNetwork};
 use optimcast::topology::ordering::{partial_ordered_chains, poc};
 
@@ -363,4 +369,107 @@ fn engine_throughput_sanity() {
         wall.as_secs_f64() < 30.0,
         "256-host m=32 multicast took {wall:?}"
     );
+}
+
+/// The y value of `fig`'s series `label` at `x`.
+fn point(fig: &Figure, label: &str, x: f64) -> f64 {
+    let series = fig
+        .series
+        .iter()
+        .find(|s| s.label == label)
+        .unwrap_or_else(|| panic!("{}: no series {label}", fig.id));
+    series
+        .points
+        .iter()
+        .find(|p| p.0 == x)
+        .unwrap_or_else(|| panic!("{}: {label} has no point at x = {x}", fig.id))
+        .1
+}
+
+/// A1: each contention-aware ordering (CCO, POC, switch-grouped) blocks
+/// fewer sends than a random ordering of the same participants.
+#[test]
+fn ablation_ordering_structured_orders_block_less_than_random() {
+    let f = ablation_ordering(&params());
+    let random = point(&f, "blocked sends", 3.0);
+    for x in [0.0, 1.0, 2.0] {
+        assert!(point(&f, "blocked sends", x) < random, "ordering {x}");
+    }
+}
+
+/// A2 / §3.3.2: the FCFS forwarding-buffer highwater is the whole message
+/// (m = 16 packets); FPFS holds fewer.
+#[test]
+fn ablation_fcfs_highwater_is_the_message() {
+    let f = ablation_fpfs_fcfs(&params());
+    assert_eq!(point(&f, "max fwd buffer", 1.0), 16.0);
+    assert!(point(&f, "max fwd buffer", 0.0) < 16.0);
+}
+
+/// A3: with contention off the simulator lands exactly on the analytic
+/// floor (215 µs); wormhole contention only adds to it.
+#[test]
+fn ablation_ideal_contention_equals_analytic_floor() {
+    let f = ablation_contention(&params());
+    let analytic = point(&f, "latency (us)", 0.0);
+    assert!((analytic - 215.0).abs() < 1e-9, "{analytic}");
+    assert!((point(&f, "latency (us)", 1.0) - analytic).abs() < 1e-9);
+    assert_eq!(point(&f, "blocked sends", 1.0), 0.0);
+    assert!(point(&f, "latency (us)", 2.0) >= analytic);
+}
+
+/// A4: multi-packet pipelining blocks some sends even on cubes, but costs
+/// under 10% over the analytic prediction.
+#[test]
+fn ablation_cube_nested_contention_is_bounded() {
+    let f = ablation_cube(&params());
+    for arity in [2.0, 4.0, 8.0] {
+        let (sim, analytic) = (
+            point(&f, "latency (us)", arity),
+            point(&f, "analytic (us)", arity),
+        );
+        assert!(point(&f, "blocked sends", arity) > 0.0, "{arity}-ary");
+        assert!(sim >= analytic && sim <= 1.1 * analytic, "{arity}-ary");
+    }
+}
+
+/// Multi-multicast: the optimal k-binomial tree beats the binomial tree at
+/// every job count, run concurrently and alone.
+#[test]
+fn multi_multicast_kbinomial_wins_at_every_job_count() {
+    let f = multi_multicast(&params());
+    for &(jobs, _) in &f.series[0].points {
+        assert!(
+            point(&f, "kbin", jobs) < point(&f, "binomial", jobs),
+            "{jobs}"
+        );
+        assert!(
+            point(&f, "kbin solo", jobs) < point(&f, "binomial solo", jobs),
+            "{jobs}"
+        );
+    }
+}
+
+/// Parameterized model: the step-model column is Theorem 3's optimal k,
+/// and overlapped injection never picks a narrower tree.
+#[test]
+fn param_model_step_column_is_theorem3() {
+    let f = param_model(&params());
+    for &(m, k) in &f.series[0].points {
+        assert_eq!(k, f64::from(optimal_k(64, m as u32).k), "m = {m}");
+        assert!(point(&f, "overlapped", m) >= k, "m = {m}");
+    }
+}
+
+/// Collectives: the chain scatter meets the source bound m(n-1) = 504 and
+/// beats the k-binomial tree (619 steps); gather mirrors scatter.
+#[test]
+fn collectives_chain_scatter_meets_source_bound() {
+    let f = collectives();
+    assert_eq!(point(&f, "scatter", 0.0), 504.0);
+    assert_eq!(point(&f, "source bound", 0.0), 504.0);
+    assert_eq!(point(&f, "scatter", 1.0), 619.0);
+    for x in [0.0, 1.0] {
+        assert_eq!(point(&f, "gather", x), point(&f, "scatter", x), "tree {x}");
+    }
 }
