@@ -110,8 +110,10 @@ pub enum SimError {
     FaultsNeedHandshakeTiming,
     /// The run terminated with destinations never reached: the fault plan's
     /// losses and crashes exceeded what the reliability layer could recover
-    /// from. Carries the unreached `(job, rank)` set and the run's counters
-    /// so callers can report drops/retransmits even for failed runs.
+    /// from, or (with or without a plan) a job's tree leaves a rank
+    /// unattached to the source. Carries the unreached `(job, rank)` set and
+    /// the run's counters so callers can report drops/retransmits even for
+    /// failed runs.
     DeliveryFailed {
         /// Every `(job, rank)` whose host never completed, in job-then-rank
         /// order.

@@ -51,15 +51,10 @@ pub(crate) enum Ev {
     /// clear) *without* retiring the packet's window slot — the slot stays
     /// charged until the handshake or an abandonment retires it.
     ArqRelease { host: HostId, seq: u64 },
-    /// Windowed ARQ: the retransmission timer for one window slot fired
-    /// (armed with PRF-derived jitter on a lost transmission). Stale if the
-    /// slot has since been retired or retransmitted under a newer attempt.
-    ArqTimeout {
-        job: u32,
-        child: Rank,
-        packet: u32,
-        attempt: u32,
-    },
+    /// Windowed ARQ: the retransmission timer of the lost transmission
+    /// `item` fired (armed with PRF-derived jitter). Stale if its slot has
+    /// since been retired or retransmitted under a newer attempt.
+    ArqTimeout(SendItem),
     /// Windowed ARQ: the receiver at `at` detected a gap and NACKs the
     /// coalesced missing range `[first, last]` back to its parent.
     ArqNack {

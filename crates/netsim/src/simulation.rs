@@ -12,21 +12,23 @@
 //! * [`crate::transport::SimTransport`] — each send's channel stall,
 //!   arrival instant and loss verdict, called directly (no trait object);
 //! * [`crate::observe::ObserverHub`] — metrics, counters, and the optional
-//!   trace timeline, all fed from the same hooks.
+//!   trace timeline, all fed from the same hooks;
+//! * [`crate::arq`] — windowed selective-repeat ARQ, which takes over
+//!   kickoff, dispatch, admission and receive completion for every job when
+//!   the fault plan sets `window > 1`.
 //!
 //! The core handles what every engine shares — dispatching queued sends
 //! through channel reservation, serializing arrivals on receive units,
-//! handshake send-unit release — and delegates policy to the engines. A
+//! handshake send-unit release, stop-and-wait retransmission — and
+//! delegates policy to the engines. A
 //! repair epoch is no second path: it swaps the job's tree, routes and
 //! engine, then restages the source exactly as an FPFS kickoff does. Event
 //! scheduling order is part of the simulator's contract: ties in simulated
 //! time resolve by insertion order, so the golden-equivalence tests pin the
 //! exact sequence this module produces.
 
-use crate::arq::{self, ArqState, Slot};
-use crate::discipline::{
-    conventional, record_receive, release_replicated_copy, replicated, Engine,
-};
+use crate::arq::{self, ArqState};
+use crate::discipline::{conventional, replicated, Engine};
 use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::event::{Ev, SendItem};
@@ -91,6 +93,11 @@ pub(crate) struct SimState<'a> {
     /// at construction) follows the exact fault-free code path, so fault-free
     /// runs stay byte-identical to the pre-fault simulator.
     pub fault: Option<&'a FaultPlan>,
+    /// Per-(job, rank) flags for destinations written off — crashed under a
+    /// repair epoch, or past a windowed-ARQ deadline — and reported in
+    /// `WorkloadOutcome::unreached`, not as `DeliveryFailed`. Empty until
+    /// the first [`SimState::exclude`] (fault-free runs never allocate it).
+    excluded: Vec<Vec<bool>>,
 }
 
 impl<'a> SimState<'a> {
@@ -131,9 +138,29 @@ impl<'a> SimState<'a> {
         &mut self.copies_left[job as usize][start..start + packets]
     }
 
+    /// Writes `(job, rank)` off the membership.
+    pub fn exclude(&mut self, job: u32, r: Rank) {
+        if self.excluded.is_empty() {
+            self.excluded = self
+                .jobs
+                .iter()
+                .map(|jb| vec![false; jb.tree.len()])
+                .collect();
+        }
+        self.excluded[job as usize][r.index()] = true;
+    }
+
+    /// Whether `(job, rank)` has been written off (deadline or repair
+    /// exclusion).
+    pub fn is_excluded(&self, job: u32, r: Rank) -> bool {
+        self.excluded
+            .get(job as usize)
+            .is_some_and(|e| e[r.index()])
+    }
+
     /// Reports `item` lost in the network at `t_us`, plus the fault that
     /// caused it when that was a link outage or the dead receiver.
-    fn report_loss(
+    pub fn report_loss(
         &mut self,
         t_us: f64,
         item: SendItem,
@@ -257,15 +284,10 @@ pub(crate) struct Simulation<'a, N: Network> {
     /// Current repair epoch (0 = the initial issue; folded into the fault
     /// PRF so every epoch redraws independently and deterministically).
     epoch: u32,
-    /// Per-(job, rank) flags for destinations written off as crashed by a
-    /// repair epoch — reported in `WorkloadOutcome::unreached`, not as
-    /// `DeliveryFailed`. Empty until the first exclusion (fault-free runs
-    /// never allocate it).
-    excluded: Vec<Vec<bool>>,
     /// Selective-repeat window state, present when the fault plan sets
-    /// `window > 1`. The windowed path replays the FPFS replication pattern
-    /// with per-edge send windows and bypasses the per-job engines.
-    arq: Option<ArqState>,
+    /// `window > 1`. Its handlers live in [`crate::arq`]; the core hands
+    /// each windowed event over at one `if let Some(arq)` per event kind.
+    arq: Option<ArqState<'a>>,
 }
 
 impl<'a, N: Network> Simulation<'a, N> {
@@ -305,7 +327,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 });
             }
             if f.window > 1 {
-                // The windowed path replays the FPFS replication pattern
+                // Windowed ARQ replays the FPFS replication pattern
                 // (like live repair does), so it supports exactly the
                 // replicated smart-NI job shape.
                 for job in jobs {
@@ -365,7 +387,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             .collect();
         let arq = fault
             .filter(|f| f.window > 1)
-            .map(|f| ArqState::new(jobs, net.num_hosts() as usize, f.window, f.deadline_us));
+            .map(|f| ArqState::new(jobs, net.num_hosts() as usize, f));
         Ok(Simulation {
             st: SimState {
                 jobs,
@@ -384,11 +406,11 @@ impl<'a, N: Network> Simulation<'a, N> {
                 queue: EventQueue::new(),
                 obs: ObserverHub::new(jobs.len(), config.trace, user_observer),
                 fault,
+                excluded: Vec::new(),
             },
             forwarding,
             net,
             epoch: 0,
-            excluded: Vec::new(),
             arq,
         })
     }
@@ -405,16 +427,11 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// reached or the epoch budget is spent.
     pub fn run(mut self) -> Result<WorkloadOutcome, SimError> {
         for j in 0..self.st.jobs.len() {
-            let job = &self.st.jobs[j];
-            // Windowed ARQ bypasses the engines end-to-end. Its kickoff only
-            // activates window state and schedules the source's TrySend at
-            // the job's staging time — no packets surface in the shared
-            // queues early, so staggered starts need no JobStart
-            // indirection.
-            if self.arq.is_some() {
-                self.arq_kickoff(j as u32);
+            if let Some(arq) = &mut self.arq {
+                arq::kickoff(&mut self.st, arq, j as u32);
                 continue;
             }
+            let job = &self.st.jobs[j];
             // Smart-NI kickoff surfaces the job's packets in the shared
             // host send queues immediately; for a staggered job that would
             // let a host already relaying another job dispatch them before
@@ -452,19 +469,20 @@ impl<'a, N: Network> Simulation<'a, N> {
                     }
                     Ev::SendRelease { host, seq } => self.handle_send_release(now, host, seq),
                     Ev::AckTimeout { host, seq } => self.handle_ack_timeout(now, host, seq),
-                    Ev::ArqRelease { host, seq } => self.handle_arq_release(now, host, seq),
-                    Ev::ArqTimeout {
-                        job,
-                        child,
-                        packet,
-                        attempt,
-                    } => self.handle_arq_timeout(now, job, child, packet, attempt),
+                    Ev::ArqRelease { host, seq } => arq::on_release(&mut self.st, now, host, seq),
+                    Ev::ArqTimeout(item) => {
+                        let (st, arq) = self.windowed();
+                        arq::on_timeout(st, arq, now, item)
+                    }
                     Ev::ArqNack {
                         job,
                         at,
                         first,
                         last,
-                    } => self.handle_arq_nack(now, job, at, first, last),
+                    } => {
+                        let (st, arq) = self.windowed();
+                        arq::on_nack(st, arq, now, job, at, first, last)
+                    }
                 }
             }
             if !self.start_repair_epoch(last) {
@@ -478,6 +496,26 @@ impl<'a, N: Network> Simulation<'a, N> {
     fn kickoff(&mut self, j: u32) {
         let fwd = &self.forwarding[j as usize];
         fwd.engine.kickoff(&mut self.st, &fwd.tree, j);
+    }
+
+    /// The simulation state beside the window state, for the events only
+    /// windowed ARQ schedules (`ArqTimeout`, `ArqNack`).
+    fn windowed(&mut self) -> (&mut SimState<'a>, &mut ArqState<'a>) {
+        let Some(arq) = &mut self.arq else {
+            // Invariant: windowed events imply windowed state.
+            unreachable!("windowed event without ARQ state");
+        };
+        (&mut self.st, arq)
+    }
+
+    /// The plan behind a stop-and-wait reliability event. Only an active
+    /// plan loses, corrupts or refuses a packet, so an acknowledgement
+    /// timeout or a corrupt arrival implies one.
+    fn reliability_plan(&self) -> &'a FaultPlan {
+        // Invariant: reliability events imply a fault plan.
+        self.st
+            .fault
+            .expect("reliability event without a fault plan")
     }
 
     /// The event queue drained. With a repair policy on the fault plan and
@@ -541,22 +579,14 @@ impl<'a, N: Network> Simulation<'a, N> {
             }
             // Crashed destinations leave the membership for good; they are
             // reported in the outcome's `unreached`, not as a failure.
-            if !failed.is_empty() {
-                if self.excluded.is_empty() {
-                    self.excluded = self
-                        .st
-                        .jobs
-                        .iter()
-                        .map(|jb| vec![false; jb.tree.len()])
-                        .collect();
-                }
-                for &r in &failed {
-                    self.excluded[j][r.index()] = true;
-                }
+            for &r in &failed {
+                self.st.exclude(j as u32, r);
             }
             if !pending {
                 continue; // pure exclusion: nothing left to re-issue
             }
+            // Invariant: `failed` and `delivered` hold in-range non-source
+            // ranks, the only inputs `repair_partial` rejects.
             let rep = job
                 .tree
                 .repair_partial(&failed, &delivered)
@@ -626,8 +656,11 @@ impl<'a, N: Network> Simulation<'a, N> {
                 self.dispatch_one(now, h, item);
             }
             // Units exhausted or queue drained; window admission may
-            // surface more queued work (only the windowed path ever does).
-            if self.arq.is_none() || !self.arq_admit_host(now, h) {
+            // surface more queued work (only windowed ARQ ever does).
+            let Some(arq) = &mut self.arq else {
+                return;
+            };
+            if !arq::admit_host(&mut self.st, arq, now, h) {
                 return;
             }
         }
@@ -673,50 +706,8 @@ impl<'a, N: Network> Simulation<'a, N> {
             item.packet,
             start_us - now.as_us(),
         );
-        if self.arq.is_some() {
-            // Windowed ARQ: the unit frees once the wire is clear, whatever
-            // the packet's fate — the window slot (and the parent's buffer
-            // copy) stay charged until the handshake retires it.
-            let seq = st.hosts.last_dispatched_seq(h);
-            st.queue.schedule(
-                SimTime::us(start_us) + st.params.t_send,
-                Ev::ArqRelease { host: h, seq },
-            );
-            match outcome {
-                TransportResult::Delivered {
-                    arrival_us,
-                    corrupt,
-                    ..
-                } => st
-                    .queue
-                    .schedule(SimTime::us(arrival_us), Ev::Arrive { item, corrupt }),
-                TransportResult::Lost {
-                    kind, retry_at_us, ..
-                } => {
-                    st.report_loss(start_us, item, kind, h, dest_host);
-                    // The slot's retransmission timer; the PRF-derived
-                    // jitter decorrelates simultaneous expirations while
-                    // keeping the schedule byte-identical at any worker
-                    // count.
-                    let f = st.fault.expect("windowed ARQ runs under a fault plan");
-                    let jitter = f.retry_jitter_us(
-                        item.job,
-                        item.from.0,
-                        item.child.0,
-                        item.packet,
-                        item.attempt,
-                    );
-                    st.queue.schedule(
-                        SimTime::us(retry_at_us + jitter),
-                        Ev::ArqTimeout {
-                            job: item.job,
-                            child: item.child,
-                            packet: item.packet,
-                            attempt: item.attempt,
-                        },
-                    );
-                }
-            }
+        if let Some(arq) = &self.arq {
+            arq::on_dispatch(st, arq, h, item, outcome, start_us);
             return;
         }
         match outcome {
@@ -782,7 +773,7 @@ impl<'a, N: Network> Simulation<'a, N> {
     fn handle_arrive(&mut self, now: SimTime, item: SendItem, corrupt: bool) {
         let st = &mut self.st;
         let h = st.host_of(item.job, item.child);
-        if let Some(cap) = st.fault.and_then(|f| f.ni_buffer_capacity) {
+        if let Some((f, cap)) = st.fault.and_then(|f| Some((f, f.ni_buffer_capacity?))) {
             // Only packets the NI must hold for forwarding compete for
             // buffer space — leaf deliveries and relayed personalized
             // packets stream through.
@@ -807,7 +798,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 let u_host = st.host_of(item.job, item.from);
                 let released = st.hosts.release_send_unit(u_host);
                 debug_assert_eq!(released.packet, item.packet);
-                self.retransmit_or_abandon(now, u_host, released, 0.0);
+                self.retransmit_or_abandon(f, now, u_host, released, 0.0);
                 self.st.queue.schedule(now, Ev::TrySend(u_host));
                 return;
             }
@@ -824,12 +815,13 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// job's engine. A corrupted packet is instead NACKed: the sender's unit
     /// frees (keeping its buffer copy) and the packet is re-enqueued.
     fn handle_recv_done(&mut self, now: SimTime, item: SendItem, corrupt: bool) {
-        if self.arq.is_some() {
-            self.arq_recv_done(now, item, corrupt);
+        if let Some(arq) = &mut self.arq {
+            arq::on_recv_done(&mut self.st, arq, now, item, corrupt);
             return;
         }
         if corrupt {
             debug_assert_eq!(self.st.config.timing, NiTiming::Handshake);
+            let f = self.reliability_plan();
             let u_host = self.st.host_of(item.job, item.from);
             let released = self.st.hosts.release_send_unit(u_host);
             self.st.obs.packet_dropped(
@@ -840,7 +832,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 item.packet,
                 FaultKind::Corrupt,
             );
-            self.retransmit_or_abandon(now, u_host, released, 0.0);
+            self.retransmit_or_abandon(f, now, u_host, released, 0.0);
             self.st.queue.schedule(now, Ev::TrySend(u_host));
             return;
         }
@@ -873,50 +865,27 @@ impl<'a, N: Network> Simulation<'a, N> {
             return;
         }
         let item = self.st.hosts.release_send_unit(h);
-        let waited = self
-            .st
-            .fault
-            .expect("AckTimeout without a fault plan")
-            .rto(item.attempt);
-        self.retransmit_or_abandon(now, h, item, waited);
+        let f = self.reliability_plan();
+        self.retransmit_or_abandon(f, now, h, item, f.rto(item.attempt));
         self.st.queue.schedule(now, Ev::TrySend(h));
     }
 
     /// Re-enqueues a failed transmission with its attempt count bumped, or —
     /// once `max_attempts` is exhausted — abandons the destination, freeing
     /// the sender's buffer copy so the rest of the multicast can drain.
-    fn retransmit_or_abandon(&mut self, now: SimTime, h: HostId, item: SendItem, waited_us: f64) {
-        let f = self
-            .st
-            .fault
-            .expect("reliability path requires a fault plan");
-        if item.attempt + 1 >= f.max_attempts {
-            self.st.obs.delivery_abandoned(
-                now.as_us(),
-                item.job,
-                item.from,
-                item.child,
-                item.packet,
-                item.attempt + 1,
-            );
-            self.forwarding[item.job as usize]
+    fn retransmit_or_abandon(
+        &mut self,
+        f: &FaultPlan,
+        now: SimTime,
+        h: HostId,
+        item: SendItem,
+        waited_us: f64,
+    ) {
+        match arq::retry_or_abandon(&mut self.st, f, now, item, waited_us) {
+            Some(next) => self.st.enqueue_send(h, next),
+            None => self.forwarding[item.job as usize]
                 .engine
-                .on_copy_released(&mut self.st, item);
-        } else {
-            let next = SendItem {
-                attempt: item.attempt + 1,
-                ..item
-            };
-            self.st.obs.retransmit_scheduled(
-                now.as_us(),
-                next.job,
-                next.from,
-                next.child,
-                next.packet,
-                next.attempt,
-                waited_us,
-            );
-            self.st.enqueue_send(h, next);
+                .on_copy_released(&mut self.st, item),
         }
     }
 
@@ -924,6 +893,8 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// after start, independent of the receiver. Applies the released job's
     /// buffer policy and lets the host dispatch its next queued packet.
     fn handle_send_release(&mut self, now: SimTime, h: HostId, seq: u64) {
+        // Invariant: overlapped timing runs without faults, so nothing but
+        // this event releases the dispatch it was scheduled for.
         let item = self
             .st
             .hosts
@@ -935,493 +906,38 @@ impl<'a, N: Network> Simulation<'a, N> {
         self.st.queue.schedule(now, Ev::TrySend(h));
     }
 
-    /// Windowed-ARQ unit release: the wire is clear `t_send` after dispatch,
-    /// so the unit frees — but the packet's window slot (and the parent's
-    /// buffer copy) stay charged until the handshake or an abandonment
-    /// retires it.
-    fn handle_arq_release(&mut self, now: SimTime, h: HostId, seq: u64) {
-        if self.st.hosts.release_by_seq(h, seq).is_some() {
-            self.st.queue.schedule(now, Ev::TrySend(h));
-        }
-    }
-
-    /// Whether `now` lies past the job's per-message delivery deadline.
-    fn arq_past_deadline(&self, now: SimTime, job: u32) -> bool {
-        let Some(d) = self.arq.as_ref().and_then(|a| a.deadline_us) else {
-            return false;
-        };
-        now.as_us() > self.st.job(job).start_us + d
-    }
-
-    /// Whether `(job, rank)` has been written off (deadline or repair
-    /// exclusion).
-    fn is_rank_excluded(&self, j: usize, r: Rank) -> bool {
-        self.excluded.get(j).is_some_and(|e| e[r.index()])
-    }
-
-    /// Windowed-ARQ kickoff: stage the whole message at the source, activate
-    /// the root's outgoing links with every packet pending, and schedule the
-    /// source's first dispatch at the end of `t_s` staging. Window admission
-    /// (round-robin, one packet per link per round) then meters the pending
-    /// sets out — at unlimited window that reproduces the FPFS packet-major
-    /// kickoff order.
-    fn arq_kickoff(&mut self, j: u32) {
-        let jobd = self.st.job(j);
-        let kids = jobd.tree.root_children();
-        if kids.is_empty() {
-            return; // single-rank job: nothing to transmit
-        }
-        let src_host = jobd.binding[0];
-        self.st.stage(src_host, jobd.packets);
-        self.st.rank_copies(j, Rank::SOURCE).fill(kids.len() as u32);
-        let arq = self.arq.as_mut().expect("windowed path");
-        for &c in kids {
-            let link = arq.link(j, c);
-            link.pending.extend(0..jobd.packets);
-            link.active = true;
-            arq.host_links[src_host.index()].push((j, c));
-        }
-        self.st.queue.schedule(
-            SimTime::us(jobd.start_us) + self.st.params.t_s,
-            Ev::TrySend(src_host),
-        );
-    }
-
-    /// Attempts to admit one pending packet of the edge `parent(child) →
-    /// child` into its send window and the parent host's send queue.
-    /// Returns whether a packet was admitted; a full window stamps the
-    /// stall start for the `window_stalls_us` counter.
-    fn arq_admit_one(&mut self, now: SimTime, job: u32, child: Rank) -> bool {
-        let jobd = self.st.job(job);
-        let parent = jobd.tree.parent(child).expect("non-root rank");
-        let parent_host = jobd.binding[parent.index()];
-        let cap = self.st.config.ni.queue_capacity;
-        let arq = self.arq.as_mut().expect("windowed path");
-        let window = arq.window;
-        let link = arq.link(job, child);
-        if link.pending.is_empty() {
-            return false;
-        }
-        if link.in_flight >= window {
-            if link.blocked_since_us.is_none() {
-                link.blocked_since_us = Some(now.as_us());
-            }
-            return false;
-        }
-        if let Some(cap) = cap {
-            if self.st.hosts.queue_len(parent_host) >= cap as usize {
-                return false; // bounded port queue: defer, don't drop
-            }
-        }
-        let p = link.pending.pop_front().expect("checked non-empty");
-        debug_assert_eq!(link.slots[p as usize], Slot::NotSent);
-        link.slots[p as usize] = Slot::InFlight { attempt: 0 };
-        link.in_flight += 1;
-        self.st.enqueue_send(
-            parent_host,
-            SendItem {
-                job,
-                packet: p,
-                from: parent,
-                child,
-                dest: child,
-                attempt: 0,
-            },
-        );
-        true
-    }
-
-    /// Round-robin admission across the host's active outgoing edges: one
-    /// packet per link per round until a full round admits nothing.
-    /// Returns whether anything was admitted.
-    fn arq_admit_host(&mut self, now: SimTime, h: HostId) -> bool {
-        let arq = self.arq.as_ref().expect("windowed path");
-        let n = arq.host_links[h.index()].len();
-        let mut any = false;
-        loop {
-            let mut progressed = false;
-            for i in 0..n {
-                let (job, child) =
-                    self.arq.as_ref().expect("windowed path").host_links[h.index()][i];
-                if self.arq_admit_one(now, job, child) {
-                    progressed = true;
-                    any = true;
-                }
-            }
-            if !progressed {
-                return any;
-            }
-        }
-    }
-
-    /// Retires the window slot of edge `parent(child) → child` for `packet`:
-    /// marks it done, frees the window credit (finalizing any stall), and
-    /// releases the parent's buffer copy.
-    fn arq_retire_slot(&mut self, now: SimTime, job: u32, child: Rank, packet: u32) {
-        let arq = self.arq.as_mut().expect("windowed path");
-        let link = arq.link(job, child);
-        debug_assert!(matches!(link.slots[packet as usize], Slot::InFlight { .. }));
-        link.slots[packet as usize] = Slot::Done;
-        link.in_flight -= 1;
-        let stalled = link.blocked_since_us.take();
-        if let Some(t0) = stalled {
-            self.st.obs.window_stalled(job, now.as_us() - t0);
-        }
-        let parent = self.st.job(job).tree.parent(child).expect("non-root rank");
-        release_replicated_copy(
-            &mut self.st,
-            SendItem {
-                job,
-                packet,
-                from: parent,
-                child,
-                dest: child,
-                attempt: 0,
-            },
-        );
-    }
-
-    /// Windowed retransmit-or-abandon for one in-flight slot: bumps the
-    /// slot's attempt and re-enqueues the packet, or — once the attempt
-    /// budget is spent — retires the slot as abandoned (the destination then
-    /// surfaces as unreached unless a deadline writes it off first).
-    #[allow(clippy::too_many_arguments)]
-    fn arq_resend_or_abandon(
-        &mut self,
-        now: SimTime,
-        job: u32,
-        parent: Rank,
-        child: Rank,
-        packet: u32,
-        attempt: u32,
-        waited_us: f64,
-    ) {
-        let f = self.st.fault.expect("windowed ARQ runs under a fault plan");
-        if attempt + 1 >= f.max_attempts {
-            self.st
-                .obs
-                .delivery_abandoned(now.as_us(), job, parent, child, packet, attempt + 1);
-            self.arq_retire_slot(now, job, child, packet);
-        } else {
-            self.st.obs.retransmit_scheduled(
-                now.as_us(),
-                job,
-                parent,
-                child,
-                packet,
-                attempt + 1,
-                waited_us,
-            );
-            let arq = self.arq.as_mut().expect("windowed path");
-            arq.link(job, child).slots[packet as usize] = Slot::InFlight {
-                attempt: attempt + 1,
-            };
-            let h = self.st.host_of(job, parent);
-            self.st.enqueue_send(
-                h,
-                SendItem {
-                    job,
-                    packet,
-                    from: parent,
-                    child,
-                    dest: child,
-                    attempt: attempt + 1,
-                },
-            );
-        }
-    }
-
-    /// A window slot's retransmission timer fired: resend (with the timer's
-    /// rto + jitter as the reported wait) or abandon — unless the timeout is
-    /// stale (the slot was acknowledged, resent under a newer attempt, or
-    /// written off meanwhile).
-    fn handle_arq_timeout(
-        &mut self,
-        now: SimTime,
-        job: u32,
-        child: Rank,
-        packet: u32,
-        attempt: u32,
-    ) {
-        let parent = self.st.job(job).tree.parent(child).expect("non-root rank");
-        {
-            let arq = self.arq.as_mut().expect("windowed path");
-            if arq.link(job, child).slots[packet as usize] != (Slot::InFlight { attempt }) {
-                return;
-            }
-        }
-        if self.arq_past_deadline(now, job) {
-            self.write_off_deadline(now, job, child);
-            return;
-        }
-        let f = self.st.fault.expect("windowed ARQ runs under a fault plan");
-        let waited = f.rto(attempt) + f.retry_jitter_us(job, parent.0, child.0, packet, attempt);
-        self.arq_resend_or_abandon(now, job, parent, child, packet, attempt, waited);
-        let h = self.st.host_of(job, parent);
-        self.st.queue.schedule(now, Ev::TrySend(h));
-    }
-
-    /// The receiver at `at` NACKed the inclusive packet range `[first,
-    /// last]`: resend every packet of the range that is still
-    /// unacknowledged. NACKs ride the modelled control channel —
-    /// instantaneous and reliable, like the acknowledgements.
-    fn handle_arq_nack(&mut self, now: SimTime, job: u32, at: Rank, first: u32, last: u32) {
-        let parent = self.st.job(job).tree.parent(at).expect("non-root rank");
-        for p in first..=last {
-            let slot = self.arq.as_ref().expect("windowed path").links[job as usize][at.index()]
-                .slots[p as usize];
-            let Slot::InFlight { attempt } = slot else {
-                continue; // retired (acknowledged or abandoned) meanwhile
-            };
-            self.st
-                .obs
-                .resend_requested(now.as_us(), job, parent, at, p);
-            if self.arq_past_deadline(now, job) {
-                self.write_off_deadline(now, job, at);
-                return;
-            }
-            self.arq_resend_or_abandon(now, job, parent, at, p, attempt, 0.0);
-        }
-        let h = self.st.host_of(job, parent);
-        self.st.queue.schedule(now, Ev::TrySend(h));
-    }
-
-    /// Windowed-ARQ receive completion: retire the sender-side window slot
-    /// (the modelled acknowledgement), accept the packet out of order, NACK
-    /// any new gap as a coalesced range, replicate to the subtree, and
-    /// complete the host once the message is whole. Corrupt arrivals are
-    /// per-packet NACKs: an immediate resend of exactly that slot.
-    fn arq_recv_done(&mut self, now: SimTime, item: SendItem, corrupt: bool) {
-        let j = item.job as usize;
-        let job = item.job;
-        let at = item.child;
-        let p = item.packet;
-        if corrupt {
-            self.st
-                .obs
-                .packet_dropped(now.as_us(), job, item.from, at, p, FaultKind::Corrupt);
-            let slot =
-                self.arq.as_ref().expect("windowed path").links[j][at.index()].slots[p as usize];
-            // Only the newest attempt resends — a stale corrupt arrival
-            // means a fresher transmission (with its own timer) is already
-            // out.
-            if slot
-                == (Slot::InFlight {
-                    attempt: item.attempt,
-                })
-            {
-                self.st
-                    .obs
-                    .resend_requested(now.as_us(), job, item.from, at, p);
-                if self.arq_past_deadline(now, job) {
-                    self.write_off_deadline(now, job, at);
-                    return;
-                }
-                self.arq_resend_or_abandon(now, job, item.from, at, p, item.attempt, 0.0);
-                let h = self.st.host_of(job, item.from);
-                self.st.queue.schedule(now, Ev::TrySend(h));
-            }
-            return;
-        }
-        // Sender side — the handshake acknowledges the slot.
-        let u_host = self.st.host_of(job, item.from);
-        let slot = self.arq.as_ref().expect("windowed path").links[j][at.index()].slots[p as usize];
-        match slot {
-            Slot::InFlight { .. } => {
-                self.arq_retire_slot(now, job, at, p);
-                // Freed window credit: let the parent admit and dispatch.
-                self.st.queue.schedule(now, Ev::TrySend(u_host));
-            }
-            Slot::Done => {
-                // A resend raced its original past the handshake; the
-                // acknowledgement arrives late and retires nothing.
-                self.st.obs.late_ack(now.as_us(), job, at, p);
-            }
-            Slot::NotSent => unreachable!("an arrival implies a transmission"),
-        }
-        // Receiver side — out-of-order acceptance.
-        if self.is_rank_excluded(j, at) {
-            return; // written off by a deadline: the subtree is retired
-        }
-        {
-            let arq = self.arq.as_mut().expect("windowed path");
-            let rs = &mut arq.recv[j][at.index()];
-            if arq::mask_test(&rs.mask, p) {
-                self.st.obs.duplicate_ack(now.as_us(), job, at, p);
-                return;
-            }
-            arq::mask_set(&mut rs.mask, p);
-            rs.last_seen = Some(rs.last_seen.map_or(p, |l| l.max(p)));
-        }
-        self.st.obs.recv_done(now.as_us(), job, at, p);
-        let received = record_receive(&mut self.st, now, job, at);
-        // Gap detection: per-edge delivery is FIFO, so anything missing
-        // below the packet just received was lost. NACK each missing run
-        // once (the sender's timer covers a lost recovery).
-        let ranges = {
-            let arq = self.arq.as_mut().expect("windowed path");
-            let rs = &mut arq.recv[j][at.index()];
-            let combined: Vec<u64> = rs.mask.iter().zip(&rs.nacked).map(|(a, b)| a | b).collect();
-            let ranges = arq::coalesce_missing(&combined, p);
-            for &(first, last) in &ranges {
-                for q in first..=last {
-                    arq::mask_set(&mut rs.nacked, q);
-                }
-            }
-            ranges
-        };
-        for (first, last) in ranges {
-            self.st
-                .obs
-                .nack_range_sent(now.as_us(), job, at, first, last);
-            self.st.queue.schedule(
-                now,
-                Ev::ArqNack {
-                    job,
-                    at,
-                    first,
-                    last,
-                },
-            );
-        }
-        // Forwarding: replicate to every live child as soon as the packet
-        // lands (the FPFS pattern), windowed per edge.
-        let jobd = self.st.job(job);
-        let packets = jobd.packets;
-        let v_host = jobd.binding[at.index()];
-        let kids = jobd.tree.children(at);
-        if !kids.is_empty() {
-            let live = kids
-                .iter()
-                .filter(|&&c| !self.is_rank_excluded(j, c))
-                .count() as u32;
-            if live > 0 {
-                self.st.rank_copies(job, at)[p as usize] = live;
-                self.st.stage(v_host, 1);
-                let excluded = &self.excluded;
-                let arq = self.arq.as_mut().expect("windowed path");
-                for &c in kids {
-                    if excluded.get(j).is_some_and(|e| e[c.index()]) {
-                        continue;
-                    }
-                    let link = arq.link(job, c);
-                    link.pending.push_back(p);
-                    if !link.active {
-                        link.active = true;
-                        arq.host_links[v_host.index()].push((job, c));
-                    }
-                }
-                self.st.queue.schedule(now, Ev::TrySend(v_host));
-            }
-        }
-        if received == packets {
-            self.st.finish_host(now, job, at);
-        }
-    }
-
-    /// The job's delivery deadline passed with `child`'s delivery still
-    /// incomplete: write off the whole undelivered subtree under (and
-    /// including) `child` as typed `unreached` entries instead of letting
-    /// retries run the attempt budget down. Reuses the repair-epoch
-    /// exclusion mechanism, so `collect` reports the run as a success for
-    /// the surviving membership.
-    fn write_off_deadline(&mut self, now: SimTime, job: u32, child: Rank) {
-        let j = job as usize;
-        if self.excluded.is_empty() {
-            self.excluded = self
-                .st
-                .jobs
-                .iter()
-                .map(|jb| vec![false; jb.tree.len()])
-                .collect();
-        }
-        let jobd = self.st.job(job);
-        let mut stack = vec![child];
-        while let Some(v) = stack.pop() {
-            if self.st.parts[j][v.index()].host_done.is_some() || self.excluded[j][v.index()] {
-                continue;
-            }
-            self.excluded[j][v.index()] = true;
-            self.st.obs.deadline_writeoff(now.as_us(), job, v);
-            // Retire the incoming edge wholesale: pending (undispatched)
-            // packets and in-flight slots each still hold a parent buffer
-            // copy.
-            let parent = jobd.tree.parent(v).expect("non-root rank");
-            let (to_release, stalled) = {
-                let arq = self.arq.as_mut().expect("windowed path");
-                let link = arq.link(job, v);
-                let mut to_release: Vec<u32> = link.pending.drain(..).collect();
-                for (pi, s) in link.slots.iter_mut().enumerate() {
-                    if matches!(*s, Slot::InFlight { .. }) {
-                        to_release.push(pi as u32);
-                    }
-                    *s = Slot::Done;
-                }
-                link.in_flight = 0;
-                (to_release, link.blocked_since_us.take())
-            };
-            if let Some(t0) = stalled {
-                self.st.obs.window_stalled(job, now.as_us() - t0);
-            }
-            for p in to_release {
-                release_replicated_copy(
-                    &mut self.st,
-                    SendItem {
-                        job,
-                        packet: p,
-                        from: parent,
-                        child: v,
-                        dest: v,
-                        attempt: 0,
-                    },
-                );
-            }
-            for &c in jobd.tree.children(v) {
-                stack.push(c);
-            }
-        }
-    }
-
     /// Collects per-job outcomes and workload aggregates.
     ///
-    /// With an active fault plan, unreached destinations produce
-    /// [`SimError::DeliveryFailed`] (carrying the run's counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rank never completed in a *fault-free* run — the
-    /// simulator never deadlocks on validated input, so this indicates an
-    /// engine bug.
+    /// Unreached destinations produce [`SimError::DeliveryFailed`]
+    /// (carrying the run's counters): under a fault plan, losses the
+    /// reliability layer could not recover; without one, only ranks a
+    /// caller's tree leaves unattached to the source.
     fn collect(self) -> Result<WorkloadOutcome, SimError> {
-        let Simulation { st, excluded, .. } = self;
+        let Simulation { st, .. } = self;
         let params = st.params;
-        let is_excluded = |j: usize, r: usize| excluded.get(j).is_some_and(|e| e[r]);
         let mut unreached = Vec::new();
         for (j, job) in st.jobs.iter().enumerate() {
             for r in 1..job.tree.len() {
-                if st.parts[j][r].host_done.is_none() && !is_excluded(j, r) {
-                    unreached.push((j as u32, Rank(r as u32)));
+                let r = Rank(r as u32);
+                if st.parts[j][r.index()].host_done.is_none() && !st.is_excluded(j as u32, r) {
+                    unreached.push((j as u32, r));
                 }
             }
         }
         if !unreached.is_empty() {
-            if st.fault.is_some() {
-                let mut counters = st.obs.counters.counters;
-                counters.events = st.queue.processed();
-                counters.peak_queue_len = st.queue.peak_len();
-                return Err(SimError::DeliveryFailed {
-                    unreached,
-                    counters: Box::new(counters),
-                });
-            }
-            let (j, r) = unreached[0];
-            panic!("job {j}: rank {} never completed", r.index());
+            let mut counters = st.obs.counters.counters;
+            counters.events = st.queue.processed();
+            counters.peak_queue_len = st.queue.peak_len();
+            return Err(SimError::DeliveryFailed {
+                unreached,
+                counters: Box::new(counters),
+            });
         }
-        // Destinations written off as crashed by repair epochs: the run
+        // Destinations written off by repair epochs or deadlines: the run
         // *succeeded* for the surviving membership; these are reported in
         // the outcome, with zeroed per-rank times.
         let mut written_off = Vec::new();
-        for (j, e) in excluded.iter().enumerate() {
+        for (j, e) in st.excluded.iter().enumerate() {
             for (r, &dead) in e.iter().enumerate() {
                 if dead && st.parts[j][r].host_done.is_none() {
                     written_off.push((j as u32, Rank(r as u32)));

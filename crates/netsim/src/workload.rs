@@ -356,7 +356,9 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// additionally [`SimError::InvalidFaultPlan`] for a malformed plan,
     /// [`SimError::FaultsNeedHandshakeTiming`] when a non-trivial plan is
     /// paired with overlapped NI timing, and [`SimError::DeliveryFailed`]
-    /// when the plan's losses exceed the retransmission budget.
+    /// when the plan's losses exceed the retransmission budget. A tree that
+    /// leaves a rank unattached to the source fails with
+    /// [`SimError::DeliveryFailed`] naming it, plan or not.
     pub fn run(self) -> Result<WorkloadOutcome, SimError> {
         Simulation::new(
             self.net,

@@ -208,3 +208,33 @@ fn errors_do_not_depend_on_nic_kind() {
         );
     }
 }
+
+/// A caller's tree that leaves a rank unattached to the source can never
+/// reach it. Without a fault plan that used to panic at collection; it is a
+/// typed `DeliveryFailed` naming the rank, under every engine.
+#[test]
+fn unattached_rank_is_a_delivery_failure() {
+    use optimcast_core::tree::{MulticastTree, Rank};
+    let mut tree = MulticastTree::with_capacity(4);
+    tree.attach(Rank(0), Rank(1));
+    tree.attach(Rank(0), Rank(2));
+    let fpfs = MulticastJob::fpfs(tree, (0..4).map(HostId).collect(), 2);
+    let conv = MulticastJob {
+        nic: NicKind::Conventional,
+        ..fpfs.clone()
+    };
+    let scatter = MulticastJob::scatter(
+        fpfs.tree.clone(),
+        fpfs.binding.clone(),
+        2,
+        PersonalizedOrder::OwnFirst,
+    );
+    for job in [fpfs, conv, scatter] {
+        match run(std::slice::from_ref(&job)) {
+            Err(SimError::DeliveryFailed { unreached, .. }) => {
+                assert_eq!(unreached, vec![(0, Rank(3))], "{:?}", job.nic)
+            }
+            other => panic!("{:?}: expected DeliveryFailed, got {other:?}", job.nic),
+        }
+    }
+}

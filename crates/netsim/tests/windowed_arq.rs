@@ -79,6 +79,28 @@ fn run_windowed(
     .run()
 }
 
+/// Pins one fixed-seed windowed run exactly: the makespan's bits, every
+/// counter (fields left at `..SimCounters::default()` are pinned at zero),
+/// and the written-off destinations. `results/chaos_arq.json` runs without
+/// corruption, deadlines or queue bounds, so these pins are what hold the
+/// windowed corrupt-NACK, deadline write-off and bounded-admission event
+/// order in place.
+fn assert_pinned(
+    out: &WorkloadOutcome,
+    makespan_bits: u64,
+    counters: SimCounters,
+    unreached: &[(u32, Rank)],
+) {
+    assert_eq!(
+        out.makespan_us.to_bits(),
+        makespan_bits,
+        "makespan {} µs",
+        out.makespan_us
+    );
+    assert_eq!(out.counters, counters);
+    assert_eq!(out.unreached, unreached);
+}
+
 /// A lossless windowed run is pure pipelining: everything delivers, nothing
 /// drops, no NACK or resend machinery fires.
 #[test]
@@ -165,6 +187,31 @@ fn deadline_converts_stuck_deliveries_into_writeoffs() {
     let lost: Vec<Rank> = out.unreached.iter().map(|&(_, r)| r).collect();
     assert_eq!(lost, subtree);
     assert_eq!(out.counters.deadline_writeoffs, subtree.len() as u64);
+    assert_pinned(
+        &out,
+        0x4063_c5b6_7e1d_9789, // 158.1785269334762 µs
+        SimCounters {
+            total_sends: 179,
+            blocked_sends: 105,
+            packets_forwarded: 166,
+            channel_stall_us: 372.1919609094703,
+            max_send_queue: 12,
+            buffer_occupancy: vec![0, 52, 31, 4, 1, 1, 2],
+            events: 983,
+            peak_queue_len: 57,
+            packets_dropped: 25,
+            retransmits: 29,
+            faults_triggered: 18,
+            recovery_wait_us: 1273.861102899819,
+            resend_requests: 16,
+            nack_ranges_sent: 22,
+            late_acks: 10,
+            duplicate_acks: 10,
+            deadline_writeoffs: 7,
+            ..SimCounters::default()
+        },
+        &(5..=11).map(|r| (0, Rank(r))).collect::<Vec<_>>(),
+    );
 }
 
 /// Construction rejects NI models and plan combinations the windowed layer
@@ -244,6 +291,73 @@ fn bounded_port_queue_defers_but_delivers() {
     .run()
     .expect("a bounded queue defers, never drops");
     assert!(out.unreached.is_empty());
+    assert_pinned(
+        &out,
+        0x4062_0000_0000_0000, // 144 µs
+        SimCounters {
+            total_sends: 260,
+            blocked_sends: 155,
+            packets_forwarded: 244,
+            channel_stall_us: 515.0,
+            max_send_queue: 3,
+            buffer_occupancy: vec![0, 65, 64, 13, 6, 4, 0, 0, 1],
+            events: 1466,
+            peak_queue_len: 61,
+            packets_dropped: 11,
+            retransmits: 12,
+            resend_requests: 12,
+            nack_ranges_sent: 18,
+            late_acks: 1,
+            duplicate_acks: 1,
+            ..SimCounters::default()
+        },
+        &[],
+    );
+}
+
+/// Corruption under windowed ARQ: every damaged arrival is a per-packet
+/// NACK and an immediate resend of that slot, and with 16 packets through
+/// a window of 8 the senders stall on full windows. Everything delivers.
+#[test]
+fn corrupt_windowed_run_recovers_through_nacks() {
+    let network = net(13);
+    let j = job(32, 16);
+    let mut plan = windowed_plan(13, 0.0, 8);
+    plan.corrupt_rate = 0.1;
+    let out = SimRun::new(
+        &network,
+        std::slice::from_ref(&j),
+        &params(),
+        windowed_config(2),
+    )
+    .faults(&plan)
+    .run()
+    .expect("corruption alone is recoverable");
+    assert_eq!(out.counters.packets_dropped, out.counters.packets_corrupted);
+    assert_pinned(
+        &out,
+        0x4070_5000_0000_0000, // 261 µs
+        SimCounters {
+            total_sends: 570,
+            blocked_sends: 333,
+            packets_forwarded: 532,
+            channel_stall_us: 1715.0,
+            max_send_queue: 17,
+            buffer_occupancy: vec![0, 210, 71, 22, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            events: 3269,
+            peak_queue_len: 63,
+            packets_dropped: 52,
+            packets_corrupted: 52,
+            retransmits: 74,
+            resend_requests: 74,
+            nack_ranges_sent: 68,
+            late_acks: 22,
+            duplicate_acks: 22,
+            window_stalls_us: 163.0,
+            ..SimCounters::default()
+        },
+        &[],
+    );
 }
 
 /// Splits inclusive ranges back into a received-mask complement: the

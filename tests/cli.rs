@@ -405,10 +405,26 @@ fn figures_chaos_axis_by_name() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("## chaos_outage"), "{text}");
     assert!(text.contains("links down"), "{text}");
+    assert!(text.contains("# network: 64 hosts"), "{text}");
     assert!(
         !text.contains("## fig5"),
         "chaos name should not pull in paper figures: {text}"
     );
+}
+
+/// A fixed-seed ablation runs on its own networks, not on the sampled
+/// 64-host population, so the sampling header stays off.
+#[test]
+fn figures_fixed_seed_ablation_omits_the_sampling_header() {
+    let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
+        .args(["figures", "--quick", "ablation_cube"])
+        .output()
+        .expect("figures runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("## ablation_cube"), "{text}");
+    assert!(!text.contains("# network:"), "{text}");
+    assert!(!text.contains("destination sets"), "{text}");
 }
 
 #[test]
