@@ -6,15 +6,17 @@
 //! identity space on top: [`Membership`] names every potential participant
 //! by a **member id** in a fixed universe `0..universe` (member 0 is the
 //! source) and maintains the member↔rank correspondence across
-//! [`MulticastTree::add_rank`] / [`MulticastTree::remove_rank`] splices.
+//! splices: a join is [`MulticastTree::add_rank`], a leave is
+//! [`MulticastTree::repair`] of the one leaving rank.
 //!
 //! Every splice preserves the configured fan-out bound `k` and the send
-//! order of surviving edges; the [`TreeRepair`] bookkeeping each operation
-//! returns is composed into the maps here, so after any join/leave
-//! sequence `rank_of`/`member_of` are mutually inverse over the current
-//! members — the invariants `crates/core/tests/incremental_props.rs` pins.
+//! order of surviving edges; the [`TreeRepair`](crate::tree::TreeRepair)
+//! rank maps of each splice are composed into the maps here, so after any
+//! join/leave sequence `rank_of`/`member_of` are mutually inverse over the
+//! current members — the invariants `crates/core/tests/incremental_props.rs`
+//! pins.
 
-use crate::tree::{MulticastTree, Rank, TreeRepair};
+use crate::tree::{MulticastTree, Rank};
 use std::fmt;
 
 /// A multicast group with stable member ids over a churning rank space.
@@ -174,38 +176,35 @@ impl Membership {
     }
 
     /// Splices `member` into the group via [`MulticastTree::add_rank`];
-    /// the new member becomes the highest rank. Returns the splice's
-    /// [`TreeRepair`] bookkeeping (identity maps plus the one attachment).
+    /// the new member becomes the highest rank.
     ///
     /// # Errors
     ///
     /// [`MembershipError::UnknownMember`] or
     /// [`MembershipError::AlreadyMember`].
-    pub fn join(&mut self, member: u32) -> Result<TreeRepair, MembershipError> {
+    pub fn join(&mut self, member: u32) -> Result<(), MembershipError> {
         if member as usize >= self.rank_of.len() {
             return Err(MembershipError::UnknownMember(member));
         }
         if self.rank_of[member as usize].is_some() {
             return Err(MembershipError::AlreadyMember(member));
         }
-        let rep = self.tree.add_rank(self.k);
+        self.tree = self.tree.add_rank(self.k).tree;
         self.rank_of[member as usize] = Some(Rank(self.member_of.len() as u32));
         self.member_of.push(member);
-        self.tree = rep.tree.clone();
-        Ok(rep)
+        Ok(())
     }
 
-    /// Splices `member` out of the group via
-    /// [`MulticastTree::remove_rank`], remapping every surviving member's
-    /// rank through the repair's `old_to_new`. Returns the splice's
-    /// [`TreeRepair`] bookkeeping.
+    /// Splices `member` out of the group via [`MulticastTree::repair`] of
+    /// its rank, remapping every surviving member's rank through the
+    /// repair's `new_to_old`.
     ///
     /// # Errors
     ///
     /// [`MembershipError::UnknownMember`],
     /// [`MembershipError::SourceImmutable`], or
     /// [`MembershipError::NotMember`].
-    pub fn leave(&mut self, member: u32) -> Result<TreeRepair, MembershipError> {
+    pub fn leave(&mut self, member: u32) -> Result<(), MembershipError> {
         if member as usize >= self.rank_of.len() {
             return Err(MembershipError::UnknownMember(member));
         }
@@ -217,7 +216,7 @@ impl Membership {
         };
         let rep = self
             .tree
-            .remove_rank(rank)
+            .repair(&[rank])
             .expect("a tracked member rank is a valid non-source rank");
         self.rank_of[member as usize] = None;
         self.member_of = rep
@@ -228,8 +227,8 @@ impl Membership {
         for (new, &u) in self.member_of.iter().enumerate() {
             self.rank_of[u as usize] = Some(Rank(new as u32));
         }
-        self.tree = rep.tree.clone();
-        Ok(rep)
+        self.tree = rep.tree;
+        Ok(())
     }
 }
 
@@ -271,8 +270,7 @@ mod tests {
     fn join_then_leave_round_trips_membership() {
         let mut g = group(4, 8, 2);
         assert!(!g.is_member(6));
-        let rep = g.join(6).unwrap();
-        assert_eq!(rep.reattached.len(), 1);
+        g.join(6).unwrap();
         assert_eq!(g.len(), 5);
         assert_eq!(g.rank_of(6), Some(Rank(4)));
         assert_eq!(g.member_of(Rank(4)), 6);

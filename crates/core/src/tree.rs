@@ -687,19 +687,9 @@ impl MulticastTree {
                 }
                 anc = self.parent(a);
             }
-            let target = target.unwrap_or_else(|| {
-                // Breadth-first from the source: the shallowest connected
-                // node with spare fan-out (always exists — leaves have
-                // degree 0 < k).
-                let mut queue = std::collections::VecDeque::from([Rank::SOURCE]);
-                while let Some(u) = queue.pop_front() {
-                    if (tree.child_count(u) as usize) < k {
-                        return u;
-                    }
-                    queue.extend(tree.children_iter(u).filter(|c| connected[c.index()]));
-                }
-                unreachable!("a connected component always has a node with spare fan-out")
-            });
+            // Else the shallowest connected node with spare fan-out: every
+            // node the walk from the source reaches is connected.
+            let target = target.unwrap_or_else(|| tree.shallowest_spare(k));
             tree.attach(target, new_r);
             mark_component(&tree, &mut connected, new_r);
             reattached.push((Rank(old as u32), new_to_old[target.index()]));
@@ -713,47 +703,40 @@ impl MulticastTree {
             reattached,
         })
     }
-}
 
-/// Incremental membership operations — the single-rank generalisation of
-/// [`MulticastTree::repair_partial`]. Where repair rebuilds after a batch of
-/// failures, [`MulticastTree::add_rank`] / [`MulticastTree::remove_rank`]
-/// splice one participant in or out while preserving the ≤ `k` fan-out
-/// bound and every surviving parent's send order, and return the same
-/// rank-map/reattachment bookkeeping as [`TreeRepair`] so callers (live
-/// streams with membership churn) can track identities across splices
-/// without a from-scratch rebuild.
-impl MulticastTree {
+    /// The shallowest node with fewer than `k` children: breadth-first from
+    /// the source, children in send order. The one spare-slot rule shared
+    /// by [`Self::add_rank`] and the repair fallback.
+    fn shallowest_spare(&self, k: usize) -> Rank {
+        let mut queue = std::collections::VecDeque::from([Rank::SOURCE]);
+        while let Some(u) = queue.pop_front() {
+            if (self.child_count(u) as usize) < k {
+                return u;
+            }
+            queue.extend(self.children_iter(u));
+        }
+        unreachable!("a finite tree has a leaf, and a leaf has 0 < k children")
+    }
+
     /// Splices a new participant into the tree as rank `n` (one past the
     /// current highest), attached to the shallowest node with fewer than
     /// `k` children — breadth-first from the source, children visited in
     /// send order, so repeated joins fill the tree level by level exactly
-    /// like the repair fallback of [`Self::repair`].
+    /// like the repair fallback of [`Self::repair`]. Removing a participant
+    /// is `repair(&[r])`.
     ///
     /// Every existing edge (and send order) is preserved; the returned
     /// maps are identities over the old ranks and `reattached` records the
     /// single new attachment `(new rank, chosen parent)`.
     pub fn add_rank(&self, k: u32) -> TreeRepair {
         let n = self.len();
-        let k = (k.max(1)) as usize;
         let mut tree = MulticastTree::with_capacity(n as u32 + 1);
         for r in self.dfs_preorder() {
             if let Some(p) = self.parent(r) {
                 tree.attach(p, r);
             }
         }
-        // Shallowest spare slot, BFS in send order. The new rank is not yet
-        // attached, so every queued node is part of the original tree and
-        // the walk terminates (leaves always have 0 < k children).
-        let mut target = Rank::SOURCE;
-        let mut queue = std::collections::VecDeque::from([Rank::SOURCE]);
-        while let Some(u) = queue.pop_front() {
-            if (tree.child_count(u) as usize) < k {
-                target = u;
-                break;
-            }
-            queue.extend(tree.children_iter(u));
-        }
+        let target = tree.shallowest_spare(k.max(1) as usize);
         let joined = Rank(n as u32);
         tree.attach(target, joined);
         debug_assert!(tree.validate().is_ok());
@@ -763,113 +746,6 @@ impl MulticastTree {
             old_to_new: (0..n as u32).map(|r| Some(Rank(r))).collect(),
             reattached: vec![(joined, target)],
         }
-    }
-
-    /// Splices one participant out of the tree: the single-rank
-    /// specialisation of [`Self::repair`], implemented as an incremental
-    /// O(n) pass rather than the general dead-set machinery, but with the
-    /// identical reattachment policy — each of `r`'s children (in original
-    /// rank order) re-attaches to the nearest surviving connected ancestor
-    /// with spare fan-out, falling back to the shallowest connected node
-    /// with spare fan-out. `remove_rank(r)` therefore equals
-    /// `repair(&[r])` exactly (a property the test battery pins).
-    ///
-    /// # Errors
-    ///
-    /// [`RepairError::SourceFailed`] if `r` is the source;
-    /// [`RepairError::UnknownRank`] if `r` is out of range.
-    pub fn remove_rank(&self, r: Rank) -> Result<TreeRepair, RepairError> {
-        let n = self.len();
-        if r.index() >= n {
-            return Err(RepairError::UnknownRank(r));
-        }
-        if r == Rank::SOURCE {
-            return Err(RepairError::SourceFailed);
-        }
-        // Dense renumbering: ranks below `r` keep their index, ranks above
-        // shift down by one.
-        let shift = |old: Rank| {
-            if old.index() > r.index() {
-                Rank(old.0 - 1)
-            } else {
-                old
-            }
-        };
-        let old_to_new: Vec<Option<Rank>> = (0..n as u32)
-            .map(|old| (old != r.0).then(|| shift(Rank(old))))
-            .collect();
-        let new_to_old: Vec<Rank> = (0..n as u32).filter(|&old| old != r.0).map(Rank).collect();
-        let k = self.max_degree().max(1) as usize;
-
-        // Pass 1 — every edge not incident to `r`, in preorder.
-        let mut tree = MulticastTree::with_capacity(n as u32 - 1);
-        for v in self.dfs_preorder() {
-            if v == r {
-                continue;
-            }
-            if let Some(p) = self.parent(v) {
-                if p != r {
-                    tree.attach(shift(p), shift(v));
-                }
-            }
-        }
-
-        // Only the subtrees hanging off `r`'s children are disconnected.
-        let mut connected = vec![false; n - 1];
-        let mark_component = |tree: &MulticastTree, connected: &mut Vec<bool>, start: Rank| {
-            let mut stack = vec![start];
-            while let Some(u) = stack.pop() {
-                if std::mem::replace(&mut connected[u.index()], true) {
-                    continue;
-                }
-                stack.extend(tree.children_iter(u));
-            }
-        };
-        mark_component(&tree, &mut connected, Rank::SOURCE);
-
-        // Pass 2 — re-attach `r`'s children in original-rank order (the
-        // order repair's pass 2 visits orphan roots in).
-        let parent_of_r = self.parent(r).expect("non-source rank");
-        let mut orphans: Vec<Rank> = self.children_iter(r).collect();
-        orphans.sort_unstable();
-        let mut reattached = Vec::with_capacity(orphans.len());
-        for c in orphans {
-            // Nearest surviving ancestor with spare fan-out: the walk
-            // starts at `r`'s parent (every ancestor survives and is
-            // connected — the root path above `r` is intact).
-            let mut target = None;
-            let mut anc = Some(parent_of_r);
-            while let Some(a) = anc {
-                let na = shift(a);
-                if (tree.child_count(na) as usize) < k {
-                    target = Some(na);
-                    break;
-                }
-                anc = self.parent(a);
-            }
-            let target = target.unwrap_or_else(|| {
-                // Shallowest connected node with spare fan-out.
-                let mut queue = std::collections::VecDeque::from([Rank::SOURCE]);
-                while let Some(u) = queue.pop_front() {
-                    if (tree.child_count(u) as usize) < k {
-                        return u;
-                    }
-                    queue.extend(tree.children_iter(u).filter(|c| connected[c.index()]));
-                }
-                unreachable!("a connected component always has a node with spare fan-out")
-            });
-            tree.attach(target, shift(c));
-            mark_component(&tree, &mut connected, shift(c));
-            reattached.push((c, new_to_old[target.index()]));
-        }
-
-        debug_assert!(tree.validate().is_ok());
-        Ok(TreeRepair {
-            tree,
-            new_to_old,
-            old_to_new,
-            reattached,
-        })
     }
 }
 
@@ -1038,28 +914,6 @@ mod incremental_tests {
         rep.tree.validate().unwrap();
         assert_eq!(rep.tree.parent(Rank(3)), Some(Rank(2)));
         assert_eq!(rep.tree.max_degree(), 1);
-    }
-
-    #[test]
-    fn remove_rank_equals_single_failure_repair() {
-        for k in 1..=4u32 {
-            let t = kbinomial_tree(24, k);
-            for r in 1..24u32 {
-                let inc = t.remove_rank(Rank(r)).unwrap();
-                let rep = t.repair(&[Rank(r)]).unwrap();
-                assert_eq!(inc, rep, "k={k} r={r} diverged from repair");
-            }
-        }
-    }
-
-    #[test]
-    fn remove_rank_rejects_bad_ranks() {
-        let t = kbinomial_tree(8, 2);
-        assert_eq!(t.remove_rank(Rank::SOURCE), Err(RepairError::SourceFailed));
-        assert_eq!(
-            t.remove_rank(Rank(8)),
-            Err(RepairError::UnknownRank(Rank(8)))
-        );
     }
 }
 

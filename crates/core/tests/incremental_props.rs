@@ -1,12 +1,10 @@
 //! Property battery for the incremental membership operations
-//! ([`MulticastTree::add_rank`] / [`MulticastTree::remove_rank`] and the
-//! [`Membership`] layer composing them). For random k-binomial trees and
-//! random join/leave sequences —
+//! ([`MulticastTree::add_rank`] for a join, [`MulticastTree::repair`] of
+//! one rank for a leave, and the [`Membership`] layer composing them). For
+//! random k-binomial trees and random join/leave sequences —
 //!
 //! * every splice keeps the fan-out within the bound `k` and keeps the
 //!   tree a valid spanning tree of exactly the current membership;
-//! * `remove_rank(r)` equals the batch `repair(&[r])` exactly (tree, maps,
-//!   and reattachment log);
 //! * `add_rank` preserves every existing edge and send order, with
 //!   identity rank maps;
 //! * after any operation sequence the group is *equivalent to a
@@ -111,17 +109,6 @@ proptest! {
         }
     }
 
-    /// `remove_rank` is exactly the single-failure batch repair: same tree,
-    /// same rank maps, same reattachment log.
-    #[test]
-    fn remove_rank_equals_batch_repair(n in 2u32..64, k in 1u32..6, pick in 0u64..1 << 32) {
-        let tree = kbinomial_tree(n, k);
-        let r = Rank(1 + (pick % u64::from(n - 1)) as u32);
-        let inc = tree.remove_rank(r).expect("valid rank rejected");
-        let batch = tree.repair(&[r]).expect("valid rank rejected");
-        prop_assert_eq!(inc, batch);
-    }
-
     /// Random join/leave sequences keep the maps inverse, the tree spanning
     /// the current membership, and the fan-out within bound, at every step.
     #[test]
@@ -223,13 +210,13 @@ proptest! {
         prop_assert_eq!(g.leave(n), Err(MembershipError::NotMember(n)));
         prop_assert_eq!(g.leave(n + 9), Err(MembershipError::UnknownMember(n + 9)));
         assert_group_invariants(&g)?;
-        // The underlying incremental op rejects the same misuse.
+        // The splice a leave runs rejects the same misuse.
         prop_assert_eq!(
-            g.tree().remove_rank(Rank::SOURCE),
+            g.tree().repair(&[Rank::SOURCE]),
             Err(RepairError::SourceFailed)
         );
         prop_assert_eq!(
-            g.tree().remove_rank(Rank(n)),
+            g.tree().repair(&[Rank(n)]),
             Err(RepairError::UnknownRank(Rank(n)))
         );
     }

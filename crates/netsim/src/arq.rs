@@ -81,41 +81,15 @@ impl NiModel {
     }
 }
 
-/// Coalesces the unreceived packets below `upto` into inclusive
-/// `(first, last)` ranges — the NACK-range computation of the selective-
-/// repeat receiver. `received` is a packet bitmask (`bit p` of word
-/// `p / 64` set when packet `p` has arrived); packets at or above `upto`
-/// are not considered missing.
-///
-/// The returned ranges are disjoint, ascending, and their union is exactly
-/// the missing set — properties the proptest battery pins down.
-pub fn coalesce_missing(received: &[u64], upto: u32) -> Vec<(u32, u32)> {
-    let mut ranges = Vec::new();
-    let mut run_start: Option<u32> = None;
-    for p in 0..upto {
-        if mask_test(received, p) {
-            if let Some(s) = run_start.take() {
-                ranges.push((s, p - 1));
-            }
-        } else if run_start.is_none() {
-            run_start = Some(p);
-        }
-    }
-    if let Some(s) = run_start {
-        ranges.push((s, upto - 1));
-    }
-    ranges
-}
-
 /// Tests bit `p` of a packet bitmask.
 #[inline]
-pub(crate) fn mask_test(mask: &[u64], p: u32) -> bool {
+fn mask_test(mask: &[u64], p: u32) -> bool {
     mask[(p / 64) as usize] & (1u64 << (p % 64)) != 0
 }
 
 /// Sets bit `p` of a packet bitmask.
 #[inline]
-pub(crate) fn mask_set(mask: &mut [u64], p: u32) {
+fn mask_set(mask: &mut [u64], p: u32) {
     mask[(p / 64) as usize] |= 1u64 << (p % 64);
 }
 
@@ -154,11 +128,12 @@ struct LinkState {
     active: bool,
     /// Receiver: packets received (acceptance buffer occupancy).
     mask: Vec<u64>,
-    /// Receiver: packets already NACKed once. Each missing packet is NACKed
-    /// at most once — the sender's retransmission timeout covers a lost
-    /// recovery, so repeating the NACK would only multiply duplicate
-    /// resends.
-    nacked: Vec<u64>,
+    /// Receiver: one past the highest packet accepted. Every packet below
+    /// it is received or already NACKed, and none at or above it has
+    /// arrived. Each missing packet is NACKed at most once — the sender's
+    /// retransmission timeout covers a lost recovery, so repeating the NACK
+    /// would only multiply duplicate resends.
+    nack_upto: u32,
 }
 
 impl LinkState {
@@ -170,8 +145,19 @@ impl LinkState {
             blocked_since_us: None,
             active: false,
             mask: vec![0; mask_words(packets)],
-            nacked: vec![0; mask_words(packets)],
+            nack_upto: 0,
         }
+    }
+
+    /// Accepts packet `p` at the receiver and returns the gap it reveals:
+    /// the inclusive run `(first, last)` of packets below `p` that are
+    /// neither received nor NACKed yet. That run is `[nack_upto, p)`, so an
+    /// arrival reveals at most one run and costs no scan.
+    fn accept(&mut self, p: u32) -> Option<(u32, u32)> {
+        mask_set(&mut self.mask, p);
+        let gap = (p > self.nack_upto).then(|| (self.nack_upto, p - 1));
+        self.nack_upto = self.nack_upto.max(p + 1);
+        gap
     }
 }
 
@@ -581,22 +567,13 @@ pub(crate) fn on_recv_done(
         st.obs.duplicate_ack(now.as_us(), job, at, p);
         return;
     }
-    mask_set(&mut link.mask, p);
+    let gap = link.accept(p);
     st.obs.recv_done(now.as_us(), job, at, p);
     let received = record_receive(st, now, job, at);
     // Gap detection: per-edge delivery is FIFO, so anything missing below
-    // the packet just received was lost. NACK each missing run once (the
-    // sender's timer covers a lost recovery).
-    let combined: Vec<u64> = link
-        .mask
-        .iter()
-        .zip(&link.nacked)
-        .map(|(a, b)| a | b)
-        .collect();
-    for (first, last) in coalesce_missing(&combined, p) {
-        for q in first..=last {
-            mask_set(&mut link.nacked, q);
-        }
+    // the packet just received was lost. NACK the new missing run once
+    // (the sender's timer covers a lost recovery).
+    if let Some((first, last)) = gap {
         st.obs.nack_range_sent(now.as_us(), job, at, first, last);
         st.queue.schedule(
             now,
@@ -711,25 +688,27 @@ mod tests {
 
     #[test]
     fn coalesce_produces_inclusive_runs() {
-        // received = {1, 4, 5}; upto = 8 → missing {0, 2, 3, 6, 7}.
-        let mask = [0b0011_0010u64];
-        assert_eq!(coalesce_missing(&mask, 8), vec![(0, 0), (2, 3), (6, 7)]);
-        // Nothing missing.
-        assert_eq!(coalesce_missing(&[0b1111], 4), vec![]);
-        // Everything missing.
-        assert_eq!(coalesce_missing(&[0], 4), vec![(0, 3)]);
-        // upto bounds the scan.
-        assert_eq!(coalesce_missing(&[0], 0), vec![]);
+        // Arrivals 1, 4, 5, 8 reveal the missing runs {0}, {2, 3}, {6, 7}.
+        let mut link = LinkState::new(9);
+        let gaps: Vec<_> = [1, 4, 5, 8].map(|p| link.accept(p)).into();
+        assert_eq!(gaps, [Some((0, 0)), Some((2, 3)), None, Some((6, 7))]);
+        // Late arrivals of NACKed packets reveal nothing new, and a
+        // NACKed packet is never NACKed again.
+        assert_eq!(link.accept(2), None);
+        assert_eq!(link.accept(0), None);
+        assert!(mask_test(&link.mask, 2) && !mask_test(&link.mask, 3));
+        // In order from 0: nothing is ever missing.
+        let mut link = LinkState::new(4);
+        assert!((0..4).all(|p| link.accept(p).is_none()));
     }
 
     #[test]
     fn coalesce_crosses_word_boundaries() {
-        let mut mask = vec![u64::MAX, u64::MAX];
-        // Clear 62..=66: one run across the word boundary.
-        for p in 62..=66 {
-            mask[(p / 64) as usize] &= !(1u64 << (p % 64));
-        }
-        assert_eq!(coalesce_missing(&mask, 128), vec![(62, 66)]);
+        let mut link = LinkState::new(128);
+        assert_eq!(link.accept(61), Some((0, 60)));
+        // 62..=66 missing: one run across the word boundary.
+        assert_eq!(link.accept(67), Some((62, 66)));
+        assert!(mask_test(&link.mask, 67) && !mask_test(&link.mask, 64));
     }
 
     #[test]

@@ -49,15 +49,12 @@ pub mod transport;
 pub mod workload;
 
 pub use alloc::CountingAlloc;
-pub use arq::{coalesce_missing, NiModel};
+pub use arq::NiModel;
 pub use error::SimError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanSpec, HostCrash, LinkFailure, RepairPolicy};
 pub use observe::{Observer, SimCounters};
 pub use routes::JobRoutes;
-pub use scheduler::{
-    AdmissionRequest, ContentionAware, FifoAdmission, InFlight, JobScheduler, JobStats,
-    ScheduledOutcome, ScheduledRun,
-};
+pub use scheduler::{JobStats, ScheduledOutcome, ScheduledRun};
 pub use sim::{run_multicast, ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig};
 pub use stream::{
     churn_plan, ChurnEvent, FrameFate, FrameRecord, ReceiverStats, StreamError, StreamOutcome,

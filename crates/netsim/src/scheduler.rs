@@ -14,8 +14,8 @@
 //!
 //! 1. each [`MulticastJob`]'s `start_us` is interpreted as its **arrival**
 //!    time (when the tenant asks to multicast);
-//! 2. a [`JobScheduler`] policy walks the jobs in arrival order and picks
-//!    each job's **admission** time (≥ arrival), seeing the job's channel
+//! 2. one admission rule walks the jobs in arrival order and picks each
+//!    job's **admission** time (≥ arrival) from the job's channel
 //!    footprint (from its interned [`JobRoutes`]), an analytic duration
 //!    estimate, and the previously admitted jobs;
 //! 3. one [`SimRun`] executes all jobs with their admission times as start
@@ -26,12 +26,13 @@
 //! function of arrivals, routes, and analytic estimates (no feedback from
 //! simulated completions), so a scheduled run is byte-identical across
 //! hosts and thread counts, and the simulator remains the single source of
-//! truth for what the policy's plan actually costs.
+//! truth for what the plan actually costs.
 //!
-//! Two policies ship: [`FifoAdmission`] (admit on arrival — the naive
-//! baseline) and [`ContentionAware`] (bound the number of concurrently
-//! admitted jobs crossing any one wormhole channel, deferring jobs that
-//! would oversubscribe). Both agree whenever at most one job is in flight.
+//! The rule is one optional channel-load cap, [`ScheduledRun::new`]'s
+//! `max_channel_load`: `None` admits every job on arrival (FIFO, the naive
+//! baseline); `Some(c)` bounds the number of concurrently admitted jobs
+//! crossing any one wormhole channel at `c`, deferring jobs that would
+//! oversubscribe. Both agree whenever at most one job is in flight.
 
 use crate::error::SimError;
 use crate::routes::JobRoutes;
@@ -43,144 +44,59 @@ use optimcast_topology::graph::ChannelId;
 use optimcast_topology::Network;
 use std::sync::Arc;
 
-/// A previously admitted job, as seen by an admission policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InFlight {
-    /// Job index into the workload (and into
-    /// [`AdmissionRequest::footprint`]).
-    pub job: u32,
-    /// Chosen admission time (µs).
-    pub admit_us: f64,
-    /// Estimated completion time `admit_us + estimate` (µs). An estimate —
-    /// the simulator decides the real completion.
-    pub est_end_us: f64,
+/// A previously admitted job, as the channel-load walk sees it.
+#[derive(Debug, Clone, Copy)]
+struct Admitted {
+    /// Job index into the workload (and into the footprint table).
+    job: usize,
+    admit_us: f64,
+    /// `admit_us` plus the analytic estimate — the simulator decides the
+    /// real completion.
+    est_end_us: f64,
 }
 
-/// Everything an admission policy may consult when placing one job.
-///
-/// All fields are pure functions of the workload description (arrivals,
-/// trees, bindings, routes) — never of simulated completions — so any
-/// policy implemented on top is automatically deterministic.
-#[derive(Debug)]
-pub struct AdmissionRequest<'a> {
-    /// Index of the job being admitted.
-    pub job: u32,
-    /// The job's arrival time (µs); admission may not precede it.
-    pub arrival_us: f64,
-    /// Analytic solo-latency estimate for the job (µs): FPFS step count ×
-    /// `t_step` plus `t_s`/`t_r` for smart-NI multicasts, the host-forward
-    /// recurrence for conventional NIs, the source-injection bound for
-    /// scatters.
-    pub est_duration_us: f64,
-    /// Per-job wormhole channel footprints (sorted, deduplicated), indexed
-    /// by job — the union of the job's parent→child routes from its
-    /// [`JobRoutes`] table.
-    channels: &'a [Vec<ChannelId>],
-    /// Jobs admitted before this one, in admission (= arrival) order.
-    pub inflight: &'a [InFlight],
-}
-
-impl AdmissionRequest<'_> {
-    /// The sorted channel footprint of `job`.
-    pub fn footprint(&self, job: u32) -> &[ChannelId] {
-        &self.channels[job as usize]
-    }
-}
-
-/// An admission policy: where the multi-tenant layer is pluggable.
-///
-/// `admit` returns the job's admission time; the driver clamps it to the
-/// arrival (admission may not travel back in time) and treats a non-finite
-/// return as "admit on arrival".
-pub trait JobScheduler {
-    /// Stable policy name (used in reports and JSON).
-    fn name(&self) -> &'static str;
-
-    /// Picks the admission time for the job described by `req`.
-    fn admit(&self, req: &AdmissionRequest<'_>) -> f64;
-}
-
-/// Naive FIFO admission: every job enters the network the moment it
-/// arrives, regardless of what is already in flight.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoAdmission;
-
-impl JobScheduler for FifoAdmission {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn admit(&self, req: &AdmissionRequest<'_>) -> f64 {
-        req.arrival_us
-    }
-}
-
-/// Contention-aware admission: bound the number of concurrently admitted
-/// jobs crossing any one wormhole channel.
-///
-/// A job is admitted at the earliest time `t ≥ arrival` at which every
-/// channel of its footprint is used by fewer than `max_channel_load` other
-/// in-flight jobs throughout the job's estimated window `[t, t + est)`;
-/// otherwise it is deferred to the earliest estimated completion that
-/// could unblock it and re-examined. Overlap is judged on the *estimated*
-/// windows of the in-flight jobs, so the policy needs no feedback from the
-/// simulator and stays deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContentionAware {
-    /// Maximum in-flight jobs allowed per wormhole channel, counting the
-    /// candidate itself. `1` gives each admitted job exclusive use of its
-    /// channels (strongest shaping); larger values admit bounded sharing.
-    pub max_channel_load: u32,
-}
-
-impl Default for ContentionAware {
-    fn default() -> Self {
-        ContentionAware {
-            max_channel_load: 1,
-        }
-    }
-}
-
-impl JobScheduler for ContentionAware {
-    fn name(&self) -> &'static str {
-        "contention-aware"
-    }
-
-    fn admit(&self, req: &AdmissionRequest<'_>) -> f64 {
-        let mine = req.footprint(req.job);
-        if mine.is_empty() {
-            return req.arrival_us;
-        }
-        let mut t = req.arrival_us;
-        // Each round either admits at `t` or advances `t` to a strictly
-        // later in-flight estimated end, so the loop runs at most
-        // `inflight.len()` rounds.
-        loop {
-            let end = t + req.est_duration_us;
-            let mut next_free = f64::INFINITY;
-            for ch in mine {
-                let mut load = 0;
-                let mut earliest_end = f64::INFINITY;
-                for f in req.inflight {
-                    if f.est_end_us > t
-                        && f.admit_us < end
-                        && req.footprint(f.job).binary_search(ch).is_ok()
-                    {
-                        load += 1;
-                        earliest_end = earliest_end.min(f.est_end_us);
-                    }
-                }
-                // `load` excludes the candidate, so the channel is over
-                // budget once `load + 1 > max_channel_load`.
-                if load + 1 > self.max_channel_load {
-                    next_free = next_free.min(earliest_end);
+/// Contention-aware admission: the earliest time `t ≥ arrival` at which
+/// every channel of the job's footprint `channels[job]` is used by fewer
+/// than `max_channel_load` other admitted jobs throughout the job's
+/// estimated window `[t, t + est)`. A blocked job is deferred to the
+/// earliest estimated completion that could unblock it and re-examined.
+/// Overlap is judged on the *estimated* windows of the admitted jobs, so
+/// the walk needs no feedback from the simulator and stays deterministic.
+fn admit_under_load(
+    job: usize,
+    arrival_us: f64,
+    est_duration_us: f64,
+    channels: &[Vec<ChannelId>],
+    admitted: &[Admitted],
+    max_channel_load: u32,
+) -> f64 {
+    let mut t = arrival_us;
+    // Each round either admits at `t` or advances `t` to a strictly later
+    // admitted job's estimated end, so the loop runs at most
+    // `admitted.len()` rounds. An empty footprint admits at arrival.
+    loop {
+        let end = t + est_duration_us;
+        let mut next_free = f64::INFINITY;
+        for ch in &channels[job] {
+            let mut load = 0;
+            let mut earliest_end = f64::INFINITY;
+            for f in admitted {
+                if f.est_end_us > t && f.admit_us < end && channels[f.job].binary_search(ch).is_ok()
+                {
+                    load += 1;
+                    earliest_end = earliest_end.min(f.est_end_us);
                 }
             }
-            if next_free == f64::INFINITY {
-                return t;
+            // `load` excludes the candidate, so the channel is over budget
+            // once `load + 1 > max_channel_load`.
+            if load + 1 > max_channel_load {
+                next_free = next_free.min(earliest_end);
             }
-            t = next_free;
         }
+        if next_free == f64::INFINITY {
+            return t;
+        }
+        t = next_free;
     }
 }
 
@@ -191,7 +107,7 @@ pub struct JobStats {
     pub job: u32,
     /// When the tenant asked to multicast (µs).
     pub arrival_us: f64,
-    /// When the policy let the job into the network (µs).
+    /// When the admission rule let the job into the network (µs).
     pub admit_us: f64,
     /// Queueing delay `admit − arrival` (µs).
     pub queue_us: f64,
@@ -209,8 +125,6 @@ pub struct JobStats {
 /// plus the underlying simulated [`WorkloadOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledOutcome {
-    /// Name of the policy that planned the admissions.
-    pub policy: &'static str,
     /// Per-job metrics, in job-index order.
     pub stats: Vec<JobStats>,
     /// The simulated outcome of the admitted workload (per-job latencies,
@@ -238,7 +152,7 @@ impl ScheduledOutcome {
         self.stats.iter().map(|s| s.queue_us).sum::<f64>() / self.stats.len() as f64
     }
 
-    /// Jobs the policy admitted strictly later than their arrival.
+    /// Jobs admitted strictly later than their arrival.
     pub fn deferred(&self) -> u32 {
         self.stats.iter().filter(|s| s.queue_us > 0.0).count() as u32
     }
@@ -257,7 +171,7 @@ impl ScheduledOutcome {
 /// Builder for one multi-tenant scheduled run, mirroring [`SimRun`].
 ///
 /// ```ignore
-/// let out = ScheduledRun::new(&net, &jobs, &params, config, &ContentionAware::default())
+/// let out = ScheduledRun::new(&net, &jobs, &params, config, Some(1))
 ///     .routes(route_tables) // optional: memoized CSR route tables
 ///     .run()?;
 /// println!("p99 completion: {} µs", out.completion_percentile(99.0));
@@ -267,26 +181,29 @@ pub struct ScheduledRun<'a, N: Network> {
     jobs: &'a [MulticastJob],
     params: &'a SystemParams,
     config: WorkloadConfig,
-    policy: &'a dyn JobScheduler,
+    max_channel_load: Option<u32>,
     routes: Option<Vec<Arc<JobRoutes>>>,
 }
 
 impl<'a, N: Network> ScheduledRun<'a, N> {
     /// Describes a scheduled run: `jobs[i].start_us` is job `i`'s arrival
-    /// time; `policy` decides the admissions.
+    /// time. `max_channel_load` is the admission rule: `None` admits every
+    /// job on arrival; `Some(c)` defers a job until at most `c` admitted
+    /// jobs, itself included, share any channel of its footprint over its
+    /// estimated window (`Some(1)` gives each job exclusive channels).
     pub fn new(
         net: &'a N,
         jobs: &'a [MulticastJob],
         params: &'a SystemParams,
         config: WorkloadConfig,
-        policy: &'a dyn JobScheduler,
+        max_channel_load: Option<u32>,
     ) -> Self {
         ScheduledRun {
             net,
             jobs,
             params,
             config,
-            policy,
+            max_channel_load,
             routes: None,
         }
     }
@@ -300,7 +217,7 @@ impl<'a, N: Network> ScheduledRun<'a, N> {
         self
     }
 
-    /// Plans admissions with the policy, then executes the admitted
+    /// Plans admissions under the channel-load rule, then executes the admitted
     /// workload in one simulation.
     ///
     /// # Errors
@@ -341,36 +258,27 @@ impl<'a, N: Network> ScheduledRun<'a, N> {
                 .then(a.cmp(&b))
         });
 
-        let mut inflight: Vec<InFlight> = Vec::with_capacity(self.jobs.len());
+        let mut admitted: Vec<Admitted> = Vec::with_capacity(self.jobs.len());
         let mut admit_us = vec![0.0f64; self.jobs.len()];
         for &j in &order {
             let arrival = self.jobs[j].start_us;
-            let req = AdmissionRequest {
-                job: j as u32,
-                arrival_us: arrival,
-                est_duration_us: estimates[j],
-                channels: &channels,
-                inflight: &inflight,
-            };
-            let chosen = self.policy.admit(&req);
-            let admit = if chosen.is_finite() {
-                chosen.max(arrival)
-            } else {
-                arrival
+            let admit = match self.max_channel_load {
+                None => arrival,
+                Some(cap) => admit_under_load(j, arrival, estimates[j], &channels, &admitted, cap),
             };
             admit_us[j] = admit;
-            inflight.push(InFlight {
-                job: j as u32,
+            admitted.push(Admitted {
+                job: j,
                 admit_us: admit,
                 est_end_us: admit + estimates[j],
             });
         }
 
-        let mut admitted = self.jobs.to_vec();
-        for (j, job) in admitted.iter_mut().enumerate() {
-            job.start_us = admit_us[j];
+        let mut workload = self.jobs.to_vec();
+        for (job, &admit) in workload.iter_mut().zip(&admit_us) {
+            job.start_us = admit;
         }
-        let outcome = SimRun::new(self.net, &admitted, self.params, self.config)
+        let outcome = SimRun::new(self.net, &workload, self.params, self.config)
             .routes(routes)
             .run()?;
 
@@ -402,11 +310,7 @@ impl<'a, N: Network> ScheduledRun<'a, N> {
             })
             .collect();
 
-        Ok(ScheduledOutcome {
-            policy: self.policy.name(),
-            stats,
-            outcome,
-        })
+        Ok(ScheduledOutcome { stats, outcome })
     }
 }
 
@@ -462,22 +366,15 @@ mod tests {
             job_at(8..24, 4, 10.0),
             job_at(16..32, 4, 20.0),
         ];
-        let out = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .run()
-        .unwrap();
+        let out = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+            .run()
+            .unwrap();
         for s in &out.stats {
             assert_eq!(s.queue_us, 0.0, "job {} queued under FIFO", s.job);
             assert_eq!(s.admit_us, s.arrival_us);
             assert!((s.completion_us - s.service_us).abs() < 1e-12);
         }
         assert_eq!(out.deferred(), 0);
-        assert_eq!(out.policy, "fifo");
     }
 
     /// FIFO scheduling is exactly the plain workload with arrival = start:
@@ -486,51 +383,33 @@ mod tests {
     fn fifo_equals_plain_simrun() {
         let n = net(2);
         let jobs = [job_at(0..16, 4, 0.0), job_at(4..20, 4, 35.0)];
-        let scheduled = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .run()
-        .unwrap();
+        let scheduled = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+            .run()
+            .unwrap();
         let plain = SimRun::new(&n, &jobs, &params(), WorkloadConfig::default())
             .run()
             .unwrap();
         assert_eq!(scheduled.outcome, plain);
     }
 
-    /// With a single job in flight the two shipped policies are
-    /// byte-identical: nothing can contend, so contention-aware admission
-    /// degenerates to FIFO.
+    /// With a single job in flight both admission rules are byte-identical:
+    /// nothing can contend, so contention-aware admission degenerates to
+    /// FIFO.
     #[test]
     fn policies_agree_on_single_job() {
         let n = net(3);
         let jobs = [job_at(0..32, 6, 42.5)];
-        let fifo = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .run()
-        .unwrap();
-        let shaped = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &ContentionAware::default(),
-        )
-        .run()
-        .unwrap();
+        let fifo = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+            .run()
+            .unwrap();
+        let shaped = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), Some(1))
+            .run()
+            .unwrap();
         assert_eq!(fifo.outcome, shaped.outcome);
         assert_eq!(fifo.stats, shaped.stats);
     }
 
-    /// Two identical overlapping jobs: the contention-aware policy defers
+    /// Two identical overlapping jobs: contention-aware admission defers
     /// the second past the first's estimated completion; FIFO does not.
     #[test]
     fn contention_aware_defers_identical_overlap() {
@@ -538,15 +417,9 @@ mod tests {
         let jobs = [job_at(0..16, 8, 0.0), job_at(0..16, 8, 5.0)];
         // Identical bindings share every channel, so max_channel_load = 1
         // forces serialization.
-        let shaped = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &ContentionAware::default(),
-        )
-        .run()
-        .unwrap();
+        let shaped = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), Some(1))
+            .run()
+            .unwrap();
         assert_eq!(shaped.stats[0].queue_us, 0.0);
         let est = estimate_duration_us(&jobs[0], &params());
         assert!(
@@ -556,15 +429,9 @@ mod tests {
         );
         assert_eq!(shaped.deferred(), 1);
 
-        let fifo = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .run()
-        .unwrap();
+        let fifo = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+            .run()
+            .unwrap();
         assert_eq!(fifo.deferred(), 0);
     }
 
@@ -583,15 +450,9 @@ mod tests {
             0,
         );
         let jobs = [job_at(0..8, 4, 0.0), job_at(8..16, 4, 1.0)];
-        let shaped = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &ContentionAware::default(),
-        )
-        .run()
-        .unwrap();
+        let shaped = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), Some(1))
+            .run()
+            .unwrap();
         assert_eq!(shaped.deferred(), 0);
     }
 
@@ -605,11 +466,8 @@ mod tests {
             job_at(8..24, 3, 7.0),
             job_at(16..32, 3, 14.0),
         ];
-        for policy in [
-            &FifoAdmission as &dyn JobScheduler,
-            &ContentionAware::default(),
-        ] {
-            let out = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), policy)
+        for cap in [None, Some(1)] {
+            let out = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), cap)
                 .run()
                 .unwrap();
             for s in &out.stats {
@@ -617,9 +475,8 @@ mod tests {
                 assert_eq!(
                     s.delivered + s.unreached,
                     group,
-                    "job {} conservation under {}",
-                    s.job,
-                    policy.name()
+                    "job {} conservation under cap {cap:?}",
+                    s.job
                 );
                 assert_eq!(s.unreached, 0, "fault-free run reached everyone");
             }
@@ -636,15 +493,9 @@ mod tests {
             job_at(16..24, 2, 6.0),
             job_at(24..32, 2, 9.0),
         ];
-        let out = ScheduledRun::new(
-            &n,
-            &jobs,
-            &params(),
-            WorkloadConfig::default(),
-            &FifoAdmission,
-        )
-        .run()
-        .unwrap();
+        let out = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+            .run()
+            .unwrap();
         let mut xs: Vec<f64> = out.stats.iter().map(|s| s.completion_us).collect();
         xs.sort_by(f64::total_cmp);
         assert_eq!(out.completion_percentile(50.0), xs[1]);
@@ -660,16 +511,10 @@ mod tests {
         let jobs = [job_at(0..8, 2, 0.0), job_at(8..16, 2, 0.0)];
         let table = |job: &MulticastJob| Arc::new(JobRoutes::build(&n, &job.tree, &job.binding));
         let run = |routes| {
-            ScheduledRun::new(
-                &n,
-                &jobs,
-                &params(),
-                WorkloadConfig::default(),
-                &FifoAdmission,
-            )
-            .routes(routes)
-            .run()
-            .unwrap_err()
+            ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
+                .routes(routes)
+                .run()
+                .unwrap_err()
         };
         assert_eq!(
             run(vec![table(&jobs[0])]),

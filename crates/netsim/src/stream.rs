@@ -46,8 +46,8 @@
 //! starts, so the event sequence is byte-identical at any worker
 //! count. Events fire when the stream clock passes them (at the next
 //! frame's service start): a present member leaves, an absent one joins,
-//! splicing the tree live via `add_rank`/`remove_rank` while preserving
-//! the ≤k fan-out bound. Leaves that would reduce the group to the source
+//! splicing the tree live (`add_rank` for a join, `repair` of the leaving
+//! rank for a leave) while preserving the ≤k fan-out bound. Leaves that would reduce the group to the source
 //! alone are skipped (counted in [`StreamOutcome::churn_skipped`]).
 //!
 //! ## Staleness

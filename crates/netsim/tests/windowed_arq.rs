@@ -360,67 +360,7 @@ fn corrupt_windowed_run_recovers_through_nacks() {
     );
 }
 
-/// Splits inclusive ranges back into a received-mask complement: the
-/// inverse of `coalesce_missing` for its proptest round-trip.
-fn mask_from_missing(ranges: &[(u32, u32)], upto: u32) -> Vec<u64> {
-    let words = (upto as usize).div_ceil(64);
-    let mut mask = vec![u64::MAX; words.max(1)];
-    for (w, word) in mask.iter_mut().enumerate().take(words) {
-        let hi = (upto as usize).saturating_sub(w * 64).min(64);
-        if hi < 64 {
-            *word &= (1u64 << hi) - 1;
-        }
-    }
-    for &(first, last) in ranges {
-        for p in first..=last {
-            mask[(p / 64) as usize] &= !(1u64 << (p % 64));
-        }
-    }
-    mask
-}
-
 proptest! {
-    /// Round-trip: coalescing the missing set of a random mask yields
-    /// disjoint ascending inclusive ranges whose union is exactly the
-    /// missing set, and splitting them back reproduces the mask.
-    #[test]
-    fn coalesce_missing_round_trips(upto in 1u32..200, seed in 0u64..u64::MAX) {
-        let words = (upto as usize).div_ceil(64);
-        let mut mask = vec![0u64; words];
-        let mut s = seed;
-        for w in mask.iter_mut() {
-            // xorshift64: cheap deterministic fill.
-            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-            *w = s;
-        }
-        let ranges = coalesce_missing(&mask, upto);
-        // Disjoint, ascending, and non-adjacent (adjacent runs coalesce).
-        for win in ranges.windows(2) {
-            prop_assert!(win[0].1 + 1 < win[1].0, "runs {:?} and {:?}", win[0], win[1]);
-        }
-        for &(first, last) in &ranges {
-            prop_assert!(first <= last && last < upto);
-        }
-        // Union == missing set.
-        let mut missing = vec![false; upto as usize];
-        for &(first, last) in &ranges {
-            for p in first..=last {
-                missing[p as usize] = true;
-            }
-        }
-        for p in 0..upto {
-            let received = mask[(p / 64) as usize] & (1u64 << (p % 64)) != 0;
-            prop_assert_eq!(missing[p as usize], !received, "packet {}", p);
-        }
-        // Split ∘ coalesce = identity on the mask (below `upto`).
-        let rebuilt = mask_from_missing(&ranges, upto);
-        for p in 0..upto {
-            let a = mask[(p / 64) as usize] & (1u64 << (p % 64)) != 0;
-            let b = rebuilt[(p / 64) as usize] & (1u64 << (p % 64)) != 0;
-            prop_assert_eq!(a, b, "packet {}", p);
-        }
-    }
-
     /// Window invariants over randomized windowed runs: every run is
     /// deterministic, and a completed run leaves no delivery gap — each
     /// non-written-off rank received its whole message (enforced by

@@ -14,6 +14,10 @@
 //! host reserves its NI in-flight send slots at its first dispatch, so
 //! hosts that never send allocate nothing.
 //!
+//! Windowed selective-repeat ARQ under loss keeps the same bound: the
+//! per-edge window state is allocated once per run, and gap detection
+//! reads a per-edge NACK watermark.
+//!
 //! A churn-free frame stream pays no more per frame than one prerouted run
 //! of the same job: `StreamRun` builds each membership epoch's job and
 //! route table once and serves every frame of the epoch from them.
@@ -25,7 +29,8 @@ use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
 use optimcast_netsim::alloc::CountingAlloc;
 use optimcast_netsim::{
-    JobRoutes, MulticastJob, SimRun, StreamRun, StreamSpec, WorkloadConfig, WorkloadOutcome,
+    FaultPlan, JobRoutes, MulticastJob, NiModel, SimRun, StreamRun, StreamSpec, WorkloadConfig,
+    WorkloadOutcome,
 };
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
@@ -90,6 +95,48 @@ fn steady_state_event_loop_is_allocation_free() {
     assert!(
         small_allocs < 1_000,
         "per-run setup allocations blew up: {small_allocs}"
+    );
+
+    // Windowed ARQ under 5% loss (32 ranks, k = 2, window 8, 2 send
+    // units): resends, NACK ranges and timers are events like any other,
+    // so 16x the packets again adds only amortized buffer growth.
+    let lossy_tree = Arc::new(kbinomial_tree(32, 2));
+    let lossy_binding: Vec<HostId> = (0..32).map(HostId).collect();
+    let mut plan = FaultPlan::new(3);
+    plan.drop_rate = 0.05;
+    plan.window = 8;
+    let windowed = WorkloadConfig {
+        ni: NiModel {
+            send_units: 2,
+            queue_capacity: None,
+        },
+        ..WorkloadConfig::default()
+    };
+    let lossy = |m: u32| -> (WorkloadOutcome, u64) {
+        let before = CountingAlloc::allocations();
+        let job = MulticastJob::fpfs(Arc::clone(&lossy_tree), lossy_binding.clone(), m);
+        let out = SimRun::new(&net, std::slice::from_ref(&job), &params, windowed)
+            .faults(&plan)
+            .run()
+            .expect("windowed ARQ recovers 5% loss");
+        (out, CountingAlloc::allocations() - before)
+    };
+    lossy(8);
+    let (few, few_allocs) = lossy(8);
+    let (many, many_allocs) = lossy(128);
+    assert!(
+        many.counters.nack_ranges_sent > few.counters.nack_ranges_sent
+            && few.counters.nack_ranges_sent > 0,
+        "the lossy runs must exercise gap detection (NACK ranges {} / {})",
+        few.counters.nack_ranges_sent,
+        many.counters.nack_ranges_sent
+    );
+    let extra_events = many.events - few.events;
+    let extra_allocs = many_allocs.saturating_sub(few_allocs);
+    assert!(
+        extra_allocs <= 64,
+        "windowed allocations must not scale with events: +{extra_allocs} allocations \
+         for +{extra_events} events (m=8: {few_allocs}, m=128: {many_allocs})"
     );
 
     // A churn-free stream of the same job (64 members, k = 2, 512-byte

@@ -1,6 +1,7 @@
-//! Figures for the PR 5 fault axes the chaos grid records but never
-//! charted: link-outage windows, corruption rate, and NI forwarding-buffer
-//! capacity.
+//! The bodies of the fault-extension figures ([`FigureId::ChaosOutage`],
+//! [`FigureId::ChaosCorrupt`], [`FigureId::ChaosBuffer`]): the link-outage
+//! window, corruption rate, and NI forwarding-buffer capacity axes the
+//! chaos grid records but never charts.
 //!
 //! Each figure sweeps one [`FaultPlanSpec`] field along its x-axis through
 //! [`Sweep::chaos_with_spec`] as a 1×1 grid per point, so every data point
@@ -12,91 +13,14 @@
 
 use crate::engine::Sweep;
 use crate::error::SweepError;
-use crate::figure::{Figure, Series};
+use crate::figure::{Figure, FigureId, Series};
 use optimcast_netsim::FaultPlanSpec;
-use std::fmt;
-use std::str::FromStr;
-
-/// Typed identifier of the chaos-axis figures (kept apart from
-/// [`crate::FigureId`]: these chart the reproduction's fault extension,
-/// not a figure of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChaosFigureId {
-    /// Mean latency vs link-outage window length, one series per number of
-    /// concurrently failed channels.
-    Outage,
-    /// Mean latency vs corruption rate, one series per background drop
-    /// rate (corrupt packets arrive, get NACKed, and retransmit — the same
-    /// recovery path as a drop, paid one propagation later).
-    Corrupt,
-    /// Mean latency vs NI forwarding-buffer capacity, one series per
-    /// message size (deeper messages need more resident packets, so tight
-    /// buffers refuse more arrivals).
-    Buffer,
-}
-
-impl ChaosFigureId {
-    /// Every chaos-axis figure, in the order `optimcast figures` prints
-    /// them.
-    pub const ALL: [ChaosFigureId; 3] = [
-        ChaosFigureId::Outage,
-        ChaosFigureId::Corrupt,
-        ChaosFigureId::Buffer,
-    ];
-
-    /// The artifact id used in filenames and the `id` field of the JSON
-    /// schema.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChaosFigureId::Outage => "chaos_outage",
-            ChaosFigureId::Corrupt => "chaos_corrupt",
-            ChaosFigureId::Buffer => "chaos_buffer",
-        }
-    }
-}
-
-impl fmt::Display for ChaosFigureId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for ChaosFigureId {
-    type Err = SweepError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ChaosFigureId::ALL
-            .into_iter()
-            .find(|id| id.as_str() == s)
-            .ok_or_else(|| SweepError::UnknownFigure(s.to_string()))
-    }
-}
 
 /// The fault seed the chaos figures pin (the `optimcast chaos` default, so
 /// figure points and grid cells draw from the same fault streams).
 const FAULT_SEED: u64 = 1997;
 
 impl Sweep {
-    /// Renders one chaos-axis figure for `dests` destinations. `m` is the
-    /// packets-per-message of the outage and corruption figures; the
-    /// buffer figure charts `m` and `2m` as its two series.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::chaos`].
-    pub fn chaos_figure(
-        &self,
-        id: ChaosFigureId,
-        dests: u32,
-        m: u32,
-    ) -> Result<Figure, SweepError> {
-        match id {
-            ChaosFigureId::Outage => self.outage_figure(dests, m),
-            ChaosFigureId::Corrupt => self.corrupt_figure(dests, m),
-            ChaosFigureId::Buffer => self.buffer_figure(dests, m),
-        }
-    }
-
     /// The mean delivered latency of a 1×1 chaos grid under `spec`.
     fn chaos_point(&self, spec: FaultPlanSpec, dests: u32, m: u32) -> Result<f64, SweepError> {
         let report = self.chaos_with_spec(spec, &[spec.drop_rate], &[0], dests, m)?;
@@ -110,7 +34,9 @@ impl Sweep {
         }
     }
 
-    fn outage_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
+    /// Mean latency vs link-outage window length for `dests`
+    /// destinations and `m`-packet messages.
+    pub(crate) fn chaos_outage_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
         let windows = [0.0, 20.0, 40.0, 80.0];
         let outage_counts = [1u32, 2, 4];
         let mut series = Vec::with_capacity(outage_counts.len());
@@ -134,7 +60,7 @@ impl Sweep {
             });
         }
         Ok(Figure {
-            id: ChaosFigureId::Outage.as_str().into(),
+            id: FigureId::ChaosOutage.as_str().into(),
             title: "Mean delivered latency vs link-outage window".into(),
             x_label: "outage window (us)".into(),
             y_label: "latency (us)".into(),
@@ -142,7 +68,10 @@ impl Sweep {
         })
     }
 
-    fn corrupt_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
+    /// Mean latency vs corruption rate: corrupt packets arrive, get
+    /// NACKed, and retransmit — the same recovery path as a drop, paid one
+    /// propagation later.
+    pub(crate) fn chaos_corrupt_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
         let rates = [0.0, 0.02, 0.05, 0.1];
         let drop_rates = [0.0, 0.05];
         let mut series = Vec::with_capacity(drop_rates.len());
@@ -162,7 +91,7 @@ impl Sweep {
             });
         }
         Ok(Figure {
-            id: ChaosFigureId::Corrupt.as_str().into(),
+            id: FigureId::ChaosCorrupt.as_str().into(),
             title: "Mean delivered latency vs corruption rate".into(),
             x_label: "corruption rate".into(),
             y_label: "latency (us)".into(),
@@ -170,7 +99,10 @@ impl Sweep {
         })
     }
 
-    fn buffer_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
+    /// Mean latency vs NI buffer capacity, for `m` and `2m` packets:
+    /// deeper messages need more resident packets, so tight buffers refuse
+    /// more arrivals.
+    pub(crate) fn chaos_buffer_figure(&self, dests: u32, m: u32) -> Result<Figure, SweepError> {
         let capacities = [1u32, 2, 3, 4, 6, 8];
         let sizes = [m, 2 * m];
         let mut series = Vec::with_capacity(sizes.len());
@@ -189,7 +121,7 @@ impl Sweep {
             });
         }
         Ok(Figure {
-            id: ChaosFigureId::Buffer.as_str().into(),
+            id: FigureId::ChaosBuffer.as_str().into(),
             title: "Mean delivered latency vs NI buffer capacity".into(),
             x_label: "NI buffer capacity (packets)".into(),
             y_label: "latency (us)".into(),
@@ -205,12 +137,13 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for id in ChaosFigureId::ALL {
-            assert_eq!(id.as_str().parse::<ChaosFigureId>().unwrap(), id);
-            assert_eq!(id.to_string(), id.as_str());
+        for name in ["chaos_outage", "chaos_corrupt", "chaos_buffer"] {
+            let id = name.parse::<FigureId>().unwrap();
+            assert_eq!(id.as_str(), name);
+            assert!(id.simulated(), "{name} samples the topology grid");
         }
         assert_eq!(
-            "chaos_nope".parse::<ChaosFigureId>(),
+            "chaos_nope".parse::<FigureId>(),
             Err(SweepError::UnknownFigure("chaos_nope".into()))
         );
     }
@@ -219,7 +152,7 @@ mod tests {
     fn axis_figures_have_the_documented_shape() {
         let sweep = SweepBuilder::quick().build().unwrap();
 
-        let outage = sweep.chaos_figure(ChaosFigureId::Outage, 15, 2).unwrap();
+        let outage = sweep.chaos_outage_figure(15, 2).unwrap();
         assert_eq!(outage.id, "chaos_outage");
         assert_eq!(outage.series.len(), 3);
         for s in &outage.series {
@@ -233,7 +166,7 @@ mod tests {
             assert_eq!(s.points[0].1.to_bits(), base.to_bits());
         }
 
-        let corrupt = sweep.chaos_figure(ChaosFigureId::Corrupt, 15, 2).unwrap();
+        let corrupt = sweep.chaos_corrupt_figure(15, 2).unwrap();
         assert_eq!(corrupt.series.len(), 2);
         let clean = corrupt.series[0].points[0].1;
         let corrupted = corrupt.series[0].points[3].1;
@@ -242,7 +175,7 @@ mod tests {
             "10% corruption must slow the multicast: {corrupted} <= {clean}"
         );
 
-        let buffer = sweep.chaos_figure(ChaosFigureId::Buffer, 15, 2).unwrap();
+        let buffer = sweep.chaos_buffer_figure(15, 2).unwrap();
         assert_eq!(buffer.series.len(), 2);
         assert_eq!(buffer.series[0].label, "2 packets");
         assert_eq!(buffer.series[1].label, "4 packets");
@@ -258,13 +191,12 @@ mod tests {
     fn axis_figures_are_byte_identical_across_workers() {
         let render = |threads: usize| {
             let sweep = SweepBuilder::quick().parallelism(threads).build().unwrap();
-            ChaosFigureId::ALL
-                .into_iter()
-                .map(|id| {
-                    crate::json::ToJson::to_json(&sweep.chaos_figure(id, 15, 2).unwrap())
-                        .to_string_pretty()
-                })
-                .collect::<Vec<_>>()
+            [
+                sweep.chaos_outage_figure(15, 2),
+                sweep.chaos_corrupt_figure(15, 2),
+                sweep.chaos_buffer_figure(15, 2),
+            ]
+            .map(|fig| crate::json::ToJson::to_json(&fig.unwrap()).to_string_pretty())
         };
         assert_eq!(render(1), render(4), "worker count changed figure bytes");
     }

@@ -62,21 +62,6 @@ impl PointSpec {
     }
 }
 
-/// Summary statistics of a latency sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Mean latency (µs).
-    pub mean: f64,
-    /// Sample standard deviation (µs); 0 for a single sample.
-    pub std: f64,
-    /// Fastest observed run (µs).
-    pub min: f64,
-    /// Slowest observed run (µs).
-    pub max: f64,
-    /// Number of samples (topologies × destination sets).
-    pub samples: u32,
-}
-
 /// The sweep engine: a validated configuration plus the memoization layer,
 /// built by [`crate::SweepBuilder::build`].
 #[derive(Debug)]
@@ -179,45 +164,6 @@ impl Sweep {
         }])?[0])
     }
 
-    /// As [`Self::avg_latency`], but returning full per-sample statistics —
-    /// useful for judging whether a figure's differences exceed sampling
-    /// noise.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::grid`].
-    pub fn latency_stats(
-        &self,
-        policy: TreePolicy,
-        dests: u32,
-        m: u32,
-        run: RunConfig,
-    ) -> Result<LatencyStats, SweepError> {
-        self.check_point(m, dests, &[])?;
-        let spec = PointSpec {
-            policy,
-            dests,
-            m,
-            run,
-        };
-        let per_topology = self.map_topologies(|t, _| self.topology_samples(&spec, t));
-        let all: Vec<f64> = per_topology.into_iter().flatten().collect();
-        let nsamp = all.len() as f64;
-        let mean = all.iter().sum::<f64>() / nsamp;
-        let var = if all.len() > 1 {
-            all.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (nsamp - 1.0)
-        } else {
-            0.0
-        };
-        Ok(LatencyStats {
-            mean,
-            std: var.sqrt(),
-            min: all.iter().copied().fold(f64::INFINITY, f64::min),
-            max: all.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            samples: all.len() as u32,
-        })
-    }
-
     /// Sanity bound used by tests and `optimcast figures`: the largest
     /// improvement factor of the optimal k-binomial tree over the binomial
     /// tree across an m sweep at `dests` destinations.
@@ -238,38 +184,17 @@ impl Sweep {
             .fold(0.0, f64::max))
     }
 
-    /// Maps an arbitrary per-topology evaluation over all configured
-    /// topologies on the worker pool, preserving topology order. The
-    /// closure receives the memoized `(network, CCO ordering)` entry; this
-    /// is the extension point for workloads the figure grid does not cover
-    /// (multi-source multicasts, custom job mixes) without touching the
-    /// engine.
-    pub fn map_topologies<T: Send>(&self, f: impl Fn(u32, &TopologyEntry) -> T + Sync) -> Vec<T> {
-        let mut out = Vec::new();
-        self.run_cells(
-            self.cfg.topologies() as usize,
-            |t| f(t as u32, &self.cache.topology(&self.cfg, t as u32)),
-            |_, value| out.push(value),
-        );
-        out
-    }
-
     /// The §5.2 inner loop of one cell: the point's `dest_sets` samples on
     /// topology `t`, evaluated sequentially, returning their mean. This is
     /// the exact floating-point order of the historic serial runner.
-    fn topology_mean(&self, spec: &PointSpec, t: u32) -> f64 {
-        let samples = self.topology_samples(spec, t);
-        samples.iter().sum::<f64>() / f64::from(self.cfg.dest_sets())
-    }
-
-    /// Per-sample latencies of one cell, in destination-set order. The
-    /// chain, tree, and interned CSR route table all come from the memo
+    ///
+    /// The chain, tree, and interned CSR route table all come from the memo
     /// layer — a figure series revisits the same `(t, s)` sample for every
     /// packet-count point, so only the first point of a series pays for
     /// sampling and routing.
-    fn topology_samples(&self, spec: &PointSpec, t: u32) -> Vec<f64> {
+    fn topology_mean(&self, spec: &PointSpec, t: u32) -> f64 {
         let topo = self.cache.topology(&self.cfg, t);
-        (0..self.cfg.dest_sets())
+        let sum: f64 = (0..self.cfg.dest_sets())
             .map(|s| {
                 let chain = self.cache.chain(&self.cfg, &topo, t, s, spec.dests);
                 let tree = self.cache.tree(spec.policy, chain.len() as u32, spec.m);
@@ -300,7 +225,8 @@ impl Sweep {
                 self.record_effort(wl.events, wl.counters.peak_queue_len);
                 wl.jobs[0].latency_us
             })
-            .collect()
+            .sum();
+        sum / f64::from(self.cfg.dest_sets())
     }
 
     /// The checks every sampled grid shares, in this order: a message
@@ -489,34 +415,5 @@ mod tests {
             sweep.grid(&[PointSpec::new(TreePolicy::Binomial, 15, 0)]),
             Err(SweepError::ZeroPackets)
         );
-    }
-
-    #[test]
-    fn stats_bracket_the_mean() {
-        let sweep = quick(2);
-        let s = sweep
-            .latency_stats(TreePolicy::Binomial, 15, 2, RunConfig::default())
-            .unwrap();
-        assert_eq!(s.samples, sweep.config().samples());
-        assert!(s.min <= s.mean && s.mean <= s.max);
-        assert!(s.std >= 0.0);
-        let a = sweep
-            .avg_latency(TreePolicy::Binomial, 15, 2, RunConfig::default())
-            .unwrap();
-        // avg_latency averages per-topology means of equal sample counts,
-        // so it equals the grand mean.
-        assert!((a - s.mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn map_topologies_sees_cached_entries() {
-        let sweep = quick(2);
-        let hosts = sweep.map_topologies(|_, topo| {
-            use optimcast_topology::Network as _;
-            topo.net.num_hosts()
-        });
-        assert_eq!(hosts, vec![64, 64]);
-        // The closure ran off the cache: two topology misses, no rebuilds.
-        assert_eq!(sweep.cache_stats().misses, 2);
     }
 }

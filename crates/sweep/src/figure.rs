@@ -68,11 +68,20 @@ pub enum FigureId {
     ParamModel,
     /// Extension: scatter/gather steps, chain vs k-binomial (analytic).
     Collectives,
+    /// Fault extension: mean latency vs link-outage window, one series per
+    /// number of concurrently failed channels (simulated).
+    ChaosOutage,
+    /// Fault extension: mean latency vs corruption rate, one series per
+    /// background drop rate (simulated).
+    ChaosCorrupt,
+    /// Fault extension: mean latency vs NI forwarding-buffer capacity, one
+    /// series per message size (simulated).
+    ChaosBuffer,
 }
 
 impl FigureId {
     /// Every figure, in the order `optimcast figures` prints them.
-    pub const ALL: [FigureId; 18] = [
+    pub const ALL: [FigureId; 21] = [
         FigureId::Fig4,
         FigureId::Fig5,
         FigureId::Fig8,
@@ -91,6 +100,9 @@ impl FigureId {
         FigureId::MultiMulticast,
         FigureId::ParamModel,
         FigureId::Collectives,
+        FigureId::ChaosOutage,
+        FigureId::ChaosCorrupt,
+        FigureId::ChaosBuffer,
     ];
 
     /// The artifact id used in filenames and the `id` field of the JSON
@@ -115,6 +127,9 @@ impl FigureId {
             FigureId::MultiMulticast => "multi_multicast",
             FigureId::ParamModel => "param_model",
             FigureId::Collectives => "collectives",
+            FigureId::ChaosOutage => "chaos_outage",
+            FigureId::ChaosCorrupt => "chaos_corrupt",
+            FigureId::ChaosBuffer => "chaos_buffer",
         }
     }
 
@@ -124,7 +139,13 @@ impl FigureId {
     pub fn simulated(self) -> bool {
         matches!(
             self,
-            FigureId::Fig13a | FigureId::Fig13b | FigureId::Fig14a | FigureId::Fig14b
+            FigureId::Fig13a
+                | FigureId::Fig13b
+                | FigureId::Fig14a
+                | FigureId::Fig14b
+                | FigureId::ChaosOutage
+                | FigureId::ChaosCorrupt
+                | FigureId::ChaosBuffer
         )
     }
 }
@@ -174,7 +195,10 @@ mod tests {
                 FigureId::Fig13a,
                 FigureId::Fig13b,
                 FigureId::Fig14a,
-                FigureId::Fig14b
+                FigureId::Fig14b,
+                FigureId::ChaosOutage,
+                FigureId::ChaosCorrupt,
+                FigureId::ChaosBuffer,
             ]
         );
     }

@@ -237,7 +237,8 @@ impl Sweep {
     /// # Errors
     ///
     /// [`SweepError::TooManyDests`] if the configured network is too small
-    /// for the figure's destination counts.
+    /// for the figure's destination counts; the chaos-axis figures also
+    /// follow the contract of [`Self::chaos`].
     pub fn figure(&self, id: FigureId) -> Result<Figure, SweepError> {
         match id {
             FigureId::Fig4 => Ok(fig4(self.config().params())),
@@ -258,6 +259,11 @@ impl Sweep {
             FigureId::MultiMulticast => Ok(multi_multicast(self.config().params())),
             FigureId::ParamModel => Ok(param_model(self.config().params())),
             FigureId::Collectives => Ok(collectives()),
+            // The fault-extension axes at the `optimcast chaos` grid
+            // defaults: 31 destinations, 4-packet messages.
+            FigureId::ChaosOutage => self.chaos_outage_figure(31, 4),
+            FigureId::ChaosCorrupt => self.chaos_corrupt_figure(31, 4),
+            FigureId::ChaosBuffer => self.chaos_buffer_figure(31, 4),
         }
     }
 

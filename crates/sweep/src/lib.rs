@@ -52,10 +52,9 @@ pub use ablations::{
 };
 pub use chaos::{ChaosCell, ChaosReport};
 pub use chaos_arq::{ArqCell, ArqReport};
-pub use chaos_figures::ChaosFigureId;
 pub use compare::{mega_digest_check, mega_rate_checks, DigestCheck, DigestMismatch, RateCheck};
 pub use config::{SweepBuilder, SweepConfig};
-pub use engine::{LatencyStats, PointSpec, SimEffort, Sweep};
+pub use engine::{PointSpec, SimEffort, Sweep};
 pub use error::SweepError;
 pub use figure::{Figure, FigureId, Series};
 pub use figures::{buffer_figure, fig12a, fig12b, fig4, fig5, fig8, fig_disciplines};

@@ -15,7 +15,7 @@
 //!   means unbounded).
 //! * **Churn** schedules that many PRF-deterministic membership toggles
 //!   per stream (the churn seed is derived from the sample salt), spliced
-//!   live via the incremental `add_rank`/`remove_rank` tree operations.
+//!   live through `Membership` (`add_rank` joins, `repair` leaves).
 //!
 //! The charted quantities are the streaming analogues of latency:
 //! per-receiver **sustained goodput** (Mbit/s over the stream duration),

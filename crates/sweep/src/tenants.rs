@@ -7,13 +7,15 @@
 //! on the topology's CCO ordering, possibly overlapping the other jobs'),
 //! the optimal k-binomial tree for its group, and an arrival time from a
 //! deterministic renewal process. The *same* job set is then scheduled
-//! twice, once per admission policy — common random numbers, so a cell's
-//! FIFO/contention-aware difference is pure policy effect, never sampling
-//! noise. Per cell the report pools every job's tenant-observed completion
-//! latency (queueing delay + simulated in-network service) and publishes
-//! nearest-rank p50/p99, mean queueing delay, deferral counts, and
-//! aggregate simulator throughput in events per simulated millisecond
-//! (wall-clock throughput would not be deterministic).
+//! twice, once per admission rule of [`ScheduledRun`] — FIFO (admit on
+//! arrival) and contention-aware (a channel-load cap of 1) — with common
+//! random numbers, so a cell's FIFO/contention-aware difference is pure
+//! policy effect, never sampling noise. Per cell the report pools every
+//! job's tenant-observed completion latency (queueing delay + simulated
+//! in-network service) and publishes nearest-rank p50/p99, mean queueing
+//! delay, deferral counts, and aggregate simulator throughput in events
+//! per simulated millisecond (wall-clock throughput would not be
+//! deterministic).
 //!
 //! Determinism keying: sample `(t, s)` derives its salt from
 //! [`crate::SweepConfig::set_seed`] exactly like the figure and chaos
@@ -35,12 +37,13 @@ use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
-use optimcast_netsim::{
-    ContentionAware, FifoAdmission, JobScheduler, MulticastJob, ScheduledOutcome, ScheduledRun,
-    WorkloadConfig,
-};
+use optimcast_netsim::{MulticastJob, ScheduledOutcome, ScheduledRun, WorkloadConfig};
 use optimcast_rng::{ChaCha8Rng, Rng};
 use std::ops::AddAssign;
+
+/// Channel-load cap of the contention-aware admission rule: each admitted
+/// job gets exclusive use of its channels.
+const MAX_CHANNEL_LOAD: u32 = 1;
 
 /// Per-policy aggregate of one multi-tenant cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +83,7 @@ pub struct TenantCell {
     pub samples: u32,
     /// Naive FIFO admission (admit on arrival).
     pub fifo: TenantPolicyStats,
-    /// Contention-aware admission ([`ContentionAware`] with the report's
-    /// `max_channel_load`).
+    /// Contention-aware admission (the report's `max_channel_load` cap).
     pub shaped: TenantPolicyStats,
 }
 
@@ -303,8 +305,8 @@ impl Sweep {
     /// Evaluates the multi-tenant admission grid: every `(job count, mean
     /// inter-arrival, group size)` triple from the cartesian product of the
     /// three axes, each cell sampled `topologies × dest_sets` times and
-    /// scheduled under both [`FifoAdmission`] and the default
-    /// [`ContentionAware`] policy on identical job sets. Cells fan out
+    /// scheduled under both admission rules — on arrival, and a channel
+    /// load cap of 1 — on identical job sets. Cells fan out
     /// across the configured workers; the report is bit-identical for
     /// every thread count.
     ///
@@ -378,7 +380,7 @@ impl Sweep {
             topologies: cfg.topologies(),
             dest_sets: cfg.dest_sets(),
             base_seed: cfg.base_seed(),
-            max_channel_load: ContentionAware::default().max_channel_load,
+            max_channel_load: MAX_CHANNEL_LOAD,
             job_counts: job_counts.to_vec(),
             interarrivals_us: interarrivals_us.to_vec(),
             groups: groups.to_vec(),
@@ -388,7 +390,7 @@ impl Sweep {
 
     /// One cell's samples on topology `t`, evaluated sequentially in
     /// destination-set order (the fixed floating-point order); each sample's
-    /// job set runs under both policies.
+    /// job set runs under both admission rules.
     fn tenant_topology(
         &self,
         jobs: u32,
@@ -424,20 +426,13 @@ impl Sweep {
                 job.start_us = arrival;
                 workload.push(job);
             }
-            for shaped in [false, true] {
-                let policy: &dyn JobScheduler = if shaped {
-                    &ContentionAware {
-                        max_channel_load: 1,
-                    }
-                } else {
-                    &FifoAdmission
-                };
+            for cap in [None, Some(MAX_CHANNEL_LOAD)] {
                 let out = ScheduledRun::new(
                     &topo.net,
                     &workload,
                     cfg.params(),
                     WorkloadConfig::default(),
-                    policy,
+                    cap,
                 )
                 .run()
                 .expect("sampled tenant job sets form valid workloads");
@@ -445,10 +440,9 @@ impl Sweep {
                     out.outcome.counters.events,
                     out.outcome.counters.peak_queue_len,
                 );
-                if shaped {
-                    agg.shaped.fold(&out);
-                } else {
-                    agg.fifo.fold(&out);
+                match cap {
+                    None => agg.fifo.fold(&out),
+                    Some(_) => agg.shaped.fold(&out),
                 }
             }
         }

@@ -107,11 +107,7 @@ fn usage() {
     // Every FIG name, wrapped under the `figures` synopsis.
     let mut figs = String::from("            FIG:");
     let mut width = figs.len();
-    let names = FigureId::ALL.iter().map(|id| id.as_str());
-    for name in names
-        .chain(ChaosFigureId::ALL.iter().map(|id| id.as_str()))
-        .chain(["all"])
-    {
+    for name in FigureId::ALL.iter().map(|id| id.as_str()).chain(["all"]) {
         if width + 1 + name.len() > 76 {
             figs.push_str("\n           ");
             width = 11;
@@ -357,24 +353,21 @@ fn cmd_table(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The `figures` subcommand: every paper figure (and the chaos-axis
-/// figures) as an aligned text table, plus optional JSON and gnuplot
-/// sidecars. Unknown FIG names are rejected before any figure runs.
+/// The `figures` subcommand: every figure (paper, ablation, extension and
+/// chaos-axis) as an aligned text table, plus optional JSON and gnuplot
+/// sidecars, in the order named. Unknown FIG names are rejected before any
+/// figure runs.
 fn cmd_figures(flags: &Flags, names: &[String]) -> Result<(), CliError> {
-    let (mut figs, mut chaos_figs) = (Vec::new(), Vec::new());
+    let mut figs = Vec::new();
     for name in names {
         if name == "all" {
             figs.extend(FigureId::ALL);
-            chaos_figs.extend(ChaosFigureId::ALL);
-        } else if let Ok(id) = name.parse::<FigureId>() {
-            figs.push(id);
         } else {
-            chaos_figs.push(name.parse::<ChaosFigureId>().map_err(bad)?);
+            figs.push(name.parse::<FigureId>().map_err(bad)?);
         }
     }
     if names.is_empty() {
         figs = FigureId::ALL.to_vec();
-        chaos_figs = ChaosFigureId::ALL.to_vec();
     }
     let builder = if flags.has("quick") {
         SweepBuilder::quick()
@@ -388,7 +381,7 @@ fn cmd_figures(flags: &Flags, names: &[String]) -> Result<(), CliError> {
     let cfg = sweep.config();
     // Only the sampled figures run on the sweep's network population; the
     // analytic figures and the fixed-seed ablations describe their own.
-    if figs.iter().any(|f| f.simulated()) || !chaos_figs.is_empty() {
+    if figs.iter().any(|f| f.simulated()) {
         println!(
             "# optimcast figure regeneration ({} topologies x {} destination sets, {} worker(s))",
             cfg.topologies(),
@@ -403,8 +396,9 @@ fn cmd_figures(flags: &Flags, names: &[String]) -> Result<(), CliError> {
         );
     }
 
-    let emit = |figure: Result<Figure, SweepError>, start: Instant| -> Result<(), CliError> {
-        let figure = figure.map_err(failed)?;
+    for fig in figs {
+        let start = Instant::now();
+        let figure = sweep.figure(fig).map_err(failed)?;
         print_figure(&figure, start.elapsed().as_secs_f64());
         if let Some(dir) = flags.str("json") {
             create_dir(dir)?;
@@ -416,19 +410,6 @@ fn cmd_figures(flags: &Flags, names: &[String]) -> Result<(), CliError> {
             let (dat, gp) = write_figure_plots(dir, &figure)?;
             println!("   wrote {dat} + {gp}\n");
         }
-        Ok(())
-    };
-    for fig in figs {
-        let start = Instant::now();
-        emit(sweep.figure(fig), start)?;
-    }
-    // The chaos-axis figures (outage window, corruption rate, NI buffer
-    // capacity) chart the fault extension on top of the paper's sampling
-    // methodology: 31 destinations, 4-packet messages, matching the
-    // `optimcast chaos` grid defaults.
-    for fig in chaos_figs {
-        let start = Instant::now();
-        emit(sweep.chaos_figure(fig, 31, 4), start)?;
     }
     Ok(())
 }

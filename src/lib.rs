@@ -80,15 +80,13 @@ pub mod analysis;
 pub mod prelude {
     pub use optimcast_core::prelude::*;
     pub use optimcast_netsim::{
-        run_multicast, ContentionAware, ContentionMode, FaultKind, FaultPlan, FaultPlanSpec,
-        FifoAdmission, HostCrash, JobScheduler, LinkFailure, MulticastJob, MulticastOutcome,
-        NiTiming, NicKind, RunConfig, ScheduledOutcome, ScheduledRun, SimError, SimRun,
-        WorkloadConfig,
+        run_multicast, ContentionMode, FaultKind, FaultPlan, FaultPlanSpec, HostCrash, LinkFailure,
+        MulticastJob, MulticastOutcome, NiTiming, NicKind, RunConfig, ScheduledOutcome,
+        ScheduledRun, SimError, SimRun, WorkloadConfig,
     };
     pub use optimcast_sweep::{
-        ChaosCell, ChaosFigureId, ChaosReport, Figure, FigureId, Series, StreamCell, StreamGrid,
-        StreamReport, Sweep, SweepBuilder, SweepError, TenantCell, TenantPolicyStats, TenantReport,
-        TreePolicy,
+        ChaosCell, ChaosReport, Figure, FigureId, Series, StreamCell, StreamGrid, StreamReport,
+        Sweep, SweepBuilder, SweepError, TenantCell, TenantPolicyStats, TenantReport, TreePolicy,
     };
     pub use optimcast_topology::cube::CubeNetwork;
     pub use optimcast_topology::graph::{ChannelId, HostId, LinkId, SwitchId};

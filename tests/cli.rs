@@ -336,15 +336,14 @@ fn figures_rejects_an_unknown_figure_name() {
 
 #[test]
 fn usage_lists_every_figure_name() {
-    use optimcast::prelude::{ChaosFigureId, FigureId};
+    use optimcast::prelude::FigureId;
     let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))
         .arg("--help")
         .output()
         .expect("binary runs");
     let usage = String::from_utf8_lossy(&out.stderr);
     let names: Vec<&str> = usage.split_whitespace().collect();
-    let ids = FigureId::ALL.iter().map(|id| id.as_str());
-    for id in ids.chain(ChaosFigureId::ALL.iter().map(|id| id.as_str())) {
+    for id in FigureId::ALL.iter().map(|id| id.as_str()) {
         assert!(names.contains(&id), "{id} missing from usage:\n{usage}");
     }
 }

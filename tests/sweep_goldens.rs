@@ -237,32 +237,28 @@ fn chaos_arq_report_matches_committed_golden() {
 }
 
 /// The committed chaos-axis figures (`results/chaos_{outage,corrupt,
-/// buffer}.json`) regenerate byte-identically from the arguments
-/// `optimcast figures` uses: the paper methodology, 31 destinations,
-/// 4-packet messages.
-fn chaos_figure_matches_committed(id: ChaosFigureId) {
-    let sweep = SweepBuilder::paper().parallelism(4).build().unwrap();
-    let figure = sweep
-        .chaos_figure(id, 31, 4)
-        .expect("the committed chaos figure is valid");
+/// buffer}.json`) regenerate byte-identically through `Sweep::figure`, as
+/// `optimcast figures` renders them: the paper methodology, 31
+/// destinations, 4-packet messages.
+fn chaos_figure_matches_committed(id: FigureId) {
     assert_eq!(
-        figure.to_json().to_string_pretty(),
-        committed_file(id.as_str()),
+        regenerate(id, 4),
+        committed(id),
         "{id} drifted from results/{id}.json"
     );
 }
 
 #[test]
 fn chaos_outage_figure_matches_committed_golden() {
-    chaos_figure_matches_committed(ChaosFigureId::Outage);
+    chaos_figure_matches_committed(FigureId::ChaosOutage);
 }
 
 #[test]
 fn chaos_corrupt_figure_matches_committed_golden() {
-    chaos_figure_matches_committed(ChaosFigureId::Corrupt);
+    chaos_figure_matches_committed(FigureId::ChaosCorrupt);
 }
 
 #[test]
 fn chaos_buffer_figure_matches_committed_golden() {
-    chaos_figure_matches_committed(ChaosFigureId::Buffer);
+    chaos_figure_matches_committed(FigureId::ChaosBuffer);
 }
