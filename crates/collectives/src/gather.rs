@@ -11,8 +11,9 @@
 //! [`GatherSchedule::verify`] checks feasibility mechanically; the tests
 //! run it rather than taking the classic argument on faith.
 
-use crate::scatter::{scatter_schedule_with_hops, OrderPolicy};
+use crate::scatter::scatter_schedule_with_hops;
 use optimcast_core::tree::{MulticastTree, Rank};
+use optimcast_netsim::PersonalizedOrder;
 
 /// One hop of one packet towards the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,13 +106,13 @@ impl GatherSchedule {
 }
 
 /// Builds the gather schedule for `m` packets per participant over `tree`
-/// by time-reversing the scatter schedule with the same policy.
+/// by time-reversing the scatter schedule with the same send order.
 ///
 /// # Panics
 ///
 /// Panics if `m == 0`.
-pub fn gather_schedule(tree: &MulticastTree, m: u32, policy: OrderPolicy) -> GatherSchedule {
-    let (scatter, hops) = scatter_schedule_with_hops(tree, m, policy);
+pub fn gather_schedule(tree: &MulticastTree, m: u32, order: PersonalizedOrder) -> GatherSchedule {
+    let (scatter, hops) = scatter_schedule_with_hops(tree, m, order);
     let total = scatter.total_steps();
     let mut events: Vec<GatherEvent> = hops
         .into_iter()
@@ -143,7 +144,7 @@ mod tests {
         for n in [2u32, 5, 8, 16, 31] {
             for k in 1..=4 {
                 for m in [1u32, 3] {
-                    for policy in [OrderPolicy::OwnFirst, OrderPolicy::DeepestFirst] {
+                    for policy in [PersonalizedOrder::OwnFirst, PersonalizedOrder::DeepestFirst] {
                         let tree = kbinomial_tree(n, k);
                         let g = gather_schedule(&tree, m, policy);
                         let s = scatter_schedule(&tree, m, policy);
@@ -158,7 +159,7 @@ mod tests {
     fn reversed_schedules_are_feasible() {
         for n in [2u32, 7, 16, 24] {
             for k in [1u32, 2, 4] {
-                for policy in [OrderPolicy::OwnFirst, OrderPolicy::DeepestFirst] {
+                for policy in [PersonalizedOrder::OwnFirst, PersonalizedOrder::DeepestFirst] {
                     let tree = kbinomial_tree(n, k);
                     let g = gather_schedule(&tree, 2, policy);
                     g.verify(&tree)
@@ -171,8 +172,8 @@ mod tests {
     #[test]
     fn event_count_is_weighted_path_length() {
         let tree = binomial_tree(16);
-        let g = gather_schedule(&tree, 3, OrderPolicy::OwnFirst);
-        let s = scatter_schedule(&tree, 3, OrderPolicy::OwnFirst);
+        let g = gather_schedule(&tree, 3, PersonalizedOrder::OwnFirst);
+        let s = scatter_schedule(&tree, 3, PersonalizedOrder::OwnFirst);
         assert_eq!(g.events().len() as u64, s.sends());
     }
 
@@ -181,7 +182,7 @@ mod tests {
         // Dual of the scatter source bound: the root must receive m(n-1)
         // packets, one per step.
         let tree = linear_tree(9);
-        let g = gather_schedule(&tree, 2, OrderPolicy::DeepestFirst);
+        let g = gather_schedule(&tree, 2, PersonalizedOrder::DeepestFirst);
         assert_eq!(g.total_steps(), 2 * 8);
         g.verify(&tree).unwrap();
     }
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn singleton_gather_is_free() {
         let tree = optimcast_core::tree::MulticastTree::singleton();
-        let g = gather_schedule(&tree, 4, OrderPolicy::OwnFirst);
+        let g = gather_schedule(&tree, 4, PersonalizedOrder::OwnFirst);
         assert_eq!(g.total_steps(), 0);
         assert!(g.events().is_empty());
         g.verify(&tree).unwrap();
@@ -198,7 +199,7 @@ mod tests {
     #[test]
     fn verify_catches_corruption() {
         let tree = linear_tree(4);
-        let mut g = gather_schedule(&tree, 1, OrderPolicy::OwnFirst);
+        let mut g = gather_schedule(&tree, 1, PersonalizedOrder::OwnFirst);
         // Corrupt: duplicate the first event's (from, step) slot.
         let mut bad = g.events()[0];
         bad.owner = Rank(2);

@@ -39,6 +39,4 @@ pub use barrier::{barrier_partners, barrier_rounds, barrier_us};
 pub use broadcast::{broadcast, broadcast_latency_us};
 pub use gather::{gather_schedule, GatherEvent, GatherSchedule};
 pub use reduce::{optimal_reduce_k, reduce_latency_us, reduce_plan, ReducePlan};
-pub use scatter::{
-    scatter_schedule, scatter_schedule_with_hops, OrderPolicy, ScatterHop, ScatterSchedule,
-};
+pub use scatter::{scatter_schedule, scatter_schedule_with_hops, ScatterHop, ScatterSchedule};

@@ -14,27 +14,21 @@
 //! after the last injection. The interesting degree of freedom is the
 //! **send order**:
 //!
-//! * [`OrderPolicy::OwnFirst`] — each child receives its own packets before
-//!   its descendants' (subtree preorder);
-//! * [`OrderPolicy::DeepestFirst`] — packets for the deepest destinations
-//!   go first, maximising downstream pipelining.
+//! * [`PersonalizedOrder::OwnFirst`] — each child receives its own packets
+//!   before its descendants' (subtree preorder);
+//! * [`PersonalizedOrder::DeepestFirst`] — packets for the deepest
+//!   destinations go first, maximising downstream pipelining.
+//!
+//! The order is the simulator's own [`PersonalizedOrder`], and both this
+//! analytic schedule and the simulated source lay out a child's block with
+//! [`PersonalizedOrder::subtree_order`].
 //!
 //! `DeepestFirst` achieves the `m·(n−1)` lower bound on the chain (tested),
 //! making the *linear* tree optimal for scatter — a neat inversion of the
 //! multicast result, where the chain is worst for short messages.
 
 use optimcast_core::tree::{MulticastTree, Rank};
-
-/// Send-order policy for personalized blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OrderPolicy {
-    /// Within each child's block: the child's own packets, then its
-    /// descendants in preorder.
-    OwnFirst,
-    /// Within each child's block: packets ordered by decreasing destination
-    /// depth (ties by preorder), so far packets lead.
-    DeepestFirst,
-}
+use optimcast_netsim::PersonalizedOrder;
 
 /// The exact step schedule of a scatter over a tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,13 +88,13 @@ pub struct ScatterHop {
 }
 
 /// Computes the exact scatter schedule for `m` packets per destination over
-/// `tree` under the chosen send-order policy.
+/// `tree` under the chosen send order.
 ///
 /// # Panics
 ///
 /// Panics if `m == 0`.
-pub fn scatter_schedule(tree: &MulticastTree, m: u32, policy: OrderPolicy) -> ScatterSchedule {
-    scatter_schedule_with_hops(tree, m, policy).0
+pub fn scatter_schedule(tree: &MulticastTree, m: u32, order: PersonalizedOrder) -> ScatterSchedule {
+    scatter_schedule_with_hops(tree, m, order).0
 }
 
 /// As [`scatter_schedule`], additionally returning every per-hop
@@ -112,7 +106,7 @@ pub fn scatter_schedule(tree: &MulticastTree, m: u32, policy: OrderPolicy) -> Sc
 pub fn scatter_schedule_with_hops(
     tree: &MulticastTree,
     m: u32,
-    policy: OrderPolicy,
+    order: PersonalizedOrder,
 ) -> (ScatterSchedule, Vec<ScatterHop>) {
     assert!(m >= 1, "each destination receives at least one packet");
     let n = tree.len();
@@ -123,7 +117,7 @@ pub fn scatter_schedule_with_hops(
     let mut sends = 0u64;
     let mut hops = Vec::new();
 
-    let depths = depths_of(tree);
+    let depths = tree.depths();
     // Preorder guarantees a parent's sends are fixed before the child's.
     for u in tree.dfs_preorder() {
         let kids = tree.children(u);
@@ -132,8 +126,8 @@ pub fn scatter_schedule_with_hops(
         }
         let mut ni_free = 0u32;
         for &c in kids {
-            let block = block_order(tree, &depths, c, m, policy);
-            for (dest, pkt) in block {
+            let block = order.subtree_order(tree, &depths, c);
+            for (dest, pkt) in block.into_iter().flat_map(|d| (0..m).map(move |p| (d, p))) {
                 // The packet is at `u` since step arrival[dest][pkt].
                 let t = (ni_free + 1).max(arrival[dest.index()][pkt as usize] + 1);
                 ni_free = t;
@@ -153,47 +147,6 @@ pub fn scatter_schedule_with_hops(
     (ScatterSchedule { arrival, sends }, hops)
 }
 
-/// Per-rank depth in edges.
-fn depths_of(tree: &MulticastTree) -> Vec<u32> {
-    let mut d = vec![0u32; tree.len()];
-    for r in tree.dfs_preorder() {
-        if let Some(p) = tree.parent(r) {
-            d[r.index()] = d[p.index()] + 1;
-        }
-    }
-    d
-}
-
-/// The ordered list of (destination, packet) pairs of child `c`'s block.
-fn block_order(
-    tree: &MulticastTree,
-    depths: &[u32],
-    c: Rank,
-    m: u32,
-    policy: OrderPolicy,
-) -> Vec<(Rank, u32)> {
-    // Destinations of the block: preorder of c's subtree.
-    let mut dests = Vec::new();
-    let mut stack = vec![c];
-    while let Some(r) = stack.pop() {
-        dests.push(r);
-        for &k in tree.children(r).iter().rev() {
-            stack.push(k);
-        }
-    }
-    match policy {
-        OrderPolicy::OwnFirst => {}
-        OrderPolicy::DeepestFirst => {
-            // Stable sort keeps preorder among equal depths.
-            dests.sort_by_key(|&r| std::cmp::Reverse(depths[r.index()]));
-        }
-    }
-    dests
-        .into_iter()
-        .flat_map(|d| (0..m).map(move |p| (d, p)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +157,7 @@ mod tests {
         for n in [2u32, 3, 5, 9, 16] {
             for m in [1u32, 2, 4] {
                 let tree = linear_tree(n);
-                let s = scatter_schedule(&tree, m, OrderPolicy::DeepestFirst);
+                let s = scatter_schedule(&tree, m, PersonalizedOrder::DeepestFirst);
                 assert_eq!(
                     s.total_steps(),
                     s.source_bound(),
@@ -221,7 +174,7 @@ mod tests {
         let n = 8;
         let m = 2;
         let tree = linear_tree(n);
-        let s = scatter_schedule(&tree, m, OrderPolicy::OwnFirst);
+        let s = scatter_schedule(&tree, m, PersonalizedOrder::OwnFirst);
         assert!(s.total_steps() > s.source_bound());
         assert_eq!(s.total_steps(), m * (n - 1) + (n - 2));
     }
@@ -231,9 +184,9 @@ mod tests {
         for n in [4u32, 8, 16, 31] {
             for k in 1..=4 {
                 for m in [1u32, 3] {
-                    for policy in [OrderPolicy::OwnFirst, OrderPolicy::DeepestFirst] {
+                    for order in [PersonalizedOrder::OwnFirst, PersonalizedOrder::DeepestFirst] {
                         let tree = kbinomial_tree(n, k);
-                        let s = scatter_schedule(&tree, m, policy);
+                        let s = scatter_schedule(&tree, m, order);
                         assert!(s.total_steps() >= s.source_bound(), "n={n} k={k} m={m}");
                     }
                 }
@@ -249,13 +202,13 @@ mod tests {
     fn send_order_policies_are_incomparable() {
         // Deepest-first wins on the chain.
         let chain = linear_tree(8);
-        let deep = scatter_schedule(&chain, 2, OrderPolicy::DeepestFirst);
-        let own = scatter_schedule(&chain, 2, OrderPolicy::OwnFirst);
+        let deep = scatter_schedule(&chain, 2, PersonalizedOrder::DeepestFirst);
+        let own = scatter_schedule(&chain, 2, PersonalizedOrder::OwnFirst);
         assert!(deep.total_steps() < own.total_steps());
         // Own-first wins on the 3-binomial tree over 16 nodes.
         let bushy = kbinomial_tree(16, 3);
-        let deep = scatter_schedule(&bushy, 2, OrderPolicy::DeepestFirst);
-        let own = scatter_schedule(&bushy, 2, OrderPolicy::OwnFirst);
+        let deep = scatter_schedule(&bushy, 2, PersonalizedOrder::DeepestFirst);
+        let own = scatter_schedule(&bushy, 2, PersonalizedOrder::OwnFirst);
         assert!(own.total_steps() < deep.total_steps());
     }
 
@@ -266,8 +219,8 @@ mod tests {
         for n in [2u32, 4, 8, 16, 32] {
             for m in [1u32, 2, 4] {
                 let tree = linear_tree(n);
-                let deep = scatter_schedule(&tree, m, OrderPolicy::DeepestFirst);
-                let own = scatter_schedule(&tree, m, OrderPolicy::OwnFirst);
+                let deep = scatter_schedule(&tree, m, PersonalizedOrder::DeepestFirst);
+                let own = scatter_schedule(&tree, m, PersonalizedOrder::OwnFirst);
                 assert!(deep.total_steps() <= own.total_steps(), "n={n} m={m}");
             }
         }
@@ -279,15 +232,15 @@ mod tests {
         // for scatter the chain is at least as good as the binomial tree.
         let n = 16;
         let m = 1;
-        let chain = scatter_schedule(&linear_tree(n), m, OrderPolicy::DeepestFirst);
-        let bin = scatter_schedule(&binomial_tree(n), m, OrderPolicy::DeepestFirst);
+        let chain = scatter_schedule(&linear_tree(n), m, PersonalizedOrder::DeepestFirst);
+        let bin = scatter_schedule(&binomial_tree(n), m, PersonalizedOrder::DeepestFirst);
         assert!(chain.total_steps() <= bin.total_steps());
     }
 
     #[test]
     fn per_destination_completions_are_positive_and_bounded() {
         let tree = binomial_tree(16);
-        let s = scatter_schedule(&tree, 3, OrderPolicy::DeepestFirst);
+        let s = scatter_schedule(&tree, 3, PersonalizedOrder::DeepestFirst);
         for r in 1..16u32 {
             let c = s.completion(Rank(r));
             assert!(c >= 1 && c <= s.total_steps());
@@ -304,8 +257,8 @@ mod tests {
         // Each packet is transmitted depth(dest) times.
         let tree = kbinomial_tree(12, 2);
         let m = 4;
-        let s = scatter_schedule(&tree, m, OrderPolicy::OwnFirst);
-        let depths = super::depths_of(&tree);
+        let s = scatter_schedule(&tree, m, PersonalizedOrder::OwnFirst);
+        let depths = tree.depths();
         let expect: u64 = depths.iter().map(|&d| u64::from(d) * u64::from(m)).sum();
         assert_eq!(s.sends(), expect);
     }
@@ -313,7 +266,7 @@ mod tests {
     #[test]
     fn singleton_scatter_is_free() {
         let t = MulticastTree::singleton();
-        let s = scatter_schedule(&t, 2, OrderPolicy::DeepestFirst);
+        let s = scatter_schedule(&t, 2, PersonalizedOrder::DeepestFirst);
         assert_eq!(s.total_steps(), 0);
         assert_eq!(s.sends(), 0);
     }
@@ -321,7 +274,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one packet")]
     fn zero_packets_panics() {
-        scatter_schedule(&linear_tree(3), 0, OrderPolicy::OwnFirst);
+        scatter_schedule(&linear_tree(3), 0, PersonalizedOrder::OwnFirst);
     }
 }
 
@@ -338,15 +291,11 @@ pub fn simulate_scatter<N: optimcast_topology::Network>(
     tree: &MulticastTree,
     binding: &[optimcast_topology::graph::HostId],
     m: u32,
-    policy: OrderPolicy,
+    order: PersonalizedOrder,
     params: &optimcast_core::params::SystemParams,
     config: optimcast_netsim::WorkloadConfig,
 ) -> optimcast_netsim::MulticastOutcome {
-    use optimcast_netsim::{MulticastJob, PersonalizedOrder, SimRun};
-    let order = match policy {
-        OrderPolicy::OwnFirst => PersonalizedOrder::OwnFirst,
-        OrderPolicy::DeepestFirst => PersonalizedOrder::DeepestFirst,
-    };
+    use optimcast_netsim::{MulticastJob, SimRun};
     SimRun::new(
         net,
         &[MulticastJob::scatter(
@@ -389,14 +338,14 @@ mod sim_tests {
         for (n, k) in [(8u32, 2u32), (16, 3), (32, 2), (13, 1)] {
             for m in [1u32, 2, 4] {
                 let tree = optimcast_core::builders::kbinomial_tree(n, k);
-                let sched = scatter_schedule(&tree, m, OrderPolicy::OwnFirst);
+                let sched = scatter_schedule(&tree, m, PersonalizedOrder::OwnFirst);
                 let binding: Vec<HostId> = (0..n).map(HostId).collect();
                 let out = simulate_scatter(
                     &net,
                     &tree,
                     &binding,
                     m,
-                    OrderPolicy::OwnFirst,
+                    PersonalizedOrder::OwnFirst,
                     &params,
                     WorkloadConfig {
                         contention: ContentionMode::Ideal,
@@ -436,7 +385,7 @@ mod sim_tests {
             &tree,
             &binding,
             2,
-            OrderPolicy::DeepestFirst,
+            PersonalizedOrder::DeepestFirst,
             &params,
             WorkloadConfig {
                 contention: ContentionMode::Ideal,

@@ -6,15 +6,16 @@
 //! identity space on top: [`Membership`] names every potential participant
 //! by a **member id** in a fixed universe `0..universe` (member 0 is the
 //! source) and maintains the member↔rank correspondence across
-//! splices: a join is [`MulticastTree::add_rank`], a leave is
+//! splices: a join is [`MulticastTree::add_rank`], which attaches the new
+//! member in place as the highest rank, and a leave is
 //! [`MulticastTree::repair`] of the one leaving rank.
 //!
 //! Every splice preserves the configured fan-out bound `k` and the send
-//! order of surviving edges; the [`TreeRepair`](crate::tree::TreeRepair)
-//! rank maps of each splice are composed into the maps here, so after any
-//! join/leave sequence `rank_of`/`member_of` are mutually inverse over the
-//! current members — the invariants `crates/core/tests/incremental_props.rs`
-//! pins.
+//! order of surviving edges. A join moves no rank; a leave's
+//! [`TreeRepair::new_to_old`](crate::tree::TreeRepair::new_to_old) map is
+//! composed into the maps here, so after any join/leave sequence
+//! `rank_of`/`member_of` are mutually inverse over the current members —
+//! the invariants `crates/core/tests/incremental_props.rs` pins.
 
 use crate::tree::{MulticastTree, Rank};
 use std::fmt;
@@ -175,8 +176,8 @@ impl Membership {
         &self.member_of
     }
 
-    /// Splices `member` into the group via [`MulticastTree::add_rank`];
-    /// the new member becomes the highest rank.
+    /// Splices `member` into the group in place via
+    /// [`MulticastTree::add_rank`]; the new member becomes the highest rank.
     ///
     /// # Errors
     ///
@@ -189,8 +190,7 @@ impl Membership {
         if self.rank_of[member as usize].is_some() {
             return Err(MembershipError::AlreadyMember(member));
         }
-        self.tree = self.tree.add_rank(self.k).tree;
-        self.rank_of[member as usize] = Some(Rank(self.member_of.len() as u32));
+        self.rank_of[member as usize] = Some(self.tree.add_rank(self.k));
         self.member_of.push(member);
         Ok(())
     }

@@ -11,6 +11,11 @@
 //! forwards to `children[0]` first, then `children[1]`, and so on. The send
 //! order is what the paper's Fig. 11 construction pins down, so it is part of
 //! the tree's identity, not a presentation detail.
+//!
+//! Trees change shape two ways. [`MulticastTree::add_rank`] splices one new
+//! leaf in place, keeping every rank. [`MulticastTree::repair`] builds a new
+//! tree over the survivors of a failure set, renumbered densely, and
+//! reports the rank map and how many orphaned subtrees it re-attached.
 
 use std::fmt;
 
@@ -255,15 +260,18 @@ impl MulticastTree {
 
     /// Tree depth in edges (0 for a singleton).
     pub fn depth(&self) -> u32 {
+        self.depths().into_iter().max().unwrap_or(0)
+    }
+
+    /// Depth in edges of every rank, indexed by rank (0 for the source).
+    pub fn depths(&self) -> Vec<u32> {
         let mut depth = vec![0u32; self.len()];
-        let mut max = 0;
         for r in self.dfs_preorder() {
             if let Some(p) = self.parent(r) {
                 depth[r.index()] = depth[p.index()] + 1;
-                max = max.max(depth[r.index()]);
             }
         }
-        max
+        depth
     }
 
     /// Size of the subtree rooted at each rank (itself included).
@@ -516,20 +524,16 @@ impl MulticastTree {
 }
 
 /// Result of [`MulticastTree::repair`]: a tree over the surviving ranks
-/// (renumbered densely, old-rank order) plus the rank correspondence and the
-/// list of re-attachments performed.
+/// (renumbered densely, old-rank order), the rank correspondence, and the
+/// number of re-attachments performed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeRepair {
     /// The repaired tree over `survivors` ranks; rank 0 is still the source.
     pub tree: MulticastTree,
     /// `new_to_old[new.index()]` = the surviving participant's original rank.
     pub new_to_old: Vec<Rank>,
-    /// `old_to_new[old.index()]` = the participant's rank in the repaired
-    /// tree, or `None` if it failed.
-    pub old_to_new: Vec<Option<Rank>>,
-    /// Each orphaned subtree root and the surviving node it was re-attached
-    /// to, both as *original* ranks, in re-attachment order.
-    pub reattached: Vec<(Rank, Rank)>,
+    /// How many orphaned subtree roots were re-attached to a surviving node.
+    pub reattached: u32,
 }
 
 /// Why [`MulticastTree::repair`] rejected a failure set.
@@ -662,7 +666,7 @@ impl MulticastTree {
         // fan-out, else the closest-to-root connected node with spare
         // fan-out. Attaching only to connected targets keeps the structure
         // acyclic by construction.
-        let mut reattached = Vec::new();
+        let mut reattached = 0;
         for old in 1..n {
             if dead[old] {
                 continue;
@@ -692,14 +696,13 @@ impl MulticastTree {
             let target = target.unwrap_or_else(|| tree.shallowest_spare(k));
             tree.attach(target, new_r);
             mark_component(&tree, &mut connected, new_r);
-            reattached.push((Rank(old as u32), new_to_old[target.index()]));
+            reattached += 1;
         }
 
         debug_assert!(tree.validate().is_ok());
         Ok(TreeRepair {
             tree,
             new_to_old,
-            old_to_new,
             reattached,
         })
     }
@@ -718,34 +721,24 @@ impl MulticastTree {
         unreachable!("a finite tree has a leaf, and a leaf has 0 < k children")
     }
 
-    /// Splices a new participant into the tree as rank `n` (one past the
-    /// current highest), attached to the shallowest node with fewer than
-    /// `k` children — breadth-first from the source, children visited in
-    /// send order, so repeated joins fill the tree level by level exactly
-    /// like the repair fallback of [`Self::repair`]. Removing a participant
-    /// is `repair(&[r])`.
+    /// Splices a new participant into the tree in place as rank `n` (one
+    /// past the current highest) and returns it. The new leaf is attached
+    /// to the shallowest node with fewer than `k` children — breadth-first
+    /// from the source, children visited in send order, so repeated joins
+    /// fill the tree level by level exactly like the repair fallback of
+    /// [`Self::repair`]. Removing a participant is `repair(&[r])`.
     ///
-    /// Every existing edge (and send order) is preserved; the returned
-    /// maps are identities over the old ranks and `reattached` records the
-    /// single new attachment `(new rank, chosen parent)`.
-    pub fn add_rank(&self, k: u32) -> TreeRepair {
-        let n = self.len();
-        let mut tree = MulticastTree::with_capacity(n as u32 + 1);
-        for r in self.dfs_preorder() {
-            if let Some(p) = self.parent(r) {
-                tree.attach(p, r);
-            }
-        }
-        let target = tree.shallowest_spare(k.max(1) as usize);
-        let joined = Rank(n as u32);
-        tree.attach(target, joined);
-        debug_assert!(tree.validate().is_ok());
-        TreeRepair {
-            tree,
-            new_to_old: (0..=n as u32).map(Rank).collect(),
-            old_to_new: (0..n as u32).map(|r| Some(Rank(r))).collect(),
-            reattached: vec![(joined, target)],
-        }
+    /// Every existing edge and send order is kept and no rank moves.
+    pub fn add_rank(&mut self, k: u32) -> Rank {
+        let joined = Rank(self.len() as u32);
+        self.parent.push(None);
+        self.first_child.push(NONE);
+        self.last_child.push(NONE);
+        self.next_sibling.push(NONE);
+        self.child_count.push(0);
+        let target = self.shallowest_spare(k.max(1) as usize);
+        self.attach(target, joined);
+        joined
     }
 }
 
@@ -759,7 +752,7 @@ mod repair_tests {
         let t = kbinomial_tree(16, 2);
         let rep = t.repair(&[]).unwrap();
         assert_eq!(rep.tree, t);
-        assert!(rep.reattached.is_empty());
+        assert_eq!(rep.reattached, 0);
         assert_eq!(rep.new_to_old, (0..16).map(Rank).collect::<Vec<_>>());
     }
 
@@ -778,8 +771,9 @@ mod repair_tests {
         let rep = t.repair(&[Rank(1)]).unwrap();
         rep.tree.validate().unwrap();
         assert_eq!(rep.tree.len(), 3);
-        assert_eq!(rep.reattached, vec![(Rank(2), Rank(0))]);
-        // New ranks: 0->0, 2->1, 3->2.
+        assert_eq!(rep.reattached, 1);
+        // New ranks: 0->0, 2->1, 3->2; old 2 re-attached under the source.
+        assert_eq!(rep.new_to_old, vec![Rank(0), Rank(2), Rank(3)]);
         assert_eq!(rep.tree.parent(Rank(1)), Some(Rank(0)));
         assert_eq!(rep.tree.parent(Rank(2)), Some(Rank(1)));
         assert_eq!(rep.tree.max_degree(), 1, "chain fan-out preserved");
@@ -810,13 +804,9 @@ mod repair_tests {
         let rep = t.repair(&failed).unwrap();
         rep.tree.validate().unwrap(); // attached exactly once + connected
         assert_eq!(rep.tree.len(), 20);
-        // The rank maps are mutually inverse over survivors.
-        for (new, &old) in rep.new_to_old.iter().enumerate() {
-            assert_eq!(rep.old_to_new[old.index()], Some(Rank(new as u32)));
-        }
-        for &f in &failed {
-            assert_eq!(rep.old_to_new[f.index()], None);
-        }
+        // Survivors keep their original-rank order; the failed are gone.
+        let survivors: Vec<Rank> = (0..24).map(Rank).filter(|r| !failed.contains(r)).collect();
+        assert_eq!(rep.new_to_old, survivors);
     }
 
     #[test]
@@ -828,10 +818,10 @@ mod repair_tests {
         rep.tree.validate().unwrap();
         // Source + 16 - 1 source - 1 failed - 2 delivered = 13 ranks remain.
         assert_eq!(rep.tree.len(), 13);
-        assert_eq!(rep.old_to_new[1], None);
-        assert_eq!(rep.old_to_new[2], None);
-        assert_eq!(rep.old_to_new[3], None);
-        assert_eq!(rep.old_to_new[0], Some(Rank::SOURCE));
+        assert_eq!(
+            rep.new_to_old,
+            [0].into_iter().chain(4..16).map(Rank).collect::<Vec<_>>()
+        );
         // Delivered ranks are excluded, not failures.
         assert_eq!(
             t.repair_partial(&[Rank(0)], &[]),
@@ -888,32 +878,44 @@ mod incremental_tests {
     fn add_rank_attaches_at_the_shallowest_spare_slot() {
         // Full 2-binomial levels: the next join lands under the shallowest
         // node with spare fan-out, breadth-first in send order.
-        let t = kbinomial_tree(4, 2); // root -> {2, 1}, 2 -> {3}
-        let rep = t.add_rank(2);
-        rep.tree.validate().unwrap();
-        assert_eq!(rep.tree.len(), 5);
+        let old = kbinomial_tree(4, 2); // root -> {2, 1}, 2 -> {3}
+        let mut t = old.clone();
+        assert_eq!(t.add_rank(2), Rank(4));
+        t.validate().unwrap();
+        assert_eq!(t.len(), 5);
         // Root is full (2 children); rank 2, first in send order, has one
         // child -> the spare slot.
-        assert_eq!(rep.reattached, vec![(Rank(4), Rank(2))]);
-        assert_eq!(rep.tree.parent(Rank(4)), Some(Rank(2)));
-        assert!(rep.tree.max_degree() <= 2);
-        // Identity maps over the old ranks.
-        assert_eq!(
-            rep.old_to_new,
-            (0..4).map(|r| Some(Rank(r))).collect::<Vec<_>>()
-        );
-        assert_eq!(rep.new_to_old, (0..5).map(Rank).collect::<Vec<_>>());
+        assert_eq!(t.parent(Rank(4)), Some(Rank(2)));
+        assert!(t.max_degree() <= 2);
         // Existing edges and send orders are untouched.
-        assert_eq!(rep.tree.root_children(), t.root_children());
+        assert_eq!(t.root_children(), old.root_children());
+        assert_eq!(t.children(Rank(2)), &[Rank(3), Rank(4)]);
     }
 
     #[test]
     fn add_rank_on_a_chain_extends_the_chain() {
-        let t = linear_tree(3);
-        let rep = t.add_rank(1);
-        rep.tree.validate().unwrap();
-        assert_eq!(rep.tree.parent(Rank(3)), Some(Rank(2)));
-        assert_eq!(rep.tree.max_degree(), 1);
+        let mut t = linear_tree(3);
+        assert_eq!(t.add_rank(1), Rank(3));
+        t.validate().unwrap();
+        assert_eq!(t.parent(Rank(3)), Some(Rank(2)));
+        assert_eq!(t.max_degree(), 1);
+    }
+
+    /// The in-place splice equals rebuilding the tree edge by edge in
+    /// preorder and attaching the new leaf at the same slot.
+    #[test]
+    fn add_rank_equals_a_rebuild_plus_one_attach() {
+        for (n, k) in [(1u32, 1u32), (4, 2), (13, 3), (32, 2)] {
+            let old = kbinomial_tree(n, k);
+            let mut rebuilt = MulticastTree::with_capacity(n + 1);
+            for (p, c) in old.edges() {
+                rebuilt.attach(p, c);
+            }
+            rebuilt.attach(rebuilt.shallowest_spare(k as usize), Rank(n));
+            let mut spliced = old.clone();
+            spliced.add_rank(k);
+            assert_eq!(spliced, rebuilt, "n={n} k={k}");
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! * the repaired tree's fan-out never exceeds the original `k`;
 //! * every survivor stays reachable from the source (the repaired tree is a
 //!   valid spanning tree of exactly the survivors);
-//! * `new_to_old` / `old_to_new` are inverse bijections between the new
-//!   rank space and the surviving old ranks;
+//! * `new_to_old` lists exactly the surviving old ranks, in order, so it is
+//!   a bijection from the new rank space onto the survivors;
 //! * repairing with an empty failure set is the identity;
 //! * `repair_partial` additionally excludes already-delivered ranks without
 //!   treating them as failures.
@@ -66,26 +66,10 @@ proptest! {
         let tree = kbinomial_tree(n, k);
         let failed = subset(fmask, n);
         let rep = tree.repair(&failed).expect("valid crash set rejected");
+        // Exactly the survivors, densely renumbered in old-rank order.
+        let survivors: Vec<Rank> = (0..n).map(Rank).filter(|r| !failed.contains(r)).collect();
+        prop_assert_eq!(&rep.new_to_old, &survivors);
         prop_assert_eq!(rep.new_to_old.len(), rep.tree.len());
-        prop_assert_eq!(rep.old_to_new.len(), tree.len());
-        // new → old → new round-trips.
-        for (new, &old) in rep.new_to_old.iter().enumerate() {
-            prop_assert_eq!(rep.old_to_new[old.index()], Some(Rank(new as u32)));
-        }
-        // old → new → old round-trips; exactly the failed ranks map to None.
-        let mut images = HashSet::new();
-        for (old, slot) in rep.old_to_new.iter().enumerate() {
-            let old = Rank(old as u32);
-            match slot {
-                Some(new) => {
-                    prop_assert_eq!(rep.new_to_old[new.index()], old);
-                    prop_assert!(images.insert(*new), "{} mapped twice", new);
-                    prop_assert!(!failed.contains(&old));
-                }
-                None => prop_assert!(failed.contains(&old)),
-            }
-        }
-        prop_assert_eq!(images.len(), rep.new_to_old.len());
     }
 
     #[test]
@@ -93,12 +77,8 @@ proptest! {
         let tree = kbinomial_tree(n, k);
         let rep = tree.repair(&[]).expect("empty failure set rejected");
         prop_assert_eq!(&rep.tree, &tree);
-        prop_assert!(rep.reattached.is_empty());
-        for r in 0..tree.len() {
-            let r = Rank(r as u32);
-            prop_assert_eq!(rep.new_to_old[r.index()], r);
-            prop_assert_eq!(rep.old_to_new[r.index()], Some(r));
-        }
+        prop_assert_eq!(rep.reattached, 0);
+        prop_assert_eq!(rep.new_to_old, (0..n).map(Rank).collect::<Vec<_>>());
     }
 
     #[test]
@@ -123,11 +103,11 @@ proptest! {
             tree.len() - failed.len() - delivered.len()
         );
         assert_spanning(&rep.tree)?;
-        for (old, slot) in rep.old_to_new.iter().enumerate() {
-            let old = Rank(old as u32);
-            let excluded = failed.contains(&old) || delivered.contains(&old);
-            prop_assert_eq!(slot.is_none(), excluded, "rank {}", old);
-        }
+        let kept: Vec<Rank> = (0..n)
+            .map(Rank)
+            .filter(|r| !failed.contains(r) && !delivered.contains(r))
+            .collect();
+        prop_assert_eq!(&rep.new_to_old, &kept);
         for r in rep.tree.dfs_preorder() {
             prop_assert!(rep.tree.children(r).len() <= bound);
         }

@@ -87,30 +87,11 @@ pub(crate) fn source_order(
     m: u32,
     order: PersonalizedOrder,
 ) -> Vec<(Rank, u32)> {
-    let mut depths = vec![0u32; tree.len()];
-    for r in tree.dfs_preorder() {
-        if let Some(p) = tree.parent(r) {
-            depths[r.index()] = depths[p.index()] + 1;
-        }
-    }
+    let depths = tree.depths();
     let mut items = Vec::new();
     for &c in tree.root_children() {
-        // Preorder of c's subtree.
-        let mut dests = Vec::new();
-        let mut stack = vec![c];
-        while let Some(r) = stack.pop() {
-            dests.push(r);
-            for &k in tree.children(r).iter().rev() {
-                stack.push(k);
-            }
-        }
-        if order == PersonalizedOrder::DeepestFirst {
-            dests.sort_by_key(|&r| std::cmp::Reverse(depths[r.index()]));
-        }
-        for d in dests {
-            for p in 0..m {
-                items.push((d, p));
-            }
+        for d in order.subtree_order(tree, &depths, c) {
+            items.extend((0..m).map(|p| (d, p)));
         }
     }
     items

@@ -607,7 +607,7 @@ impl<'a, N: Network> Simulation<'a, N> {
                 j as u32,
                 epoch,
                 failed.len() as u32,
-                rep.reattached.len() as u32,
+                rep.reattached,
                 policy.notify_us,
             );
             // Message-level re-issue: partial fragments at the undelivered

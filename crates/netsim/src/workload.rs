@@ -61,6 +61,24 @@ pub enum PersonalizedOrder {
     DeepestFirst,
 }
 
+impl PersonalizedOrder {
+    /// The destinations of child `c`'s block, in send order: `c`'s subtree
+    /// in preorder, stably re-sorted deepest first under
+    /// [`Self::DeepestFirst`]. `depths` is [`MulticastTree::depths`].
+    pub fn subtree_order(self, tree: &MulticastTree, depths: &[u32], c: Rank) -> Vec<Rank> {
+        let mut dests = Vec::new();
+        let mut stack = vec![c];
+        while let Some(r) = stack.pop() {
+            dests.push(r);
+            stack.extend(tree.children(r).iter().rev());
+        }
+        if self == PersonalizedOrder::DeepestFirst {
+            dests.sort_by_key(|&r| std::cmp::Reverse(depths[r.index()]));
+        }
+        dests
+    }
+}
+
 /// One multicast job within a workload.
 #[derive(Debug, Clone)]
 pub struct MulticastJob {
@@ -740,14 +758,11 @@ mod scatter_tests {
             assert!(out.host_done_us[r] > 0.0, "rank {r} incomplete");
         }
         // Total transmissions = sum over dests of depth * m.
-        let tree = binomial_tree(16);
-        let mut depth = [0u32; 16];
-        for r in tree.dfs_preorder() {
-            if let Some(p) = tree.parent(r) {
-                depth[r.index()] = depth[p.index()] + 1;
-            }
-        }
-        let expect: u64 = depth.iter().map(|&d| u64::from(d) * 3).sum();
+        let expect: u64 = binomial_tree(16)
+            .depths()
+            .iter()
+            .map(|&d| u64::from(d) * 3)
+            .sum();
         assert_eq!(out.total_sends, expect);
     }
 

@@ -8,7 +8,7 @@
 
 use crate::figure::{Figure, Series};
 use crate::sampling::m_axis;
-use optimcast_collectives::{gather_schedule, scatter_schedule, OrderPolicy};
+use optimcast_collectives::{gather_schedule, scatter_schedule};
 use optimcast_core::builders::{binomial_tree, kbinomial_tree, linear_tree};
 use optimcast_core::latency::smart_latency_us;
 use optimcast_core::optimal::optimal_k;
@@ -17,14 +17,14 @@ use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::{fpfs_schedule, ForwardingDiscipline};
 use optimcast_core::tree::MulticastTree;
 use optimcast_netsim::{
-    run_multicast, ContentionMode, MulticastJob, MulticastOutcome, NicKind, RunConfig, SimRun,
-    WorkloadConfig,
+    run_multicast, ContentionMode, MulticastJob, MulticastOutcome, NicKind, PersonalizedOrder,
+    RunConfig, SimRun, WorkloadConfig,
 };
 use optimcast_rng::{ChaCha8Rng, SliceRandom};
 use optimcast_topology::cube::CubeNetwork;
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
-use optimcast_topology::ordering::{cco, poc, switch_grouped, Ordering};
+use optimcast_topology::ordering::{cco, switch_grouped, Ordering};
 use optimcast_topology::Network;
 
 fn series(label: &str, points: Vec<(f64, f64)>) -> Series {
@@ -69,7 +69,7 @@ fn contention_series(outcomes: &[MulticastOutcome], first_x: f64) -> Vec<Series>
 }
 
 /// A1: the base ordering under the same 47-destination, 8-packet optimal
-/// k-binomial multicast from host 0 (seed-13 network) — CCO, POC,
+/// k-binomial multicast from host 0 (seed-13 network) — CCO,
 /// switch-grouped and a random permutation (seed 777).
 pub fn ablation_ordering(params: &SystemParams) -> Figure {
     let net = IrregularNetwork::generate(IrregularConfig::default(), 13);
@@ -77,7 +77,6 @@ pub fn ablation_ordering(params: &SystemParams) -> Figure {
     let m = 8;
     let outcomes: Vec<MulticastOutcome> = [
         cco(&net),
-        poc(&net),
         switch_grouped(net.topology()),
         Ordering::random(64, 777),
     ]
@@ -91,7 +90,7 @@ pub fn ablation_ordering(params: &SystemParams) -> Figure {
     Figure {
         id: "ablation_ordering".into(),
         title: "Base ordering vs wormhole contention (47 dest, 8 packets)".into(),
-        x_label: "ordering (0 CCO, 1 POC, 2 switch-grouped, 3 random)".into(),
+        x_label: "ordering (0 CCO, 1 switch-grouped, 2 random)".into(),
         y_label: "latency (us), blocked sends, stall (us)".into(),
         series: contention_series(&outcomes, 0.0),
     }
@@ -286,8 +285,8 @@ pub fn collectives() -> Figure {
     let m = 8;
     let (mut scatter, mut gather, mut bound) = (Vec::new(), Vec::new(), Vec::new());
     for (i, tree) in [linear_tree(64), kbinomial_tree(64, 2)].iter().enumerate() {
-        let s = scatter_schedule(tree, m, OrderPolicy::DeepestFirst);
-        let g = gather_schedule(tree, m, OrderPolicy::DeepestFirst);
+        let s = scatter_schedule(tree, m, PersonalizedOrder::DeepestFirst);
+        let g = gather_schedule(tree, m, PersonalizedOrder::DeepestFirst);
         let x = i as f64;
         scatter.push((x, f64::from(s.total_steps())));
         gather.push((x, f64::from(g.total_steps())));

@@ -502,7 +502,7 @@ impl Sweep {
                 let repair = tree
                     .repair(&failed)
                     .expect("crash sets exclude the source and are in range");
-                tally.reattached += repair.reattached.len() as u64;
+                tally.reattached += u64::from(repair.reattached);
                 let binding: Vec<HostId> = repair
                     .new_to_old
                     .iter()

@@ -15,6 +15,11 @@
 //! first visit. Hosts that are topologically close are then contiguous in
 //! the ordering, so the nested/disjoint chain segments used by the Fig. 11
 //! construction mostly map to disjoint channel sets.
+//!
+//! \[5\] also defines a partial-ordered-chain ordering. Splitting the CCO
+//! order greedily into contention-free chains and concatenating them again
+//! returns the CCO order unchanged, so CCO is the one irregular-network
+//! ordering here (DESIGN.md §5).
 
 use crate::cube::CubeNetwork;
 use crate::graph::{HostId, SwitchId};
@@ -246,172 +251,5 @@ mod tests {
             &o.hosts()[0..4],
             &[HostId(0), HostId(1), HostId(2), HostId(3)]
         );
-    }
-}
-
-/// A Partial Ordered Chain decomposition (after \[Kesavan-Bondalapati-Panda,
-/// HPCA'97\], reconstructed from its defining property — see DESIGN.md):
-/// the hosts are partitioned into chains such that each chain is a
-/// contention-free ordering on its own, by greedily extending the current
-/// chain through the CCO order and starting a new chain whenever adding the
-/// next host would create a forward-chain conflict. The concatenation of
-/// the chains is an ordering with *minimal* (not zero) contention — the
-/// paper's §4.3.2 statement that no fully contention-free ordering exists
-/// for up*/down* routed irregular networks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialOrderedChains {
-    chains: Vec<Vec<HostId>>,
-}
-
-impl PartialOrderedChains {
-    /// The chains, in construction order.
-    pub fn chains(&self) -> &[Vec<HostId>] {
-        &self.chains
-    }
-
-    /// Number of chains (1 would mean a fully contention-free ordering).
-    pub fn len(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// True if there are no chains (empty network).
-    pub fn is_empty(&self) -> bool {
-        self.chains.is_empty()
-    }
-
-    /// Concatenates the chains into a single host ordering.
-    pub fn into_ordering(self) -> Ordering {
-        Ordering::from_order(self.chains.into_iter().flatten().collect())
-    }
-}
-
-/// Builds the Partial Ordered Chain decomposition of an irregular network,
-/// seeding the traversal with the CCO order.
-pub fn partial_ordered_chains(net: &IrregularNetwork) -> PartialOrderedChains {
-    let base = cco(net);
-    let mut chains: Vec<Vec<HostId>> = Vec::new();
-    let mut current: Vec<HostId> = Vec::new();
-    for &h in base.hosts() {
-        if chain_accepts(net, &current, h) {
-            current.push(h);
-        } else {
-            chains.push(std::mem::take(&mut current));
-            current.push(h);
-        }
-    }
-    if !current.is_empty() {
-        chains.push(current);
-    }
-    PartialOrderedChains { chains }
-}
-
-/// The POC ordering: concatenated partial ordered chains.
-pub fn poc(net: &IrregularNetwork) -> Ordering {
-    partial_ordered_chains(net).into_ordering()
-}
-
-/// Whether appending `h` keeps `chain` a contention-free ordering: checks
-/// every new quadruple `a ≺ b ≼ c ≺ h` introduced by the extension.
-fn chain_accepts(net: &IrregularNetwork, chain: &[HostId], h: HostId) -> bool {
-    use crate::contention::share_channel;
-    let n = chain.len();
-    if n < 2 {
-        return true;
-    }
-    // New quadruples have d = h; c ranges over the chain, (a, b) over
-    // earlier pairs with b <= c.
-    for pc in 0..n {
-        let route_cd = net.route(chain[pc], h);
-        for pa in 0..pc {
-            for pb in pa + 1..=pc {
-                let route_ab = net.route(chain[pa], chain[pb]);
-                if share_channel(&route_ab, &route_cd) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-#[cfg(test)]
-mod poc_tests {
-    use super::*;
-    use crate::contention::{is_contention_free, ordering_violations};
-    use crate::irregular::IrregularConfig;
-
-    fn small_net(seed: u64) -> IrregularNetwork {
-        IrregularNetwork::generate(
-            IrregularConfig {
-                switches: 6,
-                ports: 6,
-                hosts: 18,
-            },
-            seed,
-        )
-    }
-
-    #[test]
-    fn chains_partition_all_hosts() {
-        let net = small_net(0);
-        let poc = partial_ordered_chains(&net);
-        let mut all: Vec<HostId> = poc.chains().iter().flatten().copied().collect();
-        assert_eq!(all.len(), 18);
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 18);
-        assert!(!poc.is_empty());
-    }
-
-    #[test]
-    fn every_chain_is_contention_free() {
-        for seed in 0..4 {
-            let net = small_net(seed);
-            let poc = partial_ordered_chains(&net);
-            for chain in poc.chains() {
-                assert!(
-                    is_contention_free(&net, chain),
-                    "seed {seed}: chain {chain:?} contends"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn poc_ordering_no_worse_than_cco_on_average() {
-        let mut poc_total = 0u64;
-        let mut cco_total = 0u64;
-        for seed in 0..4 {
-            let net = small_net(seed);
-            let p = poc(&net);
-            poc_total += ordering_violations(&net, p.hosts(), u64::MAX).0;
-            let c = cco(&net);
-            cco_total += ordering_violations(&net, c.hosts(), u64::MAX).0;
-        }
-        assert!(
-            poc_total <= cco_total,
-            "POC {poc_total} violations should not exceed CCO {cco_total}"
-        );
-    }
-
-    #[test]
-    fn poc_deterministic() {
-        let a = poc(&small_net(2));
-        let b = poc(&small_net(2));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn single_switch_poc_is_one_chain() {
-        let net = IrregularNetwork::generate(
-            IrregularConfig {
-                switches: 1,
-                ports: 8,
-                hosts: 6,
-            },
-            0,
-        );
-        let poc = partial_ordered_chains(&net);
-        assert_eq!(poc.len(), 1, "a crossbar needs no chain splits");
     }
 }

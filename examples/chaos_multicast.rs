@@ -71,7 +71,7 @@ fn main() {
     let repair = tree.repair(&[Rank(13)]).expect("rank 13 is not the source");
     println!(
         "repair: {} orphaned subtree(s) re-attached, fan-out bound {} preserved",
-        repair.reattached.len(),
+        repair.reattached,
         repair.tree.max_degree()
     );
     let sched = fpfs_schedule(&repair.tree, m);

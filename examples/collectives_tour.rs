@@ -9,9 +9,9 @@
 use optimcast::collectives::{
     allgather_recursive_doubling_us, allgather_ring_us, barrier_us, broadcast,
     broadcast_latency_us, gather_schedule, optimal_reduce_k, reduce_latency_us, scatter_schedule,
-    OrderPolicy,
 };
 use optimcast::core::param_model::ParamModel;
+use optimcast::netsim::PersonalizedOrder;
 use optimcast::prelude::*;
 
 fn main() {
@@ -37,8 +37,8 @@ fn main() {
         ("kbin tree", kbinomial_tree(n, optimal_k(u64::from(n), m).k)),
         ("chain    ", linear_tree(n)),
     ] {
-        let s = scatter_schedule(&tree, m, OrderPolicy::DeepestFirst);
-        let g = gather_schedule(&tree, m, OrderPolicy::DeepestFirst);
+        let s = scatter_schedule(&tree, m, PersonalizedOrder::DeepestFirst);
+        let g = gather_schedule(&tree, m, PersonalizedOrder::DeepestFirst);
         println!(
             "scatter   : {name} {:5} steps (source bound {}), gather mirrors at {:5} steps",
             s.total_steps(),

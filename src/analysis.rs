@@ -3,12 +3,12 @@
 //! Bridges the analytic step schedules of `optimcast-core` with the channel
 //! model of `optimcast-topology`: for every step of a schedule, count pairs
 //! of simultaneously active transmissions whose routes share a directed
-//! channel. A *depth contention-free* tree embedding (paper §4.3.2) has zero
+//! channel ([`concurrent_conflicts`] over that step's sends). A *depth contention-free* tree embedding (paper §4.3.2) has zero
 //! such pairs; the count quantifies how far an ordering/tree combination
 //! falls short, independent of the event-driven simulator.
 
 use optimcast_core::schedule::Schedule;
-use optimcast_topology::contention::share_channel;
+use optimcast_topology::contention::concurrent_conflicts;
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
 
@@ -45,30 +45,14 @@ pub fn schedule_conflicts<N: Network>(
         binding.len() >= schedule.participants(),
         "binding must cover every participant"
     );
-    let total_steps = schedule.total_steps() as usize;
-    let mut per_step = vec![0u64; total_steps];
-    let events = schedule.events();
-    let mut i = 0;
-    while i < events.len() {
-        let step = events[i].step;
-        let mut j = i;
-        while j < events.len() && events[j].step == step {
-            j += 1;
-        }
-        let routes: Vec<Vec<_>> = events[i..j]
+    let mut per_step = vec![0u64; schedule.total_steps() as usize];
+    // Events are sorted by step, so each chunk is one step's sends.
+    for sends in schedule.events().chunk_by(|a, b| a.step == b.step) {
+        let transfers: Vec<(HostId, HostId)> = sends
             .iter()
-            .map(|e| net.route(binding[e.from.index()], binding[e.to.index()]))
+            .map(|e| (binding[e.from.index()], binding[e.to.index()]))
             .collect();
-        let mut conflicts = 0u64;
-        for a in 0..routes.len() {
-            for b in a + 1..routes.len() {
-                if share_channel(&routes[a], &routes[b]) {
-                    conflicts += 1;
-                }
-            }
-        }
-        per_step[(step - 1) as usize] = conflicts;
-        i = j;
+        per_step[(sends[0].step - 1) as usize] = concurrent_conflicts(net, &transfers);
     }
     let total = per_step.iter().sum();
     let dirty_steps = per_step.iter().filter(|&&c| c > 0).count() as u32;

@@ -17,7 +17,7 @@ use optimcast::netsim::{
 };
 use optimcast::prelude::*;
 use optimcast::sweep::{bench_mega, mega_digest_check, mega_rate_checks, Json, ToJson};
-use optimcast::topology::ordering::{cco, poc};
+use optimcast::topology::ordering::cco;
 use optimcast::transport_udp::{
     loopback_demo, run_sink, run_source, UdpTransport, WirePlan, DEFAULT_MTU, HEADER_LEN,
 };
@@ -127,7 +127,7 @@ fn usage() {
          \u{20}  figures  [--quick] [--threads N] [--json DIR] [--gnuplot DIR] [FIG ...]\n\
          {figs}\n\
          \u{20}  simulate [--seed N] [--dests D] [--m M] [--nic conv|fcfs|fpfs]\n\
-         \u{20}           [--ordering cco|poc|random] [--ideal] [--trace] [--json]\n\
+         \u{20}           [--ordering cco|random] [--ideal] [--trace] [--json]\n\
          \u{20}           [--drop-rate R] [--corrupt-rate R] [--crashes C]\n\
          \u{20}           [--crash-at US] [--live-repair] [--fault-seed N]\n\
          \u{20}           [--window W] [--send-units S] [--deadline US]\n\
@@ -552,7 +552,6 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     let seed: u64 = flags.get("seed", 0)?;
     let ordering = match flags.str("ordering") {
         None | Some("cco") => cco(&net),
-        Some("poc") => poc(&net),
         Some("random") => Ordering::random(net.num_hosts(), seed.wrapping_add(1)),
         Some(o) => return Err(bad(format!("unknown ordering '{o}'"))),
     };

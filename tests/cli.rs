@@ -278,7 +278,7 @@ fn retired_bench_commands_are_unknown() {
 fn out_of_range_input_is_a_usage_error() {
     // Values the library documents as panics must be rejected up front:
     // exit 2 with a `<cmd>:` diagnostic, never a panic (exit 101).
-    let cases: [&[&str]; 22] = [
+    let cases: [&[&str]; 23] = [
         &["route", "1", "x"],
         &["route", "1", "9999"],
         &["tree", "--k", "x"],
@@ -302,6 +302,8 @@ fn out_of_range_input_is_a_usage_error() {
         &["simulate", "--window", "0"],
         &["simulate", "--deadline", "-5"],
         &["simulate", "--crashes", "1", "--crash-at", "-1"],
+        // The partial-ordered-chain ordering reduced to CCO and was removed.
+        &["simulate", "--ordering", "poc"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_optimcast"))

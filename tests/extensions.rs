@@ -1,11 +1,11 @@
-//! Integration tests for the extension systems: mesh substrate, POC
-//! ordering, the parameterized model, personalized (scatter) simulation,
+//! Integration tests for the extension systems: mesh substrate, the
+//! parameterized model, personalized (scatter) simulation,
 //! and the multi-multicast workload engine — each exercised end to end
 //! across crates — plus the qualitative claim of every ablation figure
 //! (`optimcast figures ablation_* multi_multicast param_model
 //! collectives`) that EXPERIMENTS.md quotes.
 
-use optimcast::collectives::{scatter_schedule, OrderPolicy};
+use optimcast::collectives::scatter_schedule;
 use optimcast::core::param_model::{optimal_k_param, param_schedule, ParamModel};
 use optimcast::core::schedule::ForwardingDiscipline;
 use optimcast::netsim::{MulticastJob, PersonalizedOrder, SimRun, WorkloadConfig};
@@ -15,7 +15,6 @@ use optimcast::sweep::{
     multi_multicast, param_model,
 };
 use optimcast::topology::mesh::{snake_ordering, MeshNetwork};
-use optimcast::topology::ordering::{partial_ordered_chains, poc};
 
 fn params() -> SystemParams {
     SystemParams::paper_1997()
@@ -67,49 +66,6 @@ fn mesh_kbinomial_beats_binomial_for_long_messages() {
         kbin < bin / 1.5,
         "mesh: kbin {kbin:.1} should beat bin {bin:.1} clearly"
     );
-}
-
-/// POC end to end: the concatenated contention-free chains never produce
-/// more simulator blocking than the raw CCO ordering, summed over seeds.
-#[test]
-fn poc_blocking_no_worse_than_cco() {
-    let cfg = IrregularConfig {
-        switches: 8,
-        ports: 6,
-        hosts: 24,
-    };
-    let mut poc_wait = 0.0;
-    let mut cco_wait = 0.0;
-    for seed in 0..5 {
-        let net = IrregularNetwork::generate(cfg, seed);
-        let dests: Vec<HostId> = (1..24).map(HostId).collect();
-        let tree = kbinomial_tree(24, 2);
-        let chain_p = poc(&net).arrange(HostId(0), &dests);
-        poc_wait += run_multicast(&net, &tree, &chain_p, 8, &params(), RunConfig::default())
-            .unwrap()
-            .channel_wait_us;
-        let chain_c = cco(&net).arrange(HostId(0), &dests);
-        cco_wait += run_multicast(&net, &tree, &chain_c, 8, &params(), RunConfig::default())
-            .unwrap()
-            .channel_wait_us;
-    }
-    assert!(
-        poc_wait <= cco_wait * 1.5 + 1e-9,
-        "POC stall {poc_wait:.1} should be comparable to CCO {cco_wait:.1}"
-    );
-    assert!(poc_wait.is_finite() && cco_wait.is_finite());
-}
-
-/// POC chain structure holds on the paper-size network.
-#[test]
-fn poc_chains_on_paper_network() {
-    let net = IrregularNetwork::generate(IrregularConfig::default(), 0);
-    let chains = partial_ordered_chains(&net);
-    let total: usize = chains.chains().iter().map(Vec::len).sum();
-    assert_eq!(total, 64);
-    assert!(!chains.is_empty());
-    // At least one chain spans several hosts (CCO clusters work).
-    assert!(chains.chains().iter().any(|c| c.len() >= 4));
 }
 
 /// The parameterized model agrees with the simulator's overlapped timing:
@@ -210,7 +166,7 @@ fn scatter_pipeline_cross_validates() {
     );
     let p = params();
     let tree = kbinomial_tree(24, 3);
-    let sched = scatter_schedule(&tree, 2, OrderPolicy::OwnFirst);
+    let sched = scatter_schedule(&tree, 2, PersonalizedOrder::OwnFirst);
     let binding: Vec<HostId> = (0..24).map(HostId).collect();
     let out = SimRun::new(
         &net,
@@ -386,13 +342,13 @@ fn point(fig: &Figure, label: &str, x: f64) -> f64 {
         .1
 }
 
-/// A1: each contention-aware ordering (CCO, POC, switch-grouped) blocks
-/// fewer sends than a random ordering of the same participants.
+/// A1: each contention-aware ordering (CCO, switch-grouped) blocks fewer
+/// sends than a random ordering of the same participants.
 #[test]
 fn ablation_ordering_structured_orders_block_less_than_random() {
     let f = ablation_ordering(&params());
-    let random = point(&f, "blocked sends", 3.0);
-    for x in [0.0, 1.0, 2.0] {
+    let random = point(&f, "blocked sends", 2.0);
+    for x in [0.0, 1.0] {
         assert!(point(&f, "blocked sends", x) < random, "ordering {x}");
     }
 }

@@ -215,11 +215,12 @@ proptest! {
         m in 1u32..6,
         deepest in proptest::bool::ANY,
     ) {
-        use optimcast::collectives::{scatter_schedule, OrderPolicy};
+        use optimcast::collectives::scatter_schedule;
+        use optimcast::netsim::PersonalizedOrder;
         let policy = if deepest {
-            OrderPolicy::DeepestFirst
+            PersonalizedOrder::DeepestFirst
         } else {
-            OrderPolicy::OwnFirst
+            PersonalizedOrder::OwnFirst
         };
         let tree = kbinomial_tree(n, k);
         let s = scatter_schedule(&tree, m, policy);
@@ -234,13 +235,14 @@ proptest! {
     /// Gather schedules are always feasible reversals with equal duration.
     #[test]
     fn gather_reversal_feasible(n in 2u32..50, k in 1u32..5, m in 1u32..4) {
-        use optimcast::collectives::{gather_schedule, scatter_schedule, OrderPolicy};
+        use optimcast::collectives::{gather_schedule, scatter_schedule};
+        use optimcast::netsim::PersonalizedOrder;
         let tree = kbinomial_tree(n, k);
-        let g = gather_schedule(&tree, m, OrderPolicy::DeepestFirst);
+        let g = gather_schedule(&tree, m, PersonalizedOrder::DeepestFirst);
         prop_assert!(g.verify(&tree).is_ok());
         prop_assert_eq!(
             g.total_steps(),
-            scatter_schedule(&tree, m, OrderPolicy::DeepestFirst).total_steps()
+            scatter_schedule(&tree, m, PersonalizedOrder::DeepestFirst).total_steps()
         );
     }
 
@@ -266,26 +268,5 @@ proptest! {
         let fc = optimal_k_fcfs(n, m);
         let fp = optimal_k(u64::from(n), m);
         prop_assert!(fc.steps >= fp.steps);
-    }
-
-    /// POC chains partition the hosts and each chain is contention-free,
-    /// for random small irregular networks.
-    #[test]
-    fn poc_partition_invariants(seed in 0u64..30) {
-        use optimcast::topology::contention::is_contention_free;
-        use optimcast::topology::ordering::partial_ordered_chains;
-        let net = IrregularNetwork::generate(
-            IrregularConfig { switches: 5, ports: 5, hosts: 12 },
-            seed,
-        );
-        let poc = partial_ordered_chains(&net);
-        let mut all: Vec<HostId> = poc.chains().iter().flatten().copied().collect();
-        prop_assert_eq!(all.len(), 12);
-        all.sort();
-        all.dedup();
-        prop_assert_eq!(all.len(), 12);
-        for chain in poc.chains() {
-            prop_assert!(is_contention_free(&net, chain));
-        }
     }
 }
