@@ -172,10 +172,25 @@ mod tests {
         assert_eq!(t.depth(), 5);
     }
 
+    /// The sweep memo keys trees by their resolved `k`, so `Linear` shares
+    /// the `k = 1` tree for every `n` the paper's figures reach.
     #[test]
     fn k1_equals_linear() {
-        for n in 1..40 {
-            assert_eq!(kbinomial_tree(n, 1), linear_tree(n));
+        for n in 1..=128 {
+            assert_eq!(kbinomial_tree(n, 1), linear_tree(n), "n={n}");
+        }
+    }
+
+    /// Every k from `⌈log₂ n⌉` (at least 1) up to `MAX_K` builds the binomial
+    /// tree itself, not merely one with the same step count: the sweep memo
+    /// lets such points share one tree, one route table and one simulation.
+    #[test]
+    fn binomial_equals_every_kbinomial_at_or_above_log2_n() {
+        for n in 1..=128u32 {
+            let binomial = binomial_tree(n);
+            for k in ceil_log2(u64::from(n)).max(1)..=MAX_K {
+                assert_eq!(kbinomial_tree(n, k), binomial, "n={n} k={k}");
+            }
         }
     }
 

@@ -68,7 +68,7 @@ pub enum NiTiming {
 }
 
 /// Full configuration of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunConfig {
     /// NI architecture.
     pub nic: NicKind,

@@ -12,10 +12,14 @@
 //! queue); the calling thread puts their results back in index order and
 //! folds each point as soon as its last topology arrives, so only wall time
 //! depends on the thread count.
+//!
+//! [`Sweep::grid`] fans out only the points this sweep has not simulated
+//! yet; the rest come from the point memo (`crate::memo`), so each distinct
+//! point is simulated once per sweep.
 
 use crate::config::SweepConfig;
 use crate::error::SweepError;
-use crate::memo::{CacheStats, SweepCache, TopologyEntry};
+use crate::memo::{tree_k, CacheStats, PointKey, Recall, SweepCache, TopologyEntry};
 use crate::sampling::TreePolicy;
 use optimcast_core::tree::MulticastTree;
 use optimcast_netsim::{MulticastJob, RunConfig, SimRun};
@@ -28,6 +32,8 @@ use std::sync::{mpsc, Arc};
 ///
 /// Sums and maxima are order-insensitive, so these totals are identical for
 /// every worker count — safe to surface in deterministic report metadata.
+/// Only simulations count: a grid point served from the point memo adds no
+/// events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimEffort {
     /// Total discrete events processed across all runs.
@@ -119,13 +125,18 @@ impl Sweep {
     /// The memoized tree of `policy` at `(n, m)`; repeated lookups of the
     /// same resolved `(n, k)` return the same allocation.
     pub fn tree(&self, policy: TreePolicy, n: u32, m: u32) -> Arc<MulticastTree> {
-        self.cache.tree(policy, n, m)
+        self.cache.tree(n, tree_k(policy, n, m))
     }
 
     /// Evaluates a grid of sweep points, fanning `points × topologies`
     /// cells out across the configured workers. Returns the §5.2 averaged
     /// latency (µs) per point, in input order — bit-identical for every
     /// thread count.
+    ///
+    /// Each point is simulated once per sweep: a point whose
+    /// `(dests, resolved k, m, run)` key an earlier grid (or an earlier
+    /// spec of this one) already evaluated reuses that mean, which is the
+    /// same f64 this fold would produce again.
     ///
     /// # Errors
     ///
@@ -135,11 +146,24 @@ impl Sweep {
         for spec in specs {
             self.check_point(spec.m, spec.dests, &[])?;
         }
+        let keys: Vec<PointKey> = specs.iter().map(point_key).collect();
+        let (recalls, missing) = self.cache.recall_points(&keys);
         let topologies = f64::from(self.cfg.topologies());
-        Ok(self
-            .fold_cells(specs.len(), |cell, t| self.topology_mean(&specs[cell], t))
+        let fresh: Vec<f64> = self
+            .fold_cells(missing.len(), |cell, t| {
+                self.topology_mean(keys[missing[cell]], t)
+            })
             .into_iter()
             .map(|sum| sum / topologies)
+            .collect();
+        self.cache
+            .store_points(missing.iter().map(|&i| keys[i]).zip(fresh.iter().copied()));
+        Ok(recalls
+            .into_iter()
+            .map(|recall| match recall {
+                Recall::Known(mean) => mean,
+                Recall::Missing(j) => fresh[j],
+            })
             .collect())
     }
 
@@ -184,40 +208,32 @@ impl Sweep {
             .fold(0.0, f64::max))
     }
 
-    /// The §5.2 inner loop of one cell: the point's `dest_sets` samples on
-    /// topology `t`, evaluated sequentially, returning their mean. This is
-    /// the exact floating-point order of the historic serial runner.
+    /// The §5.2 inner loop of one cell: point `key`'s `dest_sets` samples
+    /// on topology `t`, evaluated sequentially, returning their mean. This
+    /// is the exact floating-point order of the historic serial runner.
     ///
     /// The chain, tree, and interned CSR route table all come from the memo
     /// layer — a figure series revisits the same `(t, s)` sample for every
     /// packet-count point, so only the first point of a series pays for
     /// sampling and routing.
-    fn topology_mean(&self, spec: &PointSpec, t: u32) -> f64 {
+    fn topology_mean(&self, (dests, k, m, run): PointKey, t: u32) -> f64 {
         let topo = self.cache.topology(&self.cfg, t);
         let sum: f64 = (0..self.cfg.dest_sets())
             .map(|s| {
-                let chain = self.cache.chain(&self.cfg, &topo, t, s, spec.dests);
-                let tree = self.cache.tree(spec.policy, chain.len() as u32, spec.m);
-                let routes = self.cache.routes(
-                    &self.cfg,
-                    &topo,
-                    t,
-                    s,
-                    spec.dests,
-                    spec.policy,
-                    spec.m,
-                    &tree,
-                    &chain,
-                );
+                let chain = self.cache.chain(&self.cfg, &topo, t, s, dests);
+                let tree = self.cache.tree(dests + 1, k);
+                let routes = self
+                    .cache
+                    .routes(&self.cfg, &topo, t, s, dests, k, &tree, &chain);
                 let job = MulticastJob {
-                    nic: spec.run.nic,
-                    ..MulticastJob::fpfs(tree, chain.to_vec(), spec.m)
+                    nic: run.nic,
+                    ..MulticastJob::fpfs(tree, chain.to_vec(), m)
                 };
                 let wl = SimRun::new(
                     &topo.net,
                     std::slice::from_ref(&job),
                     self.cfg.params(),
-                    spec.run.into(),
+                    run.into(),
                 )
                 .routes(vec![routes])
                 .run()
@@ -319,6 +335,13 @@ impl Sweep {
             }
         });
     }
+}
+
+/// The point memo's key of `spec`: the tree policy resolved to its child
+/// cap over the `dests + 1` participants.
+fn point_key(spec: &PointSpec) -> PointKey {
+    let k = tree_k(spec.policy, spec.dests + 1, spec.m);
+    (spec.dests, k, spec.m, spec.run)
 }
 
 /// Decodes row-major cell index `cell` over axes of lengths `dims` (the

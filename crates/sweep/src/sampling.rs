@@ -2,7 +2,7 @@
 //! the sweep axes of the paper's figures.
 
 use crate::config::SweepConfig;
-use optimcast_core::builders::{binomial_tree, kbinomial_tree, linear_tree};
+use optimcast_core::builders::TreeKind;
 use optimcast_core::optimal::optimal_k;
 use optimcast_core::tree::MulticastTree;
 use optimcast_rng::{ChaCha8Rng, SliceRandom};
@@ -24,16 +24,22 @@ pub enum TreePolicy {
 }
 
 impl TreePolicy {
+    /// The tree family the policy picks for `n` participants and `m`
+    /// packets (Theorem 3's `k` for [`TreePolicy::OptimalKBinomial`]).
+    pub(crate) fn kind(self, n: u32, m: u32) -> TreeKind {
+        match self {
+            TreePolicy::Linear => TreeKind::Linear,
+            TreePolicy::Binomial => TreeKind::Binomial,
+            TreePolicy::OptimalKBinomial => TreeKind::KBinomial(optimal_k(u64::from(n), m).k),
+            TreePolicy::FixedK(k) => TreeKind::KBinomial(k),
+        }
+    }
+
     /// Builds the policy's tree for `n` participants and `m` packets.
     /// Sweeps should prefer the memoizing `Sweep` engine, which shares one
     /// tree per `(n, k)` across all workers.
     pub fn tree(self, n: u32, m: u32) -> MulticastTree {
-        match self {
-            TreePolicy::Linear => linear_tree(n),
-            TreePolicy::Binomial => binomial_tree(n),
-            TreePolicy::OptimalKBinomial => kbinomial_tree(n, optimal_k(u64::from(n), m).k),
-            TreePolicy::FixedK(k) => kbinomial_tree(n, k),
-        }
+        self.kind(n, m).build(n)
     }
 
     /// Display label used in figure series.

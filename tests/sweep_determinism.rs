@@ -109,6 +109,77 @@ fn full_figure_byte_identical_across_workers() {
     }
 }
 
+/// The simulated figures of the paper, in the order `optimcast figures`
+/// and perfbench's `paper_sweep` render them.
+const SIMULATED: [FigureId; 4] = [
+    FigureId::Fig13a,
+    FigureId::Fig13b,
+    FigureId::Fig14a,
+    FigureId::Fig14b,
+];
+
+/// The four simulated figures on one shared sweep, at 1, 2, and 8 workers,
+/// equal byte for byte each figure on a fresh serial sweep: a point served
+/// from the point memo is the same f64 a fresh simulation folds.
+///
+/// The figures plot 160 points but only 96 distinct
+/// `(dests, resolved k, m, run)` keys, so the shared sweep takes exactly
+/// 96 point misses and 64 point hits:
+/// * Fig. 13a (44 points) and Fig. 13b (36) share their 16 crossing
+///   points (`dests + 1 ∈ {16, 32, 48, 64}`, `m ∈ {1, 2, 4, 8}`): 64 keys.
+/// * Fig. 14a/b's 40 k-binomial points are all Fig. 13a/b points.
+/// * Their 40 binomial points hold 36 distinct keys (Fig. 14a and 14b
+///   cross at `dests ∈ {15, 47}`, `m ∈ {2, 8}`), and 4 of those are
+///   Theorem 3 picking `k ≥ ⌈log₂ n⌉`, where the k-binomial tree is the
+///   binomial tree: 32 new keys.
+#[test]
+fn shared_sweep_simulates_each_figure_point_once() {
+    let fresh: Vec<String> = SIMULATED
+        .into_iter()
+        .map(|id| {
+            let sweep = SweepBuilder::quick().parallelism(1).build().unwrap();
+            sweep.figure(id).unwrap().to_json().to_string_pretty()
+        })
+        .collect();
+    for threads in [1, 2, 8] {
+        let shared = SweepBuilder::quick().parallelism(threads).build().unwrap();
+        for (id, fresh) in SIMULATED.into_iter().zip(&fresh) {
+            let json = shared.figure(id).unwrap().to_json().to_string_pretty();
+            assert_eq!(&json, fresh, "{id:?} on a shared {threads}-worker sweep");
+        }
+        let stats = shared.cache_stats();
+        assert_eq!(
+            (stats.point_misses, stats.point_hits),
+            (96, 64),
+            "threads={threads}"
+        );
+    }
+}
+
+/// A grid whose specs repeat a point key simulates that key once: a
+/// repeated spec, and a binomial spec whose fixed-k twin builds the same
+/// tree, add no simulator events, and a later grid over the same points
+/// adds none either.
+#[test]
+fn repeated_point_keys_simulate_once() {
+    let single = SweepBuilder::quick().build().unwrap();
+    let spec = PointSpec::new(TreePolicy::Binomial, 15, 4);
+    let mean = single.grid(&[spec]).unwrap()[0];
+    let events = single.sim_effort().events_processed;
+    assert!(events > 0);
+
+    let sweep = SweepBuilder::quick().parallelism(2).build().unwrap();
+    let twin = PointSpec::new(TreePolicy::FixedK(4), 15, 4);
+    let means = sweep.grid(&[spec, spec, twin]).unwrap();
+    let bits: Vec<u64> = means.iter().map(|m| m.to_bits()).collect();
+    assert_eq!(bits, [mean.to_bits(); 3]);
+    assert_eq!(sweep.sim_effort().events_processed, events);
+    assert_eq!(sweep.grid(&[twin]).unwrap()[0].to_bits(), mean.to_bits());
+    assert_eq!(sweep.sim_effort().events_processed, events);
+    let stats = sweep.cache_stats();
+    assert_eq!((stats.point_misses, stats.point_hits), (1, 3));
+}
+
 /// Memoization shares one tree arena per resolved `(n, k)` across the whole
 /// engine — repeated lookups are pointer-equal, not merely value-equal.
 #[test]
@@ -141,7 +212,7 @@ fn topologies_built_once_per_sweep() {
     // hits.
     assert!(stats.misses <= 2 + 4 + 4, "misses: {}", stats.misses);
     assert!(stats.hits >= 16, "hits: {}", stats.hits);
-    // Route tables are interned per (topology, chain, tree shape): the first
+    // Route tables are interned per (topology, chain, resolved k): the first
     // cell of each distinct combination builds, the rest reuse.
     assert!(
         stats.route_misses > 0,

@@ -2,10 +2,11 @@
 //! `results/*.json` files — byte-for-byte, including float formatting.
 //!
 //! The analytic figures are cheap and compared on every test run. The
-//! simulated figures under the full 10 × 30 paper methodology take minutes,
-//! so they are `#[ignore]`d here and exercised by
-//! `cargo test --release -- --ignored` (and by regenerating the committed
-//! files with `optimcast figures --json results`).
+//! simulated figures under the full 10 × 30 paper methodology take about
+//! 6 s in release on a 2-core host (both tests together) and much longer in
+//! a debug build, so they are `#[ignore]`d here. CI runs them with
+//! `cargo test --release --test sweep_goldens -- --ignored`, and
+//! regenerates the committed files with `optimcast figures --json results`.
 
 use optimcast::prelude::*;
 use optimcast::sweep::{Json, ToJson};
@@ -15,17 +16,31 @@ fn committed(id: FigureId) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-fn regenerate(id: FigureId, threads: usize) -> String {
-    let sweep = SweepBuilder::paper()
+fn paper_sweep(threads: usize) -> Sweep {
+    SweepBuilder::paper()
         .parallelism(threads)
         .build()
-        .expect("paper methodology is valid");
+        .expect("paper methodology is valid")
+}
+
+fn render(sweep: &Sweep, id: FigureId) -> String {
     sweep
         .figure(id)
         .expect("committed figures regenerate")
         .to_json()
         .to_string_pretty()
 }
+
+fn regenerate(id: FigureId, threads: usize) -> String {
+    render(&paper_sweep(threads), id)
+}
+
+const SIMULATED: [FigureId; 4] = [
+    FigureId::Fig13a,
+    FigureId::Fig13b,
+    FigureId::Fig14a,
+    FigureId::Fig14b,
+];
 
 /// Analytic figures reproduce their committed JSON byte-for-byte.
 #[test]
@@ -60,17 +75,13 @@ fn schema_round_trips_all_committed_results() {
     }
 }
 
-/// Full-methodology simulated figures, serial engine. Expensive; run with
-/// `cargo test --release -- --ignored`.
+/// Full-methodology simulated figures, serial engine, one fresh sweep per
+/// figure, so no figure takes its points from another. Run with
+/// `cargo test --release --test sweep_goldens -- --ignored`.
 #[test]
-#[ignore = "full 10x30 methodology: minutes of simulation"]
+#[ignore = "full 10x30 methodology: about 3 s of simulation in release"]
 fn simulated_figures_byte_identical_serial() {
-    for id in [
-        FigureId::Fig13a,
-        FigureId::Fig13b,
-        FigureId::Fig14a,
-        FigureId::Fig14b,
-    ] {
+    for id in SIMULATED {
         assert_eq!(
             regenerate(id, 1),
             committed(id),
@@ -79,23 +90,22 @@ fn simulated_figures_byte_identical_serial() {
     }
 }
 
-/// Full-methodology simulated figures on a multi-worker engine match the
-/// committed serial goldens byte-for-byte.
+/// Full-methodology simulated figures on one shared 4-worker sweep match
+/// the committed serial goldens byte-for-byte. The later figures take
+/// their shared points from the point memo.
 #[test]
-#[ignore = "full 10x30 methodology: minutes of simulation"]
+#[ignore = "full 10x30 methodology: about 1.5 s of simulation in release"]
 fn simulated_figures_byte_identical_parallel() {
-    for id in [
-        FigureId::Fig13a,
-        FigureId::Fig13b,
-        FigureId::Fig14a,
-        FigureId::Fig14b,
-    ] {
+    let sweep = paper_sweep(4);
+    for id in SIMULATED {
         assert_eq!(
-            regenerate(id, 4),
+            render(&sweep, id),
             committed(id),
             "{id} (4 workers) drifted from results/{id}.json"
         );
     }
+    let stats = sweep.cache_stats();
+    assert!(stats.point_hits > 0, "no point was shared: {stats:?}");
 }
 
 /// The committed chaos report (`results/chaos.json`) regenerates
