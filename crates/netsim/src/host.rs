@@ -17,7 +17,7 @@
 //!
 //! A host's in-flight slots are reserved at its first dispatch, not when
 //! the model is built: most hosts of a large fabric never send in a given
-//! run, and a small run repeated per frame or per sample should not pay a
+//! run, and a small run repeated per stream epoch or per sample should not pay a
 //! slot allocation for every host of the network.
 
 use crate::arq::NiModel;

@@ -14,20 +14,20 @@
 //! source serves at most one frame concurrently (its NI send unit is the
 //! bottleneck the paper's `t_s`/`t_send` model describes), so frame `i`'s
 //! service starts at `max(free_time, emit_i)` where `free_time` is the
-//! previous frame's completion. Each service is one [`SimRun`] over the
+//! previous frame's completion. A frame's service is a [`SimRun`] over the
 //! *current* membership tree, so every per-packet mechanism — FPFS
 //! forwarding, wormhole contention, ARQ — applies unchanged, and a
 //! one-frame churn-free stream is bit-identical to the equivalent
 //! [`SimRun`] (the differential tests pin this).
 //!
 //! A **membership epoch** is the span between two applied churn events.
-//! Each epoch builds its FPFS job (tree and host binding) and its
-//! [`JobRoutes`] table once, at its first served frame, and every frame of
-//! the epoch runs as a prerouted [`SimRun`] over that shared job. Every
+//! The simulator is deterministic and every frame of an epoch is the same
+//! multicast (same tree, binding, packet count and configuration), so the
+//! epoch is simulated once, at its first served frame: that run builds the
+//! FPFS job and its route table, and both are dropped once it returns.
+//! Every later frame of the epoch reuses the stored [`WorkloadOutcome`]:
+//! its completion is its service start plus the epoch's latency. Every
 //! join and every applied leave ends the epoch; a skipped leave does not.
-//! The simulator's NI state is still per frame, and a host reserves its
-//! in-flight send slots only at its first dispatch, so the fabric's hosts
-//! outside the group add no per-host allocation to a frame.
 //!
 //! ## Drop-oldest backpressure
 //!
@@ -57,8 +57,6 @@
 //! delay under overload is included — that is the metric's point.
 
 use crate::error::SimError;
-use crate::routes::JobRoutes;
-use crate::simulation::validate;
 use crate::workload::{MulticastJob, SimRun, WorkloadConfig, WorkloadOutcome};
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::membership::Membership;
@@ -68,7 +66,6 @@ use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Shape of one frame stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,12 +209,15 @@ pub struct StreamOutcome {
     /// Stream duration: last completion or last emission, whichever is
     /// later (µs).
     pub duration_us: f64,
-    /// Discrete events processed across all frame services.
+    /// Discrete events processed by the runs simulated: one run per
+    /// membership epoch, since the frames of an epoch share its outcome.
     pub events: u64,
-    /// Worst NI send-queue depth seen across all frame services.
+    /// Worst NI send-queue depth seen across the runs simulated (one per
+    /// membership epoch).
     pub peak_queue_len: usize,
     /// Per-frame simulator outcomes, service order (only with
-    /// [`StreamSpec::keep_frame_outcomes`]).
+    /// [`StreamSpec::keep_frame_outcomes`]); frames of one membership
+    /// epoch hold copies of the same outcome.
     pub frame_outcomes: Vec<WorkloadOutcome>,
 }
 
@@ -329,23 +329,24 @@ impl<'a, N: Network> StreamRun<'a, N> {
         Ok(())
     }
 
-    /// One membership epoch's FPFS job over `group`'s tree and the job's
-    /// route table. The binding is validated first so a host outside the
-    /// network is a [`SimError`], not a routing panic.
-    fn epoch_job(
-        &self,
-        group: &Membership,
-        packets: u32,
-    ) -> Result<(MulticastJob, Arc<JobRoutes>), SimError> {
+    /// Simulates one membership epoch: the FPFS job over `group`'s tree,
+    /// with the host binding mapped from the members. [`SimRun`] validates
+    /// the binding before it builds the job's route table, so a host
+    /// outside the network is a [`SimError`], not a routing panic.
+    fn epoch_outcome(&self, group: &Membership, packets: u32) -> Result<WorkloadOutcome, SimError> {
         let binding: Vec<HostId> = group
             .members()
             .iter()
             .map(|&u| self.binding[u as usize])
             .collect();
         let job = MulticastJob::fpfs(group.tree().clone(), binding, packets);
-        validate(self.net, std::slice::from_ref(&job))?;
-        let routes = Arc::new(JobRoutes::build(self.net, &job.tree, &job.binding));
-        Ok((job, routes))
+        SimRun::new(
+            self.net,
+            std::slice::from_ref(&job),
+            self.params,
+            self.config,
+        )
+        .run()
     }
 
     /// Executes the stream.
@@ -374,9 +375,9 @@ impl<'a, N: Network> StreamRun<'a, N> {
 
         let plan = churn_plan(spec, universe);
         let mut next_event = 0usize;
-        // The current membership epoch's job and route table; cleared by
-        // every applied join or leave.
-        let mut epoch: Option<(MulticastJob, Arc<JobRoutes>)> = None;
+        // The current membership epoch's simulated frame; cleared by every
+        // applied join or leave.
+        let mut epoch: Option<WorkloadOutcome> = None;
 
         let mut fates: Vec<Option<FrameRecord>> = vec![None; spec.frames as usize];
         let mut queue: VecDeque<u32> = VecDeque::new();
@@ -457,20 +458,17 @@ impl<'a, N: Network> StreamRun<'a, N> {
             }
             // Invariant: the loop guard or the idle branch queued a frame.
             let frame = queue.pop_front().expect("loop guard");
-            // Serve it over the current epoch's job and routes, built at the
+            // Serve it from the current epoch's outcome, simulated at the
             // epoch's first frame.
-            let (job, routes) = match &epoch {
-                Some(cached) => cached,
-                None => epoch.insert(self.epoch_job(&group, packets)?),
+            let sim = match &epoch {
+                Some(sim) => sim,
+                None => {
+                    let sim = self.epoch_outcome(&group, packets)?;
+                    out.events += sim.events;
+                    out.peak_queue_len = out.peak_queue_len.max(sim.counters.peak_queue_len);
+                    epoch.insert(sim)
+                }
             };
-            let sim = SimRun::new(
-                self.net,
-                std::slice::from_ref(job),
-                self.params,
-                self.config,
-            )
-            .routes(vec![Arc::clone(routes)])
-            .run()?;
             let completion = start + sim.jobs[0].latency_us;
             let staleness = completion - emit(frame);
             for &u in &group.members()[1..] {
@@ -488,11 +486,9 @@ impl<'a, N: Network> StreamRun<'a, N> {
                 },
             });
             out.served += 1;
-            out.events += sim.events;
-            out.peak_queue_len = out.peak_queue_len.max(sim.counters.peak_queue_len);
             t_free = completion;
             if spec.keep_frame_outcomes {
-                out.frame_outcomes.push(sim);
+                out.frame_outcomes.push(sim.clone());
             }
         }
 

@@ -11,9 +11,13 @@
 //! unbounded buffers, every delivered frame's outcome must equal an
 //! un-prerouted [`SimRun`] over the membership that was current at its
 //! service start, rebuilt here from scratch by replaying [`churn_plan`].
-//! `StreamRun` shares one job and route table across the frames of a
-//! membership epoch; this pins that the share ends at every join and
-//! applied leave, and that the shared routes equal freshly built ones.
+//! `StreamRun` simulates each membership epoch once and serves its later
+//! frames from that outcome; this pins that the epoch ends at every join
+//! and applied leave, and that the stream's `events` count each epoch's
+//! run exactly once.
+//!
+//! **Within an epoch** — a churn-free stream is one epoch: sixteen frames
+//! report the effort of one, and every frame's outcome is the first's.
 
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::membership::Membership;
@@ -126,14 +130,20 @@ proptest! {
             }
             FrameFate::Dropped { .. } => None,
         });
+        // Effort of the direct runs, counted once per membership epoch: the
+        // first frame opens one, and so does every join or applied leave.
+        let mut epoch_events = 0u64;
+        let mut fresh = true;
         for ((start, receivers), frame_out) in delivered.zip(&out.frame_outcomes) {
             while next_event < plan.len() && plan[next_event].at_us <= start {
                 let member = plan[next_event].member;
                 next_event += 1;
                 if !group.is_member(member) {
                     group.join(member).expect("absent member joins");
+                    fresh = true;
                 } else if group.len() > 2 {
                     group.leave(member).expect("present member leaves");
+                    fresh = true;
                 }
             }
             prop_assert_eq!(receivers as usize, group.len() - 1);
@@ -149,6 +159,47 @@ proptest! {
                 .run()
                 .expect("fault-free run completes");
             prop_assert_eq!(frame_out, &direct);
+            if fresh {
+                epoch_events += direct.events;
+                fresh = false;
+            }
+        }
+        prop_assert_eq!(out.events, epoch_events);
+    }
+}
+
+proptest! {
+    /// A churn-free stream is one membership epoch, simulated once: sixteen
+    /// frames report the events and queue peak of one frame, and every
+    /// kept frame outcome equals the first.
+    #[test]
+    fn epoch_frames_simulate_once(
+        seed in 0u64..40,
+        n in 2u32..48,
+        k in 1u32..5,
+        buffer_frames in 0u32..4,
+        gap_us in 1u32..400,
+        mtu in 16u32..128,
+    ) {
+        let net = IrregularNetwork::generate(IrregularConfig::default(), seed);
+        let binding: Vec<HostId> = (0..n).map(HostId).collect();
+        let spec = |frames| StreamSpec {
+            mtu_bytes: mtu,
+            gap_us: f64::from(gap_us),
+            frames,
+            buffer_frames,
+            churn_events: 0,
+            keep_frame_outcomes: true,
+            ..StreamSpec::default()
+        };
+        let cfg = WorkloadConfig::default();
+        let one = stream(&net, &binding, n, k, spec(1), cfg);
+        let many = stream(&net, &binding, n, k, spec(16), cfg);
+        prop_assert_eq!(many.events, one.events);
+        prop_assert_eq!(many.peak_queue_len, one.peak_queue_len);
+        prop_assert_eq!(many.frame_outcomes.len(), many.served as usize);
+        for frame_out in &many.frame_outcomes {
+            prop_assert_eq!(frame_out, &one.frame_outcomes[0]);
         }
     }
 }

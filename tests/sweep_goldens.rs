@@ -272,3 +272,33 @@ fn chaos_corrupt_figure_matches_committed_golden() {
 fn chaos_buffer_figure_matches_committed_golden() {
     chaos_figure_matches_committed(FigureId::ChaosBuffer);
 }
+
+/// 64-bit FNV-1a digest of a text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The paper-methodology streaming grid at 8 frames per stream (the grid
+/// perfbench's `stream_churn` workload runs) renders to the digest that
+/// workload pins. Its simulator effort is pinned too: each membership
+/// epoch is simulated once, so the events count runs per epoch, not per
+/// frame.
+#[test]
+#[ignore = "paper-methodology streaming grid: about 0.7 s in release"]
+fn paper_streaming_grid_matches_pinned_digest() {
+    let sweep = paper_sweep(2);
+    let grid = StreamGrid {
+        frames: 8,
+        ..StreamGrid::paper()
+    };
+    let report = sweep.streaming(&grid).expect("the paper grid is valid");
+    let text = report.to_json().to_string_pretty();
+    assert_eq!(
+        fnv1a(&text),
+        0xe6ed_f373_8586_398e,
+        "the paper streaming grid drifted from its pinned digest"
+    );
+    assert_eq!(sweep.sim_effort().events_processed, 11_358_089);
+}
