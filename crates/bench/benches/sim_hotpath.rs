@@ -1,10 +1,11 @@
 //! Simulator-core hot-path microbenchmarks: steady-state event-queue churn
-//! (the innermost data structure of every run) and full `run_multicast`
-//! calls with and without an interned route table.
+//! (the innermost data structure of every run), full `run_multicast`
+//! calls with and without an interned route table, the fault plan's
+//! per-send verdict, and one windowed-ARQ multicast under random loss.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
-use optimcast::netsim::JobRoutes;
+use optimcast::netsim::{JobRoutes, NiModel};
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use std::sync::Arc;
@@ -88,6 +89,64 @@ fn bench_run_multicast(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_fault_verdict(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim/fault_verdict");
+    // With corruption off a send draws only the drop stream; with it on,
+    // a send that is not dropped draws both.
+    for (name, corrupt_rate) in [("drop0.05_corrupt0", 0.0), ("drop0.05_corrupt0.01", 0.01)] {
+        let plan = FaultPlan {
+            drop_rate: 0.05,
+            corrupt_rate,
+            ..FaultPlan::new(1997)
+        };
+        g.bench_function(name, |b| {
+            let mut packet = 0u32;
+            b.iter(|| {
+                packet = packet.wrapping_add(1);
+                black_box(&plan).tx_outcome(0, 0, 0, 5, packet, 0, &[], 0.0, 1.0, HostId(5))
+            });
+        });
+    }
+    g.finish();
+}
+
+fn bench_run_multicast_arq(c: &mut Criterion) {
+    let sweep = SweepBuilder::quick().build().unwrap();
+    let cfg = *sweep.config();
+    let topo = sweep.topology(0);
+    let salt = cfg.set_seed(0, 0);
+    let chain = sample_chain(&topo.net, &topo.ordering, salt, 31);
+    let tree = sweep.tree(TreePolicy::OptimalKBinomial, chain.len() as u32, 32);
+    let spec = FaultPlanSpec {
+        seed: 1997,
+        drop_rate: 0.05,
+        window: 8,
+        send_units: 2,
+        ..FaultPlanSpec::default()
+    };
+    let plan = spec.plan(salt, Vec::new());
+    let config = WorkloadConfig {
+        ni: NiModel {
+            send_units: spec.send_units,
+            queue_capacity: None,
+        },
+        ..WorkloadConfig::default()
+    };
+    let mut g = c.benchmark_group("sim/run_multicast_31d_32m_arq");
+    g.bench_function("window8_units2_drop0.05", |b| {
+        b.iter(|| {
+            let job = MulticastJob::fpfs(Arc::clone(&tree), black_box(&chain).clone(), 32);
+            SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
+                .faults(&plan)
+                .run()
+                .unwrap()
+                .jobs[0]
+                .latency_us
+        })
+    });
+    g.finish();
+}
+
 /// Short, stable settings: 10 samples, 1 s of measurement.
 fn config() -> Criterion {
     Criterion::default()
@@ -99,6 +158,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_run_multicast
+    targets = bench_event_queue, bench_run_multicast, bench_fault_verdict, bench_run_multicast_arq
 }
 criterion_main!(benches);

@@ -321,8 +321,6 @@ fn admit_one(
     job: u32,
     child: Rank,
 ) -> bool {
-    let parent = parent_of(st, job, child);
-    let parent_host = st.host_of(job, parent);
     let window = arq.plan.window;
     let link = arq.link(job, child);
     let Some(&p) = link.pending.front() else {
@@ -334,6 +332,8 @@ fn admit_one(
         }
         return false;
     }
+    let parent = parent_of(st, job, child);
+    let parent_host = st.host_of(job, parent);
     if let Some(cap) = st.config.ni.queue_capacity {
         if st.hosts.queue_len(parent_host) >= cap as usize {
             return false; // bounded port queue: defer, don't drop

@@ -10,6 +10,12 @@
 //! interleaving or worker count. That property is what lets the chaos sweep
 //! (`optimcast chaos`) promise byte-identical JSON at any parallelism.
 //!
+//! A draw is one stateless ChaCha8 block ([`ChaCha8Rng::first_u64`]): the
+//! key is the hashed identity, and no generator is built. A stream whose
+//! rate is zero is never drawn — a draw lies in `[0, 1)`, so it could not
+//! fire — which makes a send's fault cost proportional to the fault
+//! sources its plan enables.
+//!
 //! The simulator consumes a plan through three queries:
 //!
 //! * [`FaultPlan::tx_outcome`] — the fate of one dispatched transmission;
@@ -21,7 +27,7 @@
 //! code path, so wiring a trivial plan through changes nothing — not even
 //! the event count — which `tests/golden_equivalence.rs` pins down.
 
-use optimcast_rng::{ChaCha8Rng, Rng};
+use optimcast_rng::ChaCha8Rng;
 use optimcast_topology::graph::{ChannelId, HostId};
 
 /// What a fault did to a transmission (observer/diagnostic vocabulary).
@@ -290,10 +296,16 @@ impl FaultPlan {
         if self.link_down(route, depart_us) {
             return Some(FaultKind::LinkDown);
         }
-        if self.decide(1, job, epoch, from, to, packet, attempt) < self.drop_rate {
+        // A draw lies in [0, 1), so a stream whose rate is 0 can never fire
+        // and is not drawn: skipping it changes no verdict.
+        if self.drop_rate > 0.0
+            && self.decide(1, job, epoch, from, to, packet, attempt) < self.drop_rate
+        {
             return Some(FaultKind::Drop);
         }
-        if self.decide(2, job, epoch, from, to, packet, attempt) < self.corrupt_rate {
+        if self.corrupt_rate > 0.0
+            && self.decide(2, job, epoch, from, to, packet, attempt) < self.corrupt_rate
+        {
             return Some(FaultKind::Corrupt);
         }
         None
@@ -317,9 +329,11 @@ impl FaultPlan {
     }
 
     /// One uniform draw in `[0, 1)` keyed by the transmission identity and
-    /// a stream tag (so drop and corruption use independent streams). The
-    /// repair epoch is folded in only when non-zero, keeping epoch-0 draws
-    /// bit-identical to the scheme the committed goldens were pinned under.
+    /// a stream tag (so drop and corruption use independent streams): the
+    /// first 64 bits of the ChaCha8 stream seeded with the key, computed
+    /// from one block with no generator state. The repair epoch is folded
+    /// in only when non-zero, keeping epoch-0 draws bit-identical to the
+    /// scheme the committed goldens were pinned under.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &self,
@@ -341,7 +355,7 @@ impl FaultPlan {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15);
             key ^= key >> 29;
         }
-        let bits = ChaCha8Rng::seed_from_u64(key).next_u64();
+        let bits = ChaCha8Rng::first_u64(key);
         (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -510,6 +524,66 @@ mod tests {
             }
         }
         assert!(epoch_varied, "epochs never redrew at 50% drop rate");
+    }
+
+    /// `tx_outcome` skips the draws of zero-rate streams; it equals a
+    /// reference that always draws both streams, over a grid of identities
+    /// and rates.
+    #[test]
+    fn skipped_draws_change_no_verdict() {
+        let reference = |plan: &FaultPlan, [job, epoch, from, to, packet, attempt]: [u32; 6]| {
+            let drop = plan.decide(1, job, epoch, from, to, packet, attempt);
+            let corrupt = plan.decide(2, job, epoch, from, to, packet, attempt);
+            if drop < plan.drop_rate {
+                Some(FaultKind::Drop)
+            } else if corrupt < plan.corrupt_rate {
+                Some(FaultKind::Corrupt)
+            } else {
+                None
+            }
+        };
+        let mut ids = Vec::new();
+        for job in [0, 3] {
+            for epoch in [0, 2] {
+                for (from, to) in [(0, 1), (0, 7), (5, 9)] {
+                    for packet in 0..8 {
+                        ids.extend((0..3).map(|attempt| [job, epoch, from, to, packet, attempt]));
+                    }
+                }
+            }
+        }
+        let mut seen = [0usize; 3];
+        for drop_rate in [0.0, 0.02, 0.5] {
+            for corrupt_rate in [0.0, 0.1] {
+                let plan = FaultPlan {
+                    drop_rate,
+                    corrupt_rate,
+                    ..FaultPlan::new(29)
+                };
+                for id in &ids {
+                    let [job, epoch, from, to, packet, attempt] = *id;
+                    let got = plan.tx_outcome(
+                        job,
+                        epoch,
+                        from,
+                        to,
+                        packet,
+                        attempt,
+                        &[],
+                        0.0,
+                        1.0,
+                        HostId(to),
+                    );
+                    assert_eq!(got, reference(&plan, *id), "{plan:?} {id:?}");
+                    seen[match got {
+                        None => 0,
+                        Some(FaultKind::Drop) => 1,
+                        Some(_) => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "verdict mix {seen:?}");
     }
 
     #[test]

@@ -223,40 +223,34 @@ impl<'a> SimTransport<'a> {
         let hold = self.t_send + self.t_prop;
         let t0 = self.channels.reserve(link.route, now, hold);
         let arrival = t0 + self.t_send + self.t_prop;
-        let verdict = match self.fault {
-            Some(f) => f.tx_outcome(
-                packet.stream,
-                packet.epoch,
-                link.from_rank,
-                link.to_rank,
-                packet.packet,
-                packet.attempt,
-                link.route,
-                t0.as_us(),
-                arrival.as_us(),
-                to,
-            ),
-            None => None,
+        let (start_us, arrival_us) = (t0.as_us(), arrival.as_us());
+        let delivered = |corrupt| TransportResult::Delivered {
+            start_us,
+            arrival_us,
+            corrupt,
         };
-        match verdict {
-            None => TransportResult::Delivered {
-                start_us: t0.as_us(),
-                arrival_us: arrival.as_us(),
-                corrupt: false,
+        let Some(f) = self.fault else {
+            return delivered(false);
+        };
+        match f.tx_outcome(
+            packet.stream,
+            packet.epoch,
+            link.from_rank,
+            link.to_rank,
+            packet.packet,
+            packet.attempt,
+            link.route,
+            start_us,
+            arrival_us,
+            to,
+        ) {
+            None => delivered(false),
+            Some(FaultKind::Corrupt) => delivered(true),
+            Some(kind) => TransportResult::Lost {
+                start_us,
+                kind,
+                retry_at_us: (t0 + f.rto(packet.attempt)).as_us(),
             },
-            Some(FaultKind::Corrupt) => TransportResult::Delivered {
-                start_us: t0.as_us(),
-                arrival_us: arrival.as_us(),
-                corrupt: true,
-            },
-            Some(kind) => {
-                let f = self.fault.expect("fault verdict without a plan");
-                TransportResult::Lost {
-                    start_us: t0.as_us(),
-                    kind,
-                    retry_at_us: (t0 + f.rto(packet.attempt)).as_us(),
-                }
-            }
         }
     }
 }

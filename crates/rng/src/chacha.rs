@@ -26,15 +26,8 @@ impl ChaCha8Rng {
     /// Expands `seed` into a 256-bit key (SplitMix64) and starts the stream
     /// at block zero.
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = SplitMix64(seed);
-        let mut key = [0u32; 8];
-        for pair in key.chunks_exact_mut(2) {
-            let v = sm.next();
-            pair[0] = v as u32;
-            pair[1] = (v >> 32) as u32;
-        }
         ChaCha8Rng {
-            key,
+            key: expand_key(seed),
             counter: 0,
             stream: 0,
             block: [0; 16],
@@ -42,34 +35,68 @@ impl ChaCha8Rng {
         }
     }
 
+    /// The first `u64` of [`Self::seed_from_u64`]`(seed)`'s stream, equal
+    /// to `ChaCha8Rng::seed_from_u64(seed).next_u64()`, computed from one
+    /// block without building a generator: no block buffer, cursor or
+    /// counter. It serves one-shot draws keyed by identity, where a fresh
+    /// generator would be thrown away after a single read.
+    pub fn first_u64(seed: u64) -> u64 {
+        let x = block(&expand_key(seed), 0, 0);
+        // Word order of `Rng::next_u64`: the first word is the high half.
+        (u64::from(x[0]) << 32) | u64::from(x[1])
+    }
+
     fn refill(&mut self) {
-        let mut x = [0u32; 16];
-        x[..4].copy_from_slice(&CONSTANTS);
-        x[4..12].copy_from_slice(&self.key);
-        x[12] = self.counter as u32;
-        x[13] = (self.counter >> 32) as u32;
-        x[14] = self.stream as u32;
-        x[15] = (self.stream >> 32) as u32;
-        let input = x;
-        for _ in 0..DOUBLE_ROUNDS {
-            // Column round.
-            quarter_round(&mut x, 0, 4, 8, 12);
-            quarter_round(&mut x, 1, 5, 9, 13);
-            quarter_round(&mut x, 2, 6, 10, 14);
-            quarter_round(&mut x, 3, 7, 11, 15);
-            // Diagonal round.
-            quarter_round(&mut x, 0, 5, 10, 15);
-            quarter_round(&mut x, 1, 6, 11, 12);
-            quarter_round(&mut x, 2, 7, 8, 13);
-            quarter_round(&mut x, 3, 4, 9, 14);
-        }
-        for (o, i) in x.iter_mut().zip(input) {
-            *o = o.wrapping_add(i);
-        }
-        self.block = x;
+        self.block = block(&self.key, self.counter, self.stream);
         self.cursor = 0;
         self.counter = self.counter.wrapping_add(1);
     }
+}
+
+/// Expands `seed` into a 256-bit key with SplitMix64.
+#[inline]
+fn expand_key(seed: u64) -> [u32; 8] {
+    let mut sm = SplitMix64(seed);
+    let mut key = [0u32; 8];
+    for pair in key.chunks_exact_mut(2) {
+        let v = sm.next();
+        pair[0] = v as u32;
+        pair[1] = (v >> 32) as u32;
+    }
+    key
+}
+
+/// The ChaCha8 block at position `counter` of stream `stream`.
+// Forced inline: inside `first_u64` the compiler then keeps the state in
+// registers, drops the final additions of the 14 words it never reads and
+// leaves the key expansion scalar. Called out of line, a one-shot draw
+// took about 40% longer.
+#[inline(always)]
+fn block(key: &[u32; 8], counter: u64, stream: u64) -> [u32; 16] {
+    let mut x = [0u32; 16];
+    x[..4].copy_from_slice(&CONSTANTS);
+    x[4..12].copy_from_slice(key);
+    x[12] = counter as u32;
+    x[13] = (counter >> 32) as u32;
+    x[14] = stream as u32;
+    x[15] = (stream >> 32) as u32;
+    let input = x;
+    for _ in 0..DOUBLE_ROUNDS {
+        // Column round.
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        // Diagonal round.
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    for (o, i) in x.iter_mut().zip(input) {
+        *o = o.wrapping_add(i);
+    }
+    x
 }
 
 impl Rng for ChaCha8Rng {
@@ -135,6 +162,23 @@ mod tests {
         let first: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
         let second: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
         assert_ne!(first, second);
+    }
+
+    /// The one-shot draw is the first `u64` of the seeded stream, at the
+    /// edge seeds and across 10,000 seeds spread by SplitMix64.
+    #[test]
+    fn first_u64_matches_a_fresh_stream() {
+        let mut spread = SplitMix64(0x5EED);
+        let seeds = [0, 1, u64::MAX]
+            .into_iter()
+            .chain((0..10_000).map(|_| spread.next()));
+        for s in seeds {
+            assert_eq!(
+                ChaCha8Rng::first_u64(s),
+                ChaCha8Rng::seed_from_u64(s).next_u64(),
+                "seed {s:#x}"
+            );
+        }
     }
 
     /// Basic equidistribution smoke check: bit frequencies near 50%.

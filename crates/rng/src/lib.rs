@@ -9,9 +9,14 @@
 //!
 //! The generator is ChaCha with 8 rounds (Bernstein's ChaCha reduced-round
 //! variant, the same core the `rand_chacha` crate exposes as `ChaCha8Rng`):
-//! far stronger than the LCGs simulators habitually reach for, cheap enough
-//! to be nowhere near any profile, and with a well-known reference
-//! implementation the block function below is checked against in the tests.
+//! far stronger than the LCGs simulators habitually reach for, and with a
+//! well-known reference implementation the block function below is checked
+//! against in the tests. A block is not free, though, and where one block
+//! serves a single value it shows in profiles: the fault layer draws one
+//! value per transmission, keyed by its identity. Seeding a generator and
+//! reading one `u64` measured about 95 ns per draw on a 2-core Xeon;
+//! [`ChaCha8Rng::first_u64`], the same value from one block with no
+//! generator state, 65–80 ns.
 
 mod chacha;
 

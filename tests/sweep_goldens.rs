@@ -302,3 +302,31 @@ fn paper_streaming_grid_matches_pinned_digest() {
     );
     assert_eq!(sweep.sim_effort().events_processed, 11_358_089);
 }
+
+/// The paper-methodology ARQ grid (the grid perfbench's `lossy_arq`
+/// workload runs: drop rates {0, 0.02, 0.05, 0.1}, stop-and-wait against
+/// an 8-packet window over two send units, 31 destinations, 32 packets)
+/// renders to the digest that workload pins, with its simulator effort.
+/// Every fault verdict of the grid goes through `FaultPlan::tx_outcome`,
+/// so a changed draw shows here.
+#[test]
+#[ignore = "paper-methodology ARQ grid: about 0.6 s in release on 2 workers"]
+fn paper_arq_grid_matches_pinned_digest() {
+    let sweep = SweepBuilder::paper()
+        .parallelism(2)
+        .fault(FaultPlanSpec {
+            seed: 1997,
+            ..FaultPlanSpec::default()
+        })
+        .build()
+        .expect("paper methodology is valid");
+    let report = sweep
+        .chaos_arq(&[0.0, 0.02, 0.05, 0.1], 31, 32, 8, 2)
+        .expect("the paper ARQ grid is valid");
+    assert_eq!(
+        fnv1a(&report.to_json().to_string_pretty()),
+        0xeae4_b9c5_b159_ea6c,
+        "the paper ARQ grid drifted from its pinned digest"
+    );
+    assert_eq!(sweep.sim_effort().events_processed, 12_694_944);
+}
