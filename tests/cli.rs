@@ -133,6 +133,39 @@ fn simulate_json_surfaces_faults_and_unreached() {
     assert!(out.contains("\"rank\""), "{out}");
 }
 
+/// The full `--trace` timeline, byte for byte. The lossy run covers
+/// stalled and plain sends, receives, completions, drops and retries; the
+/// repair run adds an abandoned copy, a repair epoch and a reissue.
+#[test]
+fn simulate_trace_timeline_matches_fixture() {
+    let cases = [
+        (
+            "--dests 31 --m 4 --seed 1 --drop-rate 0.05",
+            include_str!("fixtures/simulate_trace_drops.txt"),
+        ),
+        (
+            "--dests 3 --m 1 --seed 1 --drop-rate 0.6 --fault-seed 7 --live-repair --crashes 1",
+            include_str!("fixtures/simulate_trace_repair.txt"),
+        ),
+    ];
+    for (flags, expected) in cases {
+        let mut args = vec!["simulate", "--trace"];
+        args.extend(flags.split_whitespace());
+        let (out, ok) = optimcast(&args);
+        assert!(ok, "{out}");
+        assert_eq!(out, expected, "timeline of `{flags}` changed");
+    }
+    let repair = include_str!("fixtures/simulate_trace_repair.txt");
+    for kind in ["drop ", "retry ", "abandon ", "repair epoch", "reissue "] {
+        assert!(repair.contains(kind), "repair fixture lacks {kind:?}");
+    }
+    let drops = include_str!("fixtures/simulate_trace_drops.txt");
+    assert!(
+        drops.contains("(stalled "),
+        "lossy fixture lacks a stalled send"
+    );
+}
+
 #[test]
 fn simulate_windowed_arq_surfaces_recovery_counters() {
     // A window > 1 switches the run onto the selective-repeat path over
