@@ -52,7 +52,7 @@ pub use alloc::CountingAlloc;
 pub use arq::NiModel;
 pub use error::SimError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanSpec, HostCrash, LinkFailure, RepairPolicy};
-pub use observe::{Observer, SimCounters};
+pub use observe::{Observer, SimCounters, SimEvent};
 pub use routes::JobRoutes;
 pub use scheduler::{JobStats, ScheduledOutcome, ScheduledRun};
 pub use sim::{run_multicast, ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig};
@@ -65,6 +65,5 @@ pub use transport::{
     Delivery, LinkContext, PacketView, SimTransport, Transport, TransportError, TransportResult,
 };
 pub use workload::{
-    JobPayload, MulticastJob, PersonalizedOrder, SimRun, TraceKind, TraceRecord, WorkloadConfig,
-    WorkloadOutcome,
+    JobPayload, MulticastJob, PersonalizedOrder, SimRun, WorkloadConfig, WorkloadOutcome,
 };

@@ -24,7 +24,7 @@
 use crate::arq::NiModel;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::observe::{Observer, SimCounters};
+use crate::observe::{Observer, SimCounters, SimEvent};
 use crate::sim::{ContentionMode, MulticastOutcome, NiTiming, NicKind};
 use crate::simulation::Simulation;
 use optimcast_core::params::SystemParams;
@@ -142,7 +142,7 @@ pub struct WorkloadConfig {
     /// single-unit model is the paper's NI and what every committed golden
     /// was pinned under.
     pub ni: NiModel,
-    /// Record a [`TraceRecord`] timeline in the outcome (off by default —
+    /// Record a [`SimEvent`] timeline in the outcome (off by default —
     /// traces grow with `jobs × packets × depth`).
     pub trace: bool,
 }
@@ -156,97 +156,6 @@ impl Default for WorkloadConfig {
             trace: false,
         }
     }
-}
-
-/// One timeline entry of a traced run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceRecord {
-    /// Simulated time of the event (µs).
-    pub t_us: f64,
-    /// Job index.
-    pub job: u32,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kinds of traced events.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceKind {
-    /// A packet transmission entered the network (after any stall).
-    SendStart {
-        /// Sending rank.
-        from: Rank,
-        /// Receiving rank.
-        to: Rank,
-        /// Packet index.
-        packet: u32,
-        /// Stall time spent waiting for busy channels (µs).
-        stalled_us: f64,
-    },
-    /// A rank's NI finished receiving a packet.
-    RecvDone {
-        /// Receiving rank.
-        at: Rank,
-        /// Packet index.
-        packet: u32,
-    },
-    /// A rank's host holds the complete message.
-    HostDone {
-        /// The completed rank.
-        rank: Rank,
-    },
-    /// A transmission was lost or refused in flight (fault-injected runs).
-    Dropped {
-        /// Sending rank.
-        from: Rank,
-        /// Intended receiving rank.
-        to: Rank,
-        /// Packet index.
-        packet: u32,
-        /// How the packet was lost.
-        kind: crate::fault::FaultKind,
-    },
-    /// The reliability layer re-enqueued a failed transmission.
-    Retransmit {
-        /// Sending rank.
-        from: Rank,
-        /// Receiving rank.
-        to: Rank,
-        /// Packet index.
-        packet: u32,
-        /// Attempt number of the re-enqueued transmission (first retry = 1).
-        attempt: u32,
-    },
-    /// The sender gave up on a packet copy after exhausting its attempt
-    /// budget.
-    Abandoned {
-        /// Sending rank.
-        from: Rank,
-        /// Unreachable receiving rank.
-        to: Rank,
-        /// Packet index.
-        packet: u32,
-        /// Attempts spent before giving up.
-        attempts: u32,
-    },
-    /// The source opened a live repair epoch: crashed destinations were
-    /// written off, the surviving membership was repaired, and the message
-    /// is about to be re-issued.
-    RepairTriggered {
-        /// Repair epoch number (first repair = 1).
-        epoch: u32,
-        /// Ranks written off as crashed this epoch.
-        failed: u32,
-        /// Orphaned subtrees re-attached by the repair.
-        reattached: u32,
-    },
-    /// A repair epoch re-enqueued a packet at the source.
-    Reissued {
-        /// Overlay child the copy is addressed to.
-        to: Rank,
-        /// Packet index.
-        packet: u32,
-    },
 }
 
 /// Results of a workload run.
@@ -274,8 +183,10 @@ pub struct WorkloadOutcome {
     /// `deadline_us`: otherwise an undelivered destination is a
     /// [`SimError::DeliveryFailed`], not an outcome.
     pub unreached: Vec<(u32, Rank)>,
-    /// Timeline (empty unless [`WorkloadConfig::trace`] is set).
-    pub trace: Vec<TraceRecord>,
+    /// Timeline (empty unless [`WorkloadConfig::trace`] is set): the sends,
+    /// receives, host completions, losses, retries, abandonments, repair
+    /// epochs and reissues, stably sorted by time.
+    pub trace: Vec<SimEvent>,
 }
 
 /// Builder for one workload execution — the single entry point to the
@@ -291,7 +202,7 @@ pub struct WorkloadOutcome {
 /// let outcome = SimRun::new(&net, &jobs, &params, config)
 ///     .routes(route_tables)   // optional: memoized CSR route tables
 ///     .faults(&plan)          // optional: deterministic fault injection
-///     .observer(&mut probe)   // optional: simulation hook subscriber
+///     .observer(&mut probe)   // optional: simulation event subscriber
 ///     .run()?;
 /// ```
 pub struct SimRun<'a, N: Network> {
@@ -348,11 +259,11 @@ impl<'a, N: Network> SimRun<'a, N> {
         self
     }
 
-    /// Attaches a caller-supplied [`Observer`] receiving every simulation
-    /// hook alongside the built-in metric/counter/trace sinks. Observers
-    /// see plain values and cannot perturb the simulation; unlike the
-    /// trace in [`WorkloadOutcome`] they also witness *failing* runs — the
-    /// hooks fire before [`SimError::DeliveryFailed`] is raised.
+    /// Attaches a caller-supplied [`Observer`] receiving every [`SimEvent`]
+    /// alongside the built-in metric/counter/trace sinks. Observers see
+    /// plain values and cannot perturb the simulation; unlike the trace in
+    /// [`WorkloadOutcome`] they also witness *failing* runs — the events
+    /// fire before [`SimError::DeliveryFailed`] is raised.
     #[must_use]
     pub fn observer(mut self, observer: &'a mut dyn Observer) -> Self {
         self.observer = Some(observer);
@@ -626,23 +537,24 @@ mod tests {
         let sends = wl
             .trace
             .iter()
-            .filter(|r| matches!(r.kind, TraceKind::SendStart { .. }))
+            .filter(|ev| matches!(ev, SimEvent::SendStart { .. }))
             .count();
         let recvs = wl
             .trace
             .iter()
-            .filter(|r| matches!(r.kind, TraceKind::RecvDone { .. }))
+            .filter(|ev| matches!(ev, SimEvent::RecvDone { .. }))
             .count();
         let dones = wl
             .trace
             .iter()
-            .filter(|r| matches!(r.kind, TraceKind::HostDone { .. }))
+            .filter(|ev| matches!(ev, SimEvent::HostDone { .. }))
             .count();
         assert_eq!(sends, 7 * m as usize);
         assert_eq!(recvs, 7 * m as usize);
         assert_eq!(dones, 7);
         for w in wl.trace.windows(2) {
-            assert!(w[1].t_us >= w[0].t_us - 1e-9, "trace out of order");
+            let t = |ev: &SimEvent| ev.t_us().unwrap();
+            assert!(t(&w[1]) >= t(&w[0]) - 1e-9, "trace out of order");
         }
         // Untraced runs stay lean.
         let quiet = SimRun::new(

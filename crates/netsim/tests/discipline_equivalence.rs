@@ -14,7 +14,6 @@
 use optimcast_core::builders::{kbinomial_tree, linear_tree};
 use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
-use optimcast_core::tree::Rank;
 use optimcast_netsim::workload::MulticastJob;
 use optimcast_netsim::*;
 use optimcast_topology::graph::HostId;
@@ -104,7 +103,7 @@ proptest! {
     }
 }
 
-/// A user observer that records every hook invocation.
+/// A user observer that counts every event of the kinds it tracks.
 #[derive(Default)]
 struct CountingObserver {
     send_starts: u64,
@@ -116,23 +115,17 @@ struct CountingObserver {
 }
 
 impl Observer for CountingObserver {
-    fn send_start(&mut self, _t: f64, _job: u32, _from: Rank, _to: Rank, _pkt: u32, _stall: f64) {
-        self.send_starts += 1;
-    }
-    fn recv_done(&mut self, _t: f64, _job: u32, _at: Rank, _pkt: u32) {
-        self.recv_dones += 1;
-    }
-    fn host_done(&mut self, _t: f64, _job: u32, _rank: Rank) {
-        self.host_dones += 1;
-    }
-    fn recv_unit_wait(&mut self, _job: u32, _wait_us: f64) {
-        self.unit_waits += 1;
-    }
-    fn send_enqueued(&mut self, _host: HostId, _depth: usize) {
-        self.enqueues += 1;
-    }
-    fn buffer_grew(&mut self, _host: HostId, _resident: u32) {
-        self.buffer_grows += 1;
+    fn on(&mut self, ev: &SimEvent) {
+        let count = match ev {
+            SimEvent::SendStart { .. } => &mut self.send_starts,
+            SimEvent::RecvDone { .. } => &mut self.recv_dones,
+            SimEvent::HostDone { .. } => &mut self.host_dones,
+            SimEvent::RecvUnitWait { .. } => &mut self.unit_waits,
+            SimEvent::SendEnqueued { .. } => &mut self.enqueues,
+            SimEvent::BufferGrew { .. } => &mut self.buffer_grows,
+            _ => return,
+        };
+        *count += 1;
     }
 }
 

@@ -316,16 +316,16 @@ fn traced_faulted_run_records_drop_retransmit_abandon() {
 
     let mut drops = 0u32;
     let mut retransmits = Vec::new();
-    for rec in &wl.trace {
-        match rec.kind {
-            TraceKind::Dropped { kind, .. } => {
+    for ev in &wl.trace {
+        match *ev {
+            SimEvent::PacketDropped { kind, .. } => {
                 assert!(
                     matches!(kind, FaultKind::Drop | FaultKind::Corrupt),
                     "a drop-rate plan only randomly drops, got {kind:?}"
                 );
                 drops += 1;
             }
-            TraceKind::Retransmit { attempt, .. } => retransmits.push(attempt),
+            SimEvent::RetransmitScheduled { attempt, .. } => retransmits.push(attempt),
             _ => {}
         }
     }
@@ -338,7 +338,7 @@ fn traced_faulted_run_records_drop_retransmit_abandon() {
     assert_eq!(
         wl.trace
             .iter()
-            .filter(|r| matches!(r.kind, TraceKind::Dropped { .. }))
+            .filter(|ev| matches!(ev, SimEvent::PacketDropped { .. }))
             .count() as u64,
         wl.counters.packets_dropped,
         "every counted drop must be traced"
@@ -350,7 +350,7 @@ fn traced_faulted_run_records_drop_retransmit_abandon() {
     );
     // Traces arrive in nondecreasing time order.
     for pair in wl.trace.windows(2) {
-        assert!(pair[0].t_us <= pair[1].t_us);
+        assert!(pair[0].t_us() <= pair[1].t_us());
     }
 }
 
@@ -367,27 +367,18 @@ fn abandonments_are_observed_before_failure() {
         dropped: u64,
     }
     impl Observer for AbandonLog {
-        fn packet_dropped(
-            &mut self,
-            _t_us: f64,
-            _job: u32,
-            _from: Rank,
-            _to: Rank,
-            _packet: u32,
-            _kind: optimcast_netsim::fault::FaultKind,
-        ) {
-            self.dropped += 1;
-        }
-        fn delivery_abandoned(
-            &mut self,
-            _t_us: f64,
-            _job: u32,
-            from: Rank,
-            to: Rank,
-            packet: u32,
-            attempts: u32,
-        ) {
-            self.abandoned.push((from, to, packet, attempts));
+        fn on(&mut self, ev: &SimEvent) {
+            match *ev {
+                SimEvent::PacketDropped { .. } => self.dropped += 1,
+                SimEvent::DeliveryAbandoned {
+                    from,
+                    to,
+                    packet,
+                    attempts,
+                    ..
+                } => self.abandoned.push((from, to, packet, attempts)),
+                _ => {}
+            }
         }
     }
 

@@ -229,8 +229,8 @@ proptest! {
         .expect("drop-free crashes must always be repairable");
 
         let mut host_dones = vec![0u32; n as usize];
-        for rec in &out.trace {
-            if let TraceKind::HostDone { rank } = rec.kind {
+        for ev in &out.trace {
+            if let SimEvent::HostDone { rank, .. } = *ev {
                 host_dones[rank.index()] += 1;
             }
         }
@@ -284,19 +284,12 @@ proptest! {
             reissues: u64,
         }
         impl Observer for Spy {
-            fn repair_triggered(
-                &mut self,
-                _t_us: f64,
-                _job: u32,
-                _epoch: u32,
-                _failed: u32,
-                _reattached: u32,
-                _waited_us: f64,
-            ) {
-                self.repairs += 1;
-            }
-            fn packet_reissued(&mut self, _t_us: f64, _job: u32, _to: Rank, _packet: u32) {
-                self.reissues += 1;
+            fn on(&mut self, ev: &SimEvent) {
+                match ev {
+                    SimEvent::RepairTriggered { .. } => self.repairs += 1,
+                    SimEvent::PacketReissued { .. } => self.reissues += 1,
+                    _ => {}
+                }
             }
         }
         let mut spy = Spy::default();

@@ -12,7 +12,7 @@
 use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
 use optimcast_core::tree::Rank;
-use optimcast_netsim::{MulticastJob, SimRun, TraceKind, WorkloadConfig, WorkloadOutcome};
+use optimcast_netsim::{MulticastJob, SimEvent, SimRun, WorkloadConfig, WorkloadOutcome};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use optimcast_transport_udp::{loopback_demo, WirePlan};
@@ -25,8 +25,8 @@ const M: u32 = 3;
 /// Per-rank packet order in first-completion sequence, from the sim trace.
 fn sim_orders(wl: &WorkloadOutcome, n: u32) -> Vec<Vec<u32>> {
     let mut orders = vec![Vec::new(); n as usize];
-    for r in &wl.trace {
-        if let TraceKind::RecvDone { at, packet } = r.kind {
+    for ev in &wl.trace {
+        if let SimEvent::RecvDone { at, packet, .. } = *ev {
             orders[at.index()].push(packet);
         }
     }

@@ -12,8 +12,7 @@
 
 use optimcast::core::schedule::ForwardingDiscipline;
 use optimcast::netsim::{
-    JobPayload, MulticastJob, NiModel, SimRun, TraceKind, Transport, WorkloadConfig,
-    WorkloadOutcome,
+    JobPayload, MulticastJob, NiModel, SimEvent, SimRun, Transport, WorkloadConfig, WorkloadOutcome,
 };
 use optimcast::prelude::*;
 use optimcast::sweep::{bench_mega, mega_digest_check, mega_rate_checks, Json, ToJson};
@@ -714,57 +713,66 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
     }
     if flags.has("trace") {
         println!("timeline ({} records):", wl.trace.len());
-        for r in &wl.trace {
-            let event = match r.kind {
-                TraceKind::SendStart {
+        for ev in &wl.trace {
+            let event = match *ev {
+                SimEvent::SendStart {
                     from,
                     to,
                     packet,
                     stalled_us,
+                    ..
                 } if stalled_us > 0.0 => {
                     format!("send  {from} -> {to}  pkt {packet}  (stalled {stalled_us:.1} us)")
                 }
-                TraceKind::SendStart {
+                SimEvent::SendStart {
                     from, to, packet, ..
                 } => {
                     format!("send  {from} -> {to}  pkt {packet}")
                 }
-                TraceKind::RecvDone { at, packet } => format!("recv  {at}  pkt {packet}"),
-                TraceKind::HostDone { rank } => format!("done  {rank}"),
-                TraceKind::Dropped {
+                SimEvent::RecvDone { at, packet, .. } => format!("recv  {at}  pkt {packet}"),
+                SimEvent::HostDone { rank, .. } => format!("done  {rank}"),
+                SimEvent::PacketDropped {
                     from,
                     to,
                     packet,
                     kind,
+                    ..
                 } => {
                     format!("drop  {from} -> {to}  pkt {packet}  ({kind:?})")
                 }
-                TraceKind::Retransmit {
+                SimEvent::RetransmitScheduled {
                     from,
                     to,
                     packet,
                     attempt,
+                    ..
                 } => {
                     format!("retry {from} -> {to}  pkt {packet}  attempt {attempt}")
                 }
-                TraceKind::Abandoned {
+                SimEvent::DeliveryAbandoned {
                     from,
                     to,
                     packet,
                     attempts,
+                    ..
                 } => {
                     format!("abandon {from} -> {to}  pkt {packet}  after {attempts} attempts")
                 }
-                TraceKind::RepairTriggered {
+                SimEvent::RepairTriggered {
                     epoch,
                     failed,
                     reattached,
+                    ..
                 } => {
                     format!("repair epoch {epoch}  ({failed} failed, {reattached} reattached)")
                 }
-                TraceKind::Reissued { to, packet } => format!("reissue -> {to}  pkt {packet}"),
+                SimEvent::PacketReissued { to, packet, .. } => {
+                    format!("reissue -> {to}  pkt {packet}")
+                }
+                // The trace records no other kind; each recorded one is timed.
+                _ => continue,
             };
-            println!("  {:9.2} us  {event}", r.t_us);
+            println!("  {:9.2} us  {event}", ev.t_us().unwrap_or_default());
         }
     }
     Ok(())
