@@ -1,11 +1,12 @@
 //! Simulator-core hot-path microbenchmarks: steady-state event-queue churn
 //! (the innermost data structure of every run), full `run_multicast`
-//! calls with and without an interned route table, the fault plan's
-//! per-send verdict, and one windowed-ARQ multicast under random loss.
+//! calls with and without an interned route table and through a warm
+//! `SimArena`, the fault plan's per-send verdict, and one windowed-ARQ
+//! multicast under random loss.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
-use optimcast::netsim::{JobRoutes, NiModel};
+use optimcast::netsim::{JobRoutes, NiModel, SimArena};
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use std::sync::Arc;
@@ -86,6 +87,25 @@ fn bench_run_multicast(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim/run_multicast_31d_8m");
     g.bench_function("prerouted", |b| b.iter(|| run(Some(&routes))));
     g.bench_function("routing_inline", |b| b.iter(|| run(None)));
+    // `prerouted` with the run's state kept in one arena across iterations,
+    // as a sweep cell's samples and a stream's epochs keep it.
+    let mut arena = SimArena::new();
+    g.bench_function("prerouted_warm_arena", |b| {
+        b.iter(|| {
+            let job = MulticastJob::fpfs(Arc::clone(&tree), black_box(&chain).clone(), 8);
+            SimRun::new(
+                &topo.net,
+                std::slice::from_ref(&job),
+                cfg.params(),
+                WorkloadConfig::default(),
+            )
+            .routes(std::slice::from_ref(&routes))
+            .run_in(&mut arena)
+            .unwrap()
+            .jobs[0]
+                .latency_us
+        })
+    });
     g.finish();
 }
 

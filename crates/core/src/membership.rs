@@ -6,16 +6,18 @@
 //! identity space on top: [`Membership`] names every potential participant
 //! by a **member id** in a fixed universe `0..universe` (member 0 is the
 //! source) and maintains the member↔rank correspondence across
-//! splices: a join is [`MulticastTree::add_rank`], which attaches the new
-//! member in place as the highest rank, and a leave is
+//! splices, both in place: a join is [`MulticastTree::add_rank`], which
+//! attaches the new member as the highest rank, and a leave is
+//! [`MulticastTree::remove_rank`], which equals
 //! [`MulticastTree::repair`] of the one leaving rank.
 //!
 //! Every splice preserves the configured fan-out bound `k` and the send
-//! order of surviving edges. A join moves no rank; a leave's
-//! [`TreeRepair::new_to_old`](crate::tree::TreeRepair::new_to_old) map is
-//! composed into the maps here, so after any join/leave sequence
-//! `rank_of`/`member_of` are mutually inverse over the current members —
-//! the invariants `crates/core/tests/incremental_props.rs` pins.
+//! order of surviving edges. A join moves no rank; a leave shifts every
+//! rank above the leaver down by one, and the maps here shift with it, so
+//! after any join/leave sequence `rank_of`/`member_of` are mutually inverse
+//! over the current members — the invariants
+//! `crates/core/tests/incremental_props.rs` pins. Neither splice allocates
+//! once the group's vectors have grown to its largest size.
 
 use crate::tree::{MulticastTree, Rank};
 use std::fmt;
@@ -195,9 +197,11 @@ impl Membership {
         Ok(())
     }
 
-    /// Splices `member` out of the group via [`MulticastTree::repair`] of
-    /// its rank, remapping every surviving member's rank through the
-    /// repair's `new_to_old`.
+    /// Splices `member` out of the group in place via
+    /// [`MulticastTree::remove_rank`] of its rank; every member ranked
+    /// above it moves down one rank. The result equals
+    /// [`MulticastTree::repair`] of that rank with the ranks mapped through
+    /// its `new_to_old`.
     ///
     /// # Errors
     ///
@@ -214,20 +218,17 @@ impl Membership {
         let Some(rank) = self.rank_of[member as usize] else {
             return Err(MembershipError::NotMember(member));
         };
-        let rep = self
-            .tree
-            .repair(&[rank])
-            .expect("a tracked member rank is a valid non-source rank");
+        // A tracked non-source member sits at an in-range rank other than
+        // 0, the only ranks `remove_rank` rejects; a rejection leaves the
+        // group untouched.
+        self.tree
+            .remove_rank(rank)
+            .map_err(|_| MembershipError::NotMember(member))?;
         self.rank_of[member as usize] = None;
-        self.member_of = rep
-            .new_to_old
-            .iter()
-            .map(|&old| self.member_of[old.index()])
-            .collect();
-        for (new, &u) in self.member_of.iter().enumerate() {
-            self.rank_of[u as usize] = Some(Rank(new as u32));
+        self.member_of.remove(rank.index());
+        for (r, &u) in self.member_of.iter().enumerate().skip(rank.index()) {
+            self.rank_of[u as usize] = Some(Rank(r as u32));
         }
-        self.tree = rep.tree;
         Ok(())
     }
 }

@@ -60,6 +60,19 @@ struct PackedChildren {
     dat: Vec<Rank>,
 }
 
+impl PackedChildren {
+    /// Rewrites the index from `tree`'s chain links, reusing its storage.
+    fn fill(&mut self, tree: &MulticastTree) {
+        self.off.clear();
+        self.dat.clear();
+        self.off.push(0);
+        for r in 0..tree.len() {
+            self.dat.extend(tree.children_iter(Rank(r as u32)));
+            self.off.push(self.dat.len() as u32);
+        }
+    }
+}
+
 /// A rooted multicast tree over ranks `0..n`, rank 0 at the root.
 ///
 /// Stored as parent pointers plus intrusive first-child/next-sibling
@@ -104,6 +117,21 @@ impl Clone for MulticastTree {
             next_sibling: self.next_sibling.clone(),
             child_count: self.child_count.clone(),
             packed: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// Copies `source` into `self`'s storage. A packed index `self` already
+    /// holds is refilled in place, so re-cloning a tree of the same size
+    /// into a packed copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.parent.clone_from(&source.parent);
+        self.first_child.clone_from(&source.first_child);
+        self.last_child.clone_from(&source.last_child);
+        self.next_sibling.clone_from(&source.next_sibling);
+        self.child_count.clone_from(&source.child_count);
+        if let Some(mut packed) = self.packed.take() {
+            packed.fill(self);
+            let _ = self.packed.set(packed);
         }
     }
 }
@@ -176,18 +204,12 @@ impl MulticastTree {
     fn packed(&self) -> &PackedChildren {
         self.packed.get_or_init(|| {
             let n = self.len();
-            let mut off = Vec::with_capacity(n + 1);
-            let mut dat = Vec::with_capacity(n.saturating_sub(1));
-            off.push(0u32);
-            for r in 0..n {
-                let mut c = self.first_child[r];
-                while c != NONE {
-                    dat.push(Rank(c));
-                    c = self.next_sibling[c as usize];
-                }
-                off.push(dat.len() as u32);
-            }
-            PackedChildren { off, dat }
+            let mut packed = PackedChildren {
+                off: Vec::with_capacity(n + 1),
+                dat: Vec::with_capacity(n.saturating_sub(1)),
+            };
+            packed.fill(self);
+            packed
         })
     }
 
@@ -709,16 +731,43 @@ impl MulticastTree {
 
     /// The shallowest node with fewer than `k` children: breadth-first from
     /// the source, children in send order. The one spare-slot rule shared
-    /// by [`Self::add_rank`] and the repair fallback.
+    /// by [`Self::add_rank`], [`Self::remove_rank`] and the repair fallback.
+    ///
+    /// Within one level, breadth-first order is preorder restricted to that
+    /// level, so the search walks the levels in turn with a stackless
+    /// preorder cut at the level's depth (parent and sibling links only) and
+    /// allocates nothing. Ranks the source does not reach are never visited.
     fn shallowest_spare(&self, k: usize) -> Rank {
-        let mut queue = std::collections::VecDeque::from([Rank::SOURCE]);
-        while let Some(u) = queue.pop_front() {
-            if (self.child_count(u) as usize) < k {
-                return u;
+        let k = k.max(1);
+        // Terminates: the shallowest leaf has 0 < k children, so its level
+        // returns.
+        let mut level = 0u32;
+        loop {
+            let (mut u, mut depth) = (0usize, 0u32);
+            'walk: loop {
+                if depth == level {
+                    if (self.child_count[u] as usize) < k {
+                        return Rank(u as u32);
+                    }
+                } else if self.first_child[u] != NONE {
+                    u = self.first_child[u] as usize;
+                    depth += 1;
+                    continue;
+                }
+                // Climb to the nearest ancestor-or-self with a next sibling.
+                while self.next_sibling[u] == NONE {
+                    match self.parent[u] {
+                        Some(p) if depth > 0 => {
+                            u = p.index();
+                            depth -= 1;
+                        }
+                        _ => break 'walk,
+                    }
+                }
+                u = self.next_sibling[u] as usize;
             }
-            queue.extend(self.children_iter(u));
+            level += 1;
         }
-        unreachable!("a finite tree has a leaf, and a leaf has 0 < k children")
     }
 
     /// Splices a new participant into the tree in place as rank `n` (one
@@ -726,7 +775,7 @@ impl MulticastTree {
     /// to the shallowest node with fewer than `k` children — breadth-first
     /// from the source, children visited in send order, so repeated joins
     /// fill the tree level by level exactly like the repair fallback of
-    /// [`Self::repair`]. Removing a participant is `repair(&[r])`.
+    /// [`Self::repair`]. Removing a participant is [`Self::remove_rank`].
     ///
     /// Every existing edge and send order is kept and no rank moves.
     pub fn add_rank(&mut self, k: u32) -> Rank {
@@ -739,6 +788,106 @@ impl MulticastTree {
         let target = self.shallowest_spare(k.max(1) as usize);
         self.attach(target, joined);
         joined
+    }
+
+    /// Splices rank `gone` out of the tree in place and returns how many of
+    /// its children were re-attached. The result equals
+    /// `repair(&[gone]).tree` under `PartialEq`, without building a second
+    /// tree or allocating:
+    ///
+    /// * every rank above `gone` shifts down by one;
+    /// * surviving edges keep their send order;
+    /// * `gone`'s children re-attach in original-rank order, each to its
+    ///   nearest ancestor with spare fan-out, else to the shallowest node
+    ///   with spare fan-out, where the bound is `max_degree()` taken before
+    ///   the splice.
+    ///
+    /// # Errors
+    ///
+    /// [`RepairError::SourceFailed`] for rank 0 and
+    /// [`RepairError::UnknownRank`] for an out-of-range rank; the tree is
+    /// unchanged.
+    pub fn remove_rank(&mut self, gone: Rank) -> Result<u32, RepairError> {
+        let n = self.len();
+        if gone.index() >= n {
+            return Err(RepairError::UnknownRank(gone));
+        }
+        if gone == Rank::SOURCE {
+            return Err(RepairError::SourceFailed);
+        }
+        let k = self.max_degree().max(1) as usize;
+        let up = self.parent[gone.index()].take();
+        if let Some(p) = up {
+            self.unlink(p, gone);
+        }
+        // `gone` is now unreachable from the source, and so are the
+        // children still hanging under it: the spare-slot searches below
+        // see only the surviving tree, as the repair's do.
+        let mut reattached = 0;
+        for c in 0..n {
+            if self.parent[c] != Some(gone) {
+                continue;
+            }
+            self.parent[c] = None;
+            self.next_sibling[c] = NONE;
+            let mut target = None;
+            let mut anc = up;
+            while let Some(a) = anc {
+                if (self.child_count[a.index()] as usize) < k {
+                    target = Some(a);
+                    break;
+                }
+                anc = self.parent[a.index()];
+            }
+            let target = target.unwrap_or_else(|| self.shallowest_spare(k));
+            self.attach(target, Rank(c as u32));
+            reattached += 1;
+        }
+        // Close the gap: drop `gone`'s slot and renumber every link above it.
+        let g = gone.0;
+        for links in [
+            &mut self.first_child,
+            &mut self.last_child,
+            &mut self.next_sibling,
+        ] {
+            links.remove(gone.index());
+            for v in links.iter_mut() {
+                if *v != NONE && *v > g {
+                    *v -= 1;
+                }
+            }
+        }
+        self.child_count.remove(gone.index());
+        self.parent.remove(gone.index());
+        for r in self.parent.iter_mut().flatten() {
+            if r.0 > g {
+                r.0 -= 1;
+            }
+        }
+        self.packed.take();
+        Ok(reattached)
+    }
+
+    /// Removes `child` from `parent`'s child chain, keeping the order of
+    /// the rest.
+    fn unlink(&mut self, parent: Rank, child: Rank) {
+        let p = parent.index();
+        let next = std::mem::replace(&mut self.next_sibling[child.index()], NONE);
+        let mut prev = NONE;
+        let mut cur = self.first_child[p];
+        while cur != NONE && cur != child.0 {
+            prev = cur;
+            cur = self.next_sibling[cur as usize];
+        }
+        if prev == NONE {
+            self.first_child[p] = next;
+        } else {
+            self.next_sibling[prev as usize] = next;
+        }
+        if self.last_child[p] == child.0 {
+            self.last_child[p] = prev;
+        }
+        self.child_count[p] -= 1;
     }
 }
 
@@ -916,6 +1065,54 @@ mod incremental_tests {
             spliced.add_rank(k);
             assert_eq!(spliced, rebuilt, "n={n} k={k}");
         }
+    }
+
+    /// The in-place leave equals `repair` of the one leaving rank, for
+    /// every rank of a few shapes, including chains (every orphan falls
+    /// back past a full ancestor) and stars (no grandchildren).
+    #[test]
+    fn remove_rank_equals_repair_of_one_rank() {
+        let mut star = MulticastTree::with_capacity(6);
+        for i in 1..6 {
+            star.attach(Rank::SOURCE, Rank(i));
+        }
+        let shapes = [
+            kbinomial_tree(2, 1),
+            kbinomial_tree(13, 3),
+            kbinomial_tree(32, 2),
+            linear_tree(6),
+            star,
+        ];
+        for tree in shapes {
+            for r in 1..tree.len() as u32 {
+                let rep = tree.repair(&[Rank(r)]).unwrap();
+                let mut spliced = tree.clone();
+                spliced.pack();
+                assert_eq!(spliced.remove_rank(Rank(r)), Ok(rep.reattached));
+                spliced.validate().unwrap();
+                assert_eq!(spliced, rep.tree, "rank {r} of {tree:?}");
+                assert_eq!(spliced.children(Rank::SOURCE), rep.tree.root_children());
+            }
+        }
+        let mut t = kbinomial_tree(4, 2);
+        assert_eq!(t.remove_rank(Rank(0)), Err(RepairError::SourceFailed));
+        assert_eq!(
+            t.remove_rank(Rank(4)),
+            Err(RepairError::UnknownRank(Rank(4)))
+        );
+        assert_eq!(t, kbinomial_tree(4, 2));
+    }
+
+    /// Cloning into a packed tree refills its index in place.
+    #[test]
+    fn clone_from_refreshes_the_packed_index() {
+        let mut copy = kbinomial_tree(8, 2);
+        copy.pack();
+        let other = linear_tree(8);
+        copy.clone_from(&other);
+        assert_eq!(copy, other);
+        assert_eq!(copy.children(Rank(3)), &[Rank(4)]);
+        assert_eq!(copy.root_children(), &[Rank(1)]);
     }
 }
 

@@ -1,12 +1,15 @@
 //! Property battery for the incremental membership operations
-//! ([`MulticastTree::add_rank`] for a join, [`MulticastTree::repair`] of
-//! one rank for a leave, and the [`Membership`] layer composing them). For
-//! random k-binomial trees and random join/leave sequences —
+//! ([`MulticastTree::add_rank`] for a join, [`MulticastTree::remove_rank`]
+//! for a leave, and the [`Membership`] layer composing them). For random
+//! k-binomial trees and random join/leave sequences —
 //!
 //! * every splice keeps the fan-out within the bound `k` and keeps the
 //!   tree a valid spanning tree of exactly the current membership;
 //! * `add_rank` splices in place, preserving every existing edge and
 //!   send order;
+//! * a leave spliced in place equals [`MulticastTree::repair`] of the
+//!   leaving rank, with the member maps renumbered through its
+//!   `new_to_old`;
 //! * after any operation sequence the group is *equivalent to a
 //!   from-scratch rebuild*: the member set matches an independently
 //!   maintained model set, and the spliced tree admits a complete FPFS
@@ -100,6 +103,49 @@ proptest! {
                 .filter(|&c| c != joined)
                 .collect();
             prop_assert_eq!(old.children(Rank(r)), &new[..], "send order of r{} changed", r);
+        }
+    }
+
+    /// The in-place leave equals the `repair(&[rank])` path at every step
+    /// of a random join/leave sequence: the same tree under `PartialEq`,
+    /// the same members in rank order, and the same `rank_of` over the
+    /// whole universe. The reference joins with `add_rank` and leaves by
+    /// rebuilding through `repair`, renumbering its maps through
+    /// `new_to_old`.
+    #[test]
+    fn leave_in_place_equals_repair(
+        n in 2u32..65,
+        extra in 1u32..32,
+        k in 1u32..6,
+        opstream in ANY_U64,
+        steps in 1u32..48,
+    ) {
+        let universe = n + extra;
+        let mut g = group(n, universe, k);
+        let mut tree = kbinomial_tree(n, k);
+        let mut member_of: Vec<u32> = (0..n).collect();
+        for i in 0..steps {
+            let byte = (opstream.rotate_left(i * 7) & 0xFF) as u32;
+            let member = 1 + (byte + i) % (universe - 1);
+            if let Some(pos) = member_of.iter().position(|&u| u == member) {
+                if member_of.len() <= 2 {
+                    continue;
+                }
+                let rep = tree.repair(&[Rank(pos as u32)]).unwrap();
+                member_of = rep.new_to_old.iter().map(|r| member_of[r.index()]).collect();
+                tree = rep.tree;
+                g.leave(member).unwrap();
+            } else {
+                tree.add_rank(k);
+                member_of.push(member);
+                g.join(member).unwrap();
+            }
+            prop_assert_eq!(g.tree(), &tree, "step {}: tree differs", i);
+            prop_assert_eq!(g.members(), &member_of[..], "step {}", i);
+            for u in 0..universe {
+                let expect = member_of.iter().position(|&v| v == u).map(|r| Rank(r as u32));
+                prop_assert_eq!(g.rank_of(u), expect, "step {}: rank of member {}", i, u);
+            }
         }
     }
 
@@ -204,14 +250,14 @@ proptest! {
         prop_assert_eq!(g.leave(n), Err(MembershipError::NotMember(n)));
         prop_assert_eq!(g.leave(n + 9), Err(MembershipError::UnknownMember(n + 9)));
         assert_group_invariants(&g)?;
-        // The splice a leave runs rejects the same misuse.
+        // The splice a leave runs rejects the same misuse and leaves the
+        // tree as it was.
+        let mut tree = g.tree().clone();
+        prop_assert_eq!(tree.remove_rank(Rank::SOURCE), Err(RepairError::SourceFailed));
         prop_assert_eq!(
-            g.tree().repair(&[Rank::SOURCE]),
-            Err(RepairError::SourceFailed)
-        );
-        prop_assert_eq!(
-            g.tree().repair(&[Rank(n)]),
+            tree.remove_rank(Rank(n)),
             Err(RepairError::UnknownRank(Rank(n)))
         );
+        prop_assert_eq!(&tree, g.tree());
     }
 }

@@ -22,10 +22,20 @@ pub(crate) struct ChannelManager {
 
 impl ChannelManager {
     pub fn new(mode: ContentionMode, n_channels: usize) -> Self {
-        ChannelManager {
-            mode,
-            free: vec![SimTime::ZERO; n_channels],
-        }
+        Self::reuse(mode, n_channels, Vec::new())
+    }
+
+    /// A manager over `n_channels` free channels whose occupancy table
+    /// reuses `free`'s storage (its contents are discarded).
+    pub fn reuse(mode: ContentionMode, n_channels: usize, mut free: Vec<SimTime>) -> Self {
+        free.clear();
+        free.resize(n_channels, SimTime::ZERO);
+        ChannelManager { mode, free }
+    }
+
+    /// The occupancy table's storage, for the next run's [`Self::reuse`].
+    pub fn into_storage(self) -> Vec<SimTime> {
+        self.free
     }
 
     /// Reserves the route for a transmission dispatched at `now` holding its

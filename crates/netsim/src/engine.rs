@@ -105,6 +105,23 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Empties the queue and rewinds it to time zero with no events
+    /// processed, keeping the slot slab, bucket slab and heap storage for
+    /// the next run. Pending events are dropped.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free_slot = NIL;
+        self.buckets.clear();
+        self.free_bucket = NIL;
+        self.order.clear();
+        self.open = [NIL; 1 << CACHE_BITS];
+        self.len = 0;
+        self.now = SimTime::ZERO;
+        self.seq = 0;
+        self.processed = 0;
+        self.peak_len = 0;
+    }
+
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -304,6 +321,35 @@ mod tests {
         q.schedule(SimTime::us(1.0), ());
         assert!(!q.is_empty());
         assert_eq!(q.len(), 1);
+    }
+
+    /// A cleared queue behaves exactly like a new one, pending events
+    /// included, and keeps its slab storage.
+    #[test]
+    fn clear_rewinds_to_a_fresh_queue() {
+        let mut q = EventQueue::new();
+        for i in 0..6 {
+            q.schedule(SimTime::us(f64::from(i % 3)), i);
+        }
+        q.pop();
+        let slots = q.slots.capacity();
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(
+            (q.now(), q.processed(), q.peak_len()),
+            (SimTime::ZERO, 0, 0)
+        );
+        assert_eq!(q.slots.capacity(), slots);
+        let mut fresh = EventQueue::new();
+        for q in [&mut q, &mut fresh] {
+            q.schedule(SimTime::us(2.0), 20);
+            q.schedule(SimTime::us(1.0), 10);
+            q.schedule(SimTime::us(2.0), 21);
+        }
+        let drain = |q: &mut EventQueue<i32>| -> Vec<(SimTime, i32)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        };
+        assert_eq!(drain(&mut q), drain(&mut fresh));
     }
 
     #[test]

@@ -19,17 +19,30 @@
 //! the model is built: most hosts of a large fabric never send in a given
 //! run, and a small run repeated per stream epoch or per sample should not pay a
 //! slot allocation for every host of the network.
+//!
+//! The send queues of all hosts share one slab of queued items, each queue
+//! a FIFO chain through it with freed slots reused. Its size is the most
+//! items queued at once across the network, so a model reused across runs
+//! (see [`HostModel::reset`]) holds no per-host queue capacity for every
+//! host that ever sent.
 
 use crate::arq::NiModel;
 use crate::event::SendItem;
 use crate::time::SimTime;
 use optimcast_topology::graph::HostId;
-use std::collections::VecDeque;
+
+/// End of a send-queue chain.
+const NIL: u32 = u32::MAX;
 
 /// One host's NI state.
 #[derive(Debug)]
 struct HostState {
-    send_queue: VecDeque<SendItem>,
+    /// Oldest and newest queued item in [`HostModel::queued`], `NIL` when
+    /// the queue is empty.
+    head: u32,
+    tail: u32,
+    /// Items queued (not yet dispatched).
+    queue_len: u32,
     /// Occupied send units: `(seq, item)` in dispatch order. Length is
     /// bounded by the NI's `send_units`; exactly that many slots are
     /// reserved at the host's first dispatch.
@@ -43,48 +56,116 @@ struct HostState {
     max_resident: u32,
 }
 
+/// A queued transmission and the next item of its host's queue (or of the
+/// free list once the slot is vacated).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    item: SendItem,
+    next: u32,
+}
+
 /// Send/receive-unit occupancy and buffer accounting for every host.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct HostModel {
     hosts: Vec<HostState>,
+    /// Every host's queued items; see the module docs.
+    queued: Vec<Queued>,
+    /// Head of the vacated-slot list in `queued`.
+    free: u32,
     units: usize,
 }
 
+impl HostState {
+    const IDLE: HostState = HostState {
+        head: NIL,
+        tail: NIL,
+        queue_len: 0,
+        in_flight: Vec::new(),
+        next_seq: 0,
+        recv_free: SimTime::ZERO,
+        resident: 0,
+        max_resident: 0,
+    };
+}
+
 impl HostModel {
+    #[cfg(test)]
     pub fn new(n_hosts: usize, ni: NiModel) -> Self {
-        let units = ni.send_units as usize;
-        HostModel {
-            hosts: (0..n_hosts)
-                .map(|_| HostState {
-                    send_queue: VecDeque::new(),
-                    in_flight: Vec::new(),
-                    next_seq: 0,
-                    recv_free: SimTime::ZERO,
-                    resident: 0,
-                    max_resident: 0,
-                })
-                .collect(),
-            units,
+        let mut model = HostModel::default();
+        model.reset(n_hosts, ni);
+        model
+    }
+
+    /// Returns every host to its idle state for a new run over `n_hosts`
+    /// hosts, keeping the storage: the queue slab and each host's reserved
+    /// in-flight slots.
+    pub fn reset(&mut self, n_hosts: usize, ni: NiModel) {
+        self.units = ni.send_units as usize;
+        self.hosts.truncate(n_hosts);
+        for hs in &mut self.hosts {
+            let mut in_flight = std::mem::take(&mut hs.in_flight);
+            in_flight.clear();
+            *hs = HostState {
+                in_flight,
+                ..HostState::IDLE
+            };
         }
+        self.hosts.resize_with(n_hosts, || HostState::IDLE);
+        self.queued.clear();
+        self.free = NIL;
     }
 
     /// Appends a transmission to the host's send queue; returns the queue
     /// depth after the push (for queue-depth observation).
     pub fn enqueue(&mut self, h: HostId, item: SendItem) -> usize {
-        let q = &mut self.hosts[h.index()].send_queue;
-        q.push_back(item);
-        q.len()
+        let node = Queued { item, next: NIL };
+        let slot = if self.free == NIL {
+            self.queued.push(node);
+            (self.queued.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.queued[slot as usize].next;
+            self.queued[slot as usize] = node;
+            slot
+        };
+        let hs = &mut self.hosts[h.index()];
+        if hs.tail == NIL {
+            hs.head = slot;
+        } else {
+            self.queued[hs.tail as usize].next = slot;
+        }
+        hs.tail = slot;
+        hs.queue_len += 1;
+        hs.queue_len as usize
+    }
+
+    /// Removes and returns the host's oldest queued item.
+    fn pop_front(&mut self, h: HostId) -> Option<SendItem> {
+        let hs = &mut self.hosts[h.index()];
+        let slot = hs.head;
+        if slot == NIL {
+            return None;
+        }
+        let Queued { item, next } = self.queued[slot as usize];
+        hs.head = next;
+        if next == NIL {
+            hs.tail = NIL;
+        }
+        hs.queue_len -= 1;
+        self.queued[slot as usize].next = self.free;
+        self.free = slot;
+        Some(item)
     }
 
     /// Claims a free send unit for the next queued item, if one is free and
     /// work is pending.
     pub fn try_dispatch(&mut self, h: HostId) -> Option<SendItem> {
-        let units = self.units;
-        let hs = &mut self.hosts[h.index()];
-        if hs.in_flight.len() >= units {
+        if self.hosts[h.index()].in_flight.len() >= self.units {
             return None;
         }
-        let item = hs.send_queue.pop_front()?;
+        let item = self.pop_front(h)?;
+        let units = self.units;
+        let hs = &mut self.hosts[h.index()];
         if hs.next_seq == 0 {
             hs.in_flight.reserve_exact(units);
         }
@@ -124,19 +205,19 @@ impl HostModel {
 
     /// Number of queued (not yet dispatched) transmissions.
     pub fn queue_len(&self, h: HostId) -> usize {
-        self.hosts[h.index()].send_queue.len()
+        self.hosts[h.index()].queue_len as usize
     }
 
     /// True when the host has no queued transmissions.
     pub fn send_queue_is_empty(&self, h: HostId) -> bool {
-        self.hosts[h.index()].send_queue.is_empty()
+        self.hosts[h.index()].queue_len == 0
     }
 
     /// Removes and returns the host's next queued transmission, bypassing
     /// the send units. Lets a crashed host's queue be discarded item by item
     /// with no scratch allocation (the caller accounts for each).
     pub fn pop_queued(&mut self, h: HostId) -> Option<SendItem> {
-        self.hosts[h.index()].send_queue.pop_front()
+        self.pop_front(h)
     }
 
     /// Frees the oldest occupied send unit, returning the transmission it
@@ -218,9 +299,11 @@ impl HostModel {
         self.hosts[h.index()].max_resident
     }
 
-    /// Buffer high-water marks for every host, in host order.
-    pub fn all_max_resident(&self) -> Vec<u32> {
-        self.hosts.iter().map(|h| h.max_resident).collect()
+    /// Buffer high-water marks for every host, in host order, written over
+    /// `out`.
+    pub fn all_max_resident_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.hosts.iter().map(|h| h.max_resident));
     }
 }
 
@@ -326,7 +409,9 @@ mod tests {
         hm.unstage(h);
         assert_eq!(hm.stage(h, 1), 3);
         assert_eq!(hm.max_resident(h), 3);
-        assert_eq!(hm.all_max_resident(), vec![3]);
+        let mut all = vec![7, 7];
+        hm.all_max_resident_into(&mut all);
+        assert_eq!(all, vec![3]);
         // Saturating release.
         for _ in 0..5 {
             hm.unstage(h);
@@ -378,6 +463,36 @@ mod tests {
         hm.try_dispatch(sender).unwrap();
         assert_eq!(hm.hosts[sender.index()].in_flight.capacity(), 3);
         assert_eq!(hm.hosts[idle.index()].in_flight.capacity(), 0);
+    }
+
+    /// Queues of different hosts interleave in the shared slab without
+    /// mixing, freed slots are reused, and a reset returns every host to
+    /// idle while keeping the slab and the reserved in-flight slots.
+    #[test]
+    fn shared_slab_keeps_per_host_fifo_and_reset_keeps_storage() {
+        let mut hm = one_unit(3);
+        let (a, b) = (HostId(0), HostId(2));
+        hm.enqueue(a, item(0));
+        hm.enqueue(b, item(10));
+        hm.enqueue(a, item(1));
+        assert_eq!(hm.pop_queued(a).unwrap().packet, 0);
+        assert_eq!(hm.enqueue(b, item(11)), 2);
+        assert_eq!(hm.queued.len(), 3, "the vacated slot is reused");
+        assert_eq!(hm.try_dispatch(b).unwrap().packet, 10);
+        assert_eq!(hm.pop_queued(b).unwrap().packet, 11);
+        assert_eq!(hm.pop_queued(a).unwrap().packet, 1);
+        assert!(hm.pop_queued(a).is_none() && hm.send_queue_is_empty(b));
+        hm.stage(a, 2);
+
+        hm.reset(2, NiModel::default());
+        assert_eq!(hm.hosts.len(), 2);
+        assert_eq!(hm.queued.capacity(), 4, "slab storage survives a reset");
+        assert!(hm.queued.is_empty());
+        assert_eq!((hm.resident(a), hm.max_resident(a)), (0, 0));
+        assert_eq!(hm.in_flight_seq(a), None);
+        hm.enqueue(a, item(5));
+        assert_eq!(hm.try_dispatch(a).unwrap().packet, 5);
+        assert_eq!(hm.last_dispatched_seq(a), 1, "sequence numbers restart");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! ([`sim::NiTiming::Overlapped`]) relaxes this for ablation.
 
 pub mod alloc;
+mod arena;
 pub mod arq;
 pub mod bytes;
 mod channel;
@@ -49,11 +50,12 @@ pub mod transport;
 pub mod workload;
 
 pub use alloc::CountingAlloc;
+pub use arena::SimArena;
 pub use arq::NiModel;
 pub use error::SimError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanSpec, HostCrash, LinkFailure, RepairPolicy};
 pub use observe::{Observer, SimCounters, SimEvent};
-pub use routes::JobRoutes;
+pub use routes::{EpochRoutes, JobRoutes};
 pub use scheduler::{JobStats, ScheduledOutcome, ScheduledRun};
 pub use sim::{run_multicast, ContentionMode, MulticastOutcome, NiTiming, NicKind, RunConfig};
 pub use stream::{

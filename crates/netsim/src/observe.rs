@@ -400,7 +400,7 @@ impl TraceCollector {
 
 /// Accumulates the per-job outcome metrics (`channel_wait_us`,
 /// `blocked_sends`, `total_sends`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct MetricsCollector {
     pub channel_wait_us: f64,
     pub waits_us: Vec<f64>,
@@ -409,13 +409,22 @@ pub(crate) struct MetricsCollector {
 }
 
 impl MetricsCollector {
+    #[cfg(test)]
     pub fn new(jobs: usize) -> Self {
-        MetricsCollector {
-            channel_wait_us: 0.0,
-            waits_us: vec![0.0; jobs],
-            blocked: vec![0; jobs],
-            sends: vec![0; jobs],
+        let mut m = MetricsCollector::default();
+        m.reset(jobs);
+        m
+    }
+
+    /// Zeroes the metrics of `jobs` jobs, keeping the vectors' storage.
+    pub fn reset(&mut self, jobs: usize) {
+        self.channel_wait_us = 0.0;
+        for v in [&mut self.blocked, &mut self.sends] {
+            v.clear();
+            v.resize(jobs, 0);
         }
+        self.waits_us.clear();
+        self.waits_us.resize(jobs, 0.0);
     }
 
     #[inline(always)]
@@ -566,6 +575,21 @@ impl AddAssign<&SimCounters> for SimCounters {
 }
 
 impl SimCounters {
+    /// Zeroes every counter, keeping the occupancy histogram's storage.
+    pub(crate) fn reset(&mut self) {
+        self.copy_from(&SimCounters::default());
+    }
+
+    /// Overwrites `self` with `src`, reusing `self`'s histogram storage.
+    pub(crate) fn copy_from(&mut self, src: &SimCounters) {
+        let mut occupancy = std::mem::take(&mut self.buffer_occupancy);
+        occupancy.clone_from(&src.buffer_occupancy);
+        *self = SimCounters {
+            buffer_occupancy: occupancy,
+            ..*src
+        };
+    }
+
     /// Folds one event into the counters.
     #[inline(always)]
     pub(crate) fn on(&mut self, ev: &SimEvent) {
@@ -637,10 +661,17 @@ pub(crate) struct ObserverHub<'a> {
 }
 
 impl<'a> ObserverHub<'a> {
-    pub fn new(jobs: usize, trace: bool, user: Option<&'a mut dyn Observer>) -> Self {
+    /// A hub over already reset metrics and counters (see
+    /// [`MetricsCollector::reset`] and [`SimCounters::reset`]).
+    pub fn new(
+        metrics: MetricsCollector,
+        counters: SimCounters,
+        trace: bool,
+        user: Option<&'a mut dyn Observer>,
+    ) -> Self {
         ObserverHub {
-            metrics: MetricsCollector::new(jobs),
-            counters: SimCounters::default(),
+            metrics,
+            counters,
             trace: trace.then(TraceCollector::default),
             user,
         }

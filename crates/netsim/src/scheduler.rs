@@ -225,8 +225,14 @@ impl<'a, N: Network> ScheduledRun<'a, N> {
     /// Same validation contract as [`SimRun::run`], including the checks on
     /// supplied route tables.
     pub fn run(self) -> Result<ScheduledOutcome, SimError> {
-        crate::simulation::validate(self.net, self.jobs)?;
-        let routes = crate::simulation::resolve_routes(self.net, self.jobs, self.routes)?;
+        crate::simulation::validate(self.net, self.jobs, &mut Vec::new())?;
+        let mut routes = Vec::new();
+        crate::simulation::resolve_routes(
+            self.net,
+            self.jobs,
+            self.routes.as_deref(),
+            &mut routes,
+        )?;
 
         // Sorted channel footprints, one per job.
         let channels: Vec<Vec<ChannelId>> = routes

@@ -103,7 +103,7 @@ impl From<RunConfig> for WorkloadConfig {
 }
 
 /// Results and metrics of one simulated multicast.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MulticastOutcome {
     /// Multicast latency in µs: the latest destination-host completion.
     pub latency_us: f64,

@@ -28,7 +28,9 @@
 //! time resolve by insertion order, so the golden-equivalence tests pin the
 //! exact sequence this module produces.
 
+use crate::arena::{refill, SimArena};
 use crate::arq::{self, ArqState};
+use crate::channel::ChannelManager;
 use crate::discipline::{conventional, replicated, Engine};
 use crate::engine::EventQueue;
 use crate::error::SimError;
@@ -37,7 +39,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::host::HostModel;
 use crate::observe::{Observer, ObserverHub, SimEvent};
 use crate::routes::JobRoutes;
-use crate::sim::{MulticastOutcome, NiTiming, NicKind};
+use crate::sim::{NiTiming, NicKind};
 use crate::time::SimTime;
 use crate::transport::{LinkContext, PacketView, SimTransport, TransportResult};
 use crate::workload::{JobPayload, MulticastJob, WorkloadConfig, WorkloadOutcome};
@@ -49,6 +51,7 @@ use optimcast_topology::Network;
 use std::sync::Arc;
 
 /// Per-(job, rank) participant state.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PartState {
     /// Packets received so far (for personalized payloads: own packets).
     pub received: u32,
@@ -61,6 +64,17 @@ pub(crate) struct PartState {
     /// Conventional NI: packets of the current child message still in
     /// flight.
     pub conv_pending: u32,
+}
+
+impl PartState {
+    /// A participant before the run starts.
+    const IDLE: PartState = PartState {
+        received: 0,
+        last_recv: SimTime::ZERO,
+        host_done: None,
+        conv_child: 0,
+        conv_pending: 0,
+    };
 }
 
 /// All mutable simulation state, shared with the engines.
@@ -205,7 +219,12 @@ impl<'a> SimState<'a> {
 }
 
 /// Rejects malformed workloads with a typed error (the former panic set).
-pub(crate) fn validate<N: Network>(net: &N, jobs: &[MulticastJob]) -> Result<(), SimError> {
+/// `seen` is scratch storage; its contents are overwritten.
+pub(crate) fn validate<N: Network>(
+    net: &N,
+    jobs: &[MulticastJob],
+    seen: &mut Vec<bool>,
+) -> Result<(), SimError> {
     if jobs.is_empty() {
         return Err(SimError::EmptyWorkload);
     }
@@ -233,7 +252,8 @@ pub(crate) fn validate<N: Network>(net: &N, jobs: &[MulticastJob]) -> Result<(),
         {
             return Err(SimError::PersonalizedNeedsSmartNic { job: j });
         }
-        let mut seen = vec![false; n_hosts];
+        seen.clear();
+        seen.resize(n_hosts, false);
         for &h in &job.binding {
             if h.index() >= n_hosts {
                 return Err(SimError::HostOutOfRange {
@@ -251,19 +271,23 @@ pub(crate) fn validate<N: Network>(net: &N, jobs: &[MulticastJob]) -> Result<(),
     Ok(())
 }
 
-/// A validated workload's route tables: the supplied ones, checked to hold
-/// one table per job covering that job's tree, or fresh tables built by
-/// [`JobRoutes::build`] from each job's `(tree, binding)` on `net`.
+/// A validated workload's route tables, written over `out`: the supplied
+/// ones, checked to hold one table per job covering that job's tree, or
+/// fresh tables built by [`JobRoutes::build`] from each job's
+/// `(tree, binding)` on `net`.
 pub(crate) fn resolve_routes<N: Network>(
     net: &N,
     jobs: &[MulticastJob],
-    routes: Option<Vec<Arc<JobRoutes>>>,
-) -> Result<Vec<Arc<JobRoutes>>, SimError> {
+    routes: Option<&[Arc<JobRoutes>]>,
+    out: &mut Vec<Arc<JobRoutes>>,
+) -> Result<(), SimError> {
+    out.clear();
     let Some(tables) = routes else {
-        return Ok(jobs
-            .iter()
-            .map(|job| Arc::new(JobRoutes::build(net, &job.tree, &job.binding)))
-            .collect());
+        out.extend(
+            jobs.iter()
+                .map(|job| Arc::new(JobRoutes::build(net, &job.tree, &job.binding))),
+        );
+        return Ok(());
     };
     if tables.len() != jobs.len() {
         return Err(SimError::RouteCountMismatch {
@@ -280,12 +304,13 @@ pub(crate) fn resolve_routes<N: Network>(
             });
         }
     }
-    Ok(tables)
+    out.extend(tables.iter().cloned());
+    Ok(())
 }
 
 /// One job's forwarding state: its engine and the tree it forwards over —
 /// the job's own tree until a repair epoch swaps in the repaired one.
-struct Forwarding {
+pub(crate) struct Forwarding {
     engine: Engine,
     tree: Arc<MulticastTree>,
 }
@@ -308,12 +333,14 @@ pub(crate) struct Simulation<'a, N: Network> {
 }
 
 impl<'a, N: Network> Simulation<'a, N> {
-    /// Validates the workload and assembles the components.
+    /// Validates the workload and assembles the components from `arena`'s
+    /// storage, each reset to a fresh run's state.
     /// `routes`, when given, must hold one table per job, each built by
     /// [`JobRoutes::build`] from the job's `(tree, binding)` on `net` —
     /// the sweep engine passes memoized tables here so repeated cells skip
     /// the route computation. `None` builds the tables from scratch (see
-    /// [`resolve_routes`]).
+    /// [`resolve_routes`]). On error the arena keeps its storage.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         net: &'a N,
         jobs: &'a [MulticastJob],
@@ -321,9 +348,10 @@ impl<'a, N: Network> Simulation<'a, N> {
         config: WorkloadConfig,
         fault: Option<&'a FaultPlan>,
         user_observer: Option<&'a mut dyn Observer>,
-        routes: Option<Vec<Arc<JobRoutes>>>,
+        routes: Option<&[Arc<JobRoutes>]>,
+        arena: &mut SimArena,
     ) -> Result<Self, SimError> {
-        validate(net, jobs)?;
+        validate(net, jobs, &mut arena.seen)?;
         config
             .ni
             .validate()
@@ -370,38 +398,40 @@ impl<'a, N: Network> Simulation<'a, N> {
                 }
             }
         }
-        let routes = resolve_routes(net, jobs, routes)?;
+        resolve_routes(net, jobs, routes, &mut arena.routes)?;
         // Prewarm the trees' packed-children tables: `children()` is on the
         // event loop's hot path, and the lazy pack would otherwise charge
         // its one-time allocation to the zero-alloc steady-state budget.
         for job in jobs {
             job.tree.pack();
         }
-        let parts = jobs
-            .iter()
-            .map(|job| {
-                (0..job.tree.len())
-                    .map(|_| PartState {
-                        received: 0,
-                        last_recv: SimTime::ZERO,
-                        host_done: None,
-                        conv_child: 0,
-                        conv_pending: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-        let copies_left = jobs
-            .iter()
-            .map(|job| vec![0; job.tree.len() * job.packets as usize])
-            .collect();
-        let forwarding = jobs
-            .iter()
-            .map(|job| Forwarding {
-                engine: Engine::for_job(job),
-                tree: Arc::clone(&job.tree),
-            })
-            .collect();
+        let mut parts = std::mem::take(&mut arena.parts);
+        refill(
+            &mut parts,
+            jobs.iter().map(|j| j.tree.len()),
+            PartState::IDLE,
+        );
+        let mut copies_left = std::mem::take(&mut arena.copies_left);
+        let copies = jobs.iter().map(|j| j.tree.len() * j.packets as usize);
+        refill(&mut copies_left, copies, 0);
+        let mut forwarding = std::mem::take(&mut arena.forwarding);
+        forwarding.extend(jobs.iter().map(|job| Forwarding {
+            engine: Engine::for_job(job),
+            tree: Arc::clone(&job.tree),
+        }));
+        let mut hosts = std::mem::take(&mut arena.hosts);
+        hosts.reset(net.num_hosts() as usize, config.ni);
+        let mut queue = std::mem::take(&mut arena.queue);
+        queue.clear();
+        let channels = ChannelManager::reuse(
+            config.contention,
+            net.num_channels() as usize,
+            std::mem::take(&mut arena.channels),
+        );
+        let mut metrics = std::mem::take(&mut arena.metrics);
+        metrics.reset(jobs.len());
+        let mut counters = std::mem::take(&mut arena.counters);
+        counters.reset();
         let arq = fault
             .filter(|f| f.window > 1)
             .map(|f| ArqState::new(jobs, net.num_hosts() as usize, f));
@@ -410,18 +440,13 @@ impl<'a, N: Network> Simulation<'a, N> {
                 jobs,
                 params,
                 config,
-                routes,
-                hosts: HostModel::new(net.num_hosts() as usize, config.ni),
+                routes: std::mem::take(&mut arena.routes),
+                hosts,
                 parts,
                 copies_left,
-                transport: SimTransport::new(
-                    config.contention,
-                    net.num_channels() as usize,
-                    params,
-                    fault,
-                ),
-                queue: EventQueue::new(),
-                obs: ObserverHub::new(jobs.len(), config.trace, user_observer),
+                transport: SimTransport::over(channels, params, fault),
+                queue,
+                obs: ObserverHub::new(metrics, counters, config.trace, user_observer),
                 fault,
                 excluded: Vec::new(),
             },
@@ -432,7 +457,8 @@ impl<'a, N: Network> Simulation<'a, N> {
         })
     }
 
-    /// Runs the workload to completion and collects the outcome.
+    /// Runs the workload to completion, collects the outcome into `out`
+    /// (reusing its vectors) and hands the run's storage back to `arena`.
     ///
     /// With an active fault plan, a run whose losses exceed the
     /// retransmission budget terminates (the attempt cap guarantees event
@@ -442,7 +468,7 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// with undelivered destinations opens a *repair epoch* (see
     /// [`Self::start_repair_epoch`]) until every surviving destination is
     /// reached or the epoch budget is spent.
-    pub fn run(mut self) -> Result<WorkloadOutcome, SimError> {
+    pub fn run(mut self, arena: &mut SimArena, out: &mut WorkloadOutcome) -> Result<(), SimError> {
         for j in 0..self.st.jobs.len() {
             if let Some(arq) = &mut self.arq {
                 arq::kickoff(&mut self.st, arq, j as u32);
@@ -506,7 +532,12 @@ impl<'a, N: Network> Simulation<'a, N> {
                 break;
             }
         }
-        self.collect()
+        let Simulation {
+            mut st, forwarding, ..
+        } = self;
+        let result = st.collect(out);
+        st.recycle(forwarding, arena);
+        result
     }
 
     /// Hands the job's kickoff to its engine.
@@ -918,15 +949,18 @@ impl<'a, N: Network> Simulation<'a, N> {
             .on_copy_released(&mut self.st, item);
         self.st.queue.schedule(now, Ev::TrySend(h));
     }
+}
 
-    /// Collects per-job outcomes and workload aggregates.
+impl SimState<'_> {
+    /// Collects per-job outcomes and workload aggregates into `out`,
+    /// reusing its vectors.
     ///
     /// Unreached destinations produce [`SimError::DeliveryFailed`]
     /// (carrying the run's counters): under a fault plan, losses the
     /// reliability layer could not recover; without one, only ranks a
     /// caller's tree leaves unattached to the source.
-    fn collect(self) -> Result<WorkloadOutcome, SimError> {
-        let Simulation { st, .. } = self;
+    fn collect(&mut self, out: &mut WorkloadOutcome) -> Result<(), SimError> {
+        let st = self;
         let params = st.params;
         let mut unreached = Vec::new();
         for (j, job) in st.jobs.iter().enumerate() {
@@ -938,7 +972,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             }
         }
         if !unreached.is_empty() {
-            let mut counters = st.obs.counters;
+            let mut counters = st.obs.counters.clone();
             counters.events = st.queue.processed();
             counters.peak_queue_len = st.queue.peak_len();
             return Err(SimError::DeliveryFailed {
@@ -949,62 +983,81 @@ impl<'a, N: Network> Simulation<'a, N> {
         // Destinations written off by repair epochs or deadlines: the run
         // *succeeded* for the surviving membership; these are reported in
         // the outcome, with zeroed per-rank times.
-        let mut written_off = Vec::new();
+        out.unreached.clear();
         for (j, e) in st.excluded.iter().enumerate() {
             for (r, &dead) in e.iter().enumerate() {
                 if dead && st.parts[j][r].host_done.is_none() {
-                    written_off.push((j as u32, Rank(r as u32)));
+                    out.unreached.push((j as u32, Rank(r as u32)));
                 }
             }
         }
-        let mut outcomes = Vec::with_capacity(st.jobs.len());
+        out.jobs.truncate(st.jobs.len());
+        out.jobs.resize_with(st.jobs.len(), Default::default);
         let mut makespan = 0.0f64;
-        for (j, job) in st.jobs.iter().enumerate() {
+        for (j, (job, o)) in st.jobs.iter().zip(&mut out.jobs).enumerate() {
             let n = job.tree.len();
-            let mut host_done = vec![0.0f64; n];
-            let mut last_recv = vec![0.0f64; n];
+            for v in [&mut o.host_done_us, &mut o.ni_last_recv_us] {
+                v.clear();
+                v.resize(n, 0.0);
+            }
             let mut latency = if n == 1 { params.t_s + params.t_r } else { 0.0 };
             for r in 1..n {
                 let p = &st.parts[j][r];
                 let Some(done) = p.host_done else {
                     continue; // written off as crashed by a repair epoch
                 };
-                host_done[r] = done.as_us() - job.start_us;
-                last_recv[r] = p.last_recv.as_us() - job.start_us;
-                latency = latency.max(host_done[r]);
+                o.host_done_us[r] = done.as_us() - job.start_us;
+                o.ni_last_recv_us[r] = p.last_recv.as_us() - job.start_us;
+                latency = latency.max(o.host_done_us[r]);
             }
             makespan = makespan.max(latency + job.start_us);
-            let max_ni_buffer = job
-                .binding
-                .iter()
-                .map(|&h| st.hosts.max_resident(h))
-                .collect();
-            outcomes.push(MulticastOutcome {
-                latency_us: latency,
-                host_done_us: host_done,
-                ni_last_recv_us: last_recv,
-                channel_wait_us: st.obs.metrics.waits_us[j],
-                blocked_sends: st.obs.metrics.blocked[j],
-                total_sends: st.obs.metrics.sends[j],
-                max_ni_buffer,
-            });
+            o.max_ni_buffer.clear();
+            o.max_ni_buffer
+                .extend(job.binding.iter().map(|&h| st.hosts.max_resident(h)));
+            o.latency_us = latency;
+            o.channel_wait_us = st.obs.metrics.waits_us[j];
+            o.blocked_sends = st.obs.metrics.blocked[j];
+            o.total_sends = st.obs.metrics.sends[j];
         }
-        let mut counters = st.obs.counters;
-        counters.events = st.queue.processed();
-        counters.peak_queue_len = st.queue.peak_len();
-        Ok(WorkloadOutcome {
-            jobs: outcomes,
-            makespan_us: makespan,
-            channel_wait_us: st.obs.metrics.channel_wait_us,
-            max_host_buffer: st.hosts.all_max_resident(),
-            events: st.queue.processed(),
-            counters,
-            unreached: written_off,
-            trace: st
-                .obs
-                .trace
-                .map(crate::observe::TraceCollector::into_sorted)
-                .unwrap_or_default(),
-        })
+        out.counters.copy_from(&st.obs.counters);
+        out.counters.events = st.queue.processed();
+        out.counters.peak_queue_len = st.queue.peak_len();
+        out.makespan_us = makespan;
+        out.channel_wait_us = st.obs.metrics.channel_wait_us;
+        st.hosts.all_max_resident_into(&mut out.max_host_buffer);
+        out.events = st.queue.processed();
+        out.trace = st
+            .obs
+            .trace
+            .take()
+            .map(crate::observe::TraceCollector::into_sorted)
+            .unwrap_or_default();
+        Ok(())
+    }
+
+    /// Hands the run's storage back to `arena`. The route tables and trees
+    /// are released, so a caller's tables are no longer shared.
+    fn recycle(self, mut forwarding: Vec<Forwarding>, arena: &mut SimArena) {
+        let SimState {
+            mut routes,
+            hosts,
+            parts,
+            copies_left,
+            transport,
+            queue,
+            obs,
+            ..
+        } = self;
+        routes.clear();
+        forwarding.clear();
+        arena.routes = routes;
+        arena.forwarding = forwarding;
+        arena.hosts = hosts;
+        arena.parts = parts;
+        arena.copies_left = copies_left;
+        arena.channels = transport.into_channels().into_storage();
+        arena.queue = queue;
+        arena.metrics = obs.metrics;
+        arena.counters = obs.counters;
     }
 }

@@ -23,11 +23,18 @@
 //! A **membership epoch** is the span between two applied churn events.
 //! The simulator is deterministic and every frame of an epoch is the same
 //! multicast (same tree, binding, packet count and configuration), so the
-//! epoch is simulated once, at its first served frame: that run builds the
-//! FPFS job and its route table, and both are dropped once it returns.
-//! Every later frame of the epoch reuses the stored [`WorkloadOutcome`]:
-//! its completion is its service start plus the epoch's latency. Every
-//! join and every applied leave ends the epoch; a skipped leave does not.
+//! epoch is simulated once, at its first served frame. Every later frame of
+//! the epoch reuses the stored [`WorkloadOutcome`]: its completion is its
+//! service start plus the epoch's latency. Every join and every applied
+//! leave ends the epoch; a skipped leave does not.
+//!
+//! An epoch's run recomputes only what the splice changed, in storage the
+//! stream keeps: the FPFS job's tree and binding are overwritten in place,
+//! its route table is patched by an [`EpochRoutes`] (only new tree edges
+//! are routed), the simulator runs in a [`SimArena`] and writes over the
+//! previous epoch's outcome. Once the stream's largest group has been
+//! simulated, an epoch allocates nothing
+//! (`crates/netsim/tests/zero_alloc.rs` bounds it).
 //!
 //! ## Drop-oldest backpressure
 //!
@@ -46,9 +53,10 @@
 //! starts, so the event sequence is byte-identical at any worker
 //! count. Events fire when the stream clock passes them (at the next
 //! frame's service start): a present member leaves, an absent one joins,
-//! splicing the tree live (`add_rank` for a join, `repair` of the leaving
-//! rank for a leave) while preserving the ≤k fan-out bound. Leaves that would reduce the group to the source
-//! alone are skipped (counted in [`StreamOutcome::churn_skipped`]).
+//! splicing the tree live and in place (`add_rank` for a join,
+//! `remove_rank` of the leaving rank for a leave) while preserving the ≤k
+//! fan-out bound. Leaves that would reduce the group to the source alone
+//! are skipped (counted in [`StreamOutcome::churn_skipped`]).
 //!
 //! ## Staleness
 //!
@@ -56,16 +64,19 @@
 //! of the frame's data by the time the last receiver holds it. Queueing
 //! delay under overload is included — that is the metric's point.
 
+use crate::arena::SimArena;
 use crate::error::SimError;
+use crate::routes::EpochRoutes;
 use crate::workload::{MulticastJob, SimRun, WorkloadConfig, WorkloadOutcome};
 use optimcast_core::builders::kbinomial_tree;
-use optimcast_core::membership::Membership;
+use optimcast_core::membership::{Membership, MembershipError};
 use optimcast_core::params::SystemParams;
 use optimcast_rng::{ChaCha8Rng, Rng};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Shape of one frame stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,6 +239,11 @@ pub enum StreamError {
     InvalidStream(&'static str),
     /// A frame's multicast failed in the simulator.
     Sim(SimError),
+    /// The group rejected the initial members or a churn event. The stream
+    /// checks its inputs first (the group shape in validation; churn
+    /// toggles by current membership), so this reports a broken invariant
+    /// rather than caller input.
+    Membership(MembershipError),
 }
 
 impl fmt::Display for StreamError {
@@ -235,6 +251,7 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::InvalidStream(why) => write!(f, "invalid stream: {why}"),
             StreamError::Sim(e) => write!(f, "frame multicast failed: {e}"),
+            StreamError::Membership(e) => write!(f, "group splice failed: {e}"),
         }
     }
 }
@@ -243,6 +260,7 @@ impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StreamError::Sim(e) => Some(e),
+            StreamError::Membership(e) => Some(e),
             StreamError::InvalidStream(_) => None,
         }
     }
@@ -254,13 +272,30 @@ impl From<SimError> for StreamError {
     }
 }
 
+impl From<MembershipError> for StreamError {
+    fn from(e: MembershipError) -> Self {
+        StreamError::Membership(e)
+    }
+}
+
+/// The storage a stream's epochs reuse: the FPFS job (tree and binding
+/// overwritten in place), the patched route table and the last epoch's
+/// outcome.
+struct EpochState {
+    job: MulticastJob,
+    routes: EpochRoutes,
+    outcome: WorkloadOutcome,
+    /// Whether `outcome` is the current membership epoch's.
+    current: bool,
+}
+
 /// Builder for one stream execution, beside [`SimRun`] in the workload
 /// vocabulary.
 ///
 /// ```ignore
 /// let out = StreamRun::new(&net, &binding, 16, 2, &params, spec)
 ///     .config(cfg)          // optional: contention / NI model
-///     .run()?;
+///     .run()?;              // or .run_in(&mut arena) across streams
 /// ```
 pub struct StreamRun<'a, N: Network> {
     net: &'a N,
@@ -329,24 +364,34 @@ impl<'a, N: Network> StreamRun<'a, N> {
         Ok(())
     }
 
-    /// Simulates one membership epoch: the FPFS job over `group`'s tree,
-    /// with the host binding mapped from the members. [`SimRun`] validates
-    /// the binding before it builds the job's route table, so a host
-    /// outside the network is a [`SimError`], not a routing panic.
-    fn epoch_outcome(&self, group: &Membership, packets: u32) -> Result<WorkloadOutcome, SimError> {
-        let binding: Vec<HostId> = group
-            .members()
-            .iter()
-            .map(|&u| self.binding[u as usize])
-            .collect();
-        let job = MulticastJob::fpfs(group.tree().clone(), binding, packets);
-        SimRun::new(
-            self.net,
-            std::slice::from_ref(&job),
-            self.params,
-            self.config,
-        )
-        .run()
+    /// Simulates the current membership epoch into `epoch.outcome`: the
+    /// FPFS job over `group`'s tree, with the host binding mapped from the
+    /// members. The route table is patched only for a binding inside the
+    /// network; otherwise the run rejects the binding as [`SimRun`] does
+    /// ([`SimError::HostOutOfRange`]) before any route is needed.
+    fn simulate_epoch(
+        &self,
+        group: &Membership,
+        epoch: &mut EpochState,
+        arena: &mut SimArena,
+    ) -> Result<(), SimError> {
+        let job = &mut epoch.job;
+        job.binding.clear();
+        job.binding
+            .extend(group.members().iter().map(|&u| self.binding[u as usize]));
+        Arc::make_mut(&mut job.tree).clone_from(group.tree());
+        let jobs = std::slice::from_ref(&epoch.job);
+        let run = SimRun::new(self.net, jobs, self.params, self.config);
+        let hosts = self.net.num_hosts();
+        if epoch.job.binding.iter().all(|h| h.0 < hosts) {
+            let table = epoch
+                .routes
+                .update(self.net, group.tree(), group.members(), self.binding);
+            run.routes(std::slice::from_ref(table))
+                .run_into(arena, &mut epoch.outcome)
+        } else {
+            run.run_into(arena, &mut epoch.outcome)
+        }
     }
 
     /// Executes the stream.
@@ -356,6 +401,17 @@ impl<'a, N: Network> StreamRun<'a, N> {
     /// [`StreamError::InvalidStream`] for a malformed spec or group shape;
     /// [`StreamError::Sim`] if any frame's multicast fails.
     pub fn run(self) -> Result<StreamOutcome, StreamError> {
+        self.run_in(&mut SimArena::new())
+    }
+
+    /// [`run`](StreamRun::run) with every epoch simulated in `arena`'s
+    /// storage; the outcome equals `run()`'s. A caller running many streams
+    /// (a sweep cell's samples) passes one arena to them all.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](StreamRun::run). The arena stays usable after an error.
+    pub fn run_in(self, arena: &mut SimArena) -> Result<StreamOutcome, StreamError> {
         self.validate()?;
         let spec = &self.spec;
         let universe = self.binding.len() as u32;
@@ -363,22 +419,26 @@ impl<'a, N: Network> StreamRun<'a, N> {
         let emit = |i: u32| f64::from(i) * spec.gap_us;
 
         let members: Vec<u32> = (0..self.initial).collect();
-        // Invariant: `validate` bounds `initial` to `2..=universe`, so the
-        // tree spans exactly `members`, led by the source.
+        // `validate` bounds `initial` to `2..=universe`, so the tree spans
+        // exactly `members`, led by the source.
         let mut group = Membership::new(
             kbinomial_tree(self.initial, self.k),
             &members,
             universe,
             self.k,
-        )
-        .expect("validated group shape");
+        )?;
 
         let plan = churn_plan(spec, universe);
         let mut next_event = 0usize;
-        // The current membership epoch's simulated frame; cleared by every
-        // applied join or leave.
-        let mut epoch: Option<WorkloadOutcome> = None;
+        let mut epoch = EpochState {
+            job: MulticastJob::fpfs(group.tree().clone(), Vec::new(), packets),
+            routes: EpochRoutes::new(),
+            outcome: WorkloadOutcome::default(),
+            current: false,
+        };
 
+        // Every frame is served or evicted exactly once; a frame still
+        // `None` at the end is reported as an error, not a panic.
         let mut fates: Vec<Option<FrameRecord>> = vec![None; spec.frames as usize];
         let mut queue: VecDeque<u32> = VecDeque::new();
         let mut next_emit = 0u32;
@@ -416,9 +476,10 @@ impl<'a, N: Network> StreamRun<'a, N> {
             loop {
                 let before = next_emit;
                 while next_emit < spec.frames && emit(next_emit) <= start {
-                    if spec.buffer_frames > 0 && queue.len() >= spec.buffer_frames as usize {
-                        // Invariant: `queue.len() >= buffer_frames > 0`.
-                        let victim = queue.pop_front().expect("bounded buffer is non-empty");
+                    let full = spec.buffer_frames > 0 && queue.len() >= spec.buffer_frames as usize;
+                    // A full buffer holds `buffer_frames > 0` frames: evict
+                    // the oldest.
+                    if let Some(victim) = full.then(|| queue.pop_front()).flatten() {
                         fates[victim as usize] = Some(FrameRecord {
                             emitted_us: emit(victim),
                             fate: FrameFate::Dropped {
@@ -436,39 +497,41 @@ impl<'a, N: Network> StreamRun<'a, N> {
                 }
                 start = now;
             }
-            // Fire churn scheduled before this service starts.
+            // Fire churn scheduled before this service starts. Plan members
+            // lie in `1..universe`, so membership alone decides whether a
+            // toggle joins or leaves, and neither can be rejected.
             while next_event < plan.len() && plan[next_event].at_us <= start {
                 let ev = plan[next_event];
                 next_event += 1;
-                // Invariant: plan members lie in `1..universe`, so only
-                // membership decides whether `join`/`leave` applies.
                 if group.is_member(ev.member) {
                     if group.len() > 2 {
-                        group.leave(ev.member).expect("present member can leave");
+                        group.leave(ev.member)?;
                         out.leaves += 1;
-                        epoch = None;
+                        epoch.current = false;
                     } else {
                         out.churn_skipped += 1;
                     }
                 } else {
-                    group.join(ev.member).expect("absent member can join");
+                    group.join(ev.member)?;
                     out.joins += 1;
-                    epoch = None;
+                    epoch.current = false;
                 }
             }
-            // Invariant: the loop guard or the idle branch queued a frame.
-            let frame = queue.pop_front().expect("loop guard");
+            // The loop guard or the idle branch queued a frame.
+            let Some(frame) = queue.pop_front() else {
+                break;
+            };
             // Serve it from the current epoch's outcome, simulated at the
             // epoch's first frame.
-            let sim = match &epoch {
-                Some(sim) => sim,
-                None => {
-                    let sim = self.epoch_outcome(&group, packets)?;
-                    out.events += sim.events;
-                    out.peak_queue_len = out.peak_queue_len.max(sim.counters.peak_queue_len);
-                    epoch.insert(sim)
-                }
-            };
+            if !epoch.current {
+                self.simulate_epoch(&group, &mut epoch, arena)?;
+                epoch.current = true;
+                out.events += epoch.outcome.events;
+                out.peak_queue_len = out
+                    .peak_queue_len
+                    .max(epoch.outcome.counters.peak_queue_len);
+            }
+            let sim = &epoch.outcome;
             let completion = start + sim.jobs[0].latency_us;
             let staleness = completion - emit(frame);
             for &u in &group.members()[1..] {
@@ -493,12 +556,14 @@ impl<'a, N: Network> StreamRun<'a, N> {
         }
 
         out.duration_us = t_free.max(emit(spec.frames - 1));
-        // Invariant: the loop ends only once every frame was emitted and
-        // the queue drained, so each frame was served or evicted.
+        // The loop ends only once every frame was emitted and the queue
+        // drained, so each frame was served or evicted.
         out.frames = fates
             .into_iter()
-            .map(|f| f.expect("every frame resolves to delivered or dropped"))
-            .collect();
+            .collect::<Option<_>>()
+            .ok_or(StreamError::InvalidStream(
+                "a frame was neither served nor evicted",
+            ))?;
         out.receivers = (1..universe)
             .filter(|&u| delivered[u as usize] > 0)
             .map(|u| {
@@ -579,6 +644,22 @@ mod tests {
                 .err(),
             Some(StreamError::InvalidStream(_))
         ));
+    }
+
+    /// A rejected splice surfaces as a typed error with its cause, not a
+    /// panic; the stream's own checks keep caller input from reaching it.
+    #[test]
+    fn membership_errors_are_typed_stream_errors() {
+        let e = StreamError::from(MembershipError::NotMember(3));
+        assert!(matches!(
+            e,
+            StreamError::Membership(MembershipError::NotMember(3))
+        ));
+        assert_eq!(
+            e.to_string(),
+            "group splice failed: member 3 is not in the group"
+        );
+        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]

@@ -204,12 +204,26 @@ impl<'a> SimTransport<'a> {
         params: &SystemParams,
         fault: Option<&'a FaultPlan>,
     ) -> Self {
+        Self::over(ChannelManager::new(contention, n_channels), params, fault)
+    }
+
+    /// A simulator transport over an already reset channel manager.
+    pub(crate) fn over(
+        channels: ChannelManager,
+        params: &SystemParams,
+        fault: Option<&'a FaultPlan>,
+    ) -> Self {
         SimTransport {
-            channels: ChannelManager::new(contention, n_channels),
+            channels,
             t_send: params.t_send,
             t_prop: params.t_prop,
             fault,
         }
+    }
+
+    /// The channel manager, handed back for reuse once the run is over.
+    pub(crate) fn into_channels(self) -> ChannelManager {
+        self.channels
     }
 
     /// The verdict on one transmission to host `to`.

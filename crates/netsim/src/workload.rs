@@ -21,6 +21,7 @@
 //! a property of the whole run and is reported only here, in
 //! [`WorkloadOutcome::events`] and [`WorkloadOutcome::counters`].
 
+use crate::arena::SimArena;
 use crate::arq::NiModel;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -32,6 +33,7 @@ use optimcast_core::schedule::ForwardingDiscipline;
 use optimcast_core::tree::{MulticastTree, Rank};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::Network;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// What the job's packets carry (replication vs personalization).
@@ -159,7 +161,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Results of a workload run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadOutcome {
     /// Per-job outcomes, in job order. `latency_us` is measured from the
     /// job's own `start_us`.
@@ -194,9 +196,10 @@ pub struct WorkloadOutcome {
 ///
 /// Construct with the four mandatory inputs, chain any subset of
 /// [`routes`](SimRun::routes), [`faults`](SimRun::faults) and
-/// [`observer`](SimRun::observer), then [`run`](SimRun::run). Each option
-/// is orthogonal to the others, so a new one adds one builder method rather
-/// than a family of entry points.
+/// [`observer`](SimRun::observer), then [`run`](SimRun::run), or
+/// [`run_in`](SimRun::run_in) to reuse one [`SimArena`] across many runs.
+/// Each option is orthogonal to the others, so a new one adds one builder
+/// method rather than a family of entry points.
 ///
 /// ```ignore
 /// let outcome = SimRun::new(&net, &jobs, &params, config)
@@ -210,7 +213,7 @@ pub struct SimRun<'a, N: Network> {
     jobs: &'a [MulticastJob],
     params: &'a SystemParams,
     config: WorkloadConfig,
-    routes: Option<Vec<Arc<crate::routes::JobRoutes>>>,
+    routes: Option<Cow<'a, [Arc<crate::routes::JobRoutes>]>>,
     fault: Option<&'a FaultPlan>,
     observer: Option<&'a mut dyn Observer>,
 }
@@ -241,10 +244,12 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// on the same network. Sweep engines memoize the tables across cells
     /// (the same `(topology, chain, tree)` triple recurs for every
     /// packet-count point of a series) and skip the per-run route
-    /// computation; the outcome is identical to an un-routed run.
+    /// computation; the outcome is identical to an un-routed run. Takes
+    /// the tables as a `Vec` or, with no allocation, as a borrowed slice
+    /// (`std::slice::from_ref(&table)` for one job).
     #[must_use]
-    pub fn routes(mut self, routes: Vec<Arc<crate::routes::JobRoutes>>) -> Self {
-        self.routes = Some(routes);
+    pub fn routes(mut self, routes: impl Into<Cow<'a, [Arc<crate::routes::JobRoutes>]>>) -> Self {
+        self.routes = Some(routes.into());
         self
     }
 
@@ -289,6 +294,30 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// leaves a rank unattached to the source fails with
     /// [`SimError::DeliveryFailed`] naming it, plan or not.
     pub fn run(self) -> Result<WorkloadOutcome, SimError> {
+        self.run_in(&mut SimArena::new())
+    }
+
+    /// [`run`](SimRun::run) over `arena`'s storage: the run resets what it
+    /// borrows to a fresh run's state, so the outcome equals `run()`'s, and
+    /// a run as large as an earlier one through the same arena allocates
+    /// only the returned outcome's vectors.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](SimRun::run). The arena stays usable after an error.
+    pub fn run_in(self, arena: &mut SimArena) -> Result<WorkloadOutcome, SimError> {
+        let mut out = WorkloadOutcome::default();
+        self.run_into(arena, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`run_in`](SimRun::run_in) writing the outcome over `out`, whose
+    /// vectors are reused; on error `out` is left as it was.
+    pub(crate) fn run_into(
+        self,
+        arena: &mut SimArena,
+        out: &mut WorkloadOutcome,
+    ) -> Result<(), SimError> {
         Simulation::new(
             self.net,
             self.jobs,
@@ -296,9 +325,10 @@ impl<'a, N: Network> SimRun<'a, N> {
             self.config,
             self.fault,
             self.observer,
-            self.routes,
+            self.routes.as_deref(),
+            arena,
         )?
-        .run()
+        .run(arena, out)
     }
 }
 

@@ -130,7 +130,7 @@ fn run_prerouted(
     tables: &[&MulticastJob],
 ) -> Result<WorkloadOutcome, SimError> {
     let n = net();
-    let routes = tables
+    let routes: Vec<_> = tables
         .iter()
         .map(|job| Arc::new(JobRoutes::build(&n, &job.tree, &job.binding)))
         .collect();

@@ -22,6 +22,12 @@
 //! membership epoch, which `StreamRun` simulates once, and every later
 //! frame of the epoch is served from that run's outcome.
 //!
+//! A warm [`SimArena`] removes the per-run set-up: a second `run_in` of the
+//! same job allocates exactly the vectors of the outcome it returns. A
+//! churned stream through a warm arena splices its group in place, patches
+//! its route table and simulates each epoch in the arena over the previous
+//! epoch's outcome, so its later epochs allocate (almost) nothing.
+//!
 //! Everything runs inside ONE `#[test]` — the counters are process-wide, so
 //! a second concurrently-running test would pollute the window.
 
@@ -29,8 +35,8 @@ use optimcast_core::builders::kbinomial_tree;
 use optimcast_core::params::SystemParams;
 use optimcast_netsim::alloc::CountingAlloc;
 use optimcast_netsim::{
-    FaultPlan, JobRoutes, MulticastJob, NiModel, SimRun, StreamRun, StreamSpec, WorkloadConfig,
-    WorkloadOutcome,
+    FaultPlan, JobRoutes, MulticastJob, NiModel, SimArena, SimRun, StreamRun, StreamSpec,
+    WorkloadConfig, WorkloadOutcome,
 };
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
@@ -168,6 +174,77 @@ fn steady_state_event_loop_is_allocation_free() {
          {sixteen_frames}; one prerouted run: {small_allocs})"
     );
 
+    // A warm arena: the second `run_in` of the same prerouted 64-rank job
+    // allocates exactly the vectors its returned outcome owns (the job
+    // list, each job's three per-rank vectors, the per-host buffer marks
+    // and the occupancy histogram) and nothing else.
+    let job = MulticastJob::fpfs(Arc::clone(&tree), binding.clone(), 8);
+    let jobs = std::slice::from_ref(&job);
+    let table = std::slice::from_ref(&routes);
+    let mut arena = SimArena::new();
+    let warm = |arena: &mut SimArena| -> (WorkloadOutcome, u64) {
+        let before = CountingAlloc::allocations();
+        let out = SimRun::new(&net, jobs, &params, WorkloadConfig::default())
+            .routes(table)
+            .run_in(arena)
+            .expect("valid fault-free run");
+        (out, CountingAlloc::allocations() - before)
+    };
+    let (cold_out, cold_allocs) = warm(&mut arena);
+    let (warm_out, warm_allocs) = warm(&mut arena);
+    assert_eq!(warm_out, cold_out);
+    assert_eq!(warm_out, small, "an arena run equals a fresh run");
+    let owned = outcome_vectors(&warm_out);
+    assert_eq!(
+        warm_allocs, owned,
+        "a warm-arena run allocates only its outcome's {owned} vectors, not \
+         {warm_allocs} (cold arena: {cold_allocs}; fresh run: {small_allocs})"
+    );
+
+    // A churned stream through a warm arena (64-member universe, 48 in the
+    // group, 40 frames, 48 churn toggles): against the churn-free stream of
+    // the same shape, each applied join or leave — each new membership
+    // epoch — adds at most one allocation, the amortized growth of the
+    // group's vectors past their earlier size.
+    let churned = |churn_events: u32, arena: &mut SimArena| -> (u64, u32) {
+        let spec = StreamSpec {
+            frame_bytes: 256,
+            mtu_bytes: 64,
+            gap_us: 150.0,
+            frames: 40,
+            churn_events,
+            churn_seed: 31,
+            ..StreamSpec::default()
+        };
+        let before = CountingAlloc::allocations();
+        let out = StreamRun::new(&net, &binding, 48, 2, &params, spec)
+            .run_in(arena)
+            .expect("valid stream completes");
+        assert_eq!(out.served + out.dropped, 40);
+        (
+            CountingAlloc::allocations() - before,
+            out.joins + out.leaves,
+        )
+    };
+    let mut stream_arena = SimArena::new();
+    churned(48, &mut stream_arena);
+    let (calm_allocs, _) = churned(0, &mut stream_arena);
+    let (churn_allocs, splices) = churned(48, &mut stream_arena);
+    assert!(
+        splices >= 30,
+        "the stream must churn (only {splices} splices)"
+    );
+    let per_epoch = churn_allocs.saturating_sub(calm_allocs);
+    assert!(
+        per_epoch <= u64::from(splices),
+        "{splices} epochs of a warm stream added {per_epoch} allocations \
+         (churned: {churn_allocs}, churn-free: {calm_allocs})"
+    );
+    eprintln!(
+        "zero_alloc: fresh run {small_allocs}, warm-arena run {warm_allocs} (outcome vectors {owned}); \
+         churn-free stream {calm_allocs}, {splices} splices +{per_epoch}"
+    );
+
     // Peak-bytes high-water tracking — what the mega-scale setup budget
     // (`optimcast bench-mega`) is measured with: a large allocation raises the
     // peak, freeing it does not lower the peak, and `reset_peak` rebases
@@ -193,4 +270,23 @@ fn steady_state_event_loop_is_allocation_free() {
         rebased < peak && CountingAlloc::peak_bytes() < peak,
         "reset_peak rebases the mark to live bytes ({rebased} vs old peak {peak})"
     );
+}
+
+/// Heap blocks a run's outcome owns: every vector with storage.
+fn outcome_vectors(out: &WorkloadOutcome) -> u64 {
+    let owned = |cap: usize| u64::from(cap > 0);
+    owned(out.jobs.capacity())
+        + out
+            .jobs
+            .iter()
+            .map(|j| {
+                owned(j.host_done_us.capacity())
+                    + owned(j.ni_last_recv_us.capacity())
+                    + owned(j.max_ni_buffer.capacity())
+            })
+            .sum::<u64>()
+        + owned(out.max_host_buffer.capacity())
+        + owned(out.counters.buffer_occupancy.capacity())
+        + owned(out.unreached.capacity())
+        + owned(out.trace.capacity())
 }

@@ -34,7 +34,7 @@ use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::latency::smart_latency_us;
 use optimcast_core::schedule::fpfs_schedule;
 use optimcast_core::tree::MulticastTree;
-use optimcast_netsim::{FrameFate, StreamRun, StreamSpec};
+use optimcast_netsim::{FrameFate, SimArena, StreamRun, StreamSpec};
 use std::ops::AddAssign;
 use std::sync::Arc;
 
@@ -400,6 +400,8 @@ impl Sweep {
         // samples share one group size, hence one tree, so the schedule is
         // computed once per call rather than once per sample.
         let mut nominal: Option<(Arc<MulticastTree>, f64)> = None;
+        // One simulator arena serves every epoch of every sample.
+        let mut arena = SimArena::new();
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, grid.dests);
@@ -427,7 +429,7 @@ impl Sweep {
                 keep_frame_outcomes: false,
             };
             let out = StreamRun::new(&topo.net, &chain, n, k, cfg.params(), spec)
-                .run()
+                .run_in(&mut arena)
                 .expect("validated streaming sample completes");
             self.record_effort(out.events, out.peak_queue_len);
 

@@ -209,8 +209,15 @@ impl Network for FabricNetwork {
         }
     }
 
-    fn bulk_routes(&self, pairs: &[(HostId, HostId)]) -> (Vec<u32>, Vec<ChannelId>) {
-        self.routing.bulk_host_routes(&self.topo, pairs)
+    fn bulk_routes_into(
+        &self,
+        pairs: &[(HostId, HostId)],
+        scratch: &mut crate::RouteScratch,
+        offsets: &mut Vec<u32>,
+        channels: &mut Vec<ChannelId>,
+    ) {
+        self.routing
+            .bulk_host_routes(&self.topo, pairs, scratch, offsets, channels);
     }
 }
 

@@ -53,21 +53,41 @@ pub trait Network {
 
     /// Routes for a batch of host pairs, CSR-packed in pair order: the
     /// route of `pairs[i]` is `channels[offsets[i]..offsets[i + 1]]`.
+    /// [`Self::bulk_routes_into`] with fresh storage.
+    fn bulk_routes(&self, pairs: &[(HostId, HostId)]) -> (Vec<u32>, Vec<ChannelId>) {
+        let (mut offsets, mut channels) = (Vec::new(), Vec::new());
+        self.bulk_routes_into(
+            pairs,
+            &mut RouteScratch::default(),
+            &mut offsets,
+            &mut channels,
+        );
+        (offsets, channels)
+    }
+
+    /// [`Self::bulk_routes`] written over `offsets` and `channels`, with
+    /// `scratch` as working storage, so a caller routing batch after batch
+    /// reuses all three.
     ///
     /// The default delegates to [`Self::route`] per pair; substrates whose
     /// routing amortizes over a shared source (up\*/down\* single-source
     /// passes) override this so one multicast job's route build is O(n)
     /// passes instead of O(n) independent searches. Overrides must produce
     /// byte-identical channels to the per-pair default.
-    fn bulk_routes(&self, pairs: &[(HostId, HostId)]) -> (Vec<u32>, Vec<ChannelId>) {
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
+    fn bulk_routes_into(
+        &self,
+        pairs: &[(HostId, HostId)],
+        _scratch: &mut RouteScratch,
+        offsets: &mut Vec<u32>,
+        channels: &mut Vec<ChannelId>,
+    ) {
+        offsets.clear();
         offsets.push(0u32);
-        let mut channels = Vec::new();
+        channels.clear();
         for &(from, to) in pairs {
             channels.extend(self.route(from, to));
             offsets.push(channels.len() as u32);
         }
-        (offsets, channels)
     }
 }
 
@@ -87,8 +107,14 @@ impl<N: Network + ?Sized> Network for &N {
     fn describe(&self) -> String {
         (**self).describe()
     }
-    fn bulk_routes(&self, pairs: &[(HostId, HostId)]) -> (Vec<u32>, Vec<ChannelId>) {
-        (**self).bulk_routes(pairs)
+    fn bulk_routes_into(
+        &self,
+        pairs: &[(HostId, HostId)],
+        scratch: &mut RouteScratch,
+        offsets: &mut Vec<u32>,
+        channels: &mut Vec<ChannelId>,
+    ) {
+        (**self).bulk_routes_into(pairs, scratch, offsets, channels);
     }
 }
 
@@ -98,3 +124,4 @@ pub use graph::{Endpoint, LinkId, SwitchId};
 pub use irregular::{IrregularConfig, IrregularNetwork};
 pub use mesh::MeshNetwork;
 pub use ordering::Ordering;
+pub use updown::RouteScratch;

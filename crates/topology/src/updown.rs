@@ -22,9 +22,12 @@
 //! table* in O(E): one `u32` per slot of the topology's CSR adjacency
 //! ([`Topology::switch_peer_slots`]) holding the directed channel leaving
 //! that switch, with the up bit packed into bit 31. The pass then walks the
-//! peer slots and this table side by side. The table lives only for the
-//! call — a 65,536-host fat-tree has 262,144 slots, and keeping that 1 MiB
-//! resident would add it to the simulation's heap peak. Each pass records
+//! peer slots and this table side by side. The table lives in the caller's
+//! [`RouteScratch`], not in the routing — a 65,536-host fat-tree has 262,144
+//! slots, and keeping that 1 MiB resident would add it to the simulation's
+//! heap peak — so a one-shot build frees it on return, while a caller that
+//! routes batch after batch (a stream's membership epochs) reuses it and
+//! allocates nothing. Each pass records
 //! the BFS depth of every state beside its predecessor, so extracting a path
 //! walks the predecessor chain once. Determinism is unchanged: the pass
 //! expands neighbours in link insertion order and breaks phase ties exactly
@@ -63,7 +66,29 @@ struct HopGraph<'a> {
     /// Neighbouring switch per slot.
     peers: &'a [SwitchId],
     /// Channel leaving the slot's switch, `| UP_BIT` if it points up.
+    hops: &'a [u32],
+}
+
+/// Working storage for batch route extraction
+/// ([`crate::Network::bulk_routes_into`]): the oriented hop table, one BFS
+/// pass's state array and queue, the pairs grouped by source switch, and
+/// the routes in group order. A caller that routes many batches keeps one
+/// and, once its buffers have grown, allocates nothing per batch. Its
+/// contents between calls are meaningless; any topology may use it next.
+#[derive(Debug, Default)]
+pub struct RouteScratch {
     hops: Vec<u32>,
+    paths: SingleSourcePaths,
+    queue: Vec<u32>,
+    /// Group index of each source switch, `u32::MAX` if none yet.
+    group_of: Vec<u32>,
+    /// `(source switch, end of its run in `order`)` per group.
+    groups: Vec<(SwitchId, u32)>,
+    /// Pair indices, grouped by source switch in first-appearance order.
+    order: Vec<u32>,
+    /// Routes in group order, and each pair's span of them.
+    flat: Vec<ChannelId>,
+    span: Vec<(u32, u32)>,
 }
 
 /// How a pass reached one `(switch, phase)` state.
@@ -80,6 +105,7 @@ struct StateRec {
 /// One single-source shortest-legal-path pass: the predecessor forest of a
 /// BFS over `(switch, phase)` states, phase 0 = may still ascend, phase 1 =
 /// descend only. Extract paths with [`Self::path_to`] / [`Self::extend_path_to`].
+#[derive(Debug, Default)]
 pub struct SingleSourcePaths {
     from: SwitchId,
     /// Indexed by `state = switch * 2 + phase`.
@@ -203,14 +229,15 @@ impl UpDownRouting {
         (self.level(y), y.0) < (self.level(x), x.0)
     }
 
-    /// Builds the oriented hop table over `topo`'s CSR adjacency slots.
-    fn hop_graph<'a>(&self, topo: &'a Topology) -> HopGraph<'a> {
+    /// Writes the oriented hop table over `topo`'s CSR adjacency slots into
+    /// `hops`.
+    fn fill_hops(&self, topo: &Topology, hops: &mut Vec<u32>) {
         assert!(
             topo.num_channels() <= UP_BIT,
             "channel ids must leave bit 31 free for the up bit"
         );
-        let (offsets, peers) = topo.switch_peer_slots();
-        let mut hops = Vec::with_capacity(peers.len());
+        hops.clear();
+        hops.reserve_exact(topo.switch_peer_slots().1.len());
         for s in (0..topo.num_switches()).map(SwitchId) {
             let (links, nbs) = topo.switch_peers(s);
             for (&l, &nb) in links.iter().zip(nbs) {
@@ -222,20 +249,24 @@ impl UpDownRouting {
                 hops.push(c.0 | if self.points_up(s, nb) { UP_BIT } else { 0 });
             }
         }
-        HopGraph {
-            offsets,
-            peers,
-            hops,
-        }
     }
 
     /// Runs one shortest-legal-path BFS from `from` over `(switch, phase)`
     /// states: phase 0 may still ascend, phase 1 may only descend.
     /// Deterministic: neighbours expanded in link insertion order.
     pub fn single_source(&self, topo: &Topology, from: SwitchId) -> SingleSourcePaths {
-        let graph = self.hop_graph(topo);
-        let mut paths = SingleSourcePaths::new(topo.num_switches() as usize);
-        paths.search(&graph, from, &mut Vec::new());
+        let mut hops = Vec::new();
+        self.fill_hops(topo, &mut hops);
+        let (offsets, peers) = topo.switch_peer_slots();
+        let graph = HopGraph {
+            offsets,
+            peers,
+            hops: &hops,
+        };
+        let mut paths = SingleSourcePaths::default();
+        let mut queue = Vec::new();
+        paths.size_for(topo.num_switches() as usize, &mut queue);
+        paths.search(&graph, from, &mut queue);
         paths
     }
 
@@ -266,69 +297,107 @@ impl UpDownRouting {
         route
     }
 
-    /// Routes for a batch of host pairs, CSR-packed in pair order: the
-    /// route of `pairs[i]` is `channels[offsets[i]..offsets[i + 1]]`.
+    /// Routes for a batch of host pairs, CSR-packed in pair order and
+    /// written over `offsets` and `channels`: the route of `pairs[i]` is
+    /// `channels[offsets[i]..offsets[i + 1]]`.
     ///
-    /// Pairs are grouped by source switch so each distinct source switch
-    /// runs exactly one BFS pass over one shared hop table — for a
-    /// multicast tree bound to n hosts on S switches this is O(min(n, S))
-    /// passes instead of the former all-pairs O(S²) table. Each extracted
-    /// route is byte-identical to the corresponding [`Self::host_route`]
-    /// call.
+    /// Pairs are grouped by source switch (a counting sort, first-appearance
+    /// order) so each distinct source switch runs exactly one BFS pass over
+    /// one shared hop table — for a multicast tree bound to n hosts on S
+    /// switches this is O(min(n, S)) passes instead of the former all-pairs
+    /// O(S²) table. Each extracted route is byte-identical to the
+    /// corresponding [`Self::host_route`] call. All working storage is
+    /// `scratch`'s, so a warm scratch and outputs allocate nothing.
     pub fn bulk_host_routes(
         &self,
         topo: &Topology,
         pairs: &[(HostId, HostId)],
-    ) -> (Vec<u32>, Vec<ChannelId>) {
+        scratch: &mut RouteScratch,
+        offsets: &mut Vec<u32>,
+        channels: &mut Vec<ChannelId>,
+    ) {
+        let RouteScratch {
+            hops,
+            paths,
+            queue,
+            group_of,
+            groups,
+            order,
+            flat,
+            span,
+        } = scratch;
         let s = topo.num_switches() as usize;
-        // Group pair indices by source switch, first-appearance order.
-        let mut group_of: Vec<u32> = vec![u32::MAX; s];
-        let mut groups: Vec<(SwitchId, Vec<u32>)> = Vec::new();
-        for (i, &(from, to)) in pairs.iter().enumerate() {
+        // Count the pairs of each source switch, first-appearance order,
+        // then turn the counts into run ends and deal the pairs out.
+        group_of.clear();
+        group_of.resize(s, u32::MAX);
+        groups.clear();
+        for &(from, to) in pairs {
             if from == to {
                 continue; // empty route, nothing to compute
             }
             let sf = topo.host_switch(from);
-            let g = group_of[sf.index()];
-            if g == u32::MAX {
-                group_of[sf.index()] = groups.len() as u32;
-                groups.push((sf, vec![i as u32]));
-            } else {
-                groups[g as usize].1.push(i as u32);
+            let g = &mut group_of[sf.index()];
+            if *g == u32::MAX {
+                *g = groups.len() as u32;
+                groups.push((sf, 0));
+            }
+            groups[*g as usize].1 += 1;
+        }
+        let mut end = 0;
+        for (_, count) in groups.iter_mut() {
+            end += std::mem::replace(count, end);
+        }
+        order.clear();
+        order.resize(end as usize, 0);
+        for (i, &(from, to)) in pairs.iter().enumerate() {
+            if from != to {
+                let g = group_of[topo.host_switch(from).index()] as usize;
+                order[groups[g].1 as usize] = i as u32;
+                groups[g].1 += 1;
             }
         }
 
         // Extract group by group into one flat buffer, remembering each
         // pair's span; self pairs keep the empty span.
-        let graph = self.hop_graph(topo);
-        let mut paths = SingleSourcePaths::new(s);
-        let mut queue = Vec::with_capacity(2 * s);
-        let mut flat: Vec<ChannelId> = Vec::new();
-        let mut span = vec![(0u32, 0u32); pairs.len()];
-        for &(sf, ref members) in &groups {
-            paths.search(&graph, sf, &mut queue);
-            for &i in members {
+        self.fill_hops(topo, hops);
+        let (slot_offsets, peers) = topo.switch_peer_slots();
+        let graph = HopGraph {
+            offsets: slot_offsets,
+            peers,
+            hops,
+        };
+        paths.size_for(s, queue);
+        flat.clear();
+        span.clear();
+        span.resize(pairs.len(), (0, 0));
+        let mut lo = 0;
+        for &(sf, hi) in groups.iter() {
+            paths.search(&graph, sf, queue);
+            for &i in &order[lo as usize..hi as usize] {
                 let (from, to) = pairs[i as usize];
                 let st = topo.host_switch(to);
                 let start = flat.len() as u32;
                 flat.push(topo.injection_channel(from));
                 if sf != st {
-                    paths.extend_path_to(st, &mut flat);
+                    paths.extend_path_to(st, flat);
                 }
                 flat.push(topo.ejection_channel(to));
                 span[i as usize] = (start, flat.len() as u32);
             }
+            lo = hi;
         }
 
         // Permute into pair order.
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
+        offsets.clear();
+        offsets.reserve_exact(pairs.len() + 1);
         offsets.push(0u32);
-        let mut channels = Vec::with_capacity(flat.len());
-        for &(lo, hi) in &span {
+        channels.clear();
+        channels.reserve_exact(flat.len());
+        for &(lo, hi) in span.iter() {
             channels.extend_from_slice(&flat[lo as usize..hi as usize]);
             offsets.push(channels.len() as u32);
         }
-        (offsets, channels)
     }
 
     /// Checks that a switch-level path is legal up\*/down\*: monotone
@@ -349,17 +418,22 @@ impl UpDownRouting {
 }
 
 impl SingleSourcePaths {
-    /// An empty pass over `num_switches` switches; [`Self::search`] fills it.
-    fn new(num_switches: usize) -> Self {
+    /// Sizes the state array for `num_switches` switches with every state
+    /// unreached. `queue` lists the states the previous pass reached (the
+    /// only ones not unreached); it is emptied.
+    fn size_for(&mut self, num_switches: usize, queue: &mut Vec<u32>) {
+        for &st in queue.iter() {
+            if let Some(rec) = self.states.get_mut(st as usize) {
+                rec.depth = UNSEEN;
+            }
+        }
+        queue.clear();
         let unseen = StateRec {
             prev: 0,
             channel: ChannelId(0),
             depth: UNSEEN,
         };
-        SingleSourcePaths {
-            from: SwitchId(0),
-            states: vec![unseen; num_switches * 2],
-        }
+        self.states.resize(num_switches * 2, unseen);
     }
 
     /// Runs the BFS from `from`, reusing this value's state array. `queue`
@@ -558,11 +632,24 @@ mod tests {
                 pairs.push((HostId(a), HostId(b)));
             }
         }
-        let (off, dat) = r.bulk_host_routes(&t, &pairs);
-        assert_eq!(off.len(), pairs.len() + 1);
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            let got = &dat[off[i] as usize..off[i + 1] as usize];
-            assert_eq!(got, r.host_route(&t, a, b).as_slice(), "{a}->{b}");
+        let mut scratch = RouteScratch::default();
+        let (mut off, mut dat) = (vec![9], Vec::new());
+        // The same scratch and outputs serve a second topology and then the
+        // first again: nothing of an earlier call leaks into a later one.
+        let other = line();
+        let other_r = UpDownRouting::with_root(&other, SwitchId(2));
+        let other_pairs = [(HostId(0), HostId(2)), (HostId(2), HostId(0))];
+        for (t, r, pairs) in [
+            (&t, &r, &pairs[..]),
+            (&other, &other_r, &other_pairs),
+            (&t, &r, &pairs),
+        ] {
+            r.bulk_host_routes(t, pairs, &mut scratch, &mut off, &mut dat);
+            assert_eq!(off.len(), pairs.len() + 1);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                let got = &dat[off[i] as usize..off[i + 1] as usize];
+                assert_eq!(got, r.host_route(t, a, b).as_slice(), "{a}->{b}");
+            }
         }
     }
 

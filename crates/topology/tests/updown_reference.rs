@@ -12,7 +12,7 @@
 use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
 use optimcast_topology::graph::{ChannelId, HostId, SwitchId, Topology};
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
-use optimcast_topology::updown::UpDownRouting;
+use optimcast_topology::updown::{RouteScratch, UpDownRouting};
 use optimcast_topology::Network;
 use proptest::prelude::*;
 
@@ -161,7 +161,14 @@ fn check_against_reference(
     topo: &Topology,
     pairs: &[(HostId, HostId)],
 ) -> Result<(), String> {
-    let (off, dat) = routing.bulk_host_routes(topo, pairs);
+    let mut scratch = RouteScratch::default();
+    let (mut off, mut dat) = (Vec::new(), Vec::new());
+    routing.bulk_host_routes(topo, pairs, &mut scratch, &mut off, &mut dat);
+    // A second batch through the same (now warm) storage is identical.
+    let (first_off, first_dat) = (off.clone(), dat.clone());
+    routing.bulk_host_routes(topo, pairs, &mut scratch, &mut off, &mut dat);
+    prop_assert_eq!(&off, &first_off);
+    prop_assert_eq!(&dat, &first_dat);
     prop_assert_eq!(off.len(), pairs.len() + 1);
     prop_assert_eq!(off[pairs.len()] as usize, dat.len());
     for (i, &(a, b)) in pairs.iter().enumerate() {

@@ -593,14 +593,17 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
             chain.len()
         )));
     }
-    // The crashed hosts are the deepest in the ordering: the last
-    // `--crashes` destinations of the arranged chain.
-    let crashes: Vec<HostCrash> = chain
+    // The crashed hosts are the destinations whose loss orphans the most:
+    // ranks by descendant count, most first, ties in rank order. Interior
+    // ranks come before leaves, so live repair has subtrees to re-attach.
+    let descendants = tree.subtree_sizes();
+    let mut victims: Vec<usize> = (1..chain.len()).collect();
+    victims.sort_by_key(|&r| std::cmp::Reverse(descendants[r]));
+    let crashes: Vec<HostCrash> = victims
         .iter()
-        .rev()
         .take(crash_count as usize)
-        .map(|&host| HostCrash {
-            host,
+        .map(|&r| HostCrash {
+            host: chain[r],
             at_us: spec.crash_at_us,
         })
         .collect();

@@ -135,7 +135,9 @@ fn simulate_json_surfaces_faults_and_unreached() {
 
 /// The full `--trace` timeline, byte for byte. The lossy run covers
 /// stalled and plain sends, receives, completions, drops and retries; the
-/// repair run adds an abandoned copy, a repair epoch and a reissue.
+/// repair runs add an abandoned copy, a repair epoch and reissues — the
+/// loss-free one from the crash alone: `--crashes` takes the interior rank
+/// with the most descendants, whose orphans the repair re-attaches.
 #[test]
 fn simulate_trace_timeline_matches_fixture() {
     let cases = [
@@ -147,6 +149,10 @@ fn simulate_trace_timeline_matches_fixture() {
             "--dests 3 --m 1 --seed 1 --drop-rate 0.6 --fault-seed 7 --live-repair --crashes 1",
             include_str!("fixtures/simulate_trace_repair.txt"),
         ),
+        (
+            "--dests 7 --m 1 --seed 1 --live-repair --crashes 1",
+            include_str!("fixtures/simulate_trace_crash.txt"),
+        ),
     ];
     for (flags, expected) in cases {
         let mut args = vec!["simulate", "--trace"];
@@ -156,9 +162,22 @@ fn simulate_trace_timeline_matches_fixture() {
         assert_eq!(out, expected, "timeline of `{flags}` changed");
     }
     let repair = include_str!("fixtures/simulate_trace_repair.txt");
+    let crash = include_str!("fixtures/simulate_trace_crash.txt");
     for kind in ["drop ", "retry ", "abandon ", "repair epoch", "reissue "] {
         assert!(repair.contains(kind), "repair fixture lacks {kind:?}");
+        assert!(crash.contains(kind), "crash fixture lacks {kind:?}");
     }
+    assert!(
+        crash
+            .lines()
+            .filter(|l| l.contains(" drop "))
+            .all(|l| l.ends_with("(ReceiverDead)")),
+        "the crash fixture loses packets only to the crash"
+    );
+    assert!(
+        crash.contains("(1 failed, 2 reattached)"),
+        "the crashed rank's subtrees are re-attached"
+    );
     let drops = include_str!("fixtures/simulate_trace_drops.txt");
     assert!(
         drops.contains("(stalled "),
