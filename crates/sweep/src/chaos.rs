@@ -38,7 +38,8 @@ use crate::sampling::{sample_chain, TreePolicy};
 use optimcast_core::tree::Rank;
 use optimcast_netsim::fault::{HostCrash, LinkFailure};
 use optimcast_netsim::{
-    FaultPlanSpec, MulticastJob, SimCounters, SimError, SimRun, WorkloadConfig, WorkloadOutcome,
+    FaultPlanSpec, MulticastJob, SimArena, SimCounters, SimError, SimRun, WorkloadConfig,
+    WorkloadOutcome,
 };
 use optimcast_rng::{ChaCha8Rng, Rng, SliceRandom};
 use optimcast_topology::graph::{ChannelId, HostId};
@@ -441,6 +442,7 @@ impl Sweep {
         let cfg = *self.config();
         let topo = self.topology(t);
         let mut tally = Tally::default();
+        let mut arena = SimArena::new();
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -520,7 +522,7 @@ impl Sweep {
                 WorkloadConfig::default(),
             )
             .faults(&plan)
-            .run();
+            .run_in(&mut arena);
             tally.record(self, run, write_offs);
         }
         tally

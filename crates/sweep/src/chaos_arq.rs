@@ -30,7 +30,7 @@ use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
-use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimRun, WorkloadConfig};
+use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimArena, SimRun, WorkloadConfig};
 
 /// Aggregated outcome of one `(mode, drop rate)` ARQ chaos cell over the
 /// full `topologies × dest_sets` sample set.
@@ -355,6 +355,7 @@ impl Sweep {
             ..WorkloadConfig::default()
         };
         let mut tally = Tally::default();
+        let mut arena = SimArena::new();
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -364,7 +365,7 @@ impl Sweep {
             let job = MulticastJob::fpfs(tree, chain, m);
             let run = SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
                 .faults(&plan)
-                .run();
+                .run_in(&mut arena);
             tally.record(self, run, WriteOffs::Unreached);
         }
         tally
