@@ -1,14 +1,17 @@
 //! Simulator-core hot-path microbenchmarks: steady-state event-queue churn
 //! (the innermost data structure of every run), full `run_multicast`
 //! calls with and without an interned route table and through a warm
-//! `SimArena`, the fault plan's per-send verdict, and one windowed-ARQ
-//! multicast under random loss.
+//! `SimArena`, the fault plan's per-send verdict, one windowed-ARQ
+//! multicast under random loss, and a route table build on an 8,192-host
+//! fat-tree.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
 use optimcast::netsim::{JobRoutes, NiModel, SimArena};
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
+use optimcast::topology::fabric::{FabricConfig, FabricNetwork};
+use optimcast::topology::ordering::cco_of;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -167,6 +170,24 @@ fn bench_run_multicast_arq(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_routes(c: &mut Criterion) {
+    // A whole job's table on a k = 32 fat-tree: one bounded up*/down* BFS
+    // pass per source switch, under the identity binding (every tree edge
+    // crosses switches) and the CCO binding (most stay on one switch).
+    let hosts = 8_192;
+    let net = FabricNetwork::generate_with_hosts(FabricConfig::fat_tree_for_hosts(hosts), hosts);
+    let tree = kbinomial_tree(hosts, 4);
+    let identity: Vec<HostId> = (0..hosts).map(HostId).collect();
+    let cco = cco_of(net.topology(), net.routing()).hosts().to_vec();
+    let mut g = c.benchmark_group("routes/fat_tree_8k");
+    for (name, binding) in [("identity", &identity), ("cco_of", &cco)] {
+        g.bench_function(name, |b| {
+            b.iter(|| JobRoutes::build(&net, &tree, black_box(binding)).total_channels())
+        });
+    }
+    g.finish();
+}
+
 /// Short, stable settings: 10 samples, 1 s of measurement.
 fn config() -> Criterion {
     Criterion::default()
@@ -178,6 +199,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_run_multicast, bench_fault_verdict, bench_run_multicast_arq
+    targets = bench_event_queue, bench_run_multicast, bench_fault_verdict, bench_run_multicast_arq,
+        bench_routes
 }
 criterion_main!(benches);

@@ -8,7 +8,9 @@
 //! which resets every part to the state a fresh run starts from, and takes
 //! it back when the run ends — on success and on error alike. A run over a
 //! warm arena of the same shape allocates only the vectors of the outcome
-//! it returns (`crates/netsim/tests/zero_alloc.rs` pins this).
+//! it returns (`crates/netsim/tests/zero_alloc.rs` pins this). A stream's
+//! route storage ([`EpochRoutes`]) lives here too, so the streams of one
+//! sweep work item share one hop table and BFS state.
 //!
 //! The arena changes no result: every run starts from exactly the state
 //! [`SimRun::run`](crate::workload::SimRun::run) builds afresh, which is a
@@ -20,7 +22,7 @@ use crate::engine::EventQueue;
 use crate::event::Ev;
 use crate::host::HostModel;
 use crate::observe::{MetricsCollector, SimCounters};
-use crate::routes::JobRoutes;
+use crate::routes::{EpochRoutes, JobRoutes};
 use crate::simulation::{Forwarding, PartState};
 use crate::time::SimTime;
 use std::fmt;
@@ -52,6 +54,10 @@ pub struct SimArena {
     pub(crate) counters: SimCounters,
     /// Validation scratch: the hosts one job's binding has named.
     pub(crate) seen: Vec<bool>,
+    /// A stream's route storage (hop table, BFS state, table buffers),
+    /// lent to each [`StreamRun::run_in`](crate::StreamRun::run_in) and
+    /// returned when the stream ends; `None` until a stream used it.
+    pub(crate) epoch_routes: Option<EpochRoutes>,
 }
 
 impl SimArena {

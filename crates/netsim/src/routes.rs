@@ -154,6 +154,13 @@ impl EpochRoutes {
         }
     }
 
+    /// Forgets the table but keeps its storage: the next update routes
+    /// every edge, as after [`Self::new`], on any network and binding.
+    pub(crate) fn forget(&mut self) {
+        self.edge.clear();
+        self.routed = 0;
+    }
+
     /// Makes the table cover `tree`, whose rank `r` is member `members[r]`
     /// on host `hosts[members[r]]`, and returns it.
     ///
@@ -253,6 +260,50 @@ mod tests {
             table.total_channels(),
             (1..24).map(|r| table.route(r).len()).sum::<usize>()
         );
+    }
+
+    /// The bulk build's bounded BFS passes equal exhaustive passes on
+    /// fat-trees of 1,024 (k = 16) and 8,192 (k = 32) hosts, under the
+    /// identity binding and the CCO binding: every rank's route is the one
+    /// extracted from an unbounded `single_source` pass of its parent's
+    /// switch, and at 1,024 hosts also per-rank `host_route`. (Per-rank
+    /// `host_route` builds a whole hop table per call, which at 8,192 hosts
+    /// takes about 20 s in an unoptimized test build.)
+    #[test]
+    fn fat_tree_tables_match_exhaustive_passes() {
+        use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
+        use optimcast_topology::ordering::cco_of;
+        use std::collections::HashMap;
+        for hosts in [1_024u32, 8_192] {
+            let config = FabricConfig::fat_tree_for_hosts(hosts);
+            let net = FabricNetwork::generate_with_hosts(config, hosts);
+            let (topo, routing) = (net.topology(), net.routing());
+            let tree = kbinomial_tree(hosts, 4);
+            let identity: Vec<HostId> = (0..hosts).map(HostId).collect();
+            let cco = cco_of(topo, routing).hosts().to_vec();
+            let mut passes = HashMap::new();
+            for binding in [identity, cco] {
+                let table = JobRoutes::build(&net, &tree, &binding);
+                assert!(table.route(0).is_empty());
+                for r in 1..hosts as usize {
+                    let p = tree.parent(Rank(r as u32)).unwrap();
+                    let (a, b) = (binding[p.index()], binding[r]);
+                    let (sa, sb) = (topo.host_switch(a), topo.host_switch(b));
+                    let mut want = vec![topo.injection_channel(a)];
+                    if sa != sb {
+                        passes
+                            .entry(sa)
+                            .or_insert_with(|| routing.single_source(topo, sa))
+                            .extend_path_to(sb, &mut want);
+                    }
+                    want.push(topo.ejection_channel(b));
+                    assert_eq!(table.route(r), want.as_slice(), "{hosts} hosts, rank {r}");
+                    if hosts == 1_024 {
+                        assert_eq!(routing.host_route(topo, a, b), want, "rank {r}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

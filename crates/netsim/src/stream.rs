@@ -34,7 +34,10 @@
 //! are routed), the simulator runs in a [`SimArena`] and writes over the
 //! previous epoch's outcome. Once the stream's largest group has been
 //! simulated, an epoch allocates nothing
-//! (`crates/netsim/tests/zero_alloc.rs` bounds it).
+//! (`crates/netsim/tests/zero_alloc.rs` bounds it). The `EpochRoutes` is
+//! the arena's: a stream borrows it, forgets the previous stream's table
+//! and hands it back, so streams run through one arena route their first
+//! epoch in storage an earlier stream grew.
 //!
 //! ## Drop-oldest backpressure
 //!
@@ -279,11 +282,11 @@ impl From<MembershipError> for StreamError {
 }
 
 /// The storage a stream's epochs reuse: the FPFS job (tree and binding
-/// overwritten in place), the patched route table and the last epoch's
-/// outcome.
-struct EpochState {
+/// overwritten in place), the patched route table (the arena's) and the
+/// last epoch's outcome.
+struct EpochState<'r> {
     job: MulticastJob,
-    routes: EpochRoutes,
+    routes: &'r mut EpochRoutes,
     outcome: WorkloadOutcome,
     /// Whether `outcome` is the current membership epoch's.
     current: bool,
@@ -405,6 +408,7 @@ impl<'a, N: Network> StreamRun<'a, N> {
     }
 
     /// [`run`](StreamRun::run) with every epoch simulated in `arena`'s
+    /// storage, and the epochs' route table patched in the arena's route
     /// storage; the outcome equals `run()`'s. A caller running many streams
     /// (a sweep cell's samples) passes one arena to them all.
     ///
@@ -413,6 +417,20 @@ impl<'a, N: Network> StreamRun<'a, N> {
     /// As [`run`](StreamRun::run). The arena stays usable after an error.
     pub fn run_in(self, arena: &mut SimArena) -> Result<StreamOutcome, StreamError> {
         self.validate()?;
+        let mut routes = arena.epoch_routes.take().unwrap_or_default();
+        routes.forget();
+        let out = self.serve(arena, &mut routes);
+        arena.epoch_routes = Some(routes);
+        out
+    }
+
+    /// The body of [`Self::run_in`] once the spec is valid, with the route
+    /// storage lent out of the arena.
+    fn serve(
+        self,
+        arena: &mut SimArena,
+        routes: &mut EpochRoutes,
+    ) -> Result<StreamOutcome, StreamError> {
         let spec = &self.spec;
         let universe = self.binding.len() as u32;
         let packets = spec.frame_bytes.div_ceil(spec.mtu_bytes);
@@ -432,7 +450,7 @@ impl<'a, N: Network> StreamRun<'a, N> {
         let mut next_event = 0usize;
         let mut epoch = EpochState {
             job: MulticastJob::fpfs(group.tree().clone(), Vec::new(), packets),
-            routes: EpochRoutes::new(),
+            routes,
             outcome: WorkloadOutcome::default(),
             current: false,
         };

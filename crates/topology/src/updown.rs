@@ -15,8 +15,20 @@
 //! eager all-pairs table was O(S²·path-len) memory — hopeless at mega scale
 //! (a 65,536-host fat-tree has 5,120 switches) — while a multicast job only
 //! ever needs the O(n) routes of its tree edges. [`bulk_host_routes`] groups
-//! those edges by source switch so each distinct source pays for exactly one
+//! those edges by source switch so each distinct source pays for at most one
 //! BFS pass.
+//!
+//! A route query's pass stops once the switches it will extract are
+//! settled: after the last of them is first discovered, at depth `D`, the
+//! pass ends when the queue head reaches depth `D`. This is exact, not a
+//! heuristic. BFS discovers states in non-decreasing depth and fixes each
+//! predecessor at first discovery, so by then every state of depth ≤ `D`
+//! and every predecessor chain through them is final; extraction takes a
+//! destination's shallower phase, phase 0 on ties, and any state found
+//! later is deeper. On a k = 64 fat-tree most source switches send only
+//! within their pod, so their passes never touch the other 63 pods. Only
+//! [`UpDownRouting::single_source`], which can extract any switch's path,
+//! runs to exhaustion.
 //!
 //! A BFS step does no link lookups. Each call first builds an *oriented hop
 //! table* in O(E): one `u32` per slot of the topology's CSR adjacency
@@ -82,6 +94,9 @@ pub struct RouteScratch {
     queue: Vec<u32>,
     /// Group index of each source switch, `u32::MAX` if none yet.
     group_of: Vec<u32>,
+    /// Per switch, the last group that routes to it: the group's BFS
+    /// targets are the switches stamped with its index.
+    target_of: Vec<u32>,
     /// `(source switch, end of its run in `order`)` per group.
     groups: Vec<(SwitchId, u32)>,
     /// Pair indices, grouped by source switch in first-appearance order.
@@ -89,6 +104,41 @@ pub struct RouteScratch {
     /// Routes in group order, and each pair's span of them.
     flat: Vec<ChannelId>,
     span: Vec<(u32, u32)>,
+}
+
+/// The switches a pass must settle before it may stop; none is the pass's
+/// source switch.
+#[derive(Debug, Clone, Copy)]
+enum Targets<'a> {
+    /// No bound: the pass runs until the queue is empty.
+    All,
+    /// One switch.
+    One(SwitchId),
+    /// `count` distinct switches: those `s` with `stamp[s] == mark`.
+    Marked {
+        stamp: &'a [u32],
+        mark: u32,
+        count: u32,
+    },
+}
+
+impl Targets<'_> {
+    /// How many switches the pass must settle (irrelevant for `All`).
+    fn count(self) -> u32 {
+        match self {
+            Targets::All => 0,
+            Targets::One(_) => 1,
+            Targets::Marked { count, .. } => count,
+        }
+    }
+
+    fn contains(self, s: SwitchId) -> bool {
+        match self {
+            Targets::All => false,
+            Targets::One(t) => t == s,
+            Targets::Marked { stamp, mark, .. } => stamp[s.index()] == mark,
+        }
+    }
 }
 
 /// How a pass reached one `(switch, phase)` state.
@@ -105,6 +155,16 @@ struct StateRec {
 /// One single-source shortest-legal-path pass: the predecessor forest of a
 /// BFS over `(switch, phase)` states, phase 0 = may still ascend, phase 1 =
 /// descend only. Extract paths with [`Self::path_to`] / [`Self::extend_path_to`].
+///
+/// The routing's own route queries ([`UpDownRouting::host_route`],
+/// [`UpDownRouting::switch_path`], [`UpDownRouting::bulk_host_routes`]) bound
+/// each pass by the switches they will extract: the BFS stops when its
+/// queue head reaches the depth at which the last of them was first
+/// discovered. Their paths are then exactly an exhaustive pass's, because
+/// BFS fixes a state's predecessor at first discovery and extraction takes
+/// the shallower phase (phase 0 on ties), which is already discovered. A
+/// pass from [`UpDownRouting::single_source`] is not bounded: every
+/// switch's path can be extracted from it.
 #[derive(Debug, Default)]
 pub struct SingleSourcePaths {
     from: SwitchId,
@@ -255,6 +315,11 @@ impl UpDownRouting {
     /// states: phase 0 may still ascend, phase 1 may only descend.
     /// Deterministic: neighbours expanded in link insertion order.
     pub fn single_source(&self, topo: &Topology, from: SwitchId) -> SingleSourcePaths {
+        self.pass(topo, from, Targets::All)
+    }
+
+    /// One pass from `from` over a fresh hop table, bounded by `targets`.
+    fn pass(&self, topo: &Topology, from: SwitchId, targets: Targets<'_>) -> SingleSourcePaths {
         let mut hops = Vec::new();
         self.fill_hops(topo, &mut hops);
         let (offsets, peers) = topo.switch_peer_slots();
@@ -266,18 +331,19 @@ impl UpDownRouting {
         let mut paths = SingleSourcePaths::default();
         let mut queue = Vec::new();
         paths.size_for(topo.num_switches() as usize, &mut queue);
-        paths.search(&graph, from, &mut queue);
+        paths.search(&graph, from, targets, &mut queue);
         paths
     }
 
     /// Shortest legal path between two switches, computed on demand (empty
-    /// iff `from == to`). One BFS pass per call — batch queries that share a
-    /// source through [`Self::single_source`] or [`Self::bulk_host_routes`].
+    /// iff `from == to`). One BFS pass per call, stopped once `to` is
+    /// settled — batch queries that share a source through
+    /// [`Self::single_source`] or [`Self::bulk_host_routes`].
     pub fn switch_path(&self, topo: &Topology, from: SwitchId, to: SwitchId) -> Vec<ChannelId> {
         if from == to {
             return Vec::new();
         }
-        self.single_source(topo, from).path_to(to)
+        self.pass(topo, from, Targets::One(to)).path_to(to)
     }
 
     /// Full host-to-host route: injection channel, switch path, ejection
@@ -291,7 +357,8 @@ impl UpDownRouting {
         let mut route = Vec::new();
         route.push(topo.injection_channel(from));
         if sf != st {
-            self.single_source(topo, sf).extend_path_to(st, &mut route);
+            self.pass(topo, sf, Targets::One(st))
+                .extend_path_to(st, &mut route);
         }
         route.push(topo.ejection_channel(to));
         route
@@ -302,12 +369,20 @@ impl UpDownRouting {
     /// `channels[offsets[i]..offsets[i + 1]]`.
     ///
     /// Pairs are grouped by source switch (a counting sort, first-appearance
-    /// order) so each distinct source switch runs exactly one BFS pass over
+    /// order) so each distinct source switch runs at most one BFS pass over
     /// one shared hop table — for a multicast tree bound to n hosts on S
     /// switches this is O(min(n, S)) passes instead of the former all-pairs
-    /// O(S²) table. Each extracted route is byte-identical to the
-    /// corresponding [`Self::host_route`] call. All working storage is
-    /// `scratch`'s, so a warm scratch and outputs allocate nothing.
+    /// O(S²) table. A pass stops as soon as the group's distinct destination
+    /// switches are settled: when the queue head reaches the depth at which
+    /// the last of them was first discovered, every state up to that depth
+    /// is discovered and no later state can win (BFS fixes predecessors at
+    /// first discovery, and extraction takes the shallower phase, phase 0 on
+    /// ties). On a fat-tree most groups send within their own pod, so their
+    /// passes never leave it; a group whose destinations all sit on its
+    /// source switch runs no pass at all. Each extracted route is
+    /// byte-identical to the corresponding [`Self::host_route`] call. All
+    /// working storage is `scratch`'s, so a warm scratch and outputs
+    /// allocate nothing.
     pub fn bulk_host_routes(
         &self,
         topo: &Topology,
@@ -321,6 +396,7 @@ impl UpDownRouting {
             paths,
             queue,
             group_of,
+            target_of,
             groups,
             order,
             flat,
@@ -368,13 +444,31 @@ impl UpDownRouting {
             hops,
         };
         paths.size_for(s, queue);
+        target_of.clear();
+        target_of.resize(s, u32::MAX);
         flat.clear();
         span.clear();
         span.resize(pairs.len(), (0, 0));
         let mut lo = 0;
-        for &(sf, hi) in groups.iter() {
-            paths.search(&graph, sf, queue);
-            for &i in &order[lo as usize..hi as usize] {
+        for (g, &(sf, hi)) in groups.iter().enumerate() {
+            let group = &order[lo as usize..hi as usize];
+            let mark = g as u32;
+            let mut count = 0;
+            for &i in group {
+                let st = topo.host_switch(pairs[i as usize].1);
+                if st != sf && std::mem::replace(&mut target_of[st.index()], mark) != mark {
+                    count += 1;
+                }
+            }
+            if count > 0 {
+                let targets = Targets::Marked {
+                    stamp: target_of,
+                    mark,
+                    count,
+                };
+                paths.search(&graph, sf, targets, queue);
+            }
+            for &i in group {
                 let (from, to) = pairs[i as usize];
                 let st = topo.host_switch(to);
                 let start = flat.len() as u32;
@@ -436,10 +530,21 @@ impl SingleSourcePaths {
         self.states.resize(num_switches * 2, unseen);
     }
 
-    /// Runs the BFS from `from`, reusing this value's state array. `queue`
-    /// is FIFO scratch: it holds exactly the states the previous pass
-    /// reached, which is how they are reset.
-    fn search(&mut self, graph: &HopGraph<'_>, from: SwitchId, queue: &mut Vec<u32>) {
+    /// Runs the BFS from `from`, reusing this value's state array, until
+    /// every switch of `targets` is settled: once the last of them is first
+    /// discovered, at depth `D`, the pass stops when the queue head reaches
+    /// depth `D` (the module docs say why this is exact). Stopping at the
+    /// first discovery instead would miss a phase-0 state found after the
+    /// phase-1 state of the same depth. `queue` is FIFO scratch: it holds
+    /// exactly the states the previous pass reached, expanded or not, which
+    /// is how they are reset.
+    fn search(
+        &mut self,
+        graph: &HopGraph<'_>,
+        from: SwitchId,
+        targets: Targets<'_>,
+        queue: &mut Vec<u32>,
+    ) {
         for &st in queue.iter() {
             self.states[st as usize].depth = UNSEEN;
         }
@@ -448,12 +553,19 @@ impl SingleSourcePaths {
         let start = from.0 * 2;
         self.states[start as usize].depth = 0;
         queue.push(start);
+        let mut unsettled = targets.count();
+        // Depth at which the pass stops; never reached until the last
+        // target is discovered.
+        let mut stop = UNSEEN;
         let mut head = 0;
         while let Some(&state) = queue.get(head) {
+            let depth = self.states[state as usize].depth;
+            if depth >= stop {
+                break;
+            }
             head += 1;
             let sw = (state / 2) as usize;
             let descending = state % 2 == 1;
-            let depth = self.states[state as usize].depth + 1;
             let slots = graph.offsets[sw] as usize..graph.offsets[sw + 1] as usize;
             for (&hop, &nb) in graph.hops[slots.clone()].iter().zip(&graph.peers[slots]) {
                 let up = hop & UP_BIT != 0;
@@ -461,14 +573,21 @@ impl SingleSourcePaths {
                     continue; // up after down is illegal
                 }
                 let next = nb.0 * 2 + u32::from(!up);
-                let rec = &mut self.states[next as usize];
-                if rec.depth == UNSEEN {
-                    *rec = StateRec {
-                        prev: state,
-                        channel: ChannelId(hop & !UP_BIT),
-                        depth,
-                    };
-                    queue.push(next);
+                if self.states[next as usize].depth != UNSEEN {
+                    continue;
+                }
+                self.states[next as usize] = StateRec {
+                    prev: state,
+                    channel: ChannelId(hop & !UP_BIT),
+                    depth: depth + 1,
+                };
+                queue.push(next);
+                // The switch's first discovery: its other phase is unseen.
+                if targets.contains(nb) && self.states[(next ^ 1) as usize].depth == UNSEEN {
+                    unsettled -= 1;
+                    if unsettled == 0 {
+                        stop = depth + 1;
+                    }
                 }
             }
         }
@@ -651,6 +770,45 @@ mod tests {
                 assert_eq!(got, r.host_route(t, a, b).as_slice(), "{a}->{b}");
             }
         }
+    }
+
+    /// A bounded pass must finish the depth at which its last target was
+    /// first discovered. Rooted at s0 with s1, s2, s3 on level 1, the pass
+    /// from s3 expands s0 before s2, so it reaches s1 descending (s3 → s0 →
+    /// s1, phase 1) before it reaches it still ascending (s3 → s2 → s1,
+    /// phase 0), both at depth 2. Phase 0 wins the tie, so every query
+    /// returns the all-up path, as the exhaustive pass does.
+    #[test]
+    fn bounded_pass_keeps_phase_zero_found_second_at_equal_depth() {
+        let mut t = Topology::new(4);
+        for i in 0..4 {
+            t.add_host(SwitchId(i));
+        }
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)] {
+            t.add_switch_link(SwitchId(a), SwitchId(b));
+        }
+        let r = UpDownRouting::with_root(&t, SwitchId(0));
+        let ch = |a: u32, b: u32| t.switch_channel(SwitchId(a), SwitchId(b)).unwrap();
+        let up_path = vec![ch(3, 2), ch(2, 1)];
+        assert!(up_path.iter().all(|&c| r.is_up(&t, c)));
+        assert!(!r.is_up(&t, ch(0, 1)), "the other depth-2 path ends down");
+
+        let (s3, s1) = (SwitchId(3), SwitchId(1));
+        assert_eq!(r.single_source(&t, s3).path_to(s1), up_path);
+        assert_eq!(r.switch_path(&t, s3, s1), up_path);
+        let mut host_path = vec![t.injection_channel(HostId(3))];
+        host_path.extend_from_slice(&up_path);
+        host_path.push(t.ejection_channel(HostId(1)));
+        assert_eq!(r.host_route(&t, HostId(3), HostId(1)), host_path);
+        let (mut off, mut dat) = (Vec::new(), Vec::new());
+        r.bulk_host_routes(
+            &t,
+            &[(HostId(3), HostId(1))],
+            &mut RouteScratch::default(),
+            &mut off,
+            &mut dat,
+        );
+        assert_eq!(dat, host_path);
     }
 
     #[test]

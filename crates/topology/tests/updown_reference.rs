@@ -4,10 +4,12 @@
 //! replaced: every relaxation looks the link up to orient it and asks
 //! `is_up`, and extraction measures both phase states by walking their
 //! predecessor chains. The properties assert that `bulk_host_routes`,
-//! `host_route` and `single_source(..).path_to` are byte-identical to it on
-//! random irregular networks (default and random roots), fat-trees with
-//! k ∈ {2, 4, .., 12}, dragonflies, and random multigraphs with parallel
-//! links, over pair sets that mix self, same-switch and arbitrary pairs.
+//! `host_route`, `switch_path` (passes bounded by their targets) and
+//! `single_source(..).path_to` (the exhaustive pass) are byte-identical to
+//! it on random irregular networks (default and random roots), fat-trees
+//! with k ∈ {2, 4, .., 12}, dragonflies, and random multigraphs with
+//! parallel links, over pair sets that mix self, same-switch and arbitrary
+//! pairs.
 
 use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
 use optimcast_topology::graph::{ChannelId, HostId, SwitchId, Topology};
@@ -176,6 +178,14 @@ fn check_against_reference(
         let want = reference::host_route(routing, topo, a, b);
         prop_assert_eq!(bulk, want.as_slice(), "bulk route {}->{}", a, b);
         prop_assert_eq!(routing.host_route(topo, a, b), want, "route {}->{}", a, b);
+        let (sa, sb) = (topo.host_switch(a), topo.host_switch(b));
+        prop_assert_eq!(
+            routing.switch_path(topo, sa, sb),
+            reference::single_source(routing, topo, sa).path_to(sb),
+            "switch path {}->{}",
+            sa,
+            sb
+        );
     }
     for from in (0..topo.num_switches()).map(SwitchId) {
         let got = routing.single_source(topo, from);
