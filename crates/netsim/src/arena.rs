@@ -8,15 +8,18 @@
 //! which resets every part to the state a fresh run starts from, and takes
 //! it back when the run ends — on success and on error alike. A run over a
 //! warm arena of the same shape allocates only the vectors of the outcome
-//! it returns (`crates/netsim/tests/zero_alloc.rs` pins this). A stream's
+//! it returns, and nothing at all when
+//! [`SimRun::run_into`](crate::workload::SimRun::run_into) writes over a
+//! kept outcome (`crates/netsim/tests/zero_alloc.rs` pins both). A stream's
 //! route storage ([`EpochRoutes`]) lives here too, so the streams of one
 //! sweep work item share one hop table and BFS state.
 //!
 //! The arena changes no result: every run starts from exactly the state
 //! [`SimRun::run`](crate::workload::SimRun::run) builds afresh, which is a
 //! run over a new arena. Its memory is bounded by the largest run it served:
-//! the send queues of all hosts share one slab (see `host.rs`), so a
-//! reused arena holds no queue capacity per host that ever sent.
+//! the send queues and the in-flight send slots of all hosts each share one
+//! slab (see `host.rs`), so a reused arena holds no queue or slot capacity
+//! per host that ever sent.
 
 use crate::engine::EventQueue;
 use crate::event::Ev;
@@ -44,7 +47,7 @@ pub struct SimArena {
     /// The channel manager's per-channel free times.
     pub(crate) channels: Vec<SimTime>,
     pub(crate) parts: Vec<Vec<PartState>>,
-    pub(crate) copies_left: Vec<Vec<u32>>,
+    pub(crate) copies_left: Vec<Vec<u16>>,
     /// Empty between runs, so the tables a caller passed are not kept
     /// alive (or shared) after the run returns.
     pub(crate) routes: Vec<Arc<JobRoutes>>,

@@ -311,7 +311,7 @@ pub(crate) fn kickoff(st: &mut SimState<'_>, arq: &mut ArqState<'_>, j: u32) {
     }
     let src_host = jobd.binding[0];
     st.stage(src_host, jobd.packets);
-    st.rank_copies(j, Rank::SOURCE).fill(kids.len() as u32);
+    st.rank_copies(j, Rank::SOURCE).fill(kids.len() as u16);
     for &c in kids {
         let link = arq.link(j, c);
         link.pending.extend(0..jobd.packets);
@@ -639,7 +639,7 @@ pub(crate) fn on_recv_done(
     let jobd = st.job(job);
     let v_host = jobd.binding[at.index()];
     let kids = jobd.tree.children(at);
-    let live = kids.iter().filter(|&&c| !st.is_excluded(job, c)).count() as u32;
+    let live = kids.iter().filter(|&&c| !st.is_excluded(job, c)).count() as u16;
     if live > 0 {
         st.rank_copies(job, at)[p as usize] = live;
         st.stage(v_host, 1);
@@ -677,7 +677,7 @@ fn write_off_deadline(
     let jobd = st.job(job);
     let mut stack = vec![child];
     while let Some(v) = stack.pop() {
-        if st.parts[job as usize][v.index()].host_done.is_some() || st.is_excluded(job, v) {
+        if st.parts[job as usize][v.index()].is_done() || st.is_excluded(job, v) {
             continue;
         }
         st.exclude(job, v);

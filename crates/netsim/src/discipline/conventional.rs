@@ -60,9 +60,9 @@ pub(crate) fn sender_ack(
     let up = &mut st.parts[job as usize][at.index()];
     debug_assert!(up.conv_pending > 0, "ack without pending child message");
     up.conv_pending -= 1;
-    if up.conv_pending == 0 && up.conv_child + 1 < kids_len {
+    if up.conv_pending == 0 && up.conv_child as usize + 1 < kids_len {
         up.conv_child += 1;
-        let idx = up.conv_child;
+        let idx = up.conv_child as usize;
         st.queue.schedule(
             now + st.params.t_s,
             Ev::SendPrepared {

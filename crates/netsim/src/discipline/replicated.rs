@@ -70,7 +70,7 @@ pub(crate) fn stage_source(
     }
     if !kids.is_empty() {
         st.stage(src_host, jobd.packets);
-        st.rank_copies(job, Rank::SOURCE).fill(kids.len() as u32);
+        st.rank_copies(job, Rank::SOURCE).fill(kids.len() as u16);
     }
     st.queue.schedule(ready, Ev::TrySend(src_host));
 }
@@ -92,7 +92,7 @@ pub(crate) fn on_recv_done(
     let v_host = jobd.binding[at.index()];
     let received = record_receive(st, now, job, at);
     if !kids.is_empty() {
-        st.rank_copies(job, at)[packet as usize] = kids.len() as u32;
+        st.rank_copies(job, at)[packet as usize] = kids.len() as u16;
         st.stage(v_host, 1);
         match order {
             Order::Fpfs => {

@@ -102,6 +102,18 @@ pub enum SimError {
         /// The job's source host, present in the crash schedule.
         host: HostId,
     },
+    /// A replicated smart-NI job's tree gives one rank more children than
+    /// the simulator's per-packet copy counter holds (`u16::MAX`). Only a
+    /// tree of more than 65,536 ranks can; the paper's k-binomial trees
+    /// give every rank at most ⌈log₂ n⌉ children.
+    FanOutTooWide {
+        /// Offending job index.
+        job: usize,
+        /// The first rank with too many children.
+        rank: Rank,
+        /// Its number of children.
+        children: u32,
+    },
     /// A non-trivial fault plan was paired with overlapped NI timing.
     /// Reliable delivery is stop-and-wait: the sender must hold each
     /// packet's buffer copy until the receiver's acknowledgement, which is
@@ -181,6 +193,16 @@ impl std::fmt::Display for SimError {
                      a crashed source cannot be repaired around"
                 )
             }
+            SimError::FanOutTooWide {
+                job,
+                rank,
+                children,
+            } => write!(
+                f,
+                "job {job}: {rank} has {children} children; a replicated rank \
+                 forwards to at most {} children",
+                u16::MAX
+            ),
             SimError::FaultsNeedHandshakeTiming => {
                 write!(
                     f,
@@ -285,6 +307,12 @@ mod tests {
         assert!(SimError::FaultsNeedHandshakeTiming
             .to_string()
             .contains("handshake"));
+        let wide = SimError::FanOutTooWide {
+            job: 0,
+            rank: Rank(0),
+            children: 65_536,
+        };
+        assert!(wide.to_string().contains("65536 children"), "{wide}");
         let src = SimError::SourceCrashed {
             job: 1,
             host: HostId(0),

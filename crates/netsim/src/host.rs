@@ -15,27 +15,35 @@
 //! completions), so with `s > 1` a completion frees exactly the unit that
 //! carried it.
 //!
-//! A host's in-flight slots are reserved at its first dispatch, not when
-//! the model is built: most hosts of a large fabric never send in a given
-//! run, and a small run repeated per stream epoch or per sample should not pay a
-//! slot allocation for every host of the network.
+//! Per-host state is one fixed-size record with no heap pointer (pinned at
+//! 48 bytes below), so a 65,536-host fabric keeps its NI state in 3 MiB of
+//! one array. The variable-length parts live in two slabs the model owns,
+//! and a [`crate::SimArena`] keeps both between runs:
 //!
-//! The send queues of all hosts share one slab of queued items, each queue
-//! a FIFO chain through it with freed slots reused. Its size is the most
-//! items queued at once across the network, so a model reused across runs
-//! (see [`HostModel::reset`]) holds no per-host queue capacity for every
-//! host that ever sent.
+//! * **In-flight slots.** A host claims one block of `s` slots from the
+//!   in-flight slab at its first dispatch, not when the model is built:
+//!   most hosts of a large fabric never send in a given run, so the slab
+//!   holds `s` slots per *sending* host, and a small run repeated per
+//!   stream epoch or per sample pays no slot storage for every host of the
+//!   network. The host record keeps only the block's index and how many of
+//!   its slots are occupied, oldest dispatch first.
+//! * **Send queues.** The send queues of all hosts share one slab of queued
+//!   items, each queue a FIFO chain through it with freed slots reused. Its
+//!   size is the most items queued at once across the network, so a model
+//!   reused across runs (see [`HostModel::reset`]) holds no per-host queue
+//!   capacity for every host that ever sent.
 
 use crate::arq::NiModel;
 use crate::event::SendItem;
 use crate::time::SimTime;
+use optimcast_core::tree::Rank;
 use optimcast_topology::graph::HostId;
 
 /// End of a send-queue chain.
 const NIL: u32 = u32::MAX;
 
 /// One host's NI state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct HostState {
     /// Oldest and newest queued item in [`HostModel::queued`], `NIL` when
     /// the queue is empty.
@@ -43,18 +51,25 @@ struct HostState {
     tail: u32,
     /// Items queued (not yet dispatched).
     queue_len: u32,
-    /// Occupied send units: `(seq, item)` in dispatch order. Length is
-    /// bounded by the NI's `send_units`; exactly that many slots are
-    /// reserved at the host's first dispatch.
-    in_flight: Vec<(u64, SendItem)>,
+    /// Index of the host's block of slots in [`HostModel::in_flight`] (one
+    /// per sending host, so it fits a `u32` as `HostId` does), `NIL` until
+    /// its first dispatch claims one.
+    block: u32,
+    /// Occupied slots of the block: the first `busy` hold `(seq, item)` in
+    /// dispatch order. At most the NI's `send_units`.
+    busy: u32,
+    resident: u32,
+    max_resident: u32,
     /// Dispatch counter; each dispatch takes the next sequence number.
     /// Retransmission timeouts are armed against a dispatch's sequence so a
     /// stale timeout cannot release a newer transmission.
     next_seq: u64,
     recv_free: SimTime,
-    resident: u32,
-    max_resident: u32,
 }
+
+// The host table is the simulator's largest per-host array: keep each
+// record within 48 bytes and free of heap pointers.
+const _: () = assert!(std::mem::size_of::<HostState>() <= 48);
 
 /// A queued transmission and the next item of its host's queue (or of the
 /// free list once the slot is vacated).
@@ -68,6 +83,9 @@ struct Queued {
 #[derive(Debug, Default)]
 pub(crate) struct HostModel {
     hosts: Vec<HostState>,
+    /// Every sending host's block of `units` in-flight slots, in the order
+    /// the hosts first dispatched; see the module docs.
+    in_flight: Vec<(u64, SendItem)>,
     /// Every host's queued items; see the module docs.
     queued: Vec<Queued>,
     /// Head of the vacated-slot list in `queued`.
@@ -80,13 +98,27 @@ impl HostState {
         head: NIL,
         tail: NIL,
         queue_len: 0,
-        in_flight: Vec::new(),
-        next_seq: 0,
-        recv_free: SimTime::ZERO,
+        block: NIL,
+        busy: 0,
         resident: 0,
         max_resident: 0,
+        next_seq: 0,
+        recv_free: SimTime::ZERO,
     };
 }
+
+/// Filler of a freshly claimed block's slots, overwritten at dispatch.
+const VACANT: (u64, SendItem) = (
+    0,
+    SendItem {
+        job: 0,
+        packet: 0,
+        from: Rank::SOURCE,
+        child: Rank::SOURCE,
+        dest: Rank::SOURCE,
+        attempt: 0,
+    },
+);
 
 impl HostModel {
     #[cfg(test)]
@@ -97,20 +129,13 @@ impl HostModel {
     }
 
     /// Returns every host to its idle state for a new run over `n_hosts`
-    /// hosts, keeping the storage: the queue slab and each host's reserved
-    /// in-flight slots.
+    /// hosts, keeping the storage: the host table, the queue slab and the
+    /// in-flight slab, whose blocks the new run's senders claim afresh.
     pub fn reset(&mut self, n_hosts: usize, ni: NiModel) {
         self.units = ni.send_units as usize;
-        self.hosts.truncate(n_hosts);
-        for hs in &mut self.hosts {
-            let mut in_flight = std::mem::take(&mut hs.in_flight);
-            in_flight.clear();
-            *hs = HostState {
-                in_flight,
-                ..HostState::IDLE
-            };
-        }
-        self.hosts.resize_with(n_hosts, || HostState::IDLE);
+        self.hosts.clear();
+        self.hosts.resize(n_hosts, HostState::IDLE);
+        self.in_flight.clear();
         self.queued.clear();
         self.free = NIL;
     }
@@ -158,26 +183,51 @@ impl HostModel {
     }
 
     /// Claims a free send unit for the next queued item, if one is free and
-    /// work is pending.
+    /// work is pending. A host's first dispatch claims its block of slots.
     pub fn try_dispatch(&mut self, h: HostId) -> Option<SendItem> {
-        if self.hosts[h.index()].in_flight.len() >= self.units {
+        if self.hosts[h.index()].busy as usize >= self.units {
             return None;
         }
         let item = self.pop_front(h)?;
-        let units = self.units;
         let hs = &mut self.hosts[h.index()];
-        if hs.next_seq == 0 {
-            hs.in_flight.reserve_exact(units);
+        if hs.block == NIL {
+            hs.block = (self.in_flight.len() / self.units) as u32;
+            self.in_flight
+                .resize(self.in_flight.len() + self.units, VACANT);
         }
         hs.next_seq += 1;
-        hs.in_flight.push((hs.next_seq, item));
+        let slot = hs.block as usize * self.units + hs.busy as usize;
+        self.in_flight[slot] = (hs.next_seq, item);
+        hs.busy += 1;
         Some(item)
+    }
+
+    /// The host's occupied in-flight slots, oldest dispatch first.
+    fn slots(&self, h: HostId) -> &[(u64, SendItem)] {
+        let hs = &self.hosts[h.index()];
+        if hs.busy == 0 {
+            return &[];
+        }
+        let start = hs.block as usize * self.units;
+        &self.in_flight[start..start + hs.busy as usize]
+    }
+
+    /// Frees the host's `at`-th occupied slot, keeping the rest in dispatch
+    /// order, and returns the transmission it carried.
+    fn free_slot(&mut self, h: HostId, at: usize) -> SendItem {
+        let hs = &mut self.hosts[h.index()];
+        let start = hs.block as usize * self.units;
+        let end = start + hs.busy as usize;
+        let item = self.in_flight[start + at].1;
+        self.in_flight.copy_within(start + at + 1..end, start + at);
+        hs.busy -= 1;
+        item
     }
 
     /// Sequence number of the oldest in-flight send (`None` if every unit is
     /// free). With a single send unit this is *the* in-flight send.
     pub fn in_flight_seq(&self, h: HostId) -> Option<u64> {
-        self.hosts[h.index()].in_flight.first().map(|&(seq, _)| seq)
+        self.slots(h).first().map(|&(seq, _)| seq)
     }
 
     /// Sequence number of the newest in-flight send — the one `try_dispatch`
@@ -187,8 +237,7 @@ impl HostModel {
     ///
     /// Panics if no send is in flight — an engine sequencing bug.
     pub fn last_dispatched_seq(&self, h: HostId) -> u64 {
-        self.hosts[h.index()]
-            .in_flight
+        self.slots(h)
             .last()
             .map(|&(seq, _)| seq)
             .expect("last_dispatched_seq without in-flight send")
@@ -197,10 +246,7 @@ impl HostModel {
     /// True while the dispatch tagged `seq` still occupies a send unit.
     #[cfg(test)]
     pub fn has_seq(&self, h: HostId, seq: u64) -> bool {
-        self.hosts[h.index()]
-            .in_flight
-            .iter()
-            .any(|&(s, _)| s == seq)
+        self.slots(h).iter().any(|&(s, _)| s == seq)
     }
 
     /// Number of queued (not yet dispatched) transmissions.
@@ -228,19 +274,17 @@ impl HostModel {
     ///
     /// Panics if no transmission is in flight — an engine sequencing bug.
     pub fn release_send_unit(&mut self, h: HostId) -> SendItem {
-        let hs = &mut self.hosts[h.index()];
-        if hs.in_flight.is_empty() {
+        if self.hosts[h.index()].busy == 0 {
             panic!("release without in-flight send");
         }
-        hs.in_flight.remove(0).1
+        self.free_slot(h, 0)
     }
 
     /// Frees the unit carrying the dispatch tagged `seq`, returning its
     /// transmission (`None` if that dispatch already completed).
     pub fn release_by_seq(&mut self, h: HostId, seq: u64) -> Option<SendItem> {
-        let hs = &mut self.hosts[h.index()];
-        let at = hs.in_flight.iter().position(|&(s, _)| s == seq)?;
-        Some(hs.in_flight.remove(at).1)
+        let at = self.slots(h).iter().position(|&(s, _)| s == seq)?;
+        Some(self.free_slot(h, at))
     }
 
     /// Frees the oldest unit carrying exactly `item` (handshake completion:
@@ -250,13 +294,12 @@ impl HostModel {
     ///
     /// Panics if no unit carries `item` — an engine sequencing bug.
     pub fn release_matching(&mut self, h: HostId, item: &SendItem) {
-        let hs = &mut self.hosts[h.index()];
-        let at = hs
-            .in_flight
+        let at = self
+            .slots(h)
             .iter()
             .position(|(_, i)| i == item)
             .expect("release without in-flight send");
-        hs.in_flight.remove(at);
+        self.free_slot(h, at);
     }
 
     /// Serializes an arrival on the receive unit: the receive completes
@@ -310,7 +353,6 @@ impl HostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optimcast_core::tree::Rank;
 
     fn item(packet: u32) -> SendItem {
         SendItem {
@@ -450,24 +492,58 @@ mod tests {
         assert!(hm.try_dispatch(h).is_none());
     }
 
+    /// A first dispatch claims one block of `s` slots, an idle host claims
+    /// none, later dispatches reuse the block, and a reset keeps the slab's
+    /// storage while every host's block is claimed afresh.
     #[test]
-    fn in_flight_slots_are_reserved_at_first_dispatch() {
+    fn in_flight_blocks_are_claimed_at_first_dispatch() {
         let ni = NiModel {
             send_units: 3,
             queue_capacity: None,
         };
-        let mut hm = HostModel::new(2, ni);
-        let (idle, sender) = (HostId(0), HostId(1));
-        hm.enqueue(sender, item(0));
-        assert_eq!(hm.hosts[sender.index()].in_flight.capacity(), 0);
-        hm.try_dispatch(sender).unwrap();
-        assert_eq!(hm.hosts[sender.index()].in_flight.capacity(), 3);
-        assert_eq!(hm.hosts[idle.index()].in_flight.capacity(), 0);
+        let mut hm = HostModel::new(3, ni);
+        let (idle, a, b) = (HostId(0), HostId(1), HostId(2));
+        for p in 0..4 {
+            hm.enqueue(a, item(p));
+        }
+        hm.enqueue(b, item(9));
+        assert!(hm.in_flight.is_empty(), "queueing claims no slots");
+        hm.try_dispatch(a).unwrap();
+        assert_eq!(hm.in_flight.len(), 3, "one block of s slots");
+        hm.try_dispatch(b).unwrap();
+        hm.try_dispatch(a).unwrap();
+        hm.try_dispatch(a).unwrap();
+        assert!(hm.try_dispatch(a).is_none(), "all s units busy");
+        assert_eq!(hm.in_flight.len(), 6, "one block per sending host");
+        assert_eq!(hm.hosts[idle.index()].block, NIL);
+        assert_eq!(
+            (hm.hosts[a.index()].block, hm.hosts[b.index()].block),
+            (0, 1)
+        );
+        // A release in the middle keeps the others in dispatch order.
+        hm.release_matching(a, &item(1));
+        let packets: Vec<u32> = hm.slots(a).iter().map(|(_, i)| i.packet).collect();
+        assert_eq!(packets, vec![0, 2]);
+        assert_eq!(hm.try_dispatch(a).unwrap().packet, 3);
+        assert_eq!(
+            hm.in_flight.len(),
+            6,
+            "a sender's later dispatches reuse its block"
+        );
+        assert_eq!(hm.slots(b), &[(1, item(9))]);
+
+        hm.reset(3, ni);
+        assert!(hm.in_flight.is_empty());
+        assert!(hm.in_flight.capacity() >= 6, "the slab survives a reset");
+        assert!(hm.hosts.iter().all(|h| h.block == NIL && h.busy == 0));
+        hm.enqueue(b, item(0));
+        hm.try_dispatch(b).unwrap();
+        assert_eq!(hm.hosts[b.index()].block, 0, "blocks are claimed afresh");
     }
 
     /// Queues of different hosts interleave in the shared slab without
     /// mixing, freed slots are reused, and a reset returns every host to
-    /// idle while keeping the slab and the reserved in-flight slots.
+    /// idle while keeping the slab.
     #[test]
     fn shared_slab_keeps_per_host_fifo_and_reset_keeps_storage() {
         let mut hm = one_unit(3);

@@ -55,26 +55,42 @@ use std::sync::Arc;
 pub(crate) struct PartState {
     /// Packets received so far (for personalized payloads: own packets).
     pub received: u32,
-    /// NI completion time of the latest received packet.
-    pub last_recv: SimTime,
-    /// Host completion time, once the full message is in.
-    pub host_done: Option<SimTime>,
-    /// Conventional NI: index of the child message being prepared.
-    pub conv_child: usize,
     /// Conventional NI: packets of the current child message still in
     /// flight.
     pub conv_pending: u32,
+    /// Conventional NI: index of the child message being prepared.
+    pub conv_child: u32,
+    /// Whether the full message is in; `done_at` is meaningful only then.
+    done: bool,
+    /// NI completion time of the latest received packet.
+    pub last_recv: SimTime,
+    /// Host completion time, once `done`.
+    done_at: SimTime,
 }
+
+// One record per (job, rank) of a 65,536-rank job: two to a cache line.
+const _: () = assert!(std::mem::size_of::<PartState>() <= 32);
 
 impl PartState {
     /// A participant before the run starts.
     const IDLE: PartState = PartState {
         received: 0,
-        last_recv: SimTime::ZERO,
-        host_done: None,
-        conv_child: 0,
         conv_pending: 0,
+        conv_child: 0,
+        done: false,
+        last_recv: SimTime::ZERO,
+        done_at: SimTime::ZERO,
     };
+
+    /// Host completion time, once the full message is in.
+    pub fn host_done(&self) -> Option<SimTime> {
+        self.done.then_some(self.done_at)
+    }
+
+    /// Whether the host has the full message.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
 }
 
 /// All mutable simulation state, shared with the engines.
@@ -96,8 +112,9 @@ pub(crate) struct SimState<'a> {
     /// Replicated payloads: outstanding copies per packet at each rank's
     /// NI (the packet leaves the forwarding buffer when its count hits
     /// zero). One rank-major table per job, `packets` entries per rank;
-    /// reach it through [`SimState::rank_copies`].
-    copies_left: Vec<Vec<u32>>,
+    /// reach it through [`SimState::rank_copies`]. A count is at most the
+    /// rank's fan-out, which [`check_fan_out`] holds to `u16::MAX`.
+    copies_left: Vec<Vec<u16>>,
     /// The packet-motion backend: every send decision — channel stall,
     /// arrival instant, loss verdict — comes from the wormhole channel
     /// manager and the fault plan behind [`SimTransport::transmit`].
@@ -147,7 +164,7 @@ impl<'a> SimState<'a> {
     }
 
     /// `(job, rank)`'s outstanding-copy counters, one per packet.
-    pub fn rank_copies(&mut self, job: u32, r: Rank) -> &mut [u32] {
+    pub fn rank_copies(&mut self, job: u32, r: Rank) -> &mut [u16] {
         let packets = self.jobs[job as usize].packets as usize;
         let start = r.index() * packets;
         &mut self.copies_left[job as usize][start..start + packets]
@@ -208,7 +225,9 @@ impl<'a> SimState<'a> {
     /// the completion time.
     pub fn finish_host(&mut self, now: SimTime, job: u32, rank: Rank) -> SimTime {
         let done = now + self.params.t_r;
-        self.parts[job as usize][rank.index()].host_done = Some(done);
+        let part = &mut self.parts[job as usize][rank.index()];
+        part.done = true;
+        part.done_at = done;
         self.obs.emit(SimEvent::HostDone {
             t_us: done.as_us(),
             job,
@@ -267,8 +286,36 @@ pub(crate) fn validate<N: Network>(
             }
             seen[h.index()] = true;
         }
+        check_fan_out(j, job)?;
     }
     Ok(())
+}
+
+/// Rejects a replicated smart-NI job with a rank of more than `u16::MAX`
+/// children: each rank counts a packet's outstanding copies in a `u16`.
+/// A rank's fan-out is below its tree's size, so only a job of more than
+/// 65,536 ranks is scanned. A repair epoch re-attaches orphans within the
+/// tree's own largest fan-out ([`MulticastTree::repair_partial`]), so the
+/// job's tree bounds every tree the run forwards over.
+fn check_fan_out(j: usize, job: &MulticastJob) -> Result<(), SimError> {
+    let counted = matches!(
+        (job.nic, job.payload),
+        (NicKind::Smart(_), JobPayload::Replicated)
+    );
+    if !counted || job.tree.len() <= usize::from(u16::MAX) + 1 {
+        return Ok(());
+    }
+    let wide = (0..job.tree.len() as u32)
+        .map(Rank)
+        .find(|&r| job.tree.child_count(r) > u32::from(u16::MAX));
+    match wide {
+        Some(rank) => Err(SimError::FanOutTooWide {
+            job: j,
+            rank,
+            children: job.tree.child_count(rank),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// A validated workload's route tables, written over `out`: the supplied
@@ -609,7 +656,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             let mut failed: Vec<Rank> = Vec::new();
             let mut pending = false;
             for r in 1..n {
-                if self.st.parts[j][r].host_done.is_some() {
+                if self.st.parts[j][r].is_done() {
                     delivered.push(Rank(r as u32));
                 } else if f.host_crashed(job.binding[r], detect.as_us()) {
                     // Crashes are permanent, so ranks written off in an
@@ -664,7 +711,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             // which from now on is the job's tree, routes and engine.
             for r in 1..n {
                 let p = &mut self.st.parts[j][r];
-                if p.host_done.is_none() {
+                if !p.is_done() {
                     p.received = 0;
                 }
             }
@@ -966,7 +1013,7 @@ impl SimState<'_> {
         for (j, job) in st.jobs.iter().enumerate() {
             for r in 1..job.tree.len() {
                 let r = Rank(r as u32);
-                if st.parts[j][r.index()].host_done.is_none() && !st.is_excluded(j as u32, r) {
+                if !st.parts[j][r.index()].is_done() && !st.is_excluded(j as u32, r) {
                     unreached.push((j as u32, r));
                 }
             }
@@ -986,7 +1033,7 @@ impl SimState<'_> {
         out.unreached.clear();
         for (j, e) in st.excluded.iter().enumerate() {
             for (r, &dead) in e.iter().enumerate() {
-                if dead && st.parts[j][r].host_done.is_none() {
+                if dead && !st.parts[j][r].is_done() {
                     out.unreached.push((j as u32, Rank(r as u32)));
                 }
             }
@@ -1003,7 +1050,7 @@ impl SimState<'_> {
             let mut latency = if n == 1 { params.t_s + params.t_r } else { 0.0 };
             for r in 1..n {
                 let p = &st.parts[j][r];
-                let Some(done) = p.host_done else {
+                let Some(done) = p.host_done() else {
                     continue; // written off as crashed by a repair epoch
                 };
                 o.host_done_us[r] = done.as_us() - job.start_us;

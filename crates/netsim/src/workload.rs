@@ -292,7 +292,9 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// paired with overlapped NI timing, and [`SimError::DeliveryFailed`]
     /// when the plan's losses exceed the retransmission budget. A tree that
     /// leaves a rank unattached to the source fails with
-    /// [`SimError::DeliveryFailed`] naming it, plan or not.
+    /// [`SimError::DeliveryFailed`] naming it, plan or not, and a
+    /// replicated smart-NI job with a rank of more than `u16::MAX`
+    /// children with [`SimError::FanOutTooWide`].
     pub fn run(self) -> Result<WorkloadOutcome, SimError> {
         self.run_in(&mut SimArena::new())
     }
@@ -300,7 +302,8 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// [`run`](SimRun::run) over `arena`'s storage: the run resets what it
     /// borrows to a fresh run's state, so the outcome equals `run()`'s, and
     /// a run as large as an earlier one through the same arena allocates
-    /// only the returned outcome's vectors.
+    /// only the returned outcome's vectors ([`run_into`](SimRun::run_into)
+    /// reuses those too).
     ///
     /// # Errors
     ///
@@ -312,12 +315,13 @@ impl<'a, N: Network> SimRun<'a, N> {
     }
 
     /// [`run_in`](SimRun::run_in) writing the outcome over `out`, whose
-    /// vectors are reused; on error `out` is left as it was.
-    pub(crate) fn run_into(
-        self,
-        arena: &mut SimArena,
-        out: &mut WorkloadOutcome,
-    ) -> Result<(), SimError> {
+    /// vectors are reused: with a warm arena and an `out` from a run as
+    /// large, the run allocates nothing. On error `out` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](SimRun::run). The arena stays usable after an error.
+    pub fn run_into(self, arena: &mut SimArena, out: &mut WorkloadOutcome) -> Result<(), SimError> {
         Simulation::new(
             self.net,
             self.jobs,

@@ -7,6 +7,7 @@ use optimcast_core::params::SystemParams;
 use optimcast_core::schedule::ForwardingDiscipline;
 use optimcast_netsim::workload::{MulticastJob, PersonalizedOrder};
 use optimcast_netsim::*;
+use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use optimcast_topology::Network;
@@ -237,4 +238,71 @@ fn unattached_rank_is_a_delivery_failure() {
             other => panic!("{:?}: expected DeliveryFailed, got {other:?}", job.nic),
         }
     }
+}
+
+/// A 65,537-rank job on a fat-tree that seats it, every rank on its own
+/// host, with `wide` children under the source and the remaining ranks
+/// chained under rank 1.
+fn wide_job(wide: u32) -> (FabricNetwork, MulticastJob) {
+    use optimcast_core::tree::{MulticastTree, Rank};
+    const RANKS: u32 = 65_537;
+    let net = FabricNetwork::generate_with_hosts(FabricConfig::fat_tree_for_hosts(RANKS), RANKS);
+    let mut tree = MulticastTree::with_capacity(RANKS);
+    for r in 1..=wide {
+        tree.attach(Rank::SOURCE, Rank(r));
+    }
+    for r in wide + 1..RANKS {
+        tree.attach(Rank(r - wide), Rank(r));
+    }
+    (
+        net,
+        MulticastJob::fpfs(tree, (0..RANKS).map(HostId).collect(), 1),
+    )
+}
+
+/// Each rank counts a packet's outstanding copies in a `u16`: a replicated
+/// job with a rank of 65,536 children is rejected at validation, with or
+/// without a repair policy, instead of wrapping the counter mid-run.
+#[test]
+fn fan_out_beyond_the_copy_counter_is_rejected() {
+    use optimcast_core::tree::Rank;
+    let (net, job) = wide_job(65_536);
+    let params = SystemParams::paper_1997();
+    let jobs = std::slice::from_ref(&job);
+    let want = Err(SimError::FanOutTooWide {
+        job: 0,
+        rank: Rank::SOURCE,
+        children: 65_536,
+    });
+    let plain = SimRun::new(&net, jobs, &params, WorkloadConfig::default()).run();
+    assert_eq!(plain, want);
+    let mut plan = FaultPlan::new(1);
+    plan.drop_rate = 0.01;
+    plan.repair = Some(RepairPolicy::default());
+    let repaired = SimRun::new(&net, jobs, &params, WorkloadConfig::default())
+        .faults(&plan)
+        .run();
+    assert_eq!(repaired, want);
+}
+
+/// A 65,537-rank replicated job whose widest rank has exactly `u16::MAX`
+/// children fits the counter and runs to completion.
+#[test]
+fn fan_out_at_the_copy_counter_limit_runs() {
+    let (net, job) = wide_job(u32::from(u16::MAX));
+    let out = SimRun::new(
+        &net,
+        std::slice::from_ref(&job),
+        &SystemParams::paper_1997(),
+        WorkloadConfig::default(),
+    )
+    .run()
+    .expect("a fan-out of u16::MAX fits the copy counter");
+    let done = &out.jobs[0].host_done_us;
+    assert!(done[1..].iter().all(|&t| t > 0.0), "every rank is reached");
+    assert_eq!(
+        out.jobs[0].max_ni_buffer[0], 1,
+        "the source stages its one packet"
+    );
+    assert_eq!(out.jobs[0].total_sends, 65_536);
 }

@@ -10,9 +10,10 @@
 //! multiplies the event count while leaving the allocation count nearly
 //! unchanged; this test pins that down numerically.
 //!
-//! Setup allocations are per participant, not per host of the fabric: a
-//! host reserves its NI in-flight send slots at its first dispatch, so
-//! hosts that never send allocate nothing.
+//! Setup allocations grow neither with the fabric nor with the number of
+//! sending hosts: each host claims its block of NI in-flight send slots
+//! from one shared slab at its first dispatch, so a fresh 1,024-rank run
+//! allocates only a few amortized slab growths more than a 64-rank run.
 //!
 //! Windowed selective-repeat ARQ under loss keeps the same bound: the
 //! per-edge window state is allocated once per run, and gap detection
@@ -23,7 +24,8 @@
 //! frame of the epoch is served from that run's outcome.
 //!
 //! A warm [`SimArena`] removes the per-run set-up: a second `run_in` of the
-//! same job allocates exactly the vectors of the outcome it returns. A
+//! same job allocates exactly the vectors of the outcome it returns, and a
+//! `run_into` over a kept outcome allocates nothing. A
 //! churned stream through a warm arena splices its group in place, patches
 //! its route table and simulates each epoch in the arena over the previous
 //! epoch's outcome, so its later epochs allocate (almost) nothing; and its
@@ -40,6 +42,7 @@ use optimcast_netsim::{
     FaultPlan, JobRoutes, MulticastJob, NiModel, SimArena, SimRun, StreamRun, StreamSpec,
     WorkloadConfig, WorkloadOutcome,
 };
+use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
 use std::sync::Arc;
@@ -103,6 +106,37 @@ fn steady_state_event_loop_is_allocation_free() {
     assert!(
         small_allocs < 1_000,
         "per-run setup allocations blew up: {small_allocs}"
+    );
+
+    // Nor per sending host: a fresh run of a 1,024-rank job on a fat-tree
+    // (511 sending hosts) allocates at most a few amortized slab and queue
+    // growths more than the 64-rank run above. Measured 51 against 40
+    // (per-host in-flight vectors made it 677 against 75); tighten, never
+    // loosen.
+    let fabric = FabricNetwork::generate_with_hosts(FabricConfig::fat_tree_for_hosts(1024), 1024);
+    let wide_tree = Arc::new(kbinomial_tree(1024, 2));
+    let wide_binding: Vec<HostId> = (0..1024).map(HostId).collect();
+    let wide_routes = Arc::new(JobRoutes::build(&fabric, &wide_tree, &wide_binding));
+    let wide_job = MulticastJob::fpfs(Arc::clone(&wide_tree), wide_binding, 8);
+    let wide = || -> u64 {
+        let before = CountingAlloc::allocations();
+        SimRun::new(
+            &fabric,
+            std::slice::from_ref(&wide_job),
+            &params,
+            WorkloadConfig::default(),
+        )
+        .routes(std::slice::from_ref(&wide_routes))
+        .run()
+        .expect("valid fault-free run");
+        CountingAlloc::allocations() - before
+    };
+    wide();
+    let wide_allocs = wide();
+    assert!(
+        wide_allocs <= small_allocs + 16,
+        "a fresh 1,024-rank run allocated {wide_allocs} times against {small_allocs} \
+         for 64 ranks: set-up must not allocate per sending host"
     );
 
     // Windowed ARQ under 5% loss (32 ranks, k = 2, window 8, 2 send
@@ -203,6 +237,25 @@ fn steady_state_event_loop_is_allocation_free() {
          {warm_allocs} (cold arena: {cold_allocs}; fresh run: {small_allocs})"
     );
 
+    // Writing over a kept outcome removes those too: a warm `run_into`
+    // allocates nothing at all.
+    let mut kept = WorkloadOutcome::default();
+    let mut into = |arena: &mut SimArena| -> u64 {
+        let before = CountingAlloc::allocations();
+        SimRun::new(&net, jobs, &params, WorkloadConfig::default())
+            .routes(table)
+            .run_into(arena, &mut kept)
+            .expect("valid fault-free run");
+        CountingAlloc::allocations() - before
+    };
+    into(&mut arena);
+    let into_allocs = into(&mut arena);
+    assert_eq!(kept, small, "writing over an outcome equals a fresh run");
+    assert_eq!(
+        into_allocs, 0,
+        "a warm-arena run into a kept outcome allocated {into_allocs} times"
+    );
+
     // A churned stream through a warm arena (64-member universe, 48 in the
     // group, 40 frames, 48 churn toggles): against the churn-free stream of
     // the same shape, each applied join or leave — each new membership
@@ -255,7 +308,7 @@ fn steady_state_event_loop_is_allocation_free() {
         "a churned stream through a warm arena allocated {churn_allocs} times (bound {bound})"
     );
     eprintln!(
-        "zero_alloc: fresh run {small_allocs}, warm-arena run {warm_allocs} (outcome vectors {owned}); \
+        "zero_alloc: fresh run {small_allocs} (1,024 fat-tree ranks {wide_allocs}), warm-arena run {warm_allocs} (outcome vectors {owned}, kept outcome {into_allocs}); \
          churn-free stream {calm_allocs}, churned stream {churn_allocs} ({splices} splices +{per_epoch})"
     );
 

@@ -22,7 +22,7 @@ use crate::error::SweepError;
 use crate::memo::{tree_k, CacheStats, PointKey, Recall, SweepCache, TopologyEntry};
 use crate::sampling::TreePolicy;
 use optimcast_core::tree::MulticastTree;
-use optimcast_netsim::{MulticastJob, RunConfig, SimArena, SimRun};
+use optimcast_netsim::{MulticastJob, RunConfig, SimArena, SimRun, WorkloadOutcome};
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -218,8 +218,10 @@ impl Sweep {
     /// sampling and routing.
     fn topology_mean(&self, (dests, k, m, run): PointKey, t: u32) -> f64 {
         let topo = self.cache.topology(&self.cfg, t);
-        // One simulator arena serves the point's runs on this topology.
+        // One simulator arena and one outcome serve the point's runs on
+        // this topology.
         let mut arena = SimArena::new();
+        let mut wl = WorkloadOutcome::default();
         let sum: f64 = (0..self.cfg.dest_sets())
             .map(|s| {
                 let chain = self.cache.chain(&self.cfg, &topo, t, s, dests);
@@ -231,14 +233,14 @@ impl Sweep {
                     nic: run.nic,
                     ..MulticastJob::fpfs(tree, chain.to_vec(), m)
                 };
-                let wl = SimRun::new(
+                SimRun::new(
                     &topo.net,
                     std::slice::from_ref(&job),
                     self.cfg.params(),
                     run.into(),
                 )
                 .routes(std::slice::from_ref(&routes))
-                .run_in(&mut arena)
+                .run_into(&mut arena, &mut wl)
                 .expect("sampled chains form valid bindings");
                 self.record_effort(wl.events, wl.counters.peak_queue_len);
                 wl.jobs[0].latency_us

@@ -12,7 +12,7 @@
 //!   during setup, from the [`CountingAlloc`] peak counter, asserted
 //!   against [`MEGA_SETUP_BUDGET_BYTES`] so an accidental all-pairs
 //!   regression fails the benchmark instead of silently eating gigabytes;
-//! * **events/s** — the timed end-to-end run;
+//! * **events/s** — the median of five timed end-to-end runs;
 //! * **digest** — a timing-free hash of the full outcome, which
 //!   `bench-compare --mega` checks against the committed point.
 //!
@@ -39,6 +39,11 @@ pub const MEGA_M: u32 = 16;
 
 /// Host counts of the full sizing: fat-tree radices 16, 32, and 64.
 pub const MEGA_SIZES: [u32; 3] = [1024, 8192, 65536];
+
+/// Timed runs per point; a point reports their median wall time. One run
+/// of the 1,024-host point takes about 5 ms, too short for one sample to
+/// rise above host noise.
+const MEGA_RUNS: usize = 5;
 
 /// Host counts of the quick (CI smoke) sizing.
 pub const MEGA_QUICK_SIZES: [u32; 2] = [1024, 8192];
@@ -80,9 +85,10 @@ pub struct MegaPoint {
     pub events: u64,
     /// Simulated completion time (µs).
     pub makespan_us: f64,
-    /// Wall time of the timed end-to-end run (seconds).
+    /// Median wall time of the timed end-to-end runs (seconds), each a
+    /// fresh `SimRun::run`.
     pub sim_seconds: f64,
-    /// Events per second of the timed run.
+    /// Events per second at the median wall time.
     pub events_per_sec: f64,
     /// Timing-free FNV-1a digest of the full outcome (hex).
     pub digest: String,
@@ -229,7 +235,7 @@ fn outcome_digest(wl: &WorkloadOutcome) -> u64 {
 }
 
 /// Measures one host count: setup (timed, peak-tracked), then the timed
-/// end-to-end run.
+/// end-to-end runs.
 fn bench_point(hosts: u32, m: u32) -> MegaPoint {
     let counting = CountingAlloc::enabled();
     let base = CountingAlloc::reset_peak();
@@ -249,12 +255,19 @@ fn bench_point(hosts: u32, m: u32) -> MegaPoint {
 
     let params = SystemParams::paper_1997();
     let jobs = [MulticastJob::fpfs(Arc::clone(&tree), binding, m)];
-    let t_sim = Instant::now();
-    let outcome = SimRun::new(&net, &jobs, &params, WorkloadConfig::default())
-        .routes(vec![Arc::clone(&routes)])
-        .run()
-        .expect("mega benchmark is a valid fault-free multicast");
-    let sim_seconds = t_sim.elapsed().as_secs_f64();
+    let mut times = [0.0; MEGA_RUNS];
+    let mut outcome = WorkloadOutcome::default();
+    for t in &mut times {
+        let t_sim = Instant::now();
+        let out = SimRun::new(&net, &jobs, &params, WorkloadConfig::default())
+            .routes(std::slice::from_ref(&routes))
+            .run()
+            .expect("mega benchmark is a valid fault-free multicast");
+        *t = t_sim.elapsed().as_secs_f64();
+        outcome = out;
+    }
+    times.sort_by(f64::total_cmp);
+    let sim_seconds = times[MEGA_RUNS / 2];
 
     let k_ary = match fabric {
         FabricConfig::FatTree { k_ary } => k_ary,

@@ -783,7 +783,8 @@ fn cmd_simulate(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
 
 /// The `bench-mega` subcommand: one end-to-end optimal-k multicast
 /// (m = 16) per fat-tree size, with setup time, setup peak-allocation
-/// bytes, events/s, and a timing-free outcome digest per point. Writes
+/// bytes, events/s at the median of five timed runs, and a timing-free
+/// outcome digest per point. Writes
 /// `BENCH_mega.json` plus, on the full sizing, the committed
 /// `results/fig_megascale.json` figure and its plot files.
 fn cmd_bench_mega(flags: &Flags, _positional: &[String]) -> Result<(), CliError> {
