@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
-use optimcast::netsim::{JobRoutes, NiModel, SimArena};
+use optimcast::netsim::{JobRoutes, NiModel, SimArena, WorkloadOutcome};
 use optimcast::prelude::*;
 use optimcast::sweep::sample_chain;
 use optimcast::topology::fabric::{FabricConfig, FabricNetwork};
@@ -90,9 +90,9 @@ fn bench_run_multicast(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim/run_multicast_31d_8m");
     g.bench_function("prerouted", |b| b.iter(|| run(Some(&routes))));
     g.bench_function("routing_inline", |b| b.iter(|| run(None)));
-    // `prerouted` with the run's state kept in one arena across iterations,
-    // as a sweep cell's samples and a stream's epochs keep it.
-    let mut arena = SimArena::new();
+    // `prerouted` with the run's state and outcome kept across iterations,
+    // as a sweep cell's samples keep them.
+    let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
     g.bench_function("prerouted_warm_arena", |b| {
         b.iter(|| {
             let job = MulticastJob::fpfs(Arc::clone(&tree), black_box(&chain).clone(), 8);
@@ -103,10 +103,9 @@ fn bench_run_multicast(c: &mut Criterion) {
                 WorkloadConfig::default(),
             )
             .routes(std::slice::from_ref(&routes))
-            .run_in(&mut arena)
-            .unwrap()
-            .jobs[0]
-                .latency_us
+            .run_into(&mut arena, &mut out)
+            .unwrap();
+            out.jobs[0].latency_us
         })
     });
     g.finish();

@@ -24,6 +24,8 @@
 //! `N(s,k)`, the parameterized model), so the multicast results of the
 //! paper and these extensions are directly comparable.
 
+#![warn(unreachable_pub)]
+
 pub mod allgather;
 pub mod barrier;
 pub mod broadcast;

@@ -278,48 +278,22 @@ mod tests {
     }
 }
 
-/// Runs a scatter on the discrete-event simulator: each rank's personal
-/// `m`-packet block travels down `tree` with FIFO relaying at intermediate
-/// NIs and the chosen source injection order.
-///
-/// # Panics
-///
-/// Panics on the same conditions as
-/// [`optimcast_netsim::SimRun`] (binding mismatches, `m == 0`).
-pub fn simulate_scatter<N: optimcast_topology::Network>(
-    net: &N,
-    tree: &MulticastTree,
-    binding: &[optimcast_topology::graph::HostId],
-    m: u32,
-    order: PersonalizedOrder,
-    params: &optimcast_core::params::SystemParams,
-    config: optimcast_netsim::WorkloadConfig,
-) -> optimcast_netsim::MulticastOutcome {
-    use optimcast_netsim::{MulticastJob, SimRun};
-    SimRun::new(
-        net,
-        &[MulticastJob::scatter(
-            tree.clone(),
-            binding.to_vec(),
-            m,
-            order,
-        )],
-        params,
-        config,
-    )
-    .run()
-    .expect("scatter constructs a valid single-job workload")
-    .jobs
-    .swap_remove(0)
-}
-
 #[cfg(test)]
 mod sim_tests {
     use super::*;
     use optimcast_core::params::SystemParams;
-    use optimcast_netsim::{ContentionMode, NiTiming, WorkloadConfig};
+    use optimcast_netsim::{ContentionMode, MulticastJob, NiTiming, SimRun, WorkloadConfig};
     use optimcast_topology::graph::HostId;
     use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
+
+    fn ideal_handshake() -> WorkloadConfig {
+        WorkloadConfig {
+            contention: ContentionMode::Ideal,
+            timing: NiTiming::Handshake,
+            trace: false,
+            ..WorkloadConfig::default()
+        }
+    }
 
     /// The simulator's FIFO relay reproduces the analytic scatter schedule
     /// exactly under OwnFirst ordering (a parent's per-child preorder block
@@ -340,20 +314,11 @@ mod sim_tests {
                 let tree = optimcast_core::builders::kbinomial_tree(n, k);
                 let sched = scatter_schedule(&tree, m, PersonalizedOrder::OwnFirst);
                 let binding: Vec<HostId> = (0..n).map(HostId).collect();
-                let out = simulate_scatter(
-                    &net,
-                    &tree,
-                    &binding,
-                    m,
-                    PersonalizedOrder::OwnFirst,
-                    &params,
-                    WorkloadConfig {
-                        contention: ContentionMode::Ideal,
-                        timing: NiTiming::Handshake,
-                        trace: false,
-                        ..WorkloadConfig::default()
-                    },
-                );
+                let job = MulticastJob::scatter(tree, binding, m, PersonalizedOrder::OwnFirst);
+                let out = &SimRun::new(&net, &[job], &params, ideal_handshake())
+                    .run()
+                    .unwrap()
+                    .jobs[0];
                 let expect =
                     params.t_s + f64::from(sched.total_steps()) * params.t_step() + params.t_r;
                 assert!(
@@ -380,20 +345,11 @@ mod sim_tests {
         let params = SystemParams::paper_1997();
         let tree = optimcast_core::builders::linear_tree(16);
         let binding: Vec<HostId> = (0..16).map(HostId).collect();
-        let out = simulate_scatter(
-            &net,
-            &tree,
-            &binding,
-            2,
-            PersonalizedOrder::DeepestFirst,
-            &params,
-            WorkloadConfig {
-                contention: ContentionMode::Ideal,
-                timing: NiTiming::Handshake,
-                trace: false,
-                ..WorkloadConfig::default()
-            },
-        );
+        let job = MulticastJob::scatter(tree, binding, 2, PersonalizedOrder::DeepestFirst);
+        let out = &SimRun::new(&net, &[job], &params, ideal_handshake())
+            .run()
+            .unwrap()
+            .jobs[0];
         let bound = params.t_s + f64::from(2 * 15) * params.t_step() + params.t_r;
         assert!((out.latency_us - bound).abs() < 1e-6);
     }

@@ -56,7 +56,7 @@ pub fn fpfs_buffer_steps(k: u32, _m: u32) -> u64 {
 /// A packet arriving at time `j` (in `t_sq` units) leaves at `j + c`, where
 /// `c` is the residency time; with one arrival per unit, the steady-state
 /// occupancy is `min(c, m)` packets.
-pub fn resident_packets(residency: u64, m: u32) -> u64 {
+fn resident_packets(residency: u64, m: u32) -> u64 {
     residency.min(u64::from(m))
 }
 

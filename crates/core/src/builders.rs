@@ -148,16 +148,6 @@ fn build_segment(tree: &mut MulticastTree, root_idx: u32, hi: u32, s: u32, k: u3
     }
 }
 
-/// Lists the per-root-child segment capacities `N(s-1,k) … N(s-k,k)` used by
-/// the Fig. 11 construction for an `n`-participant, `k`-binomial tree.
-/// Useful for visualising the construction (see `optimcast figures`).
-pub fn segment_capacities(n: u32, k: u32) -> Vec<u128> {
-    let s = min_steps(u64::from(n), k.min(MAX_K));
-    (1..=k.min(s).max(1))
-        .map(|i| coverage(s.saturating_sub(i), k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,13 +322,5 @@ mod tests {
                 fpfs_schedule(&b, 1).total_steps()
             );
         }
-    }
-
-    #[test]
-    fn segment_capacities_shape() {
-        let caps = segment_capacities(16, 4);
-        assert_eq!(caps, vec![8, 4, 2, 1]);
-        let caps = segment_capacities(16, 3); // s = 5
-        assert_eq!(caps, vec![coverage(4, 3), coverage(3, 3), coverage(2, 3)]);
     }
 }

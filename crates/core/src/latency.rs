@@ -15,7 +15,7 @@
 
 use crate::params::SystemParams;
 use crate::schedule::Schedule;
-use crate::tree::{MulticastTree, Rank};
+use crate::tree::MulticastTree;
 
 /// Which network-interface architecture executes the multicast tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,20 +114,12 @@ pub fn degraded_smart_latency_us(
     base + f64::from(sched.total_steps()) * retries_per_step * (ack_timeout_us + p.t_step())
 }
 
-/// The source-side view: time at which `rank`'s *host* has the whole message
-/// under smart NI (NI receive of last packet plus the host receive overhead).
-pub fn smart_host_completion_us(sched: &Schedule, rank: Rank, p: &SystemParams) -> f64 {
-    if rank == Rank::SOURCE {
-        return 0.0;
-    }
-    p.t_s + f64::from(sched.message_completion(rank)) * p.t_step() + p.t_r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::{binomial_tree, kbinomial_tree, linear_tree};
     use crate::schedule::{fcfs_schedule, fpfs_schedule};
+    use crate::tree::Rank;
 
     fn p() -> SystemParams {
         SystemParams::paper_1997()
@@ -231,7 +223,7 @@ mod tests {
         let s = fpfs_schedule(&t, 4);
         let total = smart_latency_us(&s, &p());
         let max_host = (1..16)
-            .map(|r| smart_host_completion_us(&s, Rank(r), &p()))
+            .map(|r| smart_latency_from_steps(s.message_completion(Rank(r)), &p()))
             .fold(0.0f64, f64::max);
         assert!((max_host - total).abs() < 1e-9);
     }

@@ -50,6 +50,8 @@
 //! assert_eq!(u64::from(sched.total_steps()), opt.steps);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod buffer;
 pub mod builders;
 pub mod coverage;

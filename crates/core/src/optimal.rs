@@ -78,14 +78,6 @@ pub fn optimal_k(n: u64, m: u32) -> OptimalK {
     best
 }
 
-/// The crossover message length at which the linear tree becomes optimal for
-/// an `n`-node multicast: the least `m` with `optimal_k(n, m).k == 1`, if it
-/// occurs within `max_m`. (Paper §5.1 discusses this crossover: the smaller
-/// `n`, the earlier it happens.)
-pub fn linear_crossover(n: u64, max_m: u32) -> Option<u32> {
-    (1..=max_m).find(|&m| optimal_k(n, m).k == 1)
-}
-
 /// Precomputed optimal-`k` table for all `(n, m)` in
 /// `[2, max_n] × [1, max_m]` (paper §4.3.1: the NI firmware looks the value
 /// up rather than searching at multicast time).
@@ -184,8 +176,9 @@ mod tests {
     #[test]
     fn small_sets_go_linear_before_large_sets() {
         // §5.1: the smaller n, the smaller the m at which k = 1 is optimal.
-        let c16 = linear_crossover(16, 64).expect("16 crosses over");
-        let c32 = linear_crossover(32, 64).expect("32 crosses over");
+        let crossover = |n| (1..=64u32).find(|&m| optimal_k(n, m).k == 1);
+        let c16 = crossover(16).expect("16 crosses over");
+        let c32 = crossover(32).expect("32 crosses over");
         assert!(c16 < c32, "n=16 crossover {c16} !< n=32 crossover {c32}");
     }
 

@@ -92,15 +92,9 @@ pub struct ParamSchedule {
     /// `recv[rank][packet]`: time the packet is fully received at the NI
     /// (0 for the source).
     recv: Vec<Vec<f64>>,
-    packets: u32,
 }
 
 impl ParamSchedule {
-    /// Time `rank` has fully received `packet` (µs from NI-layer start).
-    pub fn receive_time(&self, rank: Rank, packet: u32) -> f64 {
-        self.recv[rank.index()][packet as usize]
-    }
-
     /// Time `rank` has the whole message.
     pub fn message_completion(&self, rank: Rank) -> f64 {
         *self.recv[rank.index()].last().expect("m >= 1")
@@ -174,7 +168,7 @@ pub fn param_schedule(
             }
         }
     }
-    ParamSchedule { recv, packets: m }
+    ParamSchedule { recv }
 }
 
 /// Result of the generalised optimal-k search.
@@ -241,7 +235,7 @@ mod tests {
                     for r in 0..n {
                         for p in 0..m {
                             let expect = f64::from(is.receive_step(Rank(r), p)) * 5.0;
-                            let got = ps.receive_time(Rank(r), p);
+                            let got = ps.recv[r as usize][p as usize];
                             assert!(
                                 (got - expect).abs() < 1e-9,
                                 "n={n} k={k} m={m} r={r} p={p}: {got} vs {expect}"

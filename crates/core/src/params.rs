@@ -64,11 +64,6 @@ impl SystemParams {
         let n = message_bytes.div_ceil(per).max(1);
         u32::try_from(n).expect("message produces more than u32::MAX packets")
     }
-
-    /// Message size in bytes corresponding to exactly `m` full packets.
-    pub fn bytes_for_packets(&self, m: u32) -> u64 {
-        u64::from(m) * u64::from(self.packet_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,7 @@ mod tests {
     fn bytes_for_packets_roundtrip() {
         let p = SystemParams::default();
         for m in 1..=64 {
-            assert_eq!(p.packets_for(p.bytes_for_packets(m)), m);
+            assert_eq!(p.packets_for(u64::from(m) * u64::from(p.packet_bytes)), m);
         }
     }
 

@@ -124,11 +124,6 @@ impl Schedule {
         *self.recv[rank.index()].last().expect("m >= 1")
     }
 
-    /// Sends performed by `rank`, in step order.
-    pub fn sends_from(&self, rank: Rank) -> Vec<SendEvent> {
-        self.sends_from_iter(rank).collect()
-    }
-
     /// Sends performed by `rank`, in step order, without allocating — the
     /// schedule iteration a real transport drives directly: each yielded
     /// event is one packet to put on the wire, in exactly the order the
@@ -189,11 +184,6 @@ impl Schedule {
         }
         occ.remove(0);
         occ
-    }
-
-    /// Maximum number of packets simultaneously buffered at `rank`'s NI.
-    pub fn max_buffered(&self, rank: Rank) -> u32 {
-        self.buffer_occupancy(rank).into_iter().max().unwrap_or(0)
     }
 }
 
@@ -497,8 +487,9 @@ mod tests {
         let t = binomial_tree(16); // root degree 4, first child has 3 children
         let m = 8;
         let inner = t.root_children()[0];
-        let fp = fpfs_schedule(&t, m).max_buffered(inner);
-        let fc = fcfs_schedule(&t, m).max_buffered(inner);
+        let max_buffered = |s: Schedule| s.buffer_occupancy(inner).into_iter().max().unwrap();
+        let fp = max_buffered(fpfs_schedule(&t, m));
+        let fc = max_buffered(fcfs_schedule(&t, m));
         assert!(fp <= 2, "FPFS buffered {fp} packets");
         assert_eq!(fc, m, "FCFS must hold the whole message");
         assert!(fc > fp);
@@ -517,11 +508,11 @@ mod tests {
     fn sends_from_source_count() {
         let t = binomial_tree(16);
         let s = fpfs_schedule(&t, 3);
-        assert_eq!(s.sends_from(Rank::SOURCE).len(), 4 * 3);
+        assert_eq!(s.sends_from_iter(Rank::SOURCE).count(), 4 * 3);
     }
 
-    /// The allocation-free iterator yields exactly the `sends_from` events,
-    /// in the same (step) order.
+    /// The allocation-free iterator yields exactly the rank's send events,
+    /// in step order.
     #[test]
     fn sends_from_iter_matches_vec() {
         for disc in [ForwardingDiscipline::Fpfs, ForwardingDiscipline::Fcfs] {
@@ -530,7 +521,13 @@ mod tests {
             for r in 0..t.len() as u32 {
                 let rank = Rank(r);
                 let collected: Vec<SendEvent> = s.sends_from_iter(rank).collect();
-                assert_eq!(collected, s.sends_from(rank));
+                let expect: Vec<SendEvent> = s
+                    .events()
+                    .iter()
+                    .copied()
+                    .filter(|e| e.from == rank)
+                    .collect();
+                assert_eq!(collected, expect);
                 assert!(collected.windows(2).all(|w| w[0].step <= w[1].step));
             }
         }

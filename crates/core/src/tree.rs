@@ -251,7 +251,7 @@ impl MulticastTree {
     /// without touching the packed index — use while the tree is still
     /// being mutated (each [`Self::attach`] invalidates the pack, so mixing
     /// mutation with [`Self::children`] would repack per query).
-    pub fn children_iter(&self, r: Rank) -> impl Iterator<Item = Rank> + '_ {
+    fn children_iter(&self, r: Rank) -> impl Iterator<Item = Rank> + '_ {
         let mut cur = self.first_child[r.index()];
         std::iter::from_fn(move || {
             if cur == NONE {

@@ -1,5 +1,5 @@
 //! A counting global allocator: wraps [`System`] with relaxed atomic
-//! tallies of allocation calls and bytes requested.
+//! tallies of allocation calls and of live and peak heap bytes.
 //!
 //! The simulator's hot path is designed to be allocation-free in steady
 //! state (inline event-queue payloads, interned route tables, in-place
@@ -27,8 +27,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// Bytes currently live (allocated minus deallocated).
 static CURRENT_BYTES: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of `CURRENT_BYTES` since process start (or the last
@@ -57,16 +55,6 @@ impl CountingAlloc {
     /// `realloc`) since process start.
     pub fn allocations() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Total deallocation calls since process start.
-    pub fn deallocations() -> u64 {
-        DEALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes requested across all allocation calls.
-    pub fn bytes_allocated() -> u64 {
-        BYTES_ALLOCATED.load(Ordering::Relaxed)
     }
 
     /// Bytes currently live (allocated and not yet freed). A peak-RSS
@@ -110,7 +98,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REGISTERED.store(true, Ordering::Relaxed);
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         grow_current(layout.size() as u64);
         System.alloc(layout)
     }
@@ -118,13 +105,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         REGISTERED.store(true, Ordering::Relaxed);
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         grow_current(layout.size() as u64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         CURRENT_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
@@ -134,7 +119,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // the steady-state budget is "did the heap get touched", not the
         // alloc/free pairing underneath.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
         if new_size as u64 >= layout.size() as u64 {
             grow_current(new_size as u64 - layout.size() as u64);
         } else {

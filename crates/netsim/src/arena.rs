@@ -4,13 +4,11 @@
 //! membership epoch; each used to build its host table, event queue,
 //! channel table, per-rank state and metric vectors from scratch and free
 //! them on return. A [`SimArena`] keeps that storage between runs:
-//! [`SimRun::run_in`](crate::workload::SimRun::run_in) lends it to one run,
-//! which resets every part to the state a fresh run starts from, and takes
-//! it back when the run ends — on success and on error alike. A run over a
-//! warm arena of the same shape allocates only the vectors of the outcome
-//! it returns, and nothing at all when
-//! [`SimRun::run_into`](crate::workload::SimRun::run_into) writes over a
-//! kept outcome (`crates/netsim/tests/zero_alloc.rs` pins both). A stream's
+//! [`SimRun::run_into`](crate::workload::SimRun::run_into) lends it to one
+//! run, which resets every part to the state a fresh run starts from, and
+//! takes it back when the run ends — on success and on error alike. A run
+//! over a warm arena of the same shape that writes over a kept outcome
+//! allocates nothing (`crates/netsim/tests/zero_alloc.rs` pins it). A stream's
 //! route storage ([`EpochRoutes`]) lives here too, so the streams of one
 //! sweep work item share one hop table and BFS state.
 //!
@@ -34,10 +32,10 @@ use std::sync::Arc;
 /// Storage one simulation run borrows and hands back; see the module docs.
 ///
 /// ```ignore
-/// let mut arena = SimArena::new();
+/// let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
 /// for job in &jobs {
-///     let out = SimRun::new(&net, std::slice::from_ref(job), &params, config)
-///         .run_in(&mut arena)?;
+///     SimRun::new(&net, std::slice::from_ref(job), &params, config)
+///         .run_into(&mut arena, &mut out)?;
 /// }
 /// ```
 #[derive(Default)]

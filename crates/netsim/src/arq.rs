@@ -177,7 +177,7 @@ pub(crate) struct ArqState<'a> {
 }
 
 impl<'a> ArqState<'a> {
-    pub fn new(jobs: &[MulticastJob], n_hosts: usize, plan: &'a FaultPlan) -> Self {
+    pub(crate) fn new(jobs: &[MulticastJob], n_hosts: usize, plan: &'a FaultPlan) -> Self {
         debug_assert!(plan.window > 1);
         ArqState {
             plan,

@@ -21,20 +21,20 @@ pub(crate) struct ChannelManager {
 }
 
 impl ChannelManager {
-    pub fn new(mode: ContentionMode, n_channels: usize) -> Self {
+    pub(crate) fn new(mode: ContentionMode, n_channels: usize) -> Self {
         Self::reuse(mode, n_channels, Vec::new())
     }
 
     /// A manager over `n_channels` free channels whose occupancy table
     /// reuses `free`'s storage (its contents are discarded).
-    pub fn reuse(mode: ContentionMode, n_channels: usize, mut free: Vec<SimTime>) -> Self {
+    pub(crate) fn reuse(mode: ContentionMode, n_channels: usize, mut free: Vec<SimTime>) -> Self {
         free.clear();
         free.resize(n_channels, SimTime::ZERO);
         ChannelManager { mode, free }
     }
 
     /// The occupancy table's storage, for the next run's [`Self::reuse`].
-    pub fn into_storage(self) -> Vec<SimTime> {
+    pub(crate) fn into_storage(self) -> Vec<SimTime> {
         self.free
     }
 
@@ -49,7 +49,7 @@ impl ChannelManager {
     /// from the delayed start. Requires a duplicate-free route (deterministic
     /// up*/down* routes are simple paths), since each channel's prior free
     /// time is read just before being overwritten.
-    pub fn reserve(&mut self, route: &[ChannelId], now: SimTime, hold_us: f64) -> SimTime {
+    pub(crate) fn reserve(&mut self, route: &[ChannelId], now: SimTime, hold_us: f64) -> SimTime {
         match self.mode {
             ContentionMode::Ideal => now,
             ContentionMode::Wormhole => {

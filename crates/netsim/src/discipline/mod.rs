@@ -42,7 +42,7 @@ pub(crate) enum Engine {
 
 impl Engine {
     /// The engine for a job's `(NicKind, JobPayload)`.
-    pub fn for_job(job: &MulticastJob) -> Engine {
+    pub(crate) fn for_job(job: &MulticastJob) -> Engine {
         match (job.nic, job.payload) {
             (NicKind::Smart(Order::Fpfs), JobPayload::Replicated) => Engine::Fpfs,
             (NicKind::Smart(Order::Fcfs), JobPayload::Replicated) => Engine::Fcfs,
@@ -56,7 +56,7 @@ impl Engine {
 
     /// Stages the job's initial work at its source and schedules the first
     /// event(s).
-    pub fn kickoff(self, st: &mut SimState<'_>, tree: &MulticastTree, job: u32) {
+    pub(crate) fn kickoff(self, st: &mut SimState<'_>, tree: &MulticastTree, job: u32) {
         let ready = SimTime::us(st.job(job).start_us + st.params.t_s);
         match self {
             Engine::Fpfs => replicated::stage_source(st, tree, Order::Fpfs, job, ready),
@@ -71,7 +71,7 @@ impl Engine {
     /// Called after the core has released the sender's unit (handshake
     /// timing), delivered the sender acknowledgement, and notified
     /// observers of the receive.
-    pub fn on_recv_done(
+    pub(crate) fn on_recv_done(
         self,
         st: &mut SimState<'_>,
         tree: &MulticastTree,
@@ -88,7 +88,7 @@ impl Engine {
 
     /// The send unit finished transmitting `item`: apply the engine's
     /// buffer-release policy.
-    pub fn on_copy_released(self, st: &mut SimState<'_>, item: SendItem) {
+    pub(crate) fn on_copy_released(self, st: &mut SimState<'_>, item: SendItem) {
         match self {
             Engine::Fpfs | Engine::Fcfs => release_replicated_copy(st, item),
             // A relayed packet frees its buffer slot as soon as its onward

@@ -260,7 +260,7 @@ impl FaultPlan {
     }
 
     /// Whether any channel of `route` is inside a failure window at `t_us`.
-    pub fn link_down(&self, route: &[ChannelId], t_us: f64) -> bool {
+    fn link_down(&self, route: &[ChannelId], t_us: f64) -> bool {
         self.link_failures
             .iter()
             .any(|w| t_us >= w.from_us && t_us < w.until_us && route.contains(&w.channel))

@@ -122,7 +122,7 @@ const VACANT: (u64, SendItem) = (
 
 impl HostModel {
     #[cfg(test)]
-    pub fn new(n_hosts: usize, ni: NiModel) -> Self {
+    pub(crate) fn new(n_hosts: usize, ni: NiModel) -> Self {
         let mut model = HostModel::default();
         model.reset(n_hosts, ni);
         model
@@ -131,7 +131,7 @@ impl HostModel {
     /// Returns every host to its idle state for a new run over `n_hosts`
     /// hosts, keeping the storage: the host table, the queue slab and the
     /// in-flight slab, whose blocks the new run's senders claim afresh.
-    pub fn reset(&mut self, n_hosts: usize, ni: NiModel) {
+    pub(crate) fn reset(&mut self, n_hosts: usize, ni: NiModel) {
         self.units = ni.send_units as usize;
         self.hosts.clear();
         self.hosts.resize(n_hosts, HostState::IDLE);
@@ -142,7 +142,7 @@ impl HostModel {
 
     /// Appends a transmission to the host's send queue; returns the queue
     /// depth after the push (for queue-depth observation).
-    pub fn enqueue(&mut self, h: HostId, item: SendItem) -> usize {
+    pub(crate) fn enqueue(&mut self, h: HostId, item: SendItem) -> usize {
         let node = Queued { item, next: NIL };
         let slot = if self.free == NIL {
             self.queued.push(node);
@@ -184,7 +184,7 @@ impl HostModel {
 
     /// Claims a free send unit for the next queued item, if one is free and
     /// work is pending. A host's first dispatch claims its block of slots.
-    pub fn try_dispatch(&mut self, h: HostId) -> Option<SendItem> {
+    pub(crate) fn try_dispatch(&mut self, h: HostId) -> Option<SendItem> {
         if self.hosts[h.index()].busy as usize >= self.units {
             return None;
         }
@@ -226,7 +226,7 @@ impl HostModel {
 
     /// Sequence number of the oldest in-flight send (`None` if every unit is
     /// free). With a single send unit this is *the* in-flight send.
-    pub fn in_flight_seq(&self, h: HostId) -> Option<u64> {
+    pub(crate) fn in_flight_seq(&self, h: HostId) -> Option<u64> {
         self.slots(h).first().map(|&(seq, _)| seq)
     }
 
@@ -236,7 +236,7 @@ impl HostModel {
     /// # Panics
     ///
     /// Panics if no send is in flight — an engine sequencing bug.
-    pub fn last_dispatched_seq(&self, h: HostId) -> u64 {
+    pub(crate) fn last_dispatched_seq(&self, h: HostId) -> u64 {
         self.slots(h)
             .last()
             .map(|&(seq, _)| seq)
@@ -245,24 +245,24 @@ impl HostModel {
 
     /// True while the dispatch tagged `seq` still occupies a send unit.
     #[cfg(test)]
-    pub fn has_seq(&self, h: HostId, seq: u64) -> bool {
+    pub(crate) fn has_seq(&self, h: HostId, seq: u64) -> bool {
         self.slots(h).iter().any(|&(s, _)| s == seq)
     }
 
     /// Number of queued (not yet dispatched) transmissions.
-    pub fn queue_len(&self, h: HostId) -> usize {
+    pub(crate) fn queue_len(&self, h: HostId) -> usize {
         self.hosts[h.index()].queue_len as usize
     }
 
     /// True when the host has no queued transmissions.
-    pub fn send_queue_is_empty(&self, h: HostId) -> bool {
+    pub(crate) fn send_queue_is_empty(&self, h: HostId) -> bool {
         self.hosts[h.index()].queue_len == 0
     }
 
     /// Removes and returns the host's next queued transmission, bypassing
     /// the send units. Lets a crashed host's queue be discarded item by item
     /// with no scratch allocation (the caller accounts for each).
-    pub fn pop_queued(&mut self, h: HostId) -> Option<SendItem> {
+    pub(crate) fn pop_queued(&mut self, h: HostId) -> Option<SendItem> {
         self.pop_front(h)
     }
 
@@ -273,7 +273,7 @@ impl HostModel {
     /// # Panics
     ///
     /// Panics if no transmission is in flight — an engine sequencing bug.
-    pub fn release_send_unit(&mut self, h: HostId) -> SendItem {
+    pub(crate) fn release_send_unit(&mut self, h: HostId) -> SendItem {
         if self.hosts[h.index()].busy == 0 {
             panic!("release without in-flight send");
         }
@@ -282,7 +282,7 @@ impl HostModel {
 
     /// Frees the unit carrying the dispatch tagged `seq`, returning its
     /// transmission (`None` if that dispatch already completed).
-    pub fn release_by_seq(&mut self, h: HostId, seq: u64) -> Option<SendItem> {
+    pub(crate) fn release_by_seq(&mut self, h: HostId, seq: u64) -> Option<SendItem> {
         let at = self.slots(h).iter().position(|&(s, _)| s == seq)?;
         Some(self.free_slot(h, at))
     }
@@ -293,7 +293,7 @@ impl HostModel {
     /// # Panics
     ///
     /// Panics if no unit carries `item` — an engine sequencing bug.
-    pub fn release_matching(&mut self, h: HostId, item: &SendItem) {
+    pub(crate) fn release_matching(&mut self, h: HostId, item: &SendItem) {
         let at = self
             .slots(h)
             .iter()
@@ -306,7 +306,12 @@ impl HostModel {
     /// `t_recv` after the unit frees (or after `now`, whichever is later).
     /// Returns `(completion, wait)` where `wait` is the time the packet
     /// spent queued behind earlier receives.
-    pub fn occupy_recv_unit(&mut self, h: HostId, now: SimTime, t_recv: f64) -> (SimTime, f64) {
+    pub(crate) fn occupy_recv_unit(
+        &mut self,
+        h: HostId,
+        now: SimTime,
+        t_recv: f64,
+    ) -> (SimTime, f64) {
         let hs = &mut self.hosts[h.index()];
         let start = hs.recv_free.max(now);
         let done = start + t_recv;
@@ -316,7 +321,7 @@ impl HostModel {
 
     /// Stages `n` packets in the host's forwarding buffer; returns the new
     /// occupancy (for histogram observation).
-    pub fn stage(&mut self, h: HostId, n: u32) -> u32 {
+    pub(crate) fn stage(&mut self, h: HostId, n: u32) -> u32 {
         let hs = &mut self.hosts[h.index()];
         hs.resident += n;
         hs.max_resident = hs.max_resident.max(hs.resident);
@@ -325,7 +330,7 @@ impl HostModel {
 
     /// Releases one buffered packet (saturating — the conventional NI never
     /// stages, so its releases are no-ops).
-    pub fn unstage(&mut self, h: HostId) {
+    pub(crate) fn unstage(&mut self, h: HostId) {
         let hs = &mut self.hosts[h.index()];
         if hs.resident > 0 {
             hs.resident -= 1;
@@ -333,18 +338,18 @@ impl HostModel {
     }
 
     /// Packets currently resident in the host's forwarding buffer.
-    pub fn resident(&self, h: HostId) -> u32 {
+    pub(crate) fn resident(&self, h: HostId) -> u32 {
         self.hosts[h.index()].resident
     }
 
     /// The host's buffer high-water mark.
-    pub fn max_resident(&self, h: HostId) -> u32 {
+    pub(crate) fn max_resident(&self, h: HostId) -> u32 {
         self.hosts[h.index()].max_resident
     }
 
     /// Buffer high-water marks for every host, in host order, written over
     /// `out`.
-    pub fn all_max_resident_into(&self, out: &mut Vec<u32>) {
+    pub(crate) fn all_max_resident_into(&self, out: &mut Vec<u32>) {
         out.clear();
         out.extend(self.hosts.iter().map(|h| h.max_resident));
     }

@@ -27,6 +27,8 @@
 //! the integration tests enforce. The overlapped mode
 //! ([`sim::NiTiming::Overlapped`]) relaxes this for ablation.
 
+#![warn(unreachable_pub)]
+
 pub mod alloc;
 mod arena;
 pub mod arq;

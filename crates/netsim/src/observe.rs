@@ -372,7 +372,7 @@ pub(crate) struct TraceCollector {
 }
 
 impl TraceCollector {
-    pub fn on(&mut self, ev: &SimEvent) {
+    pub(crate) fn on(&mut self, ev: &SimEvent) {
         match ev {
             SimEvent::SendStart { .. }
             | SimEvent::RecvDone { .. }
@@ -391,7 +391,7 @@ impl TraceCollector {
     /// `now + t_r`), hence the final sort. Every recorded kind is timed, and
     /// simulated times are finite and never `-0.0`, so `total_cmp` orders
     /// them as numbers.
-    pub fn into_sorted(mut self) -> Vec<SimEvent> {
+    pub(crate) fn into_sorted(mut self) -> Vec<SimEvent> {
         let t = |ev: &SimEvent| ev.t_us().unwrap_or(0.0);
         self.events.sort_by(|a, b| t(a).total_cmp(&t(b)));
         self.events
@@ -410,14 +410,14 @@ pub(crate) struct MetricsCollector {
 
 impl MetricsCollector {
     #[cfg(test)]
-    pub fn new(jobs: usize) -> Self {
+    pub(crate) fn new(jobs: usize) -> Self {
         let mut m = MetricsCollector::default();
         m.reset(jobs);
         m
     }
 
     /// Zeroes the metrics of `jobs` jobs, keeping the vectors' storage.
-    pub fn reset(&mut self, jobs: usize) {
+    pub(crate) fn reset(&mut self, jobs: usize) {
         self.channel_wait_us = 0.0;
         for v in [&mut self.blocked, &mut self.sends] {
             v.clear();
@@ -428,7 +428,7 @@ impl MetricsCollector {
     }
 
     #[inline(always)]
-    pub fn on(&mut self, ev: &SimEvent) {
+    pub(crate) fn on(&mut self, ev: &SimEvent) {
         if let SimEvent::SendStart {
             job, stalled_us, ..
         } = *ev
@@ -663,7 +663,7 @@ pub(crate) struct ObserverHub<'a> {
 impl<'a> ObserverHub<'a> {
     /// A hub over already reset metrics and counters (see
     /// [`MetricsCollector::reset`] and [`SimCounters::reset`]).
-    pub fn new(
+    pub(crate) fn new(
         metrics: MetricsCollector,
         counters: SimCounters,
         trace: bool,
@@ -685,7 +685,7 @@ impl<'a> ObserverHub<'a> {
     // copies of `emit`, so those call sites built the event in memory and
     // switched on its kind.
     #[inline(always)]
-    pub fn emit(&mut self, ev: SimEvent) {
+    pub(crate) fn emit(&mut self, ev: SimEvent) {
         self.metrics.on(&ev);
         self.counters.on(&ev);
         if self.trace.is_some() || self.user.is_some() {

@@ -133,20 +133,6 @@ pub struct ScheduledOutcome {
 }
 
 impl ScheduledOutcome {
-    /// Nearest-rank percentile (`q` in `[0, 100]`) of the per-job
-    /// completion latencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 100]`.
-    pub fn completion_percentile(&self, q: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&q), "percentile in [0, 100]");
-        let mut xs: Vec<f64> = self.stats.iter().map(|s| s.completion_us).collect();
-        xs.sort_by(f64::total_cmp);
-        let rank = ((q / 100.0) * xs.len() as f64).ceil() as usize;
-        xs[rank.max(1) - 1]
-    }
-
     /// Mean queueing delay across jobs (µs).
     pub fn mean_queue_us(&self) -> f64 {
         self.stats.iter().map(|s| s.queue_us).sum::<f64>() / self.stats.len() as f64
@@ -174,7 +160,7 @@ impl ScheduledOutcome {
 /// let out = ScheduledRun::new(&net, &jobs, &params, config, Some(1))
 ///     .routes(route_tables) // optional: memoized CSR route tables
 ///     .run()?;
-/// println!("p99 completion: {} µs", out.completion_percentile(99.0));
+/// println!("mean queueing delay: {} µs", out.mean_queue_us());
 /// ```
 pub struct ScheduledRun<'a, N: Network> {
     net: &'a N,
@@ -487,26 +473,6 @@ mod tests {
                 assert_eq!(s.unreached, 0, "fault-free run reached everyone");
             }
         }
-    }
-
-    /// Percentile helper: nearest-rank semantics on the completion set.
-    #[test]
-    fn completion_percentiles_are_nearest_rank() {
-        let n = net(7);
-        let jobs = [
-            job_at(0..8, 2, 0.0),
-            job_at(8..16, 2, 3.0),
-            job_at(16..24, 2, 6.0),
-            job_at(24..32, 2, 9.0),
-        ];
-        let out = ScheduledRun::new(&n, &jobs, &params(), WorkloadConfig::default(), None)
-            .run()
-            .unwrap();
-        let mut xs: Vec<f64> = out.stats.iter().map(|s| s.completion_us).collect();
-        xs.sort_by(f64::total_cmp);
-        assert_eq!(out.completion_percentile(50.0), xs[1]);
-        assert_eq!(out.completion_percentile(99.0), xs[3]);
-        assert_eq!(out.completion_percentile(0.0), xs[0]);
     }
 
     /// Route-table mismatches are typed errors, not panics: too few tables,

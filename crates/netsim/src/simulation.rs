@@ -83,12 +83,12 @@ impl PartState {
     };
 
     /// Host completion time, once the full message is in.
-    pub fn host_done(&self) -> Option<SimTime> {
+    pub(crate) fn host_done(&self) -> Option<SimTime> {
         self.done.then_some(self.done_at)
     }
 
     /// Whether the host has the full message.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 }
@@ -135,43 +135,43 @@ pub(crate) struct SimState<'a> {
 impl<'a> SimState<'a> {
     /// The job's descriptor, borrowed for the workload's lifetime (not the
     /// state borrow), so engines can read it while mutating state.
-    pub fn job(&self, job: u32) -> &'a MulticastJob {
+    pub(crate) fn job(&self, job: u32) -> &'a MulticastJob {
         &self.jobs[job as usize]
     }
 
     /// The physical host bound to `(job, rank)`.
-    pub fn host_of(&self, job: u32, r: Rank) -> HostId {
+    pub(crate) fn host_of(&self, job: u32, r: Rank) -> HostId {
         self.jobs[job as usize].binding[r.index()]
     }
 
     /// Queues a transmission on the host's send unit (with queue-depth
     /// observation).
-    pub fn enqueue_send(&mut self, h: HostId, item: SendItem) {
+    pub(crate) fn enqueue_send(&mut self, h: HostId, item: SendItem) {
         let depth = self.hosts.enqueue(h, item);
         self.obs.emit(SimEvent::SendEnqueued { host: h, depth });
     }
 
     /// Stages `n` packets in the host's forwarding buffer (with occupancy
     /// observation).
-    pub fn stage(&mut self, h: HostId, n: u32) {
+    pub(crate) fn stage(&mut self, h: HostId, n: u32) {
         let resident = self.hosts.stage(h, n);
         self.obs.emit(SimEvent::BufferGrew { host: h, resident });
     }
 
     /// Releases one staged packet.
-    pub fn unstage(&mut self, h: HostId) {
+    pub(crate) fn unstage(&mut self, h: HostId) {
         self.hosts.unstage(h);
     }
 
     /// `(job, rank)`'s outstanding-copy counters, one per packet.
-    pub fn rank_copies(&mut self, job: u32, r: Rank) -> &mut [u16] {
+    pub(crate) fn rank_copies(&mut self, job: u32, r: Rank) -> &mut [u16] {
         let packets = self.jobs[job as usize].packets as usize;
         let start = r.index() * packets;
         &mut self.copies_left[job as usize][start..start + packets]
     }
 
     /// Writes `(job, rank)` off the membership.
-    pub fn exclude(&mut self, job: u32, r: Rank) {
+    pub(crate) fn exclude(&mut self, job: u32, r: Rank) {
         if self.excluded.is_empty() {
             self.excluded = self
                 .jobs
@@ -184,14 +184,14 @@ impl<'a> SimState<'a> {
 
     /// Whether `(job, rank)` has been written off (deadline or repair
     /// exclusion).
-    pub fn is_excluded(&self, job: u32, r: Rank) -> bool {
+    pub(crate) fn is_excluded(&self, job: u32, r: Rank) -> bool {
         self.excluded
             .get(job as usize)
             .is_some_and(|e| e[r.index()])
     }
 
     /// Reports `item` lost or refused at `t_us`.
-    pub fn report_drop(&mut self, t_us: f64, item: SendItem, kind: FaultKind) {
+    pub(crate) fn report_drop(&mut self, t_us: f64, item: SendItem, kind: FaultKind) {
         self.obs.emit(SimEvent::PacketDropped {
             t_us,
             job: item.job,
@@ -204,7 +204,7 @@ impl<'a> SimState<'a> {
 
     /// Reports `item` lost in the network at `t_us`, plus the fault that
     /// caused it when that was a link outage or the dead receiver.
-    pub fn report_loss(
+    pub(crate) fn report_loss(
         &mut self,
         t_us: f64,
         item: SendItem,
@@ -223,7 +223,7 @@ impl<'a> SimState<'a> {
 
     /// Marks `(job, rank)` complete `t_r` after its last receive; returns
     /// the completion time.
-    pub fn finish_host(&mut self, now: SimTime, job: u32, rank: Rank) -> SimTime {
+    pub(crate) fn finish_host(&mut self, now: SimTime, job: u32, rank: Rank) -> SimTime {
         let done = now + self.params.t_r;
         let part = &mut self.parts[job as usize][rank.index()];
         part.done = true;
@@ -388,7 +388,7 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// the route computation. `None` builds the tables from scratch (see
     /// [`resolve_routes`]). On error the arena keeps its storage.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         net: &'a N,
         jobs: &'a [MulticastJob],
         params: &'a SystemParams,
@@ -515,7 +515,11 @@ impl<'a, N: Network> Simulation<'a, N> {
     /// with undelivered destinations opens a *repair epoch* (see
     /// [`Self::start_repair_epoch`]) until every surviving destination is
     /// reached or the epoch budget is spent.
-    pub fn run(mut self, arena: &mut SimArena, out: &mut WorkloadOutcome) -> Result<(), SimError> {
+    pub(crate) fn run(
+        mut self,
+        arena: &mut SimArena,
+        out: &mut WorkloadOutcome,
+    ) -> Result<(), SimError> {
         for j in 0..self.st.jobs.len() {
             if let Some(arq) = &mut self.arq {
                 arq::kickoff(&mut self.st, arq, j as u32);

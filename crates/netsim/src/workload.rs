@@ -197,7 +197,8 @@ pub struct WorkloadOutcome {
 /// Construct with the four mandatory inputs, chain any subset of
 /// [`routes`](SimRun::routes), [`faults`](SimRun::faults) and
 /// [`observer`](SimRun::observer), then [`run`](SimRun::run), or
-/// [`run_in`](SimRun::run_in) to reuse one [`SimArena`] across many runs.
+/// [`run_into`](SimRun::run_into) to reuse one [`SimArena`] and one
+/// [`WorkloadOutcome`] across many runs.
 /// Each option is orthogonal to the others, so a new one adds one builder
 /// method rather than a family of entry points.
 ///
@@ -296,27 +297,16 @@ impl<'a, N: Network> SimRun<'a, N> {
     /// replicated smart-NI job with a rank of more than `u16::MAX`
     /// children with [`SimError::FanOutTooWide`].
     pub fn run(self) -> Result<WorkloadOutcome, SimError> {
-        self.run_in(&mut SimArena::new())
-    }
-
-    /// [`run`](SimRun::run) over `arena`'s storage: the run resets what it
-    /// borrows to a fresh run's state, so the outcome equals `run()`'s, and
-    /// a run as large as an earlier one through the same arena allocates
-    /// only the returned outcome's vectors ([`run_into`](SimRun::run_into)
-    /// reuses those too).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](SimRun::run). The arena stays usable after an error.
-    pub fn run_in(self, arena: &mut SimArena) -> Result<WorkloadOutcome, SimError> {
         let mut out = WorkloadOutcome::default();
-        self.run_into(arena, &mut out)?;
+        self.run_into(&mut SimArena::new(), &mut out)?;
         Ok(out)
     }
 
-    /// [`run_in`](SimRun::run_in) writing the outcome over `out`, whose
-    /// vectors are reused: with a warm arena and an `out` from a run as
-    /// large, the run allocates nothing. On error `out` is left as it was.
+    /// [`run`](SimRun::run) over `arena`'s storage, writing the outcome
+    /// over `out`: the run resets what it borrows to a fresh run's state,
+    /// so `out` ends equal to `run()`'s outcome, and with a warm arena and
+    /// an `out` from a run as large the run allocates nothing. On error
+    /// `out` is left as it was.
     ///
     /// # Errors
     ///

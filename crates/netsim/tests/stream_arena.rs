@@ -16,7 +16,7 @@ use optimcast_core::membership::Membership;
 use optimcast_core::params::SystemParams;
 use optimcast_netsim::{
     ContentionMode, EpochRoutes, JobRoutes, MulticastJob, NiModel, NiTiming, SimArena, SimRun,
-    StreamRun, StreamSpec, WorkloadConfig,
+    StreamRun, StreamSpec, WorkloadConfig, WorkloadOutcome,
 };
 use optimcast_topology::graph::HostId;
 use optimcast_topology::irregular::{IrregularConfig, IrregularNetwork};
@@ -130,6 +130,8 @@ proptest! {
         let job = MulticastJob::fpfs(kbinomial_tree(16, 2), (0..16).map(HostId).collect(), 3);
         let jobs = std::slice::from_ref(&job);
         let run = || SimRun::new(&net, jobs, &p, WorkloadConfig::default());
-        prop_assert_eq!(run().run_in(&mut arena).unwrap(), run().run().unwrap());
+        let mut out = WorkloadOutcome::default();
+        run().run_into(&mut arena, &mut out).unwrap();
+        prop_assert_eq!(out, run().run().unwrap());
     }
 }

@@ -18,6 +18,8 @@
 //! [`ChaCha8Rng::first_u64`], the same value from one block with no
 //! generator state, 65–80 ns.
 
+#![warn(unreachable_pub)]
+
 mod chacha;
 
 pub use chacha::ChaCha8Rng;

@@ -298,10 +298,10 @@ impl Tally {
     pub(crate) fn record(
         &mut self,
         sweep: &Sweep,
-        run: Result<WorkloadOutcome, SimError>,
+        run: Result<&WorkloadOutcome, SimError>,
         write_offs: WriteOffs,
     ) {
-        let counters = match run {
+        let counters = match &run {
             Ok(out) => {
                 self.delivered += 1;
                 self.latency_sum += out.jobs[0].latency_us;
@@ -316,7 +316,7 @@ impl Tally {
                     }
                     WriteOffs::Unreached => self.unreached += written_off,
                 }
-                out.counters
+                &out.counters
             }
             Err(SimError::DeliveryFailed {
                 unreached,
@@ -324,12 +324,12 @@ impl Tally {
             }) => {
                 self.failed += 1;
                 self.unreached += unreached.len() as u64;
-                *counters
+                &**counters
             }
             Err(other) => unreachable!("validated fault plan rejected: {other}"),
         };
         sweep.record_effort(counters.events, counters.peak_queue_len);
-        self.counters += &counters;
+        self.counters += counters;
     }
 
     /// Mean latency (µs) over delivered samples; `0.0` if none delivered.
@@ -442,7 +442,7 @@ impl Sweep {
         let cfg = *self.config();
         let topo = self.topology(t);
         let mut tally = Tally::default();
-        let mut arena = SimArena::new();
+        let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -522,7 +522,8 @@ impl Sweep {
                 WorkloadConfig::default(),
             )
             .faults(&plan)
-            .run_in(&mut arena);
+            .run_into(&mut arena, &mut out)
+            .map(|()| &out);
             tally.record(self, run, write_offs);
         }
         tally

@@ -30,7 +30,9 @@ use crate::error::SweepError;
 use crate::figure::{Figure, Series};
 use crate::json::{Json, ToJson};
 use crate::sampling::{sample_chain, TreePolicy};
-use optimcast_netsim::{FaultPlanSpec, MulticastJob, NiModel, SimArena, SimRun, WorkloadConfig};
+use optimcast_netsim::{
+    FaultPlanSpec, MulticastJob, NiModel, SimArena, SimRun, WorkloadConfig, WorkloadOutcome,
+};
 
 /// Aggregated outcome of one `(mode, drop rate)` ARQ chaos cell over the
 /// full `topologies × dest_sets` sample set.
@@ -355,7 +357,7 @@ impl Sweep {
             ..WorkloadConfig::default()
         };
         let mut tally = Tally::default();
-        let mut arena = SimArena::new();
+        let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
         for s in 0..cfg.dest_sets() {
             let salt = cfg.set_seed(t, s);
             let chain = sample_chain(&topo.net, &topo.ordering, salt, dests);
@@ -365,7 +367,8 @@ impl Sweep {
             let job = MulticastJob::fpfs(tree, chain, m);
             let run = SimRun::new(&topo.net, std::slice::from_ref(&job), cfg.params(), config)
                 .faults(&plan)
-                .run_in(&mut arena);
+                .run_into(&mut arena, &mut out)
+                .map(|()| &out);
             tally.record(self, run, WriteOffs::Unreached);
         }
         tally

@@ -573,15 +573,6 @@ impl Figure {
             series,
         })
     }
-
-    /// Parses a figure straight from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] on malformed JSON or a schema mismatch.
-    pub fn from_json_str(text: &str) -> Result<Figure, JsonError> {
-        Figure::from_json(&Json::parse(text)?)
-    }
 }
 
 #[cfg(test)]
@@ -663,7 +654,7 @@ mod tests {
             }],
         };
         let text = fig.to_json().to_string_pretty();
-        let back = Figure::from_json_str(&text).unwrap();
+        let back = Figure::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, fig);
         // And the re-serialization is byte-identical.
         assert_eq!(back.to_json().to_string_pretty(), text);

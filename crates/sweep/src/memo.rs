@@ -161,7 +161,7 @@ fn count(found: bool, hits: &AtomicU64, misses: &AtomicU64) {
 
 impl SweepCache {
     /// The memoized `(network, CCO ordering)` of topology index `t`.
-    pub fn topology(&self, cfg: &SweepConfig, t: u32) -> Arc<TopologyEntry> {
+    pub(crate) fn topology(&self, cfg: &SweepConfig, t: u32) -> Arc<TopologyEntry> {
         let seed = cfg.topology_seed(t);
         let mut map = lock(&self.topologies);
         count(map.contains_key(&seed), &self.hits, &self.misses);
@@ -176,7 +176,7 @@ impl SweepCache {
     /// The memoized tree over `n` participants with resolved child cap `k`
     /// (see [`tree_k`]). Repeated lookups of the same `(n, k)` return the
     /// *same* allocation (`Arc::ptr_eq`).
-    pub fn tree(&self, n: u32, k: u32) -> Arc<MulticastTree> {
+    pub(crate) fn tree(&self, n: u32, k: u32) -> Arc<MulticastTree> {
         let mut map = lock(&self.trees);
         count(map.contains_key(&(n, k)), &self.hits, &self.misses);
         Arc::clone(
@@ -188,7 +188,7 @@ impl SweepCache {
     /// The memoized destination chain of sample `(t, s)` at `dests`
     /// destinations: source followed by the CCO-arranged destination hosts,
     /// exactly as [`sample_chain`] produces it.
-    pub fn chain(
+    pub(crate) fn chain(
         &self,
         cfg: &SweepConfig,
         topo: &TopologyEntry,
@@ -214,7 +214,7 @@ impl SweepCache {
     /// `JobRoutes::build(&topo.net, tree, chain)`, built once per
     /// `(topology, chain, k)` triple.
     #[allow(clippy::too_many_arguments)]
-    pub fn routes(
+    pub(crate) fn routes(
         &self,
         cfg: &SweepConfig,
         topo: &TopologyEntry,
@@ -238,7 +238,7 @@ impl SweepCache {
     /// key among the distinct keys not memoized yet. Returns the recalls in
     /// input order and, for each distinct missing key, the index of its first
     /// occurrence in `keys`. Only those first occurrences count as misses.
-    pub fn recall_points(&self, keys: &[PointKey]) -> (Vec<Recall>, Vec<usize>) {
+    pub(crate) fn recall_points(&self, keys: &[PointKey]) -> (Vec<Recall>, Vec<usize>) {
         let map = lock(&self.points);
         let mut first: HashMap<PointKey, usize> = HashMap::new();
         let mut missing = Vec::new();
@@ -261,12 +261,12 @@ impl SweepCache {
     }
 
     /// Memoizes freshly simulated point means.
-    pub fn store_points(&self, points: impl IntoIterator<Item = (PointKey, f64)>) {
+    pub(crate) fn store_points(&self, points: impl IntoIterator<Item = (PointKey, f64)>) {
         lock(&self.points).extend(points);
     }
 
     /// Snapshot of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let load = |counter: &AtomicU64| counter.load(AtomicOrdering::Relaxed);
         CacheStats {
             hits: load(&self.hits),

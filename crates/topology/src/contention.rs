@@ -15,24 +15,13 @@ use crate::Network;
 ///
 /// Routes are short (≤ network diameter + 2), so a quadratic scan beats
 /// hashing for the sizes involved.
-pub fn share_channel(a: &[ChannelId], b: &[ChannelId]) -> bool {
+fn share_channel(a: &[ChannelId], b: &[ChannelId]) -> bool {
     a.iter().any(|c| b.contains(c))
 }
 
-/// The channels shared by two routes (for diagnostics).
-pub fn shared_channels(a: &[ChannelId], b: &[ChannelId]) -> Vec<ChannelId> {
-    a.iter().copied().filter(|c| b.contains(c)).collect()
-}
-
-/// True if the unicast routes `from1 → to1` and `from2 → to2` contend.
-pub fn routes_contend<N: Network>(
-    net: &N,
-    from1: HostId,
-    to1: HostId,
-    from2: HostId,
-    to2: HostId,
-) -> bool {
-    share_channel(&net.route(from1, to1), &net.route(from2, to2))
+/// Route `i` of a CSR table from [`Network::bulk_routes`].
+fn csr_route<'a>(offsets: &[u32], channels: &'a [ChannelId], i: usize) -> &'a [ChannelId] {
+    &channels[offsets[i] as usize..offsets[i + 1] as usize]
 }
 
 /// One violating quadruple of the contention-free-ordering property.
@@ -60,18 +49,14 @@ pub fn ordering_violations<N: Network>(
     limit: u64,
 ) -> (u64, Option<Violation>) {
     let n = chain.len();
-    // Precompute all chain-forward routes a -> b (positions pa < pb).
-    let mut routes: Vec<Vec<Vec<ChannelId>>> = vec![Vec::new(); n];
-    for pa in 0..n {
-        routes[pa] = (0..n)
-            .map(|pb| {
-                if pa < pb {
-                    net.route(chain[pa], chain[pb])
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+    // All chain-forward routes a -> b (positions pa < pb) in one bulk call,
+    // then indexed as routes[pa * n + pb].
+    let forward = || (0..n).flat_map(|pa| (pa + 1..n).map(move |pb| (pa, pb)));
+    let pairs: Vec<(HostId, HostId)> = forward().map(|(pa, pb)| (chain[pa], chain[pb])).collect();
+    let (offsets, channels) = net.bulk_routes(&pairs);
+    let mut routes: Vec<&[ChannelId]> = vec![&[]; n * n];
+    for (i, (pa, pb)) in forward().enumerate() {
+        routes[pa * n + pb] = csr_route(&offsets, &channels, i);
     }
     let mut count = 0u64;
     let mut first = None;
@@ -82,7 +67,7 @@ pub fn ordering_violations<N: Network>(
                     if pa == pc && pb == pd {
                         continue; // the same message does not contend with itself
                     }
-                    if share_channel(&routes[pa][pb], &routes[pc][pd]) {
+                    if share_channel(routes[pa * n + pb], routes[pc * n + pd]) {
                         count += 1;
                         if first.is_none() {
                             first = Some(Violation {
@@ -111,11 +96,12 @@ pub fn is_contention_free<N: Network>(net: &N, chain: &[HostId]) -> bool {
 /// Counts pairwise channel conflicts among a set of simultaneously active
 /// unicast transfers (e.g. all sends of one multicast step).
 pub fn concurrent_conflicts<N: Network>(net: &N, transfers: &[(HostId, HostId)]) -> u64 {
-    let routes: Vec<Vec<ChannelId>> = transfers.iter().map(|&(f, t)| net.route(f, t)).collect();
+    let (offsets, channels) = net.bulk_routes(transfers);
+    let route = |i| csr_route(&offsets, &channels, i);
     let mut conflicts = 0;
-    for i in 0..routes.len() {
-        for j in i + 1..routes.len() {
-            if share_channel(&routes[i], &routes[j]) {
+    for i in 0..transfers.len() {
+        for j in i + 1..transfers.len() {
+            if share_channel(route(i), route(j)) {
                 conflicts += 1;
             }
         }
@@ -171,30 +157,18 @@ mod tests {
     #[test]
     fn same_direction_crossing_contends() {
         let net = Tiny::new();
+        let contend = |a, b, c, d| {
+            share_channel(
+                &net.route(HostId(a), HostId(b)),
+                &net.route(HostId(c), HostId(d)),
+            )
+        };
         // h0 -> h2 and h1 -> h3 both cross s0 -> s1.
-        assert!(routes_contend(
-            &net,
-            HostId(0),
-            HostId(2),
-            HostId(1),
-            HostId(3)
-        ));
+        assert!(contend(0, 2, 1, 3));
         // Opposite directions do not contend.
-        assert!(!routes_contend(
-            &net,
-            HostId(0),
-            HostId(2),
-            HostId(3),
-            HostId(1)
-        ));
+        assert!(!contend(0, 2, 3, 1));
         // Distinct ejections to distinct hosts do not contend.
-        assert!(!routes_contend(
-            &net,
-            HostId(0),
-            HostId(1),
-            HostId(2),
-            HostId(3)
-        ));
+        assert!(!contend(0, 1, 2, 3));
     }
 
     #[test]
@@ -202,7 +176,7 @@ mod tests {
         let net = Tiny::new();
         let r1 = net.route(HostId(0), HostId(2));
         let r2 = net.route(HostId(1), HostId(3));
-        let shared = shared_channels(&r1, &r2);
+        let shared: Vec<ChannelId> = r1.iter().copied().filter(|c| r2.contains(c)).collect();
         assert_eq!(shared.len(), 1);
         let c = net
             .topology()

@@ -54,7 +54,7 @@ impl FabricConfig {
     }
 
     /// Maximum number of hosts this fabric can attach.
-    pub fn host_capacity(&self) -> u32 {
+    fn host_capacity(&self) -> u32 {
         match *self {
             FabricConfig::FatTree { k_ary } => k_ary * k_ary * k_ary / 4,
             FabricConfig::Dragonfly {

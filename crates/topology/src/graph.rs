@@ -89,7 +89,7 @@ impl ChannelId {
 
     /// True for the `a → b` direction of the link.
     #[inline]
-    pub fn is_forward(self) -> bool {
+    fn is_forward(self) -> bool {
         self.0.is_multiple_of(2)
     }
 
@@ -361,7 +361,7 @@ impl Topology {
     }
 
     /// The host's access link.
-    pub fn host_link(&self, h: HostId) -> LinkId {
+    fn host_link(&self, h: HostId) -> LinkId {
         self.host_link[h.index()]
     }
 

@@ -20,6 +20,8 @@
 //! The central abstraction is the [`Network`] trait: anything that can route
 //! a packet between two hosts as a sequence of directed [`graph::ChannelId`]s.
 
+#![warn(unreachable_pub)]
+
 pub mod contention;
 pub mod cube;
 pub mod fabric;

@@ -47,7 +47,7 @@
 //!
 //! [`bulk_host_routes`]: UpDownRouting::bulk_host_routes
 
-use crate::graph::{ChannelId, Endpoint, HostId, LinkId, SwitchId, Topology};
+use crate::graph::{ChannelId, Endpoint, HostId, SwitchId, Topology};
 use std::collections::VecDeque;
 
 /// Bit 31 of a hop-table entry: the slot's channel points up.
@@ -62,8 +62,6 @@ const UNSEEN: u32 = u32::MAX;
 pub struct UpDownRouting {
     root: SwitchId,
     level: Vec<u32>,
-    /// BFS spanning-tree parent per switch (`None` for the root).
-    parent: Vec<Option<(LinkId, SwitchId)>>,
     /// CSR offsets into `child_dat`: children of `s` are
     /// `child_dat[child_off[s]..child_off[s + 1]]`, in discovery order.
     child_off: Vec<u32>,
@@ -208,17 +206,15 @@ impl UpDownRouting {
         // sort below re-keys the groups by switch id without disturbing
         // each parent's discovery order.
         let mut level = vec![u32::MAX; s];
-        let mut parent = vec![None; s];
         let mut pairs: Vec<(SwitchId, SwitchId)> = Vec::new();
         let mut queue = VecDeque::new();
         level[root.index()] = 0;
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
-            let (links, peers) = topo.switch_peers(u);
-            for (&l, &nb) in links.iter().zip(peers) {
+            let (_, peers) = topo.switch_peers(u);
+            for &nb in peers {
                 if level[nb.index()] == u32::MAX {
                     level[nb.index()] = level[u.index()] + 1;
-                    parent[nb.index()] = Some((l, u));
                     pairs.push((u, nb));
                     queue.push_back(nb);
                 }
@@ -243,7 +239,6 @@ impl UpDownRouting {
         UpDownRouting {
             root,
             level,
-            parent,
             child_off,
             child_dat,
         }
@@ -257,11 +252,6 @@ impl UpDownRouting {
     /// BFS level (distance from root) of a switch.
     pub fn level(&self, s: SwitchId) -> u32 {
         self.level[s.index()]
-    }
-
-    /// BFS spanning-tree parent of a switch (`None` for the root).
-    pub fn tree_parent(&self, s: SwitchId) -> Option<(LinkId, SwitchId)> {
-        self.parent[s.index()]
     }
 
     /// BFS spanning-tree children of a switch, in discovery order.
@@ -685,8 +675,6 @@ mod tests {
         assert_eq!(r.level(SwitchId(0)), 0);
         assert_eq!(r.level(SwitchId(1)), 1);
         assert_eq!(r.level(SwitchId(2)), 2);
-        assert_eq!(r.tree_parent(SwitchId(0)), None);
-        assert_eq!(r.tree_parent(SwitchId(2)).unwrap().1, SwitchId(1));
         assert_eq!(r.tree_children(SwitchId(0)), &[SwitchId(1)]);
     }
 

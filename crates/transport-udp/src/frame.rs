@@ -137,7 +137,7 @@ impl std::error::Error for FrameError {}
 
 impl WireFrame {
     /// Encoded size of this frame in bytes.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 

@@ -11,9 +11,8 @@
 //!   `attempt`, `from_rank`) plus fragmentation/reassembly built on the
 //!   netsim packetization substrate;
 //! * [`udp`] — [`UdpTransport`], implementing the netsim `Transport` trait
-//!   with per-peer unicast (software multicast along the tree) and optional
-//!   real IPv4 multicast-group membership, with bounded-timeout receive
-//!   loops and malformed-datagram accounting;
+//!   with per-peer unicast (software multicast along the tree),
+//!   bounded-timeout receive loops and malformed-datagram accounting;
 //! * [`runner`] — [`WirePlan`] / [`run_source`] / [`run_sink`] /
 //!   [`loopback_demo`]: the schedule-driven roles whose per-receiver
 //!   delivery order is checked against [`Schedule::arrival_order`] — the
@@ -24,6 +23,8 @@
 //!
 //! [`Transport`]: optimcast_netsim::transport::Transport
 //! [`Schedule::arrival_order`]: optimcast_core::schedule::Schedule::arrival_order
+
+#![warn(unreachable_pub)]
 
 pub mod frame;
 pub mod runner;

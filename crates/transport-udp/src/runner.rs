@@ -79,7 +79,7 @@ impl WirePlan {
     }
 
     /// Zero-copy payload of packet `p`.
-    pub fn packet_payload_of(&self, message: &Bytes, p: u32) -> Bytes {
+    fn packet_payload_of(&self, message: &Bytes, p: u32) -> Bytes {
         let per = self.packet_payload;
         message.slice(p as usize * per..(p as usize + 1) * per)
     }

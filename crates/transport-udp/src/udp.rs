@@ -4,10 +4,7 @@
 //! The multicast itself is *software* multicast, exactly as in the paper:
 //! each participant forwards packets to its children in the k-binomial tree
 //! over per-peer unicast datagrams, so the wire traffic is the tree's edge
-//! set — the same sends the simulator schedules. IP-multicast group
-//! membership (`join_multicast_v4`, TTL, loopback) is supported for
-//! group-addressed peers, so a deployment can point any peer slot at a
-//! `239.0.0.0/8` group instead of a unicast address.
+//! set — the same sends the simulator schedules.
 //!
 //! `send` fragments the packet to MTU-sized [`WireFrame`]s and writes each
 //! as one datagram; `poll_deliveries` runs a bounded-timeout receive loop,
@@ -22,7 +19,7 @@ use optimcast_netsim::transport::{
 };
 use optimcast_topology::graph::HostId;
 use std::collections::HashMap;
-use std::net::{Ipv4Addr, SocketAddr, ToSocketAddrs, UdpSocket};
+use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
 
 /// Largest UDP payload the receive path accepts (one datagram).
@@ -48,11 +45,7 @@ pub struct UdpTransport {
     /// Reused datagram receive buffer.
     recv_buf: Vec<u8>,
     assemblers: HashMap<AssemblyKey, PacketAssembler>,
-    /// Multicast groups joined via [`Self::join_group`], left on `close`.
-    groups: Vec<(Ipv4Addr, Ipv4Addr)>,
     malformed: u64,
-    frames_sent: u64,
-    packets_received: u64,
     closed: bool,
 }
 
@@ -68,10 +61,7 @@ impl UdpTransport {
             scratch: Vec::with_capacity(DEFAULT_MTU),
             recv_buf: vec![0u8; MAX_DATAGRAM],
             assemblers: HashMap::new(),
-            groups: Vec::new(),
             malformed: 0,
-            frames_sent: 0,
-            packets_received: 0,
             closed: false,
         })
     }
@@ -82,8 +72,7 @@ impl UdpTransport {
     }
 
     /// Installs the participant address table: `peers[rank]` is where
-    /// packets for `HostId(rank)` go. Entries may be unicast addresses or
-    /// multicast groups.
+    /// packets for `HostId(rank)` go.
     pub fn set_peers(&mut self, peers: Vec<SocketAddr>) {
         self.peers = peers;
     }
@@ -98,39 +87,10 @@ impl UdpTransport {
         self.mtu = mtu;
     }
 
-    /// Joins an IPv4 multicast group on `interface` (use
-    /// `Ipv4Addr::UNSPECIFIED` for the default interface), sets the
-    /// multicast TTL, and enables loopback so co-located members hear this
-    /// socket's group sends. The membership is dropped on [`close`].
-    ///
-    /// [`close`]: Transport::close
-    pub fn join_group(
-        &mut self,
-        group: Ipv4Addr,
-        interface: Ipv4Addr,
-        ttl: u32,
-    ) -> Result<(), TransportError> {
-        self.socket.join_multicast_v4(&group, &interface)?;
-        self.socket.set_multicast_ttl_v4(ttl)?;
-        self.socket.set_multicast_loop_v4(true)?;
-        self.groups.push((group, interface));
-        Ok(())
-    }
-
     /// Datagrams that failed to decode (bad magic, truncation, length
     /// mismatch) or whose fragments violated reassembly invariants.
     pub fn malformed(&self) -> u64 {
         self.malformed
-    }
-
-    /// Frames (datagrams) written so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Packets fully reassembled and delivered so far.
-    pub fn packets_received(&self) -> u64 {
-        self.packets_received
     }
 }
 
@@ -178,7 +138,6 @@ impl Transport for UdpTransport {
             if written != len {
                 return Err(TransportError::Invalid("short datagram write"));
             }
-            self.frames_sent += 1;
         }
         // The wire has no simulated clock: the packet left now, and UDP
         // promises nothing about arrival. Report the logical dispatch
@@ -241,7 +200,6 @@ impl Transport for UdpTransport {
             match asm.accept(frame) {
                 Ok(Some(payload)) => {
                     self.assemblers.remove(&key);
-                    self.packets_received += 1;
                     delivered += 1;
                     sink(Delivery {
                         stream: key.0,
@@ -267,10 +225,6 @@ impl Transport for UdpTransport {
             return Ok(());
         }
         self.closed = true;
-        for (group, interface) in self.groups.drain(..) {
-            // Best effort: the membership dies with the socket anyway.
-            let _ = self.socket.leave_multicast_v4(&group, &interface);
-        }
         Ok(())
     }
 }
@@ -325,7 +279,6 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 7);
         assert_eq!(got[0].1, payload);
-        assert_eq!(a.frames_sent(), 50);
         assert_eq!(b.malformed(), 0);
         a.close().unwrap();
         b.close().unwrap();
@@ -366,41 +319,5 @@ mod tests {
             Err(TransportError::Closed)
         ));
         assert!(matches!(a.open(), Err(TransportError::Closed)));
-    }
-
-    /// Real IGMP membership: join a 239.0.0.0/8 group with loopback on,
-    /// address a peer slot at the group, and hear our own group send. Some
-    /// sandboxes forbid multicast joins — that skips the test, it doesn't
-    /// fail it (the capability is exercised wherever the OS allows it).
-    #[test]
-    fn multicast_group_self_receive() {
-        let mut t = match UdpTransport::bind("0.0.0.0:0") {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("skipping multicast smoke: bind failed: {e}");
-                return;
-            }
-        };
-        let group = Ipv4Addr::new(239, 41, 7, 3);
-        if let Err(e) = t.join_group(group, Ipv4Addr::UNSPECIFIED, 1) {
-            eprintln!("skipping multicast smoke: join failed: {e}");
-            return;
-        }
-        let port = t.local_addr().unwrap().port();
-        t.set_peers(vec![
-            SocketAddr::from((Ipv4Addr::LOCALHOST, 0)), // rank 0 unused
-            SocketAddr::from((group, port)),
-        ]);
-        t.open().unwrap();
-        t.send(HostId(0), HostId(1), view(3, b"group"), ctx())
-            .unwrap();
-        let mut got: Vec<u32> = Vec::new();
-        t.poll_deliveries(2_000_000, &mut |d| got.push(d.packet))
-            .unwrap();
-        if got != [3] {
-            eprintln!("skipping multicast smoke: no loopback delivery (kernel may filter)");
-            return;
-        }
-        t.close().unwrap();
     }
 }

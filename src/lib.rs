@@ -67,6 +67,8 @@
 //! assert!(out.latency_us > 0.0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub use optimcast_collectives as collectives;
 pub use optimcast_core as core;
 pub use optimcast_netsim as netsim;
