@@ -2,8 +2,9 @@
 //! (the innermost data structure of every run), full `run_multicast`
 //! calls with and without an interned route table and through a warm
 //! `SimArena`, the fault plan's per-send verdict, one windowed-ARQ
-//! multicast under random loss, and a route table build on an 8,192-host
-//! fat-tree.
+//! multicast under random loss, a route table build on an 8,192-host
+//! fat-tree, and a whole-fabric multicast on a 16,384-host fat-tree, large
+//! enough that the event loop prefetches ahead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use optimcast::netsim::engine::EventQueue;
@@ -187,6 +188,39 @@ fn bench_routes(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_fat_tree_16k(c: &mut Criterion) {
+    // The optimal-k FPFS multicast of m = 16 packets from host 0 to every
+    // other host of a k = 32 fat-tree, under wormhole contention, through a
+    // warm arena: the 65k wavefront's access pattern at a quarter of its
+    // size, past the size from which the event loop prefetches ahead.
+    let (hosts, m) = (16_384, 16);
+    let net = FabricNetwork::generate_with_hosts(FabricConfig::fat_tree_for_hosts(hosts), hosts);
+    let tree = Arc::new(kbinomial_tree(hosts, optimal_k(u64::from(hosts), m).k));
+    let identity: Vec<HostId> = (0..hosts).map(HostId).collect();
+    let cco = cco_of(net.topology(), net.routing()).hosts().to_vec();
+    let params = SystemParams::paper_1997();
+    let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
+    let mut g = c.benchmark_group("sim/fat_tree_16k_fpfs");
+    for (name, binding) in [("identity", identity), ("cco_of", cco)] {
+        let jobs = [MulticastJob::fpfs(Arc::clone(&tree), binding, m)];
+        let routes = [Arc::new(JobRoutes::build(
+            &net,
+            &jobs[0].tree,
+            &jobs[0].binding,
+        ))];
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                SimRun::new(&net, &jobs, &params, WorkloadConfig::default())
+                    .routes(&routes[..])
+                    .run_into(&mut arena, &mut out)
+                    .unwrap();
+                out.events
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Short, stable settings: 10 samples, 1 s of measurement.
 fn config() -> Criterion {
     Criterion::default()
@@ -199,6 +233,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_event_queue, bench_run_multicast, bench_fault_verdict, bench_run_multicast_arq,
-        bench_routes
+        bench_routes, bench_fat_tree_16k
 }
 criterion_main!(benches);

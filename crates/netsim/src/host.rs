@@ -107,6 +107,23 @@ impl HostState {
     };
 }
 
+/// Asks the CPU to pull the cache line holding `*p` toward L1 ahead of
+/// use. A hint only: it changes no state the program can see, and on
+/// targets other than x86_64 it does nothing.
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` performs no architectural load or store and
+    // cannot fault, whatever the address; `p` is a live reference besides.
+    // SSE, which the intrinsic needs, is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(p).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Filler of a freshly claimed block's slots, overwritten at dispatch.
 const VACANT: (u64, SendItem) = (
     0,
@@ -138,6 +155,29 @@ impl HostModel {
         self.in_flight.clear();
         self.queued.clear();
         self.free = NIL;
+    }
+
+    /// Prefetches the host's record.
+    pub(crate) fn prefetch_host(&self, h: HostId) {
+        if let Some(hs) = self.hosts.get(h.index()) {
+            prefetch(hs);
+        }
+    }
+
+    /// Prefetches what a dispatch from the host reads past its record: the
+    /// head of its send queue and its block of in-flight slots. Reads the
+    /// record to find them, so it pays once [`Self::prefetch_host`] has
+    /// brought the record in.
+    pub(crate) fn prefetch_dispatch(&self, h: HostId) {
+        let hs = &self.hosts[h.index()];
+        if let Some(q) = self.queued.get(hs.head as usize) {
+            prefetch(q);
+        }
+        if hs.block != NIL {
+            if let Some(slot) = self.in_flight.get(hs.block as usize * self.units) {
+                prefetch(slot);
+            }
+        }
     }
 
     /// Appends a transmission to the host's send queue; returns the queue

@@ -36,7 +36,7 @@ use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::event::{Ev, SendItem};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::host::HostModel;
+use crate::host::{prefetch, HostModel};
 use crate::observe::{Observer, ObserverHub, SimEvent};
 use crate::routes::JobRoutes;
 use crate::sim::{NiTiming, NicKind};
@@ -168,6 +168,40 @@ impl<'a> SimState<'a> {
         let packets = self.jobs[job as usize].packets as usize;
         let start = r.index() * packets;
         &mut self.copies_left[job as usize][start..start + packets]
+    }
+
+    /// Prefetches the host records `ev`'s handler reads first: a
+    /// `TrySend`'s host, an `Arrive`'s receiver, and a `RecvDone`'s sender
+    /// and receiver.
+    fn prefetch_hosts(&self, ev: &Ev) {
+        match *ev {
+            Ev::TrySend(h) => self.hosts.prefetch_host(h),
+            Ev::Arrive { item, .. } => self.hosts.prefetch_host(self.host_of(item.job, item.child)),
+            Ev::RecvDone { item, .. } => {
+                self.hosts.prefetch_host(self.host_of(item.job, item.from));
+                self.hosts.prefetch_host(self.host_of(item.job, item.child));
+            }
+            _ => {}
+        }
+    }
+
+    /// Prefetches what handling `item`'s `RecvDone` touches past the two
+    /// host records: the sender's queue head and in-flight block, the
+    /// receiver's participant record, and the sender's and the receiver's
+    /// copy counters for the packet.
+    fn prefetch_recv_done(&self, item: SendItem) {
+        let (j, packet) = (item.job as usize, item.packet as usize);
+        let job = &self.jobs[j];
+        self.hosts.prefetch_dispatch(job.binding[item.from.index()]);
+        for r in [item.from, item.child] {
+            let counter = r.index() * job.packets as usize + packet;
+            if let Some(c) = self.copies_left[j].get(counter) {
+                prefetch(c);
+            }
+        }
+        if let Some(part) = self.parts[j].get(item.child.index()) {
+            prefetch(part);
+        }
     }
 
     /// Writes `(job, rank)` off the membership.
@@ -355,6 +389,13 @@ pub(crate) fn resolve_routes<N: Network>(
     Ok(())
 }
 
+/// Participants, summed over a run's jobs, from which the event loop
+/// prefetches ahead ([`Simulation::prefetch_next`]). The state a run's
+/// wavefront touches grows with its participants; below this it stays in
+/// cache, and the prefetch step is pure overhead. See DESIGN.md
+/// "Lookahead prefetch" for the measurements behind the value.
+const LOOKAHEAD_MIN_RANKS: usize = 8_192;
+
 /// One job's forwarding state: its engine and the tree it forwards over —
 /// the job's own tree until a repair epoch swaps in the repaired one.
 pub(crate) struct Forwarding {
@@ -377,6 +418,9 @@ pub(crate) struct Simulation<'a, N: Network> {
     /// `window > 1`. Its handlers live in [`crate::arq`]; the core hands
     /// each windowed event over at one `if let Some(arq)` per event kind.
     arq: Option<ArqState<'a>>,
+    /// Whether the event loop prefetches ahead: fixed at construction from
+    /// the run's size ([`LOOKAHEAD_MIN_RANKS`]).
+    lookahead: bool,
 }
 
 impl<'a, N: Network> Simulation<'a, N> {
@@ -482,6 +526,7 @@ impl<'a, N: Network> Simulation<'a, N> {
         let arq = fault
             .filter(|f| f.window > 1)
             .map(|f| ArqState::new(jobs, net.num_hosts() as usize, f));
+        let ranks: usize = jobs.iter().map(|j| j.tree.len()).sum();
         Ok(Simulation {
             st: SimState {
                 jobs,
@@ -501,6 +546,7 @@ impl<'a, N: Network> Simulation<'a, N> {
             net,
             epoch: 0,
             arq,
+            lookahead: ranks >= LOOKAHEAD_MIN_RANKS,
         })
     }
 
@@ -546,39 +592,11 @@ impl<'a, N: Network> Simulation<'a, N> {
         }
         let mut last = SimTime::ZERO;
         loop {
-            while let Some((now, ev)) = self.st.queue.pop() {
-                last = now;
-                match ev {
-                    Ev::JobStart(j) => self.kickoff(j),
-                    Ev::TrySend(h) => self.handle_try_send(now, h),
-                    Ev::Arrive { item, corrupt } => self.handle_arrive(now, item, corrupt),
-                    Ev::RecvDone { item, corrupt } => self.handle_recv_done(now, item, corrupt),
-                    Ev::HostReady { job, at } => {
-                        let tree = &self.forwarding[job as usize].tree;
-                        conventional::on_host_ready(&mut self.st, tree, now, job, at)
-                    }
-                    Ev::SendPrepared { job, at, child_idx } => {
-                        let tree = &self.forwarding[job as usize].tree;
-                        conventional::on_send_prepared(&mut self.st, tree, now, job, at, child_idx)
-                    }
-                    Ev::SendRelease { host, seq } => self.handle_send_release(now, host, seq),
-                    Ev::AckTimeout { host, seq } => self.handle_ack_timeout(now, host, seq),
-                    Ev::ArqRelease { host, seq } => arq::on_release(&mut self.st, now, host, seq),
-                    Ev::ArqTimeout(item) => {
-                        let (st, arq) = self.windowed();
-                        arq::on_timeout(st, arq, now, item)
-                    }
-                    Ev::ArqNack {
-                        job,
-                        at,
-                        first,
-                        last,
-                    } => {
-                        let (st, arq) = self.windowed();
-                        arq::on_nack(st, arq, now, job, at, first, last)
-                    }
-                }
-            }
+            last = if self.lookahead {
+                self.drain::<true>(last)
+            } else {
+                self.drain::<false>(last)
+            };
             if !self.start_repair_epoch(last) {
                 break;
             }
@@ -589,6 +607,82 @@ impl<'a, N: Network> Simulation<'a, N> {
         let result = st.collect(out);
         st.recycle(forwarding, arena);
         result
+    }
+
+    /// Handles events until the queue is empty; returns the time of the
+    /// last one (`last` if there was none). With `LOOKAHEAD`, each pop first
+    /// prefetches for the events behind it ([`Self::prefetch_next`]).
+    fn drain<const LOOKAHEAD: bool>(&mut self, mut last: SimTime) -> SimTime {
+        while let Some((now, ev)) = self.st.queue.pop() {
+            if LOOKAHEAD {
+                self.prefetch_next();
+            }
+            last = now;
+            match ev {
+                Ev::JobStart(j) => self.kickoff(j),
+                Ev::TrySend(h) => self.handle_try_send(now, h),
+                Ev::Arrive { item, corrupt } => self.handle_arrive(now, item, corrupt),
+                Ev::RecvDone { item, corrupt } => self.handle_recv_done(now, item, corrupt),
+                Ev::HostReady { job, at } => {
+                    let tree = &self.forwarding[job as usize].tree;
+                    conventional::on_host_ready(&mut self.st, tree, now, job, at)
+                }
+                Ev::SendPrepared { job, at, child_idx } => {
+                    let tree = &self.forwarding[job as usize].tree;
+                    conventional::on_send_prepared(&mut self.st, tree, now, job, at, child_idx)
+                }
+                Ev::SendRelease { host, seq } => self.handle_send_release(now, host, seq),
+                Ev::AckTimeout { host, seq } => self.handle_ack_timeout(now, host, seq),
+                Ev::ArqRelease { host, seq } => arq::on_release(&mut self.st, now, host, seq),
+                Ev::ArqTimeout(item) => {
+                    let (st, arq) = self.windowed();
+                    arq::on_timeout(st, arq, now, item)
+                }
+                Ev::ArqNack {
+                    job,
+                    at,
+                    first,
+                    last,
+                } => {
+                    let (st, arq) = self.windowed();
+                    arq::on_nack(st, arq, now, job, at, first, last)
+                }
+            }
+        }
+        last
+    }
+
+    /// Prefetches for the events behind the one just popped, in two
+    /// stages. For the event after next, when it shares the next one's
+    /// bucket: the host records its handler reads first. For the next
+    /// event: those records, then what its handler reads through or beside
+    /// them — a `TrySend`'s queue head and in-flight block; for a
+    /// `RecvDone`, the sender's queue head and in-flight block, the
+    /// receiver's participant record, both copy counters and the
+    /// receiver's child list. A record fetched for the event after next is
+    /// in cache one pop later, when the slots behind it are looked up
+    /// through it. Changes no state.
+    fn prefetch_next(&self) {
+        let st = &self.st;
+        let [next, after] = st.queue.lookahead();
+        if let Some(ev) = after {
+            st.prefetch_hosts(ev);
+        }
+        let Some(ev) = next else {
+            return;
+        };
+        st.prefetch_hosts(ev);
+        match *ev {
+            Ev::TrySend(h) => st.hosts.prefetch_dispatch(h),
+            Ev::RecvDone { item, .. } => {
+                st.prefetch_recv_done(item);
+                let tree = &self.forwarding[item.job as usize].tree;
+                if let Some(kid) = tree.children(item.child).first() {
+                    prefetch(kid);
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Hands the job's kickoff to its engine.
@@ -1110,5 +1204,69 @@ impl SimState<'_> {
         arena.queue = queue;
         arena.metrics = obs.metrics;
         arena.counters = obs.counters;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arq::NiModel;
+    use optimcast_core::builders::kbinomial_tree;
+    use optimcast_core::optimal::optimal_k;
+    use optimcast_topology::fabric::{FabricConfig, FabricNetwork};
+    use optimcast_topology::ordering::cco_of;
+
+    /// Runs `jobs` once with the event loop's lookahead forced on or off.
+    fn run_with_lookahead<N: Network>(
+        net: &N,
+        jobs: &[MulticastJob],
+        config: WorkloadConfig,
+        fault: Option<&FaultPlan>,
+        lookahead: bool,
+    ) -> WorkloadOutcome {
+        let params = SystemParams::paper_1997();
+        let (mut arena, mut out) = (SimArena::new(), WorkloadOutcome::default());
+        let mut sim = Simulation::new(net, jobs, &params, config, fault, None, None, &mut arena)
+            .expect("valid workload");
+        sim.lookahead = lookahead;
+        sim.run(&mut arena, &mut out).expect("run completes");
+        out
+    }
+
+    /// Both event-loop instantiations give the same outcome: the optimal-k
+    /// FPFS multicast over a 1,024-host fat-tree under wormhole contention,
+    /// bound by identity and by `cco_of`, and once more under random loss
+    /// with windowed ARQ.
+    #[test]
+    fn lookahead_changes_no_outcome() {
+        let (hosts, m) = (1024, 16);
+        let net =
+            FabricNetwork::generate_with_hosts(FabricConfig::fat_tree_for_hosts(hosts), hosts);
+        let tree = Arc::new(kbinomial_tree(hosts, optimal_k(u64::from(hosts), m).k));
+        let identity: Vec<HostId> = (0..hosts).map(HostId).collect();
+        let cco = cco_of(net.topology(), net.routing()).hosts().to_vec();
+        let plan = FaultPlan {
+            drop_rate: 0.05,
+            window: 8,
+            ..FaultPlan::new(7)
+        };
+        let windowed = WorkloadConfig {
+            ni: NiModel {
+                send_units: 2,
+                queue_capacity: None,
+            },
+            ..WorkloadConfig::default()
+        };
+        let plain = WorkloadConfig::default();
+        for (binding, config, fault) in [
+            (identity.clone(), plain, None),
+            (cco, plain, None),
+            (identity, windowed, Some(&plan)),
+        ] {
+            let jobs = [MulticastJob::fpfs(Arc::clone(&tree), binding, m)];
+            let off = run_with_lookahead(&net, &jobs, config, fault, false);
+            assert_eq!(off.counters.retransmits > 0, fault.is_some());
+            assert_eq!(run_with_lookahead(&net, &jobs, config, fault, true), off);
+        }
     }
 }

@@ -10,6 +10,9 @@
 //! times than the open-bucket cache has lines (misses that open a second
 //! bucket while an older one at the same time is still pending), and
 //! drain-then-refill at the same instant (a drained bucket reopened).
+//!
+//! Before every pop, under every script, [`EventQueue::lookahead`] must
+//! name what the following pops return.
 
 use optimcast_netsim::engine::EventQueue;
 use optimcast_netsim::time::SimTime;
@@ -43,6 +46,38 @@ impl Reference {
         self.now = at;
         Some((at, payload))
     }
+
+    /// The payloads of the next two pops, in order, without popping.
+    fn peek2(&self) -> [Option<u32>; 2] {
+        let mut best: [Option<(SimTime, u64, u32)>; 2] = [None, None];
+        for &e in &self.pending {
+            let key = |x: (SimTime, u64, u32)| (x.0, x.1);
+            if best[0].is_none_or(|b| key(e) < key(b)) {
+                best = [Some(e), best[0]];
+            } else if best[1].is_none_or(|b| key(e) < key(b)) {
+                best[1] = Some(e);
+            }
+        }
+        best.map(|e| e.map(|(_, _, payload)| payload))
+    }
+}
+
+/// Pops `q` and the model once and returns the queue's pop, after checking
+/// the lookahead: its first entry must be the model's next pop, and its
+/// second, when it names one, the pop after that.
+fn pop_both(
+    q: &mut EventQueue<u32>,
+    model: &mut Reference,
+) -> Result<Option<(SimTime, u32)>, String> {
+    let [next, after] = q.lookahead().map(Option::<&u32>::copied);
+    let [want_next, want_after] = model.peek2();
+    prop_assert_eq!(next, want_next);
+    if after.is_some() {
+        prop_assert_eq!(after, want_after);
+    }
+    let got = q.pop();
+    prop_assert_eq!(got, model.pop());
+    Ok(got)
 }
 
 proptest! {
@@ -67,17 +102,12 @@ proptest! {
                 model.schedule(at, payload);
                 payload += 1;
             } else {
-                let got = q.pop();
-                let want = model.pop();
-                prop_assert_eq!(got, want);
+                pop_both(&mut q, &mut model)?;
             }
             prop_assert_eq!(q.len(), model.pending.len());
         }
         // Drain: the tail must also match, and afterwards both are empty.
-        while let Some(want) = model.pop() {
-            prop_assert_eq!(q.pop(), Some(want));
-        }
-        prop_assert_eq!(q.pop(), None);
+        while pop_both(&mut q, &mut model)?.is_some() {}
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.processed(), model.next_seq);
     }
@@ -105,8 +135,8 @@ proptest! {
 /// Drives `q` and the reference model through one script: each of `ops`
 /// steps schedules at `now + delay(rng)` with probability `schedule_pct`%
 /// (always when empty), else pops; then both drain. Pops must agree event
-/// for event, and `len`, `peak_len` and `processed` must match the model
-/// after every step.
+/// for event, as must each pop's lookahead, and `len`, `peak_len` and
+/// `processed` must match the model after every step.
 fn check_script(
     rng: &mut ChaCha8Rng,
     ops: usize,
@@ -122,7 +152,7 @@ fn check_script(
             q.schedule(at, payload);
             model.schedule(at, payload);
         } else {
-            prop_assert_eq!(q.pop(), model.pop());
+            pop_both(&mut q, &mut model)?;
             popped += 1;
         }
         peak = peak.max(model.pending.len());
@@ -130,11 +160,9 @@ fn check_script(
         prop_assert_eq!(q.peak_len(), peak);
         prop_assert_eq!(q.processed(), popped);
     }
-    while let Some(want) = model.pop() {
-        prop_assert_eq!(q.pop(), Some(want));
+    while pop_both(&mut q, &mut model)?.is_some() {
         popped += 1;
     }
-    prop_assert_eq!(q.pop(), None);
     prop_assert!(q.is_empty());
     prop_assert_eq!(q.processed(), popped);
     prop_assert_eq!(q.peak_len(), peak);
@@ -194,12 +222,10 @@ proptest! {
                 peak = peak.max(model.pending.len());
                 prop_assert_eq!(q.peak_len(), peak);
             }
-            while let Some(want) = model.pop() {
-                prop_assert_eq!(q.pop(), Some(want));
+            while pop_both(&mut q, &mut model)?.is_some() {
                 popped += 1;
                 prop_assert_eq!(q.len(), model.pending.len());
             }
-            prop_assert_eq!(q.pop(), None);
             prop_assert!(q.is_empty());
             prop_assert_eq!(q.now(), model.now);
             prop_assert_eq!(q.processed(), popped);
